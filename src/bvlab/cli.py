@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -41,24 +42,62 @@ def _parse_rho0(value: str, d: float) -> float:
     return rho
 
 
-def _parse_int(value) -> int:
-    # accepts scientific notation like 1e12 for frequency cutoffs
-    f = float(value)
-    if f != int(f):
-        raise ValidationError(f"expected an integer, got {value!r}")
-    return int(f)
+def _parse_float(value, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{key} must be a number, got {value!r}") from exc
+
+
+# decimal literal with optional fraction and exponent, e.g. 12, 1e12, 1.5e3
+_DECIMAL = re.compile(r"([+-]?\d+)(?:\.(\d*))?(?:[eE]([+-]?\d{1,4}))?")
+_MAX_DIGITS = 4300  # the interpreter's own limit for int <-> str conversion
+
+
+def _parse_int(value, key: str = "value") -> int:
+    """Exact integer from an int, an integral float or a decimal string.
+
+    Scientific notation such as ``1e12`` is accepted when its value is an
+    exact integer.  Strings never pass through float, so 2**63 - 1 and
+    12345678901234567 keep every digit.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    match = _DECIMAL.fullmatch(value.strip()) if isinstance(value, str) else None
+    if match:
+        digits = match[1] + (match[2] or "")
+        shift = int(match[3] or 0) - len(match[2] or "")
+        if len(digits) + abs(shift) <= _MAX_DIGITS:
+            whole, rest = divmod(int(digits) * 10**max(shift, 0), 10**max(-shift, 0))
+            if rest == 0:
+                return whole
+    raise ValidationError(f"{key} must be an integer, got {value!r}")
+
+
+def _int(cfg: RunConfig, key: str, default: int) -> int:
+    return _parse_int(cfg.get(key, default), key)
+
+
+def _float(cfg: RunConfig, key: str, default: float) -> float:
+    return _parse_float(cfg.get(key, default), key)
+
+
+def _read_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    doc = _read_json(path, "config")
     if not isinstance(doc, dict):
         raise ValidationError("config must be a JSON object")
     return doc
@@ -77,12 +116,12 @@ def _shell_params(cfg: RunConfig) -> ShellParams:
     d = cfg.get("d")
     if d is None:
         raise ValidationError("--d is required")
-    d = float(d)
+    d = _parse_float(d, "d")
     rho0 = _parse_rho0(str(cfg.get("rho0", "optimal")), d)
     n0 = cfg.get("n0")
-    return ShellParams(d=d, rho0=rho0, n0=None if n0 is None else int(n0),
-                       shells=int(cfg.get("shells", 10)),
-                       max_freq=_parse_int(cfg.get("max_freq", 2**63 - 1)))
+    return ShellParams(d=d, rho0=rho0, n0=None if n0 is None else _parse_int(n0, "n0"),
+                       shells=_int(cfg, "shells", 10),
+                       max_freq=_int(cfg, "max_freq", 2**63 - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +154,14 @@ def cmd_variance(cfg: RunConfig, out_dir: Path) -> int:
     method = cfg.get("method", "exact")
     if method == "exact":
         from .constructions import shell_moduli
-        est = variance_lacunary(shell_moduli(params, int(cfg.get("terms", 4000))), params.d)
+        est = variance_lacunary(shell_moduli(params, _int(cfg, "terms", 4000)), params.d)
     elif method == "block":
         g = shell_beurling_series(_auto_shells(params, cfg))
-        est = variance_block(g, params.degree, float(cfg.get("r0", 1.5)),
-                             int(cfg.get("blocks", 8)))
+        est = variance_block(g, params.degree, _float(cfg, "r0", 1.5), _int(cfg, "blocks", 8))
     elif method == "mass":
         est = variance_block_mass(shell_beurling_series(params))
     elif method == "cesaro":
-        est = cesaro_sigma4(shell_cauchy_series(params), float(cfg.get("r0", 1.5)),
+        est = cesaro_sigma4(shell_cauchy_series(params), _float(cfg, "r0", 1.5),
                             params.degree)
     else:
         raise ValidationError(f"unknown method {method!r}")
@@ -143,8 +181,8 @@ def _auto_shells(params: ShellParams, cfg: RunConfig) -> ShellParams:
     """Grow the shell count until the finest probed scale is resolved."""
     from dataclasses import replace
 
-    r0 = float(cfg.get("r0", 1.5))
-    blocks = int(cfg.get("blocks", 8))
+    r0 = _float(cfg, "r0", 1.5)
+    blocks = _int(cfg, "blocks", 8)
     d = params.degree
     r_final_minus_1 = math.expm1(math.log(r0) / d**blocks)
     need = 10.0 / r_final_minus_1
@@ -155,8 +193,8 @@ def _auto_shells(params: ShellParams, cfg: RunConfig) -> ShellParams:
 
 
 def cmd_optimize(cfg: RunConfig, out_dir: Path) -> int:
-    d_min = int(cfg.get("d_min", 2))
-    d_max = int(cfg.get("d_max", 64))
+    d_min = _int(cfg, "d_min", 2)
+    d_max = _int(cfg, "d_max", 64)
     best_int = best_integer_degree(d_min, d_max)
     best_real = best_real_degree(float(d_min), float(d_max))
     payload = {
@@ -171,14 +209,14 @@ def cmd_optimize(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_order2(cfg: RunConfig, out_dir: Path) -> int:
     grid_d = cfg.get("grid_d")
     if grid_d:
-        degrees = [int(x) for x in str(grid_d).split(",")]
-        rhos = [x if x == "optimal" else float(x)
+        degrees = [_parse_int(x, "grid_d") for x in str(grid_d).split(",")]
+        rhos = [x if x == "optimal" else _parse_float(x, "grid_rho0")
                 for x in str(cfg.get("grid_rho0", "optimal")).split(",")]
-        n0s = [None if x == "default" else int(x)
+        n0s = [None if x == "default" else _parse_int(x, "grid_n0")
                for x in str(cfg.get("grid_n0", "default")).split(",")]
-        grid = shell_grid(degrees, rhos, n0s, int(cfg.get("shells", 6)),
-                          _parse_int(cfg.get("max_freq", 2**63 - 1)))
-        best, board = parameter_search(grid, jobs=int(cfg.get("jobs", 1)))
+        grid = shell_grid(degrees, rhos, n0s, _int(cfg, "shells", 6),
+                          _int(cfg, "max_freq", 2**63 - 1))
+        best, board = parameter_search(grid)
         header = ["d", "rho0", "n0", "shells", "first_order", "second_order",
                   "total", "tail_mass"]
         rows = [[r.params.d, r.params.rho0, r.params.first_frequency, r.shells_used,
@@ -203,18 +241,18 @@ def _default_order2_shells(params: ShellParams) -> ShellParams:
 
 
 def cmd_dimension(cfg: RunConfig, out_dir: Path) -> int:
-    d = int(cfg.get("d", 20))
+    d = _int(cfg, "d", 20)
     payload: dict = {"d": d, "remainder_order": "cubic in the distortion",
                      "c_d": distortion_constant(d)}
     t = cfg.get("t")
     k = cfg.get("k")
     if t is not None:
-        t = float(t)
+        t = _parse_float(t, "t")
         payload["t"] = t
         payload["dimension_t"] = julia_dim_t(d, t)
         payload["smirnov_t"] = smirnov_dim_t(abs(t))
     if k is not None:
-        k = float(k)
+        k = _parse_float(k, "k")
         payload["k"] = k
         payload["dimension_k"] = julia_dim_k(d, k)
         payload["smirnov_k"] = smirnov_dim_k(k)
@@ -227,14 +265,13 @@ def cmd_dimension(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_means_curve(cfg: RunConfig, out_dir: Path) -> int:
     series_path = cfg.get("series")
     if series_path:
-        with open(series_path, "r", encoding="utf-8") as fh:
-            g = ExteriorLaurent.from_doc(json.load(fh))
+        g = ExteriorLaurent.from_doc(_read_json(series_path, "series"))
     else:
         params = _shell_params(cfg)
         g = shell_beurling_series(params)
-    lo = float(cfg.get("r_min", 1e-6))
-    hi = float(cfg.get("r_max", 0.5))
-    n = int(cfg.get("points", 40))
+    lo = _float(cfg, "r_min", 1e-6)
+    hi = _float(cfg, "r_max", 0.5)
+    n = _int(cfg, "points", 40)
     if not 0.0 < lo < hi or n < 2:
         raise ValidationError("need 0 < r_min < r_max and points >= 2")
     rows = []
@@ -259,16 +296,14 @@ def cmd_truncate(cfg: RunConfig, out_dir: Path) -> int:
     mu_path = cfg.get("mu")
     if mu_path:
         from .annular import PiecewiseField
-        with open(mu_path, "r", encoding="utf-8") as fh:
-            mu = PiecewiseField.from_doc(json.load(fh))
+        mu = PiecewiseField.from_doc(_read_json(mu_path, "field"))
     else:
         d = cfg.get("d")
         if d is None:
             raise ValidationError("provide --mu FILE or shell parameters via --d")
         params = _shell_params(cfg)
         mu = build_shell(params)
-    result = truncate_to_polynomial(mu, float(cfg.get("r1", 0.7)),
-                                    float(cfg.get("eps", 0.01)),
+    result = truncate_to_polynomial(mu, _float(cfg, "r1", 0.7), _float(cfg, "eps", 0.01),
                                     rescale=bool(cfg.get("rescale", False)))
     payload = {
         "cutoff": result.cutoff,
@@ -285,9 +320,9 @@ def cmd_truncate(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_dynamics(cfg: RunConfig, out_dir: Path) -> int:
     sub = cfg.get("subcommand")
     if sub == "coboundary":
-        check = coboundary_check(int(cfg.get("d", 2)), int(cfg.get("n", 20)))
+        check = coboundary_check(_int(cfg, "d", 2), _int(cfg, "n", 20))
         payload = check.to_doc()
-        payload["seed"] = int(cfg.get("seed", 0))
+        payload["seed"] = _int(cfg, "seed", 0)
         _emit(cfg, out_dir, "dynamics_coboundary", payload)
         return 0
     if sub == "meanrel":
@@ -295,19 +330,20 @@ def cmd_dynamics(cfg: RunConfig, out_dir: Path) -> int:
         _emit(cfg, out_dir, "dynamics_meanrel", payload)
         return 0
     if sub == "var":
-        zeros = []
-        raw = cfg.get("blaschke", "")
-        if raw:
-            zeros = [complex(part) for part in str(raw).split(",") if part]
-        b = BlaschkeMap(tuple(zeros)) if zeros else BlaschkeMap.power(int(cfg.get("d", 2)))
+        raw = str(cfg.get("blaschke") or "")
+        try:
+            zeros = tuple(complex(part) for part in raw.split(",") if part)
+        except ValueError as exc:
+            raise ValidationError(f"blaschke zeros must be complex numbers such as "
+                                  f"0.3+0j, got {raw!r}") from exc
+        b = BlaschkeMap(zeros) if zeros else BlaschkeMap.power(_int(cfg, "d", 2))
         phi_path = cfg.get("phi")
         if phi_path is None:
             raise ValidationError("--phi FILE is required for dynamics var")
-        with open(phi_path, "r", encoding="utf-8") as fh:
-            phi = CirclePotential.from_doc(json.load(fh))
-        seed = int(cfg.get("seed", 0))
-        est, err = birkhoff_variance_mc(phi, b, int(cfg.get("n", 50)),
-                                        int(cfg.get("samples", 100000)), seed)
+        phi = CirclePotential.from_doc(_read_json(phi_path, "potential"))
+        seed = _int(cfg, "seed", 0)
+        est, err = birkhoff_variance_mc(phi, b, _int(cfg, "n", 50),
+                                        _int(cfg, "samples", 100000), seed)
         payload = {"estimate": est, "stderr": err, "seed": seed,
                    "log_deriv_mean": log_deriv_mean(b)}
         _emit(cfg, out_dir, "dynamics_var", payload)
@@ -340,7 +376,7 @@ _COMMANDS = {
                                 "terms", "r0", "blocks"}),
     "optimize": (cmd_optimize, {"d_min", "d_max"}),
     "order2": (cmd_order2, {"d", "rho0", "n0", "shells", "max_freq", "refine",
-                            "grid_d", "grid_rho0", "grid_n0", "jobs"}),
+                            "grid_d", "grid_rho0", "grid_n0"}),
     "dimension": (cmd_dimension, {"d", "t", "k"}),
     "means-curve": (cmd_means_curve, {"d", "rho0", "n0", "shells", "max_freq",
                                       "series", "r_min", "r_max", "points"}),
@@ -397,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-d", dest="grid_d")
     p.add_argument("--grid-rho0", dest="grid_rho0")
     p.add_argument("--grid-n0", dest="grid_n0")
-    p.add_argument("--jobs", type=int)
     common(p)
 
     p = sub.add_parser("dimension", help="quadratic Julia-set dimension formulas")

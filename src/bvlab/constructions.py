@@ -15,12 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from math import fsum, inf
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .annular import MonomialTerm, PiecewiseField, cauchy_exterior, pullback_power
 from .errors import CapacityError, FREQ_CAP, ValidationError
 from .laurent import ExteriorLaurent, SelfSimilarity
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def default_first_frequency(d: int) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import FREQ_CAP, ValidationError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -36,8 +36,10 @@ class DimensionRow:
 
 
 def _check_degree(d: float) -> None:
-    if not d > 1.0:
-        raise ValidationError("degree must exceed 1")
+    # above the frequency capacity no shell beyond the first exists, and d^2
+    # in sigma2_optimal overflows long before d leaves the float range
+    if not 1.0 < d <= FREQ_CAP:
+        raise ValidationError("degree must lie in (1, 2^63 - 1]")
 
 
 def sigma2_shell(d: float, rho0: float) -> float:

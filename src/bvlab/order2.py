@@ -12,7 +12,6 @@ coefficient computation, and the self-product is a sparse convolution.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from math import fsum
 
@@ -127,25 +126,15 @@ def order2_bound(params: ShellParams, refine: bool = False,
                         field.w.max_freq, field.tail_mass, est, stability)
 
 
-def _search_eval(params: ShellParams) -> Order2Report:
-    return order2_bound(params, refine=False)
-
-
-def parameter_search(grid, jobs: int = 1) -> tuple[Order2Report, list[Order2Report]]:
+def parameter_search(grid) -> tuple[Order2Report, list[Order2Report]]:
     """Evaluate a deterministic grid of shell parameters.
 
     Returns the best report and the full leaderboard sorted by descending
-    total (ties broken by the parameter triple).  The grid order is fixed, so
-    serial and parallel runs produce identical results.
+    total (ties broken by the parameter triple).
     """
-    grid = list(grid)
-    if not grid:
+    reports = [order2_bound(p) for p in grid]
+    if not reports:
         raise ValidationError("empty parameter grid")
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_search_eval, grid))
-    else:
-        reports = [_search_eval(p) for p in grid]
     board = sorted(reports, key=lambda r: (-r.total, r.params.d, r.params.rho0,
                                            r.params.first_frequency))
     return board[0], board

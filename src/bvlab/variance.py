@@ -20,12 +20,13 @@ import math
 from dataclasses import dataclass
 from math import expm1, fsum, log1p
 
-import numpy as np
-
 from .errors import UnresolvedScaleError, ValidationError
 from .laurent import ExteriorLaurent
 
 METHODS = ("lacunary_exact", "block_increment", "block_mass", "cesaro4")
+# the radial weight ((r^2-1)/2)^3 r dr/du of cesaro_sigma4 grows like r^8 / 8
+# and overflows a double for r above about 4e38
+CESARO_R0_MAX = 1e38
 
 
 @dataclass(frozen=True)
@@ -215,8 +216,8 @@ def cesaro_sigma4(v: ExteriorLaurent, R0: float, d: int, tolerance: float = 1e-3
     is done by adaptive panels in log(r - 1); per-annulus values over deeper
     annuli are the diagnostics and stabilize for self-similar input.
     """
-    if d < 2 or not R0 > 1.0:
-        raise ValidationError("need d >= 2 and R0 > 1")
+    if d < 2 or not 1.0 < R0 <= CESARO_R0_MAX:
+        raise ValidationError(f"need d >= 2 and 1 < R0 <= {CESARO_R0_MAX:g}")
     v3 = v.third_derivative()
     mass = {k: abs(c) ** 2 for k, c in v3.coeffs.items()}
     values = []
@@ -245,6 +246,7 @@ def _radial_fourth_order_integral(mass: dict[int, float], log_lo: float,
     """int_(r_lo)^(r_hi) [sum_m M_m r^(-2m)] ((r^2-1)/2)^3 r dr in u = log(r-1)."""
     if not mass:
         return 0.0
+    import numpy as np
     freqs = np.array(sorted(mass), dtype=float)
     weights = np.array([mass[int(m)] for m in sorted(mass)])
     u_lo = math.log(expm1(log_lo))
@@ -320,6 +322,7 @@ def bloch_seminorm(g: ExteriorLaurent, radii=None, n_angles: int = 48) -> float:
     """Grid lower bound for sup (|z|^2 - 1) |g'(z)| over the exterior disk."""
     gp = g.derivative()
     if radii is None:
+        import numpy as np
         radii = [1.0 + math.exp(u) for u in np.linspace(math.log(1e-4), math.log(40.0), 60)]
     best = 0.0
     for R in radii:

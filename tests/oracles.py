@@ -172,14 +172,22 @@ def quad_beurling_at(field: PiecewiseField, z: complex, n_r: int = 700,
     return -total / math.pi
 
 
-def quad_beurling_exterior(field: PiecewiseField, z: complex,
-                           n_r: int = 400, n_t: int = 400) -> complex:
-    """-(1/pi) int field(w)/(z-w)^2 dm for z off the support."""
-    total = 0j
+def quad_beurling_exterior(field: PiecewiseField, z, n_r: int = 400, n_t: int = 400):
+    """-(1/pi) int field(w)/(z-w)^2 dm for z off the support.
+
+    ``z`` is one probe or a sequence of probes (then an array is returned).
+    The field is evaluated once per band and contracted against every probe;
+    each probe sees the same arithmetic as a single-probe call.
+    """
+    probes = np.atleast_1d(np.asarray(z, dtype=complex))
+    totals = np.zeros(probes.shape, dtype=complex)
     for r_lo, r_hi in _bands(field):
         w, dm = _band_grid(r_lo, r_hi, n_r, n_t)
-        total += np.sum(field_values(field, w) / (z - w) ** 2 * dm)
-    return -total / math.pi
+        values = field_values(field, w)
+        for i, probe in enumerate(probes):
+            totals[i] += np.sum(values / (probe - w) ** 2 * dm)
+    out = -totals / math.pi
+    return out[0] if np.ndim(z) == 0 else out
 
 
 def wirtinger_dbar(f, z: complex, h: float = 1e-6) -> complex:

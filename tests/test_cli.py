@@ -1,11 +1,16 @@
 """Command-line surface: artifacts, manifests, determinism and exit codes."""
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from bvlab.cli import main
+import bvlab
+from bvlab.cli import _parse_int, main
+from bvlab.errors import FREQ_CAP, ValidationError
 
 
 def run_cli(args, out_dir: Path, capsys) -> tuple[int, str, str]:
@@ -192,6 +197,78 @@ class TestConfigAndErrors:
         assert (env_dir / "table2.csv").exists()
         assert not (tmp_path / "flag_dir").exists()
 
+    @pytest.mark.parametrize("argv, config", [
+        (["dynamics", "var", "--blaschke", "foo"], None),
+        (["variance", "shell", "--d", "3"], {"shells": "abc"}),
+        (["variance", "shell", "--d", "1e300", "--method", "exact"], None),
+        (["variance", "shell", "--d", "3", "--method", "cesaro", "--r0", "1e300"], None),
+        (["table2"], b"\xc0\x80"),
+    ], ids=["blaschke_zero", "config_shells", "huge_degree", "huge_r0", "binary_config"])
+    def test_bad_input_gives_one_json_error(self, argv, config, tmp_path, capsys):
+        phi = tmp_path / "phi.json"
+        phi.write_text(json.dumps({"coeffs": [[-1, 1.0, 0.0]]}))
+        extra = ["--phi", str(phi)] if argv[0] == "dynamics" else []
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+            extra += ["--config", str(cfg)]
+        code = main([*argv, *extra, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        error = json.loads(captured.err)
+        assert error["error"] == "ValidationError" and error["message"]
+
+
+class TestParseInt:
+    @pytest.mark.parametrize("value, expected", [
+        ("12345678901234567", 12345678901234567),
+        ("9223372036854775807", 2**63 - 1),
+        (str(FREQ_CAP), FREQ_CAP),
+        ("1e12", 10**12),
+        ("1.5e3", 1500),
+        ("-40", -40),
+        (64, 64),
+        (1e12, 10**12),
+    ])
+    def test_exact(self, value, expected):
+        parsed = _parse_int(value)
+        assert parsed == expected and type(parsed) is int
+
+    @pytest.mark.parametrize("value", ["1.5", "1e-3", "12a", "inf", "nan", "", 2.5,
+                                       float("inf"), True, None, "1e5000"])
+    def test_rejects_non_integers(self, value):
+        with pytest.raises(ValidationError):
+            _parse_int(value)
+
+
+_START_UP_PROBE = """
+import sys
+import bvlab.cli
+
+HEAVY = ("numpy", "concurrent.futures.process")
+assert not [m for m in HEAVY if m in sys.modules], "loaded by import bvlab.cli"
+out = sys.argv[1]
+for argv in (["table2"], ["order2", "--d", "16", "--refine"],
+             ["means-curve", "--d", "2", "--rho0", "0.25", "--shells", "30",
+              "--r-min", "1e-8", "--r-max", "1e-3"], ["selfcheck"]):
+    assert bvlab.cli.main([*argv, "--out", out]) == 0, argv
+    loaded = [m for m in HEAVY if m in sys.modules]
+    assert not loaded, (argv, loaded)
+# the probe can see a lazy import: the cesaro estimator loads numpy
+assert bvlab.cli.main(["variance", "shell", "--d", "4", "--method", "cesaro",
+                       "--out", out]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_closed_form_commands_keep_numpy_unloaded(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "BVLAB_OUT"}
+    env["PYTHONPATH"] = str(Path(bvlab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _START_UP_PROBE, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
 
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path, capsys):
@@ -219,16 +296,6 @@ class TestDeterminism:
         assert outs[0] == outs[1]
         assert (tmp_path / "a" / "dynamics_var.json").read_bytes() == \
             (tmp_path / "b" / "dynamics_var.json").read_bytes()
-
-    def test_parallel_search_matches_serial(self, tmp_path, capsys):
-        results = []
-        for jobs, sub in (("1", "serial"), ("2", "parallel")):
-            code, _, _ = run_cli(["order2", "--grid-d", "3,4", "--grid-rho0",
-                                  "optimal", "--shells", "5", "--jobs", jobs],
-                                 tmp_path / sub, capsys)
-            assert code == 0
-            results.append((tmp_path / sub / "order2_leaderboard.csv").read_bytes())
-        assert results[0] == results[1]
 
 
 class TestSelfcheck:
