@@ -115,7 +115,7 @@ def _emit(config: RunConfig, out_dir: Path, name: str, payload: dict,
 def _shell_params(cfg: RunConfig) -> ShellParams:
     d = cfg.get("d")
     if d is None:
-        raise ValidationError("--d is required")
+        raise ValidationError("d is required: pass --d or set it in the config")
     d = _parse_float(d, "d")
     rho0 = _parse_rho0(str(cfg.get("rho0", "optimal")), d)
     n0 = cfg.get("n0")
@@ -407,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("variance", help="shell-coefficient variance by one of four methods")
     p.add_argument("kind", choices=("shell",))
-    p.add_argument("--d", required=True)
+    p.add_argument("--d")
     p.add_argument("--rho0", default="optimal")
     p.add_argument("--n0", type=int)
     p.add_argument("--shells", type=int)

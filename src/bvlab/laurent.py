@@ -146,8 +146,10 @@ class ExteriorLaurent:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed Laurent document: {exc}") from exc
         ss = doc.get("self_similarity")
-        meta = SelfSimilarity(int(ss[0]), int(ss[1])) if ss is not None else None
-        return cls(coeffs, max_freq, meta)
+        if ss is not None and not (isinstance(ss, list) and len(ss) == 2
+                                   and all(type(v) is int for v in ss)):
+            raise ValidationError(f"self_similarity must be a pair of integers, got {ss!r}")
+        return cls(coeffs, max_freq, None if ss is None else SelfSimilarity(*ss))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ExteriorLaurent({len(self.coeffs)} terms, max_freq={self.max_freq})"

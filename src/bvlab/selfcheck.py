@@ -21,7 +21,7 @@ from .formulas import (best_integer_degree, best_real_degree, lambda_lemma_coeff
                        optimal_rho0, pointwise_sigma_bound, sigma2_optimal,
                        sigma2_shell, truncate_display)
 from .order2 import order2_bound
-from .variance import (cesaro_sigma4, growth_slope, hardy_check,
+from .variance import (cesaro_sigma4, growth_slope, hardy_check, linspace,
                        variance_block, variance_block_mass, variance_lacunary)
 
 
@@ -115,10 +115,7 @@ def run_selfcheck(full: bool = False) -> list[CheckResult]:
     # argmax of the shell variance in rho0 on a grid
     d = 5
     rho_star = optimal_rho0(d)
-    lo, hi, n = 0.01, 0.99, 197
-    step = (hi - lo) / (n - 1)
-    grid = [lo + i * step for i in range(n - 1)] + [hi]  # numpy.linspace's formula
-    grid_best = max(sigma2_shell(d, r) for r in grid)
+    grid_best = max(sigma2_shell(d, r) for r in linspace(0.01, 0.99, 197))
     results.append(_check("optimal_rho0_argmax",
                           grid_best - sigma2_shell(d, rho_star), 1e-12))
 

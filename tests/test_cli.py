@@ -175,6 +175,14 @@ class TestConfigAndErrors:
         assert code == 2
         assert "bogus" in json.loads(err)["message"]
 
+    def test_config_supplies_degree(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"d": 3}))
+        code = main(["variance", "shell", "--config", str(config), "--out", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert json.loads(out)["d"] == 3.0
+
     def test_capacity_exit_code(self, tmp_path, capsys):
         code = main(["variance", "shell", "--d", "16", "--method", "mass",
                      "--shells", "40", "--out", str(tmp_path)])
@@ -203,11 +211,18 @@ class TestConfigAndErrors:
         (["variance", "shell", "--d", "1e300", "--method", "exact"], None),
         (["variance", "shell", "--d", "3", "--method", "cesaro", "--r0", "1e300"], None),
         (["table2"], b"\xc0\x80"),
-    ], ids=["blaschke_zero", "config_shells", "huge_degree", "huge_r0", "binary_config"])
+        (["means-curve"], None),
+        (["variance", "shell"], {"method": "mass"}),
+    ], ids=["blaschke_zero", "config_shells", "huge_degree", "huge_r0", "binary_config",
+            "self_similarity", "missing_degree"])
     def test_bad_input_gives_one_json_error(self, argv, config, tmp_path, capsys):
         phi = tmp_path / "phi.json"
         phi.write_text(json.dumps({"coeffs": [[-1, 1.0, 0.0]]}))
-        extra = ["--phi", str(phi)] if argv[0] == "dynamics" else []
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps({"coeffs": [[2, 1.0, 0.0]], "max_freq": 8,
+                                      "self_similarity": "x"}))
+        extra = {"dynamics": ["--phi", str(phi)],
+                 "means-curve": ["--series", str(series)]}.get(argv[0], [])
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
@@ -251,13 +266,16 @@ assert not [m for m in HEAVY if m in sys.modules], "loaded by import bvlab.cli"
 out = sys.argv[1]
 for argv in (["table2"], ["order2", "--d", "16", "--refine"],
              ["means-curve", "--d", "2", "--rho0", "0.25", "--shells", "30",
-              "--r-min", "1e-8", "--r-max", "1e-3"], ["selfcheck"]):
+              "--r-min", "1e-8", "--r-max", "1e-3"], ["selfcheck"],
+             ["variance", "shell", "--d", "4", "--method", "cesaro"]):
     assert bvlab.cli.main([*argv, "--out", out]) == 0, argv
     loaded = [m for m in HEAVY if m in sys.modules]
     assert not loaded, (argv, loaded)
-# the probe can see a lazy import: the cesaro estimator loads numpy
-assert bvlab.cli.main(["variance", "shell", "--d", "4", "--method", "cesaro",
-                       "--out", out]) == 0
+# the probe can see a lazy import: the Monte Carlo Birkhoff sums load numpy
+with open(out + "/phi.json", "w") as fh:
+    fh.write('{"coeffs": [[1, 1.0, 0.0]]}')
+assert bvlab.cli.main(["dynamics", "var", "--phi", out + "/phi.json", "--n", "4",
+                       "--samples", "100", "--out", out]) == 0
 assert "numpy" in sys.modules
 """
 

@@ -13,11 +13,12 @@ from bvlab.constructions import (ShellParams, random_unit_shell_field,
 from bvlab.errors import UnresolvedScaleError, ValidationError
 from bvlab.formulas import optimal_rho0, sigma2_shell
 from bvlab.laurent import ExteriorLaurent, SelfSimilarity
-from bvlab.variance import (bloch_seminorm, cesaro_sigma4, growth_slope,
-                            hardy_check, integral_means, third_derivative,
+from bvlab.variance import (_radial_fourth_order_integral, bloch_seminorm,
+                            cesaro_sigma4, growth_slope, hardy_check,
+                            integral_means, linspace, third_derivative,
                             variance_block, variance_block_mass,
                             variance_lacunary)
-from oracles import angular_mean_square
+from oracles import angular_mean_square, mp_radial_fourth_order
 
 LOG2 = math.log(2.0)
 
@@ -183,6 +184,51 @@ class TestCesaro:
             cesaro_sigma4(v, 1.5, 2)
 
 
+def _resolved_annuli(v: ExteriorLaurent, R0: float, d: int) -> list[tuple[float, float]]:
+    """(log r_lo, log r_hi) of every annulus that cesaro_sigma4 resolves."""
+    out = []
+    log_hi = math.log(R0)
+    while 10.0 / math.expm1(log_hi / d) <= v.max_freq:
+        out.append((log_hi / d, log_hi))
+        log_hi /= d
+    return out
+
+
+class TestRadialClosedForm:
+    """The closed form against an independent 40-digit quadrature."""
+
+    @staticmethod
+    def check_shallowest_and_deepest_annulus(v: ExteriorLaurent, d: int) -> None:
+        mass = {k: abs(c) ** 2 for k, c in v.third_derivative().coeffs.items()}
+        annuli = _resolved_annuli(v, 1.5, d)
+        assert len(annuli) == len(cesaro_sigma4(v, 1.5, d).diagnostics)
+        for log_lo, log_hi in (annuli[0], annuli[-1]):
+            ref = mp_radial_fourth_order(mass, log_lo, log_hi)
+            got = _radial_fourth_order_integral(mass, log_lo, log_hi)
+            assert got == pytest.approx(ref, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("d", [2, 3, 16, 20])
+    def test_shell_series(self, d):
+        params = ShellParams(d=d, rho0=optimal_rho0(d), shells=22 if d == 2 else 12)
+        self.check_shallowest_and_deepest_annulus(shell_cauchy_series(params), d)
+
+    def test_lowest_frequency_both_branches(self):
+        # third derivative -6 z^-4: the logarithmic antiderivative on the
+        # shallowest annulus (4 t > 2), the head series on the deepest
+        self.check_shallowest_and_deepest_annulus(ExteriorLaurent({1: 1.0}, 2**20), 2)
+
+    @pytest.mark.parametrize("m", [4, 5, 1000])
+    @pytest.mark.parametrize("z", [1.99, 2.01])
+    def test_single_frequency_at_the_branch_switch(self, m, z):
+        # m t = z at r_hi: just below 2 the head series takes its most terms,
+        # just above the tails cancel the most
+        log_hi = -0.5 * math.log1p(-z / m)
+        mass = {m: 1.0}
+        ref = mp_radial_fourth_order(mass, log_hi / 2, log_hi)
+        got = _radial_fourth_order_integral(mass, log_hi / 2, log_hi)
+        assert got == pytest.approx(ref, rel=1e-13, abs=0)
+
+
 class TestThirdDerivative:
     def test_single_term(self):
         g = ExteriorLaurent({1: 1.0}, 1)
@@ -236,6 +282,15 @@ class TestHardy:
     def test_lacunary_near_boundary(self):
         taylor = {2**n: 1.0 for n in range(10)}
         assert hardy_check(taylor, 0.99) <= 1e-10
+
+
+class TestLinspace:
+    @pytest.mark.parametrize("start, stop, num", [
+        (math.log(1e-4), math.log(40.0), 60),   # bloch_seminorm's radii
+        (0.01, 0.99, 197),                      # selfcheck's rho0 grid
+    ])
+    def test_bit_equal_to_numpy(self, start, stop, num):
+        assert linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
 
 
 class TestSeminormAndBounds:
