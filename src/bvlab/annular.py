@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import fsum, inf, isfinite
 
 from .errors import (CapacityError, DivergentMomentError, FREQ_CAP,
-                     UnsupportedTermError, ValidationError)
+                     UnsupportedTermError, ValidationError, parse_int)
 from .laurent import ExteriorLaurent
 
 
@@ -118,7 +118,8 @@ class MonomialTerm:
     def from_doc(cls, doc: dict) -> "MonomialTerm":
         try:
             coeff = complex(doc["re"], doc["im"])
-            p, q, gamma = int(doc["p"]), int(doc["q"]), float(doc["gamma"])
+            p, q = parse_int(doc["p"], "p"), parse_int(doc["q"], "q")
+            gamma = float(doc["gamma"])
             if "log_r_in" in doc and "log_r_out" in doc:
                 return cls(coeff, p, q, gamma, float(doc["log_r_in"]), float(doc["log_r_out"]))
             return cls.make(coeff, p, q, gamma, float(doc["r_in"]), float(doc["r_out"]))

@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -20,7 +20,7 @@ from .constructions import (ShellParams, build_shell, shell_beurling_series,
 from .dynamics import (BlaschkeMap, CirclePotential, birkhoff_variance_mc,
                        coboundary_check, log_deriv_mean, mean_relation_check)
 from .errors import (BVLabError, CapacityError, UnresolvedScaleError,
-                     UnresolvedTruncationError, ValidationError)
+                     UnresolvedTruncationError, ValidationError, parse_float, parse_int)
 from .formulas import (best_integer_degree, best_real_degree, distortion_constant,
                        julia_dim_k, julia_dim_t, optimal_rho0, sigma2_optimal,
                        smirnov_dim_k, smirnov_dim_t, table2, truncate_display)
@@ -31,60 +31,32 @@ from .selfcheck import run_selfcheck
 from .variance import (cesaro_sigma4, growth_slope, integral_means_log,
                        variance_block, variance_block_mass, variance_lacunary)
 
-
-def _parse_rho0(value: str, d: float) -> float:
-    if value == "optimal":
-        return optimal_rho0(d)
-    try:
-        rho = float(value)
-    except ValueError as exc:
-        raise ValidationError(f"rho0 must be a number or 'optimal', got {value!r}") from exc
-    return rho
+_MAX_POINTS = 10**4  # 100x the default means-curve grid
 
 
-def _parse_float(value, key: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{key} must be a number, got {value!r}") from exc
+def _flag(key: str) -> str:
+    return "--out" if key == "output_dir" else "--" + key.replace("_", "-")
 
 
-# decimal literal with optional fraction and exponent, e.g. 12, 1e12, 1.5e3
-_DECIMAL = re.compile(r"([+-]?\d+)(?:\.(\d*))?(?:[eE]([+-]?\d{1,4}))?")
-_MAX_DIGITS = 4300  # the interpreter's own limit for int <-> str conversion
+def _value(cfg: RunConfig, key: str, default=None):
+    """The configured value of ``key``; a key without a default is required."""
+    value = cfg.get(key, default)
+    if value is None:
+        raise ValidationError(f"{key} is required: pass {_flag(key)} or set it in the config")
+    return value
 
 
-def _parse_int(value, key: str = "value") -> int:
-    """Exact integer from an int, an integral float or a decimal string.
-
-    Scientific notation such as ``1e12`` is accepted when its value is an
-    exact integer.  Strings never pass through float, so 2**63 - 1 and
-    12345678901234567 keep every digit.
-    """
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    match = _DECIMAL.fullmatch(value.strip()) if isinstance(value, str) else None
-    if match:
-        digits = match[1] + (match[2] or "")
-        shift = int(match[3] or 0) - len(match[2] or "")
-        if len(digits) + abs(shift) <= _MAX_DIGITS:
-            whole, rest = divmod(int(digits) * 10**max(shift, 0), 10**max(-shift, 0))
-            if rest == 0:
-                return whole
-    raise ValidationError(f"{key} must be an integer, got {value!r}")
+def _int(cfg: RunConfig, key: str, default: int | None = None) -> int:
+    return parse_int(_value(cfg, key, default), key)
 
 
-def _int(cfg: RunConfig, key: str, default: int) -> int:
-    return _parse_int(cfg.get(key, default), key)
-
-
-def _float(cfg: RunConfig, key: str, default: float) -> float:
-    return _parse_float(cfg.get(key, default), key)
+def _float(cfg: RunConfig, key: str, default: float | None = None) -> float:
+    return parse_float(_value(cfg, key, default), key)
 
 
 def _read_json(path: str, what: str):
+    if not isinstance(path, str):  # a config number would name a file descriptor
+        raise ValidationError(f"the {what} path must be a string, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -113,13 +85,11 @@ def _emit(config: RunConfig, out_dir: Path, name: str, payload: dict,
 
 
 def _shell_params(cfg: RunConfig) -> ShellParams:
-    d = cfg.get("d")
-    if d is None:
-        raise ValidationError("d is required: pass --d or set it in the config")
-    d = _parse_float(d, "d")
-    rho0 = _parse_rho0(str(cfg.get("rho0", "optimal")), d)
+    d = _float(cfg, "d")
+    rho0 = cfg.get("rho0")
+    rho0 = optimal_rho0(d) if rho0 == "optimal" else parse_float(rho0, "rho0")
     n0 = cfg.get("n0")
-    return ShellParams(d=d, rho0=rho0, n0=None if n0 is None else _parse_int(n0, "n0"),
+    return ShellParams(d=d, rho0=rho0, n0=None if n0 is None else parse_int(n0, "n0"),
                        shells=_int(cfg, "shells", 10),
                        max_freq=_int(cfg, "max_freq", 2**63 - 1))
 
@@ -151,7 +121,7 @@ def cmd_table2(cfg: RunConfig, out_dir: Path) -> int:
 
 def cmd_variance(cfg: RunConfig, out_dir: Path) -> int:
     params = _shell_params(cfg)
-    method = cfg.get("method", "exact")
+    method = cfg.get("method")
     if method == "exact":
         from .constructions import shell_moduli
         est = variance_lacunary(shell_moduli(params, _int(cfg, "terms", 4000)), params.d)
@@ -160,11 +130,9 @@ def cmd_variance(cfg: RunConfig, out_dir: Path) -> int:
         est = variance_block(g, params.degree, _float(cfg, "r0", 1.5), _int(cfg, "blocks", 8))
     elif method == "mass":
         est = variance_block_mass(shell_beurling_series(params))
-    elif method == "cesaro":
+    else:  # cesaro
         est = cesaro_sigma4(shell_cauchy_series(params), _float(cfg, "r0", 1.5),
                             params.degree)
-    else:
-        raise ValidationError(f"unknown method {method!r}")
     payload = est.to_doc()
     payload["d"] = params.d
     payload["rho0"] = params.rho0
@@ -209,10 +177,10 @@ def cmd_optimize(cfg: RunConfig, out_dir: Path) -> int:
 def cmd_order2(cfg: RunConfig, out_dir: Path) -> int:
     grid_d = cfg.get("grid_d")
     if grid_d:
-        degrees = [_parse_int(x, "grid_d") for x in str(grid_d).split(",")]
-        rhos = [x if x == "optimal" else _parse_float(x, "grid_rho0")
+        degrees = [parse_int(x, "grid_d") for x in str(grid_d).split(",")]
+        rhos = [x if x == "optimal" else parse_float(x, "grid_rho0")
                 for x in str(cfg.get("grid_rho0", "optimal")).split(",")]
-        n0s = [None if x == "default" else _parse_int(x, "grid_n0")
+        n0s = [None if x == "default" else parse_int(x, "grid_n0")
                for x in str(cfg.get("grid_n0", "default")).split(",")]
         grid = shell_grid(degrees, rhos, n0s, _int(cfg, "shells", 6),
                           _int(cfg, "max_freq", 2**63 - 1))
@@ -227,7 +195,7 @@ def cmd_order2(cfg: RunConfig, out_dir: Path) -> int:
     params = _shell_params(cfg)
     if cfg.get("shells") is None:
         params = _default_order2_shells(params)
-    report = order2_bound(params, refine=bool(cfg.get("refine", False)))
+    report = order2_bound(params, refine=bool(cfg.get("refine")))
     _emit(cfg, out_dir, "order2", report.to_doc(), {"rho0": params.rho0})
     return 0
 
@@ -241,18 +209,18 @@ def _default_order2_shells(params: ShellParams) -> ShellParams:
 
 
 def cmd_dimension(cfg: RunConfig, out_dir: Path) -> int:
-    d = _int(cfg, "d", 20)
+    d = _int(cfg, "d")
     payload: dict = {"d": d, "remainder_order": "cubic in the distortion",
                      "c_d": distortion_constant(d)}
     t = cfg.get("t")
     k = cfg.get("k")
     if t is not None:
-        t = _parse_float(t, "t")
+        t = parse_float(t, "t")
         payload["t"] = t
         payload["dimension_t"] = julia_dim_t(d, t)
         payload["smirnov_t"] = smirnov_dim_t(abs(t))
     if k is not None:
-        k = _parse_float(k, "k")
+        k = parse_float(k, "k")
         payload["k"] = k
         payload["dimension_k"] = julia_dim_k(d, k)
         payload["smirnov_k"] = smirnov_dim_k(k)
@@ -263,17 +231,16 @@ def cmd_dimension(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_means_curve(cfg: RunConfig, out_dir: Path) -> int:
+    lo = _float(cfg, "r_min", 1e-6)
+    hi = _float(cfg, "r_max", 0.5)
+    n = _int(cfg, "points", 40)
+    if not (0.0 < lo < hi < math.inf and 2 <= n <= _MAX_POINTS):
+        raise ValidationError(f"need 0 < r_min < r_max < inf and 2 <= points <= {_MAX_POINTS}")
     series_path = cfg.get("series")
     if series_path:
         g = ExteriorLaurent.from_doc(_read_json(series_path, "series"))
     else:
-        params = _shell_params(cfg)
-        g = shell_beurling_series(params)
-    lo = _float(cfg, "r_min", 1e-6)
-    hi = _float(cfg, "r_max", 0.5)
-    n = _int(cfg, "points", 40)
-    if not 0.0 < lo < hi or n < 2:
-        raise ValidationError("need 0 < r_min < r_max and points >= 2")
+        g = shell_beurling_series(_shell_params(cfg))
     rows = []
     for i in range(n):
         t = i / (n - 1)
@@ -298,13 +265,9 @@ def cmd_truncate(cfg: RunConfig, out_dir: Path) -> int:
         from .annular import PiecewiseField
         mu = PiecewiseField.from_doc(_read_json(mu_path, "field"))
     else:
-        d = cfg.get("d")
-        if d is None:
-            raise ValidationError("provide --mu FILE or shell parameters via --d")
-        params = _shell_params(cfg)
-        mu = build_shell(params)
-    result = truncate_to_polynomial(mu, _float(cfg, "r1", 0.7), _float(cfg, "eps", 0.01),
-                                    rescale=bool(cfg.get("rescale", False)))
+        mu = build_shell(_shell_params(cfg))
+    result = truncate_to_polynomial(mu, _float(cfg, "r1"), _float(cfg, "eps"),
+                                    rescale=bool(cfg.get("rescale")))
     payload = {
         "cutoff": result.cutoff,
         "correction_bound": result.correction_bound,
@@ -329,30 +292,25 @@ def cmd_dynamics(cfg: RunConfig, out_dir: Path) -> int:
         payload = mean_relation_check().to_doc()
         _emit(cfg, out_dir, "dynamics_meanrel", payload)
         return 0
-    if sub == "var":
-        raw = str(cfg.get("blaschke") or "")
-        try:
-            zeros = tuple(complex(part) for part in raw.split(",") if part)
-        except ValueError as exc:
-            raise ValidationError(f"blaschke zeros must be complex numbers such as "
-                                  f"0.3+0j, got {raw!r}") from exc
-        b = BlaschkeMap(zeros) if zeros else BlaschkeMap.power(_int(cfg, "d", 2))
-        phi_path = cfg.get("phi")
-        if phi_path is None:
-            raise ValidationError("--phi FILE is required for dynamics var")
-        phi = CirclePotential.from_doc(_read_json(phi_path, "potential"))
-        seed = _int(cfg, "seed", 0)
-        est, err = birkhoff_variance_mc(phi, b, _int(cfg, "n", 50),
-                                        _int(cfg, "samples", 100000), seed)
-        payload = {"estimate": est, "stderr": err, "seed": seed,
-                   "log_deriv_mean": log_deriv_mean(b)}
-        _emit(cfg, out_dir, "dynamics_var", payload)
-        return 0
-    raise ValidationError(f"unknown dynamics subcommand {sub!r}")
+    raw = str(cfg.get("blaschke") or "")
+    try:
+        zeros = tuple(complex(part) for part in raw.split(",") if part)
+    except ValueError as exc:
+        raise ValidationError(f"blaschke zeros must be complex numbers such as "
+                              f"0.3+0j, got {raw!r}") from exc
+    b = BlaschkeMap(zeros) if zeros else BlaschkeMap.power(_int(cfg, "d", 2))
+    phi = CirclePotential.from_doc(_read_json(_value(cfg, "phi"), "potential"))
+    seed = _int(cfg, "seed", 0)
+    est, err = birkhoff_variance_mc(phi, b, _int(cfg, "n", 50),
+                                    _int(cfg, "samples", 100000), seed)
+    payload = {"estimate": est, "stderr": err, "seed": seed,
+               "log_deriv_mean": log_deriv_mean(b)}
+    _emit(cfg, out_dir, "dynamics_var", payload)
+    return 0
 
 
 def cmd_selfcheck(cfg: RunConfig, out_dir: Path) -> int:
-    results = run_selfcheck(full=bool(cfg.get("full", False)))
+    results = run_selfcheck(full=bool(cfg.get("full")))
     ok = all(r.passed for r in results)
     lines = []
     for r in results:
@@ -367,131 +325,96 @@ def cmd_selfcheck(cfg: RunConfig, out_dir: Path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: one table declares every key of every command
 # ---------------------------------------------------------------------------
 
+# A key's kind is "int", "float", "text", "switch" or a tuple of choices.
+# "kind" and "subcommand" are positional; every other key is a --flag and may
+# also come from the config file.  The manifest echoes flags as parsed and
+# config values as written; the handlers coerce both when they read them.
+_SHELL = {"d": "text", "rho0": "text", "n0": "int", "shells": "int", "max_freq": "text"}
+_GLOBAL = {"seed": "int", "output_dir": "text"}
+_DEFAULTS = {"rho0": "optimal", "method": "exact"}  # echoed in manifests, below the config
+_POSITIONAL = ("kind", "subcommand")
+_READERS = {"int": parse_int, "float": parse_float}
+_HELP = {"config": "JSON config file; flags override its values",
+         "output_dir": "output directory (the BVLAB_OUT environment variable overrides)",
+         "seed": "random seed for sampled paths",
+         "series": "JSON Laurent series file instead of shell parameters",
+         "mu": "JSON field file; otherwise shell parameters are used",
+         "blaschke": "comma-separated complex zeros, e.g. 0.3+0j",
+         "phi": "JSON potential file"}
 _COMMANDS = {
-    "table2": (cmd_table2, {"format"}),
-    "variance": (cmd_variance, {"d", "rho0", "n0", "shells", "max_freq", "method",
-                                "terms", "r0", "blocks"}),
-    "optimize": (cmd_optimize, {"d_min", "d_max"}),
-    "order2": (cmd_order2, {"d", "rho0", "n0", "shells", "max_freq", "refine",
-                            "grid_d", "grid_rho0", "grid_n0"}),
-    "dimension": (cmd_dimension, {"d", "t", "k"}),
-    "means-curve": (cmd_means_curve, {"d", "rho0", "n0", "shells", "max_freq",
-                                      "series", "r_min", "r_max", "points"}),
-    "truncate": (cmd_truncate, {"d", "rho0", "n0", "shells", "max_freq", "mu",
-                                "r1", "eps", "rescale"}),
-    "dynamics": (cmd_dynamics, {"subcommand", "d", "n", "blaschke", "phi",
-                                "samples", "seed"}),
-    "selfcheck": (cmd_selfcheck, {"full"}),
+    "table2": (cmd_table2, "comparison table of quadratic dimension coefficients",
+               {"format": ("csv", "json")}),
+    "variance": (cmd_variance, "shell-coefficient variance by one of four methods",
+                 {"kind": ("shell",), **_SHELL, "method": ("exact", "block", "mass", "cesaro"),
+                  "terms": "int", "r0": "float", "blocks": "int"}),
+    "optimize": (cmd_optimize, "best integer and real degree",
+                 {"d_min": "int", "d_max": "int"}),
+    "order2": (cmd_order2, "second-order variance bound / parameter search",
+               {**_SHELL, "refine": "switch", "grid_d": "text", "grid_rho0": "text",
+                "grid_n0": "text"}),
+    "dimension": (cmd_dimension, "quadratic Julia-set dimension formulas",
+                  {"d": "int", "t": "float", "k": "float"}),
+    "means-curve": (cmd_means_curve, "(R, I(R), ratio) table for a series",
+                    {**_SHELL, "series": "text", "r_min": "float", "r_max": "float",
+                     "points": "int"}),
+    "truncate": (cmd_truncate, "cancel high Cauchy frequencies of a coefficient",
+                 {"mu": "text", **_SHELL, "r1": "float", "eps": "float", "rescale": "switch"}),
+    "dynamics": (cmd_dynamics, "dynamical variance checks on the circle",
+                 {"subcommand": ("coboundary", "var", "meanrel"), "d": "int", "n": "int",
+                  "blaschke": "text", "phi": "text", "samples": "int"}),
+    "selfcheck": (cmd_selfcheck, "run the built-in oracle comparisons", {"full": "switch"}),
 }
-_GLOBAL_KEYS = {"output_dir", "seed", "precision", "format"}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValidationError, so they end as one JSON error object."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="bvlab", description=__doc__)
+    parser = _Parser(prog="bvlab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out", dest="output_dir", help="output directory "
-                       "(the BVLAB_OUT environment variable overrides)")
-        p.add_argument("--seed", type=int, help="random seed for sampled paths")
-        p.add_argument("--precision", type=int, help="display digits (presentation only)")
-
-    p = sub.add_parser("table2", help="comparison table of quadratic dimension coefficients")
-    p.add_argument("--format", choices=("csv", "json"))
-    common(p)
-
-    p = sub.add_parser("variance", help="shell-coefficient variance by one of four methods")
-    p.add_argument("kind", choices=("shell",))
-    p.add_argument("--d")
-    p.add_argument("--rho0", default="optimal")
-    p.add_argument("--n0", type=int)
-    p.add_argument("--shells", type=int)
-    p.add_argument("--max-freq", dest="max_freq")
-    p.add_argument("--method", choices=("exact", "block", "mass", "cesaro"), default="exact")
-    p.add_argument("--terms", type=int)
-    p.add_argument("--r0", type=float)
-    p.add_argument("--blocks", type=int)
-    common(p)
-
-    p = sub.add_parser("optimize", help="best integer and real degree")
-    p.add_argument("--d-min", dest="d_min", type=int)
-    p.add_argument("--d-max", dest="d_max", type=int)
-    common(p)
-
-    p = sub.add_parser("order2", help="second-order variance bound / parameter search")
-    p.add_argument("--d")
-    p.add_argument("--rho0", default="optimal")
-    p.add_argument("--n0", type=int)
-    p.add_argument("--shells", type=int)
-    p.add_argument("--max-freq", dest="max_freq")
-    p.add_argument("--refine", action="store_true", default=None)
-    p.add_argument("--grid-d", dest="grid_d")
-    p.add_argument("--grid-rho0", dest="grid_rho0")
-    p.add_argument("--grid-n0", dest="grid_n0")
-    common(p)
-
-    p = sub.add_parser("dimension", help="quadratic Julia-set dimension formulas")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--t", type=float)
-    p.add_argument("--k", type=float)
-    common(p)
-
-    p = sub.add_parser("means-curve", help="(R, I(R), ratio) table for a series")
-    p.add_argument("--d")
-    p.add_argument("--rho0", default="optimal")
-    p.add_argument("--n0", type=int)
-    p.add_argument("--shells", type=int)
-    p.add_argument("--max-freq", dest="max_freq")
-    p.add_argument("--series", help="JSON Laurent series file instead of shell parameters")
-    p.add_argument("--r-min", dest="r_min", type=float)
-    p.add_argument("--r-max", dest="r_max", type=float)
-    p.add_argument("--points", type=int)
-    common(p)
-
-    p = sub.add_parser("truncate", help="cancel high Cauchy frequencies of a coefficient")
-    p.add_argument("--mu", help="JSON field file; otherwise shell parameters are used")
-    p.add_argument("--d")
-    p.add_argument("--rho0", default="optimal")
-    p.add_argument("--n0", type=int)
-    p.add_argument("--shells", type=int)
-    p.add_argument("--max-freq", dest="max_freq")
-    p.add_argument("--r1", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--rescale", action="store_true", default=None)
-    common(p)
-
-    p = sub.add_parser("dynamics", help="dynamical variance checks on the circle")
-    p.add_argument("subcommand", choices=("coboundary", "var", "meanrel"))
-    p.add_argument("--d", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--blaschke", help="comma-separated complex zeros, e.g. 0.3+0j")
-    p.add_argument("--phi", help="JSON potential file")
-    p.add_argument("--samples", type=int)
-    common(p)
-
-    p = sub.add_parser("selfcheck", help="run the built-in oracle comparisons")
-    p.add_argument("--full", action="store_true", default=None)
-    common(p)
-
+    for name, (_, help_text, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key, kind in {**keys, **_GLOBAL, "config": "text"}.items():
+            if key in _POSITIONAL:
+                p.add_argument(key, choices=kind)
+            elif kind == "switch":
+                p.add_argument(_flag(key), dest=key, action="store_true", default=None)
+            elif kind in _READERS:
+                p.add_argument(_flag(key), dest=key, type=partial(_READERS[kind], key=key),
+                               help=_HELP.get(key))
+            else:
+                p.add_argument(_flag(key), dest=key, help=_HELP.get(key),
+                               choices=kind if isinstance(kind, tuple) else None)
     return parser
 
 
+def _check_config(keys: dict, doc: dict) -> None:
+    """Config switches must be JSON booleans or null, choices one of theirs."""
+    for key, value in doc.items():
+        kind = keys.get(key)
+        if kind == "switch" and value is not None and not isinstance(value, bool):
+            raise ValidationError(f"{key} must be true, false or null, got {value!r}")
+        if isinstance(kind, tuple) and value not in kind:
+            raise ValidationError(f"{key} must be one of {', '.join(kind)}, got {value!r}")
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = args.command
-    handler, known = _COMMANDS[command]
-    file_values = _load_config(getattr(args, "config", None))
-    flag_values = {k: v for k, v in vars(args).items()
-                   if k not in ("command", "config") and v is not None}
-    cfg = RunConfig(command, known | _GLOBAL_KEYS | {"kind"}, file_values, flag_values)
-    out_dir = resolve_output_dir(cfg.get("output_dir"), None)
-    return handler(cfg, out_dir)
+    args = vars(build_parser().parse_args(argv))
+    command = args.pop("command")
+    handler, _, keys = _COMMANDS[command]
+    file_values = _load_config(args.pop("config"))
+    _check_config(keys, file_values)
+    defaults = {k: v for k, v in _DEFAULTS.items() if k in keys}
+    cfg = RunConfig(command, {*keys, *_GLOBAL}, {**defaults, **file_values}, args)
+    return handler(cfg, resolve_output_dir(cfg.get("output_dir"), None))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -501,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CapacityError, UnresolvedScaleError, UnresolvedTruncationError) as exc:
         sys.stderr.write(json_text({"error": type(exc).__name__, "message": str(exc)}))
         return 3
-    except (ValidationError, BVLabError) as exc:
+    except BVLabError as exc:
         sys.stderr.write(json_text({"error": type(exc).__name__, "message": str(exc)}))
         return 2
     except OSError as exc:

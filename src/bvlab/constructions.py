@@ -24,6 +24,8 @@ from .laurent import ExteriorLaurent, SelfSimilarity
 if TYPE_CHECKING:
     import numpy as np
 
+MAX_TERMS = 10**6  # shell_moduli builds a list of this many floats
+
 
 def default_first_frequency(d: int) -> int:
     """First shell frequency n0: d - 1, except 2 for degree 2.
@@ -181,6 +183,8 @@ def shell_moduli(params: ShellParams, n_terms: int) -> list[float]:
     materialized.  Frequencies beyond the float range contribute the limiting
     modulus 2*delta.
     """
+    if not 1 <= n_terms <= MAX_TERMS:
+        raise ValidationError(f"need 1 <= n_terms <= {MAX_TERMS}")
     n0 = params.n0 if params.n0 is not None else (
         default_first_frequency(int(round(params.d))) if params.d == int(params.d)
         else params.d - 1.0)

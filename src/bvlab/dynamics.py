@@ -17,11 +17,12 @@ from dataclasses import dataclass
 from math import fsum
 from typing import TYPE_CHECKING
 
-from .errors import CapacityError, FREQ_CAP, ValidationError
+from .errors import CapacityError, FREQ_CAP, ValidationError, parse_int
 
 if TYPE_CHECKING:
     import numpy as np
 _QUAD_POINTS = 4096
+MAX_SAMPLES = 10**7  # 100x the documented run; a sample costs about 100 bytes of arrays
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,8 @@ class CirclePotential:
     @classmethod
     def from_doc(cls, doc: dict) -> "CirclePotential":
         try:
-            return cls.from_map({int(m): complex(re, im) for m, re, im in doc["coeffs"]})
+            return cls.from_map({parse_int(m, "frequency"): complex(re, im)
+                                 for m, re, im in doc["coeffs"]})
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed potential document: {exc}") from exc
 
@@ -141,8 +143,8 @@ def birkhoff_variance_mc(phi: CirclePotential, b: BlaschkeMap, n: int,
     Starts are Lebesgue-uniform on the circle (the invariant measure); the
     generator is counter-based, so a fixed seed reproduces outputs exactly.
     """
-    if n < 1 or samples < 2:
-        raise ValidationError("need n >= 1 and samples >= 2")
+    if n < 1 or not 2 <= samples <= MAX_SAMPLES or seed < 0:
+        raise ValidationError(f"need n >= 1, 2 <= samples <= {MAX_SAMPLES} and seed >= 0")
     import numpy as np
     phi0 = phi.without_mean()
     rng = np.random.Generator(np.random.Philox(seed))

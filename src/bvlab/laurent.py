@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from math import fsum
 
-from .errors import FREQ_CAP, CapacityError, ValidationError
+from .errors import FREQ_CAP, CapacityError, ValidationError, parse_int
 
 
 @dataclass(frozen=True)
@@ -141,8 +141,8 @@ class ExteriorLaurent:
     @classmethod
     def from_doc(cls, doc: dict) -> "ExteriorLaurent":
         try:
-            coeffs = {int(k): complex(re, im) for k, re, im in doc["coeffs"]}
-            max_freq = int(doc["max_freq"])
+            coeffs = {parse_int(k, "frequency"): complex(re, im) for k, re, im in doc["coeffs"]}
+            max_freq = parse_int(doc["max_freq"], "max_freq")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed Laurent document: {exc}") from exc
         ss = doc.get("self_similarity")

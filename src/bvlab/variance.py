@@ -119,12 +119,10 @@ def variance_lacunary(moduli, d: float, tolerance: float = 1e-3) -> VarianceEsti
     Exact for lacunary series whose frequencies grow with ratio d; the
     diagnostics record running Cesaro means at geometric checkpoints.
     """
-    if not d > 1.0:
-        raise ValidationError("lacunary base must exceed 1")
     moduli = [float(m) for m in moduli]
+    if not d > 1.0 or not moduli:
+        raise ValidationError("need a lacunary base above 1 and at least one modulus")
     log_d = math.log(d)
-    if not moduli:
-        return VarianceEstimate(0.0, "lacunary_exact", ((0, 0.0),), True, tolerance)
     squares = [m * m for m in moduli]
     step = max(1, len(squares) // 32)
     checkpoints = sorted(set(range(step, len(squares) + 1, step)) | {len(squares)})

@@ -386,3 +386,10 @@ class TestSerialization:
     def test_malformed_document(self):
         with pytest.raises(ValidationError):
             PiecewiseField.from_doc({"terms": [{"re": 1.0}]})
+
+    @pytest.mark.parametrize("key, value", [("p", 2.5), ("q", 0.5)])
+    def test_non_integral_powers_rejected(self, key, value):
+        term = {"re": 1.0, "im": 0.0, "p": 2, "q": 0, "gamma": -2.0,
+                "r_in": 0.5, "r_out": 0.8, key: value}
+        with pytest.raises(ValidationError):
+            PiecewiseField.from_doc({"terms": [term]})

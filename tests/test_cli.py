@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import bvlab
-from bvlab.cli import _parse_int, main
-from bvlab.errors import FREQ_CAP, ValidationError
+from bvlab.cli import build_parser, main
+from bvlab.errors import FREQ_CAP, ValidationError, parse_int
 
 
 def run_cli(args, out_dir: Path, capsys) -> tuple[int, str, str]:
@@ -206,33 +207,109 @@ class TestConfigAndErrors:
         assert not (tmp_path / "flag_dir").exists()
 
     @pytest.mark.parametrize("argv, config", [
-        (["dynamics", "var", "--blaschke", "foo"], None),
+        (["dynamics", "var", "--blaschke", "foo", "--phi", "{phi}"], None),
         (["variance", "shell", "--d", "3"], {"shells": "abc"}),
         (["variance", "shell", "--d", "1e300", "--method", "exact"], None),
         (["variance", "shell", "--d", "3", "--method", "cesaro", "--r0", "1e300"], None),
         (["table2"], b"\xc0\x80"),
-        (["means-curve"], None),
+        (["means-curve", "--series", "{series}"], None),
         (["variance", "shell"], {"method": "mass"}),
+        (["variance", "shell", "--d", "3", "--n0", "abc"], None),
+        (["variance", "shell", "--d", "3", "--method", "fast"], None),
+        (["table2", "--precision", "4"], None),
+        (["dimension", "--k", "0.1"], None),
+        (["dynamics", "var", "--phi", "{phi}", "--seed", "-1"], None),
+        (["order2", "--d", "16"], {"refine": "false"}),
+        (["means-curve", "--series", "{fractional}"], None),
+        (["means-curve", "--d", "2", "--points", "1e15"], None),
+        (["means-curve", "--d", "2", "--r-max", "inf"], None),
+        (["variance", "shell", "--d", "3", "--method", "exact", "--terms", "-5"], None),
+        (["variance", "shell", "--d", "3", "--method", "exact", "--terms", "1e15"], None),
+        (["dynamics", "var", "--phi", "{phi}", "--samples", "1e15"], None),
+        (["table2"], {"format": "xml"}),
+        (["means-curve"], {"series": 1.5}),
     ], ids=["blaschke_zero", "config_shells", "huge_degree", "huge_r0", "binary_config",
-            "self_similarity", "missing_degree"])
+            "self_similarity", "missing_degree", "bad_int_flag", "bad_choice",
+            "unknown_flag", "missing_dimension_degree", "negative_seed", "string_switch",
+            "fractional_frequency", "huge_points", "infinite_r_max", "no_terms",
+            "huge_terms", "huge_samples", "config_choice", "config_path_number"])
     def test_bad_input_gives_one_json_error(self, argv, config, tmp_path, capsys):
-        phi = tmp_path / "phi.json"
-        phi.write_text(json.dumps({"coeffs": [[-1, 1.0, 0.0]]}))
-        series = tmp_path / "series.json"
-        series.write_text(json.dumps({"coeffs": [[2, 1.0, 0.0]], "max_freq": 8,
-                                      "self_similarity": "x"}))
-        extra = {"dynamics": ["--phi", str(phi)],
-                 "means-curve": ["--series", str(series)]}.get(argv[0], [])
+        docs = {"phi": {"coeffs": [[-1, 1.0, 0.0]]},
+                "series": {"coeffs": [[2, 1.0, 0.0]], "max_freq": 8, "self_similarity": "x"},
+                "fractional": {"coeffs": [[2.7, 1.0, 0.0]], "max_freq": 8.9}}
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argv = [arg.format(**{name: tmp_path / f"{name}.json" for name in docs})
+                for arg in argv]
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
-            extra += ["--config", str(cfg)]
-        code = main([*argv, *extra, "--out", str(tmp_path / "out")])
+            argv += ["--config", str(cfg)]
+        code = main([*argv, "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         error = json.loads(captured.err)
         assert error["error"] == "ValidationError" and error["message"]
+
+    def test_config_rho0_and_method_honoured(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"d": 3, "rho0": "0.2", "method": "mass"}))
+        code = main(["variance", "shell", "--config", str(config), "--out", str(tmp_path)])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["method"] == "block_mass" and doc["rho0"] == 0.2
+        manifest = json.loads((tmp_path / "variance_manifest.json").read_text())
+        assert manifest["config"]["rho0"] == "0.2" and manifest["config"]["method"] == "mass"
+        # without the keys the manifest still echoes both defaults
+        code = main(["variance", "shell", "--d", "3", "--out", str(tmp_path)])
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "variance_manifest.json").read_text())
+        assert manifest["config"]["rho0"] == "optimal" and manifest["config"]["method"] == "exact"
+
+    def test_config_switch_is_a_boolean(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        for refine in (False, None, True):
+            config.write_text(json.dumps({"d": 4, "shells": 3, "refine": refine}))
+            code = main(["order2", "--config", str(config), "--out", str(tmp_path)])
+            doc = json.loads(capsys.readouterr().out)
+            assert code == 0
+            assert ("stability" in doc) is bool(refine)
+
+    def test_config_supplies_required_keys(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"d": 20, "k": 0.1}))
+        assert main(["dimension", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["d"] == 20
+        config.write_text(json.dumps({"d": 3, "rho0": 0.05, "shells": 1, "r1": 0.7,
+                                      "eps": 0.01}))
+        assert main(["truncate", "--config", str(config), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+
+    def test_usage_errors_name_the_flag(self, tmp_path, capsys):
+        assert main(["variance", "shell", "--d", "3", "--n0", "abc"]) == 2
+        assert json.loads(capsys.readouterr().err)["message"] == \
+            "n0 must be an integer, got 'abc'"
+        assert main(["dimension", "--out", str(tmp_path)]) == 2
+        assert "--d" in json.loads(capsys.readouterr().err)["message"]
+
+
+def _readme_command_lines() -> list[list[str]]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].replace("[", "").replace("]", "")
+             for line in block.splitlines() if line.startswith("bvlab ")]
+    return [shlex.split(line)[1:] for line in lines]
+
+
+def test_readme_command_lines_parse():
+    lines = _readme_command_lines()
+    assert len(lines) >= 12
+    for argv in lines:
+        args = vars(build_parser().parse_args(argv))
+        assert args["command"] == argv[0]
+        flags = [arg[2:].replace("-", "_") for arg in argv if arg.startswith("--")]
+        assert all(args[key] is not None for key in flags), argv
 
 
 class TestParseInt:
@@ -247,14 +324,14 @@ class TestParseInt:
         (1e12, 10**12),
     ])
     def test_exact(self, value, expected):
-        parsed = _parse_int(value)
+        parsed = parse_int(value)
         assert parsed == expected and type(parsed) is int
 
     @pytest.mark.parametrize("value", ["1.5", "1e-3", "12a", "inf", "nan", "", 2.5,
                                        float("inf"), True, None, "1e5000"])
     def test_rejects_non_integers(self, value):
         with pytest.raises(ValidationError):
-            _parse_int(value)
+            parse_int(value)
 
 
 _START_UP_PROBE = """

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bvlab.dynamics import (BlaschkeMap, CirclePotential, birkhoff_variance_exact,
+from bvlab.dynamics import (MAX_SAMPLES, BlaschkeMap, CirclePotential, birkhoff_variance_exact,
                             birkhoff_variance_mc, coboundary_check,
                             ks_uniform_statistic, log_deriv_mean,
                             mean_relation_check, orbit_angles)
@@ -64,6 +64,17 @@ class TestMonteCarlo:
         assert a1 == a2
         a3 = birkhoff_variance_mc(phi, b, 8, 5000, seed=8)
         assert a1 != a3
+
+    @pytest.mark.parametrize("samples, seed", [(1, 0), (MAX_SAMPLES + 1, 0), (100, -1)])
+    def test_sample_count_and_seed_checked_before_sampling(self, samples, seed):
+        phi = CirclePotential.from_map({1: 1.0})
+        with pytest.raises(ValidationError):
+            birkhoff_variance_mc(phi, BlaschkeMap.power(2), 4, samples, seed)
+
+    def test_potential_document_frequencies_are_integers(self):
+        assert CirclePotential.from_doc({"coeffs": [[-1.0, 1.0, 0.0]]}).coeffs == ((-1, 1.0),)
+        with pytest.raises(ValidationError):
+            CirclePotential.from_doc({"coeffs": [[1.5, 1.0, 0.0]]})
 
     def test_nontrivial_blaschke_stable_under_depth(self):
         phi = CirclePotential.from_map({-1: 0.5, 1: 0.5})   # Re z

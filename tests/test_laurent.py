@@ -106,6 +106,18 @@ class TestMetadataAndSerialization:
         with pytest.raises(ValidationError):
             ExteriorLaurent.from_doc({"coeffs": [[1, 2]]})
 
+    @pytest.mark.parametrize("doc", [{"coeffs": [[2.7, 1.0, 0.0]], "max_freq": 8},
+                                     {"coeffs": [[2, 1.0, 0.0]], "max_freq": 8.9},
+                                     {"coeffs": [[True, 1.0, 0.0]], "max_freq": 8}])
+    def test_non_integral_numbers_rejected(self, doc):
+        with pytest.raises(ValidationError):
+            ExteriorLaurent.from_doc(doc)
+
+    def test_integral_numbers_kept_exactly(self):
+        g = ExteriorLaurent.from_doc({"coeffs": [[2.0, 1.0, 0.0], ["3", 0.5, 0.0]],
+                                      "max_freq": "9223372036854775807"})
+        assert sorted(g.coeffs) == [2, 3] and g.max_freq == 2**63 - 1
+
     def test_coefficient_bound(self):
         g = ExteriorLaurent({1: 3.0, 2: 4.0j}, 2)
         R = 2.0

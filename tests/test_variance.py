@@ -99,7 +99,11 @@ class TestLacunaryVariance:
         assert est.value == pytest.approx(0.8791, abs=1e-4)
 
     def test_empty(self):
-        assert variance_lacunary([], 2).value == 0.0
+        # no moduli means no estimate: a value of 0 would claim convergence
+        with pytest.raises(ValidationError):
+            variance_lacunary([], 2)
+        with pytest.raises(ValidationError):
+            shell_moduli(ShellParams(d=3, rho0=0.2), 0)
 
     def test_non_convergent_sequence_flagged(self):
         # squared moduli alternate between long runs of 0 and 1, so the Cesaro
