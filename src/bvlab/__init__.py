@@ -11,8 +11,7 @@ from .constructions import (LacunaryField, PerturbationSpec, ShellParams,
                             shell_cauchy_identity_check, shell_cauchy_series,
                             truncate_to_polynomial)
 from .dynamics import (BlaschkeMap, CirclePotential, birkhoff_variance_exact,
-                       birkhoff_variance_mc, coboundary_check, log_deriv_mean,
-                       mean_relation_check)
+                       birkhoff_variance_mc, coboundary_check, log_deriv_mean)
 from .errors import (BVLabError, CapacityError, DivergentMomentError,
                      UnresolvedScaleError, UnresolvedTruncationError,
                      UnsupportedTermError, ValidationError)

@@ -18,7 +18,7 @@ from . import __version__
 from .constructions import (ShellParams, build_shell, shell_beurling_series,
                             shell_cauchy_series, truncate_to_polynomial)
 from .dynamics import (BlaschkeMap, CirclePotential, birkhoff_variance_mc,
-                       coboundary_check, log_deriv_mean, mean_relation_check)
+                       check_mc_work, coboundary_check, log_deriv_mean)
 from .errors import (BVLabError, CapacityError, UnresolvedScaleError,
                      UnresolvedTruncationError, ValidationError, parse_float, parse_int)
 from .formulas import (best_integer_degree, best_real_degree, distortion_constant,
@@ -28,7 +28,7 @@ from .laurent import ExteriorLaurent
 from .manifest import RunConfig, csv_text, json_text, resolve_output_dir, write_text
 from .order2 import order2_bound, parameter_search, shell_grid
 from .selfcheck import run_selfcheck
-from .variance import (cesaro_sigma4, growth_slope, integral_means_log,
+from .variance import (block_log_scales, cesaro_sigma4, growth_slope, integral_means_log,
                        variance_block, variance_block_mass, variance_lacunary)
 
 _MAX_POINTS = 10**4  # 100x the default means-curve grid
@@ -152,7 +152,7 @@ def _auto_shells(params: ShellParams, cfg: RunConfig) -> ShellParams:
     r0 = _float(cfg, "r0", 1.5)
     blocks = _int(cfg, "blocks", 8)
     d = params.degree
-    r_final_minus_1 = math.expm1(math.log(r0) / d**blocks)
+    r_final_minus_1 = math.expm1(block_log_scales(r0, d, blocks)[-1])
     need = 10.0 / r_final_minus_1
     j = params.shells
     while params.first_frequency * d ** (j - 1) < need:
@@ -288,21 +288,19 @@ def cmd_dynamics(cfg: RunConfig, out_dir: Path) -> int:
         payload["seed"] = _int(cfg, "seed", 0)
         _emit(cfg, out_dir, "dynamics_coboundary", payload)
         return 0
-    if sub == "meanrel":
-        payload = mean_relation_check().to_doc()
-        _emit(cfg, out_dir, "dynamics_meanrel", payload)
-        return 0
     raw = str(cfg.get("blaschke") or "")
     try:
         zeros = tuple(complex(part) for part in raw.split(",") if part)
     except ValueError as exc:
         raise ValidationError(f"blaschke zeros must be complex numbers such as "
                               f"0.3+0j, got {raw!r}") from exc
-    b = BlaschkeMap(zeros) if zeros else BlaschkeMap.power(_int(cfg, "d", 2))
+    degree = len(zeros) + 1 if zeros else _int(cfg, "d", 2)
+    n, samples = _int(cfg, "n", 50), _int(cfg, "samples", 100000)
+    check_mc_work(n, samples, degree)  # a power map stores degree - 1 zeros
+    b = BlaschkeMap(zeros) if zeros else BlaschkeMap.power(degree)
     phi = CirclePotential.from_doc(_read_json(_value(cfg, "phi"), "potential"))
     seed = _int(cfg, "seed", 0)
-    est, err = birkhoff_variance_mc(phi, b, _int(cfg, "n", 50),
-                                    _int(cfg, "samples", 100000), seed)
+    est, err = birkhoff_variance_mc(phi, b, n, samples, seed)
     payload = {"estimate": est, "stderr": err, "seed": seed,
                "log_deriv_mean": log_deriv_mean(b)}
     _emit(cfg, out_dir, "dynamics_var", payload)
@@ -363,7 +361,7 @@ _COMMANDS = {
     "truncate": (cmd_truncate, "cancel high Cauchy frequencies of a coefficient",
                  {"mu": "text", **_SHELL, "r1": "float", "eps": "float", "rescale": "switch"}),
     "dynamics": (cmd_dynamics, "dynamical variance checks on the circle",
-                 {"subcommand": ("coboundary", "var", "meanrel"), "d": "int", "n": "int",
+                 {"subcommand": ("coboundary", "var"), "d": "int", "n": "int",
                   "blaschke": "text", "phi": "text", "samples": "int"}),
     "selfcheck": (cmd_selfcheck, "run the built-in oracle comparisons", {"full": "switch"}),
 }

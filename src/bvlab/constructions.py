@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING
 
 from .annular import MonomialTerm, PiecewiseField, cauchy_exterior, pullback_power
 from .errors import CapacityError, FREQ_CAP, ValidationError
+from .formulas import check_degree
 from .laurent import ExteriorLaurent, SelfSimilarity
 
 if TYPE_CHECKING:
@@ -56,8 +57,7 @@ class ShellParams:
     max_freq: int = FREQ_CAP
 
     def __post_init__(self) -> None:
-        if not self.d > 1:
-            raise ValidationError("degree must exceed 1")
+        check_degree(self.d)
         if not 0.0 < self.rho0 < 1.0:
             raise ValidationError("rho0 must lie in (0, 1)")
         if self.shells < 0:
@@ -329,8 +329,8 @@ def truncate_to_polynomial(mu: PiecewiseField, r1: float, eps: float,
     rho1 = mu.max_r_out()
     if not rho1 < r1 < 1.0:
         raise ValidationError("need support radius rho1 < r1 < 1")
-    if not 0.0 < eps:
-        raise ValidationError("eps must be positive")
+    if not 0.0 < eps < inf:
+        raise ValidationError("eps must be positive and finite")
     q = rho1 / r1
     # smallest N with q^(N+1) / (1-q) <= eps
     n_cut = max(0, math.ceil(math.log(eps * (1.0 - q)) / math.log(q)) - 1)

@@ -23,6 +23,10 @@ if TYPE_CHECKING:
     import numpy as np
 _QUAD_POINTS = 4096
 MAX_SAMPLES = 10**7  # 100x the documented run; a sample costs about 100 bytes of arrays
+# Monte Carlo work is n x degree x max(samples, MIN_BATCH): a step costs at least one numpy
+# call's overhead; the documented run (50 x 2 x 10^5) is 10^7 and takes about 0.5 s
+MIN_BATCH = 256
+MAX_WORK = 10**8
 
 
 @dataclass(frozen=True)
@@ -136,6 +140,14 @@ def birkhoff_variance_exact(phi: CirclePotential, d: int, n: int) -> float:
     return fsum(abs(c) ** 2 for _, c in sorted(acc.items())) / n
 
 
+def check_mc_work(n: int, samples: int, degree: int) -> None:
+    """Bound a Monte Carlo run by MAX_SAMPLES and MAX_WORK before any map is built."""
+    work = n * degree * max(samples, MIN_BATCH)
+    if n < 1 or not 2 <= samples <= MAX_SAMPLES or work > MAX_WORK:
+        raise ValidationError(f"need n >= 1, 2 <= samples <= {MAX_SAMPLES} and "
+                              f"n x degree x max(samples, {MIN_BATCH}) <= {MAX_WORK}")
+
+
 def birkhoff_variance_mc(phi: CirclePotential, b: BlaschkeMap, n: int,
                          samples: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the Birkhoff variance with its standard error.
@@ -143,8 +155,9 @@ def birkhoff_variance_mc(phi: CirclePotential, b: BlaschkeMap, n: int,
     Starts are Lebesgue-uniform on the circle (the invariant measure); the
     generator is counter-based, so a fixed seed reproduces outputs exactly.
     """
-    if n < 1 or not 2 <= samples <= MAX_SAMPLES or seed < 0:
-        raise ValidationError(f"need n >= 1, 2 <= samples <= {MAX_SAMPLES} and seed >= 0")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
+    check_mc_work(n, samples, b.degree)
     import numpy as np
     phi0 = phi.without_mean()
     rng = np.random.Generator(np.random.Philox(seed))
@@ -192,43 +205,10 @@ def coboundary_check(d: int, n: int) -> CoboundaryCheck:
     if d < 2:
         raise ValidationError("degree must be >= 2")
     h = CirclePotential.from_map({-(d - 1): 1.0})
-    lhs = birkhoff_variance_exact(h, d, n) / log_deriv_mean(BlaschkeMap.power(d))
+    # int log|B'| dm = log d for B = z^d; BlaschkeMap.power(d) would store d - 1 zeros
+    lhs = birkhoff_variance_exact(h, d, n) / math.log(d)
     rhs = 1.0 / math.log(d)
     return CoboundaryCheck(lhs, rhs, abs(lhs - rhs))
-
-
-@dataclass(frozen=True)
-class MeanRelationCheck:
-    lhs: float
-    rhs_values: tuple[float, ...]
-    extrapolated: float
-    residual: float
-
-    def to_doc(self) -> dict:
-        return {"lhs": self.lhs, "rhs_values": list(self.rhs_values),
-                "extrapolated": self.extrapolated, "residual": self.residual}
-
-
-def mean_relation_check(j_values=range(2, 9), n_angles: int = 64) -> MeanRelationCheck:
-    """Mean of a coboundary against the logarithmic growth of its primitive.
-
-    For B = z^2 the constant h = log 2 is the virtual coboundary of
-    g(z) = log(1/(|z|-1)); the left side int h dm / int log|B'| dm is exactly
-    one, and the circle means of g at R = 1 + 10^-j, normalized by
-    |log(R-1)|, converge to one like 10^-j.  Aitken extrapolation of the
-    tail removes the geometric error.
-    """
-    lhs = math.log(2.0) / log_deriv_mean(BlaschkeMap.power(2))
-    rhs = []
-    for j in j_values:
-        R = 1.0 + 10.0 ** (-j)
-        # g is constant on the circle |z| = R: the midpoint rule sums n_angles equal values
-        integral = fsum([R * math.log(1.0 / (R - 1.0))] * n_angles) / n_angles
-        rhs.append(integral / abs(math.log(R - 1.0)))
-    x0, x1, x2 = rhs[-3], rhs[-2], rhs[-1]
-    denom = (x2 - x1) - (x1 - x0)
-    extrapolated = x2 if denom == 0 else x2 - (x2 - x1) ** 2 / denom
-    return MeanRelationCheck(lhs, tuple(rhs), extrapolated, abs(extrapolated - 1.0))
 
 
 def orbit_angles(b: BlaschkeMap, steps: int, samples: int, seed: int) -> np.ndarray:

@@ -35,7 +35,7 @@ class DimensionRow:
         }
 
 
-def _check_degree(d: float) -> None:
+def check_degree(d: float) -> None:
     # above the frequency capacity no shell beyond the first exists, and d^2
     # in sigma2_optimal overflows long before d leaves the float range
     if not 1.0 < d <= FREQ_CAP:
@@ -44,7 +44,7 @@ def _check_degree(d: float) -> None:
 
 def sigma2_shell(d: float, rho0: float) -> float:
     """Shell-coefficient variance 4 (rho0^(1/d) - rho0)^2 / log d."""
-    _check_degree(d)
+    check_degree(d)
     if not 0.0 < rho0 < 1.0:
         raise ValidationError("rho0 must lie in (0, 1)")
     delta = rho0 ** (1.0 / d) - rho0
@@ -53,26 +53,27 @@ def sigma2_shell(d: float, rho0: float) -> float:
 
 def optimal_rho0(d: float) -> float:
     """Maximizer d^(d/(1-d)) of the shell variance in rho0."""
-    _check_degree(d)
+    check_degree(d)
     return d ** (d / (1.0 - d))
 
 
 def sigma2_optimal(d: float) -> float:
     """Shell variance at the optimal radius: 4 d^(2/(1-d)) (d-1)^2 / (d^2 log d)."""
-    _check_degree(d)
+    check_degree(d)
     return 4.0 * d ** (2.0 / (1.0 - d)) * (d - 1.0) ** 2 / (d * d * math.log(d))
 
 
 def best_integer_degree(d_min: int = 2, d_max: int = 64) -> tuple[int, float]:
-    """Integer degree maximizing the optimal shell variance (argmax is 20)."""
+    """Integer degree maximizing the optimal shell variance (argmax is 20).
+
+    The objective rises up to its real maximizer (about 19.74) and falls beyond
+    it, so the argmax is the floor or ceiling of the maximizer on the range.
+    """
     if d_min < 2 or d_max < d_min:
         raise ValidationError("need 2 <= d_min <= d_max")
-    best_d, best_v = d_min, sigma2_optimal(d_min)
-    for d in range(d_min + 1, d_max + 1):
-        v = sigma2_optimal(d)
-        if v > best_v:
-            best_d, best_v = d, v
-    return best_d, best_v
+    x = best_real_degree(d_min, d_max)[0] if d_min < d_max else d_min
+    candidates = sorted({min(max(f(x), d_min), d_max) for f in (math.floor, math.ceil)})
+    return max(((d, sigma2_optimal(d)) for d in candidates), key=lambda dv: dv[1])
 
 
 def golden_section_maximize(f, a: float, b: float, xtol: float = 1e-8) -> tuple[float, float]:
@@ -81,6 +82,7 @@ def golden_section_maximize(f, a: float, b: float, xtol: float = 1e-8) -> tuple[
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     while b - a > xtol:
+        width = b - a
         if fc < fd:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
@@ -89,6 +91,8 @@ def golden_section_maximize(f, a: float, b: float, xtol: float = 1e-8) -> tuple[
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
             fc = f(c)
+        if not b - a < width:  # far from 0, xtol may lie below the float spacing
+            break
     x = 0.5 * (a + b)
     return x, f(x)
 
@@ -107,7 +111,7 @@ def julia_dim_t(d: int, t: complex) -> float:
     The remainder is O(|t|^3) and is not evaluated; outputs carry the
     truncation order explicitly.
     """
-    _check_degree(d)
+    check_degree(d)
     return 1.0 + abs(t) ** 2 * (d - 1.0) ** 2 / (4.0 * d * d * math.log(d))
 
 
@@ -123,7 +127,7 @@ def julia_dim_k(d: int, k: float) -> float:
 
     Related to julia_dim_t by the substitution k = c_d |t| / 2.
     """
-    _check_degree(d)
+    check_degree(d)
     return 1.0 + sigma2_optimal(d) * k * k
 
 
@@ -169,7 +173,7 @@ TABLE2_DEGREES = (2, 3, 4, 20)
 
 def lambda_lemma_coeff(d: float) -> float:
     """Quadratic dimension coefficient (d-1)^2 / (d^2 log d) from the basic extension."""
-    _check_degree(d)
+    check_degree(d)
     return (d - 1.0) ** 2 / (d * d * math.log(d))
 
 

@@ -16,7 +16,7 @@ from .annular import (MonomialTerm, PiecewiseField, beurling, beurling_exterior,
 from .constructions import (ShellParams, lacunary_vector_field,
                             random_unit_shell_field, shell_beurling_series,
                             shell_cauchy_series, truncate_to_polynomial)
-from .dynamics import coboundary_check, mean_relation_check
+from .dynamics import coboundary_check
 from .formulas import (best_integer_degree, best_real_degree, lambda_lemma_coeff,
                        optimal_rho0, pointwise_sigma_bound, sigma2_optimal,
                        sigma2_shell, truncate_display)
@@ -146,7 +146,6 @@ def run_selfcheck(full: bool = False) -> list[CheckResult]:
     # dynamical coboundary identity (depth chosen within the frequency capacity)
     for d in (2, 3, 20):
         results.append(_check(f"coboundary_exact_d{d}", coboundary_check(d, 12).residual, 1e-12))
-    results.append(_check("mean_relation_extrapolated", mean_relation_check().residual, 1e-3))
 
     # pointwise a-priori bounds
     ok = pointwise_sigma_bound(2) == 6.0 and \
@@ -193,8 +192,9 @@ def run_selfcheck(full: bool = False) -> list[CheckResult]:
         # second-order bound at degree 16
         rep = order2_bound(ShellParams(d=16, rho0=optimal_rho0(16), n0=15, shells=7),
                            refine=True)
-        ok = 0.891 <= rep.total <= 0.90 and (rep.stability or 0.0) < 5e-3
+        stability = math.nan if rep.stability is None else rep.stability  # nan fails
+        ok = 0.893 < rep.total <= 0.90 and stability < 5e-3
         results.append(CheckResult("order2_degree16", ok,
-                                   f"total {rep.total:.6f}, stability {rep.stability:.2e}"))
+                                   f"total {rep.total:.6f}, stability {stability:.2e}"))
 
     return results

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from math import expm1, fsum, log1p
 
-from .errors import UnresolvedScaleError, ValidationError
+from .errors import FREQ_CAP, UnresolvedScaleError, ValidationError
 from .laurent import ExteriorLaurent
 
 METHODS = ("lacunary_exact", "block_increment", "block_mass", "cesaro4")
@@ -132,6 +132,19 @@ def variance_lacunary(moduli, d: float, tolerance: float = 1e-3) -> VarianceEsti
                             _consecutive_converged(values, tolerance), tolerance)
 
 
+def block_log_scales(R0: float, d: int, n_blocks: int) -> list[float]:
+    """The scales log R_k = log(R0) / d^k, k <= n_blocks, that variance_block probes.
+
+    Past d^n_blocks = FREQ_CAP log R0 the finest one needs frequencies above 10 FREQ_CAP.
+    """
+    if d < 2 or not 1.0 < R0 < math.inf or n_blocks < 1:
+        raise ValidationError("need d >= 2, 1 < R0 < inf and at least one block")
+    if n_blocks * math.log(d) > math.log(FREQ_CAP * math.log(R0)):
+        raise ValidationError(f"{n_blocks} blocks of degree {d} probe scales that no series "
+                              "below frequency 2^63 - 1 resolves")
+    return [math.log(R0) / d**k for k in range(n_blocks + 1)]
+
+
 def variance_block(g: ExteriorLaurent, d: int, R0: float, n_blocks: int,
                    tolerance: float = 1e-3) -> VarianceEstimate:
     """Variance from increments of I(R) between the scales R0^(1/d^k).
@@ -140,9 +153,7 @@ def variance_block(g: ExteriorLaurent, d: int, R0: float, n_blocks: int,
     measures the coefficient mass of one self-similar block; the reported
     value averages the last ceil(n/2) increments.
     """
-    if d < 2 or not R0 > 1.0 or n_blocks < 1:
-        raise ValidationError("need d >= 2, R0 > 1 and at least one block")
-    log_R = [math.log(R0) / d**k for k in range(n_blocks + 1)]
+    log_R = block_log_scales(R0, d, n_blocks)
     r_minus_1 = [expm1(l) for l in log_R]
     if g.max_freq < 10.0 / r_minus_1[-1]:
         raise UnresolvedScaleError(

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 from bvlab.annular import MonomialTerm, PiecewiseField
+from bvlab.selfcheck import CheckResult, run_selfcheck
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -27,3 +29,15 @@ def rng() -> np.random.Generator:
 
 def circle(r: float, theta: float) -> complex:
     return r * complex(math.cos(theta), math.sin(theta))
+
+
+@functools.cache
+def selfcheck_results() -> dict[str, CheckResult]:
+    """The full selfcheck list by name, run once: the home of the identity checks."""
+    return {r.name: r for r in run_selfcheck(full=True)}
+
+
+def assert_selfcheck(*names: str) -> None:
+    results = selfcheck_results()
+    for name in names:
+        assert results[name].passed, f"{name}: {results[name].detail}"

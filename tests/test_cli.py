@@ -71,6 +71,13 @@ class TestVariance:
         assert len(diag) > 2
 
 
+class TestOptimize:
+    def test_range_to_1e18_needs_no_scan(self, tmp_path, capsys):
+        code, out, _ = run_cli(["optimize", "--d-min", "2", "--d-max", "1e18"], tmp_path, capsys)
+        assert code == 0
+        assert json.loads(out)["best_integer"]["d"] == 20
+
+
 class TestOrder2:
     def test_point_run(self, tmp_path, capsys):
         code, out, _ = run_cli(["order2", "--d", "16", "--rho0", "optimal",
@@ -228,11 +235,23 @@ class TestConfigAndErrors:
         (["dynamics", "var", "--phi", "{phi}", "--samples", "1e15"], None),
         (["table2"], {"format": "xml"}),
         (["means-curve"], {"series": 1.5}),
+        (["variance", "shell", "--d", "inf", "--rho0", "0.5", "--method", "exact"], None),
+        (["variance", "shell", "--d", "1e400", "--rho0", "0.5", "--method", "exact"], None),
+        (["variance", "shell", "--d", "3", "--method", "block", "--r0", "inf"], None),
+        (["variance", "shell", "--d", "3", "--method", "block", "--r0", "1"], None),
+        (["variance", "shell", "--d", "3", "--method", "block", "--blocks", "700"], None),
+        (["truncate", "--d", "3", "--rho0", "0.05", "--shells", "1", "--r1", "0.7",
+          "--eps", "inf"], None),
+        (["dynamics", "var", "--phi", "{phi}", "--n", "1e8", "--samples", "2"], None),
+        (["dynamics", "var", "--phi", "{phi}", "--d", "1e9", "--n", "1", "--samples", "2"],
+         None),
     ], ids=["blaschke_zero", "config_shells", "huge_degree", "huge_r0", "binary_config",
             "self_similarity", "missing_degree", "bad_int_flag", "bad_choice",
             "unknown_flag", "missing_dimension_degree", "negative_seed", "string_switch",
             "fractional_frequency", "huge_points", "infinite_r_max", "no_terms",
-            "huge_terms", "huge_samples", "config_choice", "config_path_number"])
+            "huge_terms", "huge_samples", "config_choice", "config_path_number",
+            "infinite_degree", "overflowing_degree", "infinite_r0", "unit_r0", "huge_blocks",
+            "infinite_eps", "huge_orbit", "huge_map_degree"])
     def test_bad_input_gives_one_json_error(self, argv, config, tmp_path, capsys):
         docs = {"phi": {"coeffs": [[-1, 1.0, 0.0]]},
                 "series": {"coeffs": [[2, 1.0, 0.0]], "max_freq": 8, "self_similarity": "x"},

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from bvlab.dynamics import (MAX_SAMPLES, BlaschkeMap, CirclePotential, birkhoff_variance_exact,
-                            birkhoff_variance_mc, coboundary_check,
-                            ks_uniform_statistic, log_deriv_mean,
-                            mean_relation_check, orbit_angles)
+from bvlab.dynamics import (MAX_SAMPLES, MAX_WORK, MIN_BATCH, BlaschkeMap, CirclePotential,
+                            birkhoff_variance_exact, birkhoff_variance_mc,
+                            check_mc_work, coboundary_check, ks_uniform_statistic,
+                            log_deriv_mean, orbit_angles)
 from bvlab.errors import ValidationError
 
 
@@ -65,6 +65,18 @@ class TestMonteCarlo:
         a3 = birkhoff_variance_mc(phi, b, 8, 5000, seed=8)
         assert a1 != a3
 
+    @pytest.mark.parametrize("n, samples, degree", [(50, 100000, 2),
+                                                    (1, 2, MAX_WORK // MIN_BATCH)])
+    def test_work_bound_admits(self, n, samples, degree):
+        check_mc_work(n, samples, degree)
+
+    @pytest.mark.parametrize("n, samples, degree", [(10**8, 2, 2), (0, 100, 2),
+                                                    (1, 2, MAX_WORK // MIN_BATCH + 1),
+                                                    (4, MAX_SAMPLES, 3)])
+    def test_work_bound_rejects(self, n, samples, degree):
+        with pytest.raises(ValidationError):
+            check_mc_work(n, samples, degree)
+
     @pytest.mark.parametrize("samples, seed", [(1, 0), (MAX_SAMPLES + 1, 0), (100, -1)])
     def test_sample_count_and_seed_checked_before_sampling(self, samples, seed):
         phi = CirclePotential.from_map({1: 1.0})
@@ -120,29 +132,17 @@ class TestLogDerivative:
 class TestCoboundary:
     @pytest.mark.parametrize("d", [2, 3, 20])
     def test_identity(self, d):
-        check = coboundary_check(d, 12)
-        assert check.residual <= 1e-12
-        assert check.rhs == pytest.approx(1.0 / math.log(d), rel=1e-15)
+        # the residual at this depth is the selfcheck entry coboundary_exact_d<d>
+        assert coboundary_check(d, 12).rhs == pytest.approx(1.0 / math.log(d), rel=1e-15)
 
     def test_depth_one_already_exact(self):
         check = coboundary_check(2, 1)
         assert check.residual <= 1e-15
 
-
-class TestMeanRelation:
-    def test_left_side_exact(self):
-        assert mean_relation_check().lhs == 1.0
-
-    def test_raw_values_decay_geometrically(self):
-        check = mean_relation_check()
-        assert check.rhs_values[0] == pytest.approx(1.0, abs=1e-1)
-        # at R = 1 + 1e-6 the value is within 1e-2 of the limit
-        assert abs(check.rhs_values[4] - 1.0) <= 1e-2
-        residuals = [abs(v - 1.0) for v in check.rhs_values]
-        assert residuals == sorted(residuals, reverse=True)
-
-    def test_extrapolation(self):
-        assert mean_relation_check().residual <= 1e-4
+    def test_huge_degree_builds_no_map(self):
+        # a power map of degree 10^9 would store 10^9 - 1 zeros
+        check = coboundary_check(10**9, 1)
+        assert check.residual <= 1e-15 and check.rhs == 1.0 / math.log(10**9)
 
 
 class TestInvariance:
