@@ -10,8 +10,9 @@ from .constructions import (LacunaryField, PerturbationSpec, ShellParams,
                             perturbation_vector_field, shell_beurling_series,
                             shell_cauchy_identity_check, shell_cauchy_series,
                             truncate_to_polynomial)
-from .dynamics import (BlaschkeMap, CirclePotential, birkhoff_variance_exact,
-                       birkhoff_variance_mc, coboundary_check, log_deriv_mean)
+from .dynamics import (BirkhoffVariance, BlaschkeMap, CirclePotential, birkhoff_variance,
+                       birkhoff_variance_exact, birkhoff_variance_mc, coboundary_check,
+                       log_deriv_mean)
 from .errors import (BVLabError, CapacityError, DivergentMomentError,
                      UnresolvedScaleError, UnresolvedTruncationError,
                      UnsupportedTermError, ValidationError)

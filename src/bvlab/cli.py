@@ -17,8 +17,9 @@ from pathlib import Path
 from . import __version__
 from .constructions import (ShellParams, build_shell, shell_beurling_series,
                             shell_cauchy_series, truncate_to_polynomial)
-from .dynamics import (BlaschkeMap, CirclePotential, birkhoff_variance_mc,
-                       check_mc_work, coboundary_check, log_deriv_mean)
+from .dynamics import (MAX_SAMPLES, BlaschkeMap, CirclePotential, birkhoff_variance,
+                       birkhoff_variance_mc, check_exact_work, check_mc_work,
+                       coboundary_check, log_deriv_mean)
 from .errors import (BVLabError, CapacityError, UnresolvedScaleError,
                      UnresolvedTruncationError, ValidationError, parse_float, parse_int)
 from .formulas import (best_integer_degree, best_real_degree, distortion_constant,
@@ -164,7 +165,7 @@ def cmd_optimize(cfg: RunConfig, out_dir: Path) -> int:
     d_min = _int(cfg, "d_min", 2)
     d_max = _int(cfg, "d_max", 64)
     best_int = best_integer_degree(d_min, d_max)
-    best_real = best_real_degree(float(d_min), float(d_max))
+    best_real = best_real_degree(d_min, d_max)
     payload = {
         "best_integer": {"d": best_int[0], "value": best_int[1],
                          "optimal_rho0": optimal_rho0(best_int[0])},
@@ -295,14 +296,22 @@ def cmd_dynamics(cfg: RunConfig, out_dir: Path) -> int:
         raise ValidationError(f"blaschke zeros must be complex numbers such as "
                               f"0.3+0j, got {raw!r}") from exc
     degree = len(zeros) + 1 if zeros else _int(cfg, "d", 2)
-    n, samples = _int(cfg, "n", 50), _int(cfg, "samples", 100000)
-    check_mc_work(n, samples, degree)  # a power map stores degree - 1 zeros
-    b = BlaschkeMap(zeros) if zeros else BlaschkeMap.power(degree)
+    n, samples, seed = _int(cfg, "n", 50), _int(cfg, "samples", 100000), _int(cfg, "seed", 0)
+    if seed < 0 or not 2 <= samples <= MAX_SAMPLES:  # checked on every route
+        raise ValidationError(f"need seed >= 0 and 2 <= samples <= {MAX_SAMPLES}")
     phi = CirclePotential.from_doc(_read_json(_value(cfg, "phi"), "potential"))
-    seed = _int(cfg, "seed", 0)
-    est, err = birkhoff_variance_mc(phi, b, n, samples, seed)
-    payload = {"estimate": est, "stderr": err, "seed": seed,
-               "log_deriv_mean": log_deriv_mean(b)}
+    monte_carlo = cfg.get("method") == "mc"
+    if monte_carlo:
+        check_mc_work(n, samples, degree, len(phi.without_mean().coeffs))
+    else:
+        check_exact_work(n, phi, degree)
+    b = BlaschkeMap(zeros) if zeros else BlaschkeMap.power(degree)
+    if monte_carlo:
+        est, err = birkhoff_variance_mc(phi, b, n, samples, seed)
+        payload = {"estimate": est, "stderr": err, "seed": seed}
+    else:
+        payload = birkhoff_variance(phi, b, n).to_doc()
+    payload["log_deriv_mean"] = log_deriv_mean(b)
     _emit(cfg, out_dir, "dynamics_var", payload)
     return 0
 
@@ -341,7 +350,8 @@ _HELP = {"config": "JSON config file; flags override its values",
          "series": "JSON Laurent series file instead of shell parameters",
          "mu": "JSON field file; otherwise shell parameters are used",
          "blaschke": "comma-separated complex zeros, e.g. 0.3+0j",
-         "phi": "JSON potential file"}
+         "phi": "JSON potential file",
+         "samples": "Monte Carlo orbits (--method mc only)"}
 _COMMANDS = {
     "table2": (cmd_table2, "comparison table of quadratic dimension coefficients",
                {"format": ("csv", "json")}),
@@ -362,7 +372,8 @@ _COMMANDS = {
                  {"mu": "text", **_SHELL, "r1": "float", "eps": "float", "rescale": "switch"}),
     "dynamics": (cmd_dynamics, "dynamical variance checks on the circle",
                  {"subcommand": ("coboundary", "var"), "d": "int", "n": "int",
-                  "blaschke": "text", "phi": "text", "samples": "int"}),
+                  "blaschke": "text", "phi": "text", "method": ("exact", "mc"),
+                  "samples": "int"}),
     "selfcheck": (cmd_selfcheck, "run the built-in oracle comparisons", {"full": "switch"}),
 }
 

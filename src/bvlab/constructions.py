@@ -23,6 +23,8 @@ from .formulas import check_degree
 from .laurent import ExteriorLaurent, SelfSimilarity
 
 if TYPE_CHECKING:
+    import random
+
     import numpy as np
 
 MAX_TERMS = 10**6  # shell_moduli builds a list of this many floats
@@ -387,8 +389,8 @@ def periodise(mu0: PiecewiseField, d: int, copies: int) -> PiecewiseField:
     return out
 
 
-def random_unit_shell_field(rng: np.random.Generator, shells: int = 20,
-                            max_frequency: int = 10**6) -> PiecewiseField:
+def random_unit_shell_field(rng: np.random.Generator | random.Random,
+                            shells: int = 20, max_frequency: int = 10**6) -> PiecewiseField:
     """Random unit-modulus monomial shells with ||mu||_inf <= 1.
 
     Radii accumulate geometrically at the unit circle and angular orders grow

@@ -63,6 +63,9 @@ def sigma2_optimal(d: float) -> float:
     return 4.0 * d ** (2.0 / (1.0 - d)) * (d - 1.0) ** 2 / (d * d * math.log(d))
 
 
+_FLOAT_CAP = math.nextafter(float(FREQ_CAP), 0.0)  # 2^63 - 1024
+
+
 def best_integer_degree(d_min: int = 2, d_max: int = 64) -> tuple[int, float]:
     """Integer degree maximizing the optimal shell variance (argmax is 20).
 
@@ -99,10 +102,15 @@ def golden_section_maximize(f, a: float, b: float, xtol: float = 1e-8) -> tuple[
 
 def best_real_degree(lo: float = 2.0, hi: float = 64.0,
                      xtol: float = 1e-8) -> tuple[float, float]:
-    """Real degree maximizing the optimal shell variance; the value is ~0.87914."""
+    """Real degree maximizing the optimal shell variance; the value is ~0.87914.
+
+    Integer bounds are compared exactly; the search runs in floats clamped to
+    the largest float below 2^63 - 1, which itself rounds up to 2^63.
+    """
     if not 1.0 < lo < hi:
         raise ValidationError("need 1 < lo < hi")
-    return golden_section_maximize(sigma2_optimal, lo, hi, xtol)
+    return golden_section_maximize(sigma2_optimal, min(float(lo), _FLOAT_CAP),
+                                   min(float(hi), _FLOAT_CAP), xtol)
 
 
 def julia_dim_t(d: int, t: complex) -> float:

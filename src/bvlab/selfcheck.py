@@ -179,8 +179,8 @@ def run_selfcheck(full: bool = False) -> list[CheckResult]:
             results.append(_check(f"method_agreement_d{d}", spread, 0.02))
 
         # growth slopes of randomized unit-modulus coefficients stay below one
-        import numpy as np
-        rng = np.random.Generator(np.random.Philox(20260810))
+        import random
+        rng = random.Random(20260810)
         worst = 0.0
         for _ in range(5):
             mu = random_unit_shell_field(rng)

@@ -12,7 +12,9 @@ closed-form antiderivatives used in the package:
   * contour differentiation on small circles for derivatives of
     holomorphic functions;
   * 40-digit mpmath quadrature of the radial fourth-order integral on
-    log-spaced pieces.
+    log-spaced pieces;
+  * numpy orbits of Blaschke maps on the circle and the 4096-point midpoint
+    rule for the circle mean of log |B'|, from the logarithmic derivative.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import math
 import numpy as np
 
 from bvlab.annular import MonomialTerm, PiecewiseField
+from bvlab.dynamics import BlaschkeMap
 
 
 def term_values(term: MonomialTerm, w: np.ndarray) -> np.ndarray:
@@ -241,3 +244,41 @@ def mp_radial_fourth_order(mass: dict[int, float], log_lo: float, log_hi: float,
             return x**3 * mp.fsum(w * mp.exp(-m * log_u) for m, w in items)
 
         return float(mp.quad(integrand, points, method="gauss-legendre") / 16)
+
+
+def apply_circle(b: BlaschkeMap, z: np.ndarray) -> np.ndarray:
+    """Apply B and renormalize to the circle (guards float drift on orbits)."""
+    w = b.apply(z)
+    return w / abs(w)
+
+
+def log_abs_derivative(b: BlaschkeMap, z: np.ndarray) -> np.ndarray:
+    """log |B'(z)| via the logarithmic derivative; valid for z off the zeros."""
+    ratio = b.order / z
+    for a in b.zeros:
+        ratio = ratio + 1.0 / (z - a) + np.conj(a) / (1.0 - np.conj(a) * z)
+    return np.log(np.abs(b.apply(z) * ratio))
+
+
+def quad_log_deriv_mean(b: BlaschkeMap, n: int = 4096) -> float:
+    """Circle mean of log |B'| by the n-point midpoint rule."""
+    th = (np.arange(n) + 0.5) * (2.0 * math.pi / n)
+    return math.fsum(log_abs_derivative(b, np.exp(1j * th)).tolist()) / n
+
+
+def orbit_angles(b: BlaschkeMap, steps: int, samples: int, seed: int) -> np.ndarray:
+    """Angles/2pi of orbit endpoints from uniform starts (invariance diagnostics)."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    z = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, samples))
+    for _ in range(steps):
+        z = apply_circle(b, z)
+    return (np.angle(z) / (2.0 * math.pi)) % 1.0
+
+
+def ks_uniform_statistic(values: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance of samples in [0,1) from the uniform law."""
+    x = np.sort(np.asarray(values))
+    n = len(x)
+    up = np.max(np.arange(1, n + 1) / n - x)
+    down = np.max(x - np.arange(0, n) / n)
+    return float(max(up, down))

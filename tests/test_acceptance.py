@@ -207,7 +207,7 @@ def test_criterion_10_determinism(tmp_path, capsys):
             out_dir = tmp_path / sub
             assert main(["dynamics", "var", "--phi", str(phi), "--d", "2",
                          "--n", "6", "--samples", "2000", "--seed", "5",
-                         "--out", str(out_dir)]) == 0
+                         "--method", "mc", "--out", str(out_dir)]) == 0
             capsys.readouterr()
             seeded.append((out_dir / "dynamics_var.json").read_bytes())
         assert seeded[0] == seeded[1]

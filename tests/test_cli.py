@@ -11,6 +11,7 @@ import pytest
 
 import bvlab
 from bvlab.cli import build_parser, main
+from bvlab.dynamics import BlaschkeMap, CirclePotential, birkhoff_variance
 from bvlab.errors import FREQ_CAP, ValidationError, parse_int
 
 
@@ -76,6 +77,14 @@ class TestOptimize:
         code, out, _ = run_cli(["optimize", "--d-min", "2", "--d-max", "1e18"], tmp_path, capsys)
         assert code == 0
         assert json.loads(out)["best_integer"]["d"] == 20
+
+    def test_range_at_degree_capacity(self, tmp_path, capsys):
+        # 2^63 - 1 rounds up to 2^63 as a float; the search must stay at or below it
+        d_min = 9223372036854775000
+        code, out, _ = run_cli(["optimize", "--d-min", str(d_min),
+                                "--d-max", "9223372036854775807"], tmp_path, capsys)
+        assert code == 0
+        assert json.loads(out)["best_integer"]["d"] == d_min
 
 
 class TestOrder2:
@@ -144,12 +153,36 @@ class TestDynamics:
         phi_path = tmp_path / "phi.json"
         phi_path.write_text(json.dumps({"coeffs": [[-1, 1.0, 0.0], [1, 1.0, 0.0]]}))
         code, out, _ = run_cli(["dynamics", "var", "--phi", str(phi_path), "--d", "2",
-                                "--n", "10", "--samples", "4000", "--seed", "7"],
-                               tmp_path, capsys)
+                                "--n", "10", "--samples", "4000", "--seed", "7",
+                                "--method", "mc"], tmp_path, capsys)
         assert code == 0
         doc = json.loads(out)
         assert doc["seed"] == 7
         assert doc["estimate"] > 0 and doc["stderr"] > 0
+
+    def test_var_exact_is_the_default(self, tmp_path, capsys):
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps({"coeffs": [[-2, 0.3, -0.1], [1, 0.5, 0.2]]}))
+        code, out, _ = run_cli(["dynamics", "var", "--blaschke", "0.3+0j", "--phi",
+                                str(phi_path), "--n", "50"], tmp_path, capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert sorted(doc) == ["converged", "limit", "limit_tail", "log_deriv_mean",
+                               "tolerance", "variance"]
+        phi = CirclePotential.from_doc(json.loads(phi_path.read_text()))
+        expect = birkhoff_variance(phi, BlaschkeMap((0.3,)), 50)
+        assert (doc["variance"], doc["limit"]) == (expect.value, expect.limit)
+        assert doc["converged"] is True
+        assert doc["log_deriv_mean"] == pytest.approx(math.log1p(math.sqrt(0.91)), rel=1e-15)
+        manifest = json.loads((tmp_path / "dynamics_var_manifest.json").read_text())
+        assert manifest["config"]["method"] == "exact"
+
+    def test_var_exact_rejects_long_potential_naming_monte_carlo(self, tmp_path, capsys):
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps({"coeffs": [[m, 1.0, 0.0] for m in range(1, 3001)]}))
+        code, out, err = run_cli(["dynamics", "var", "--phi", str(phi_path)], tmp_path, capsys)
+        assert code == 2 and out == ""
+        assert "--method mc" in json.loads(err)["message"]
 
 
 class TestConfigAndErrors:
@@ -245,17 +278,21 @@ class TestConfigAndErrors:
         (["dynamics", "var", "--phi", "{phi}", "--n", "1e8", "--samples", "2"], None),
         (["dynamics", "var", "--phi", "{phi}", "--d", "1e9", "--n", "1", "--samples", "2"],
          None),
+        (["dynamics", "var", "--phi", "{long}", "--method", "mc", "--n", "10000"], None),
+        (["dynamics", "var", "--phi", "{long}"], None),
     ], ids=["blaschke_zero", "config_shells", "huge_degree", "huge_r0", "binary_config",
             "self_similarity", "missing_degree", "bad_int_flag", "bad_choice",
             "unknown_flag", "missing_dimension_degree", "negative_seed", "string_switch",
             "fractional_frequency", "huge_points", "infinite_r_max", "no_terms",
             "huge_terms", "huge_samples", "config_choice", "config_path_number",
             "infinite_degree", "overflowing_degree", "infinite_r0", "unit_r0", "huge_blocks",
-            "infinite_eps", "huge_orbit", "huge_map_degree"])
+            "infinite_eps", "huge_orbit", "huge_map_degree", "long_potential_mc",
+            "long_potential_exact"])
     def test_bad_input_gives_one_json_error(self, argv, config, tmp_path, capsys):
         docs = {"phi": {"coeffs": [[-1, 1.0, 0.0]]},
                 "series": {"coeffs": [[2, 1.0, 0.0]], "max_freq": 8, "self_similarity": "x"},
-                "fractional": {"coeffs": [[2.7, 1.0, 0.0]], "max_freq": 8.9}}
+                "fractional": {"coeffs": [[2.7, 1.0, 0.0]], "max_freq": 8.9},
+                "long": {"coeffs": [[m, 1.0, 0.0] for m in range(1, 3001)]}}
         for name, doc in docs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         argv = [arg.format(**{name: tmp_path / f"{name}.json" for name in docs})
@@ -360,18 +397,19 @@ import bvlab.cli
 HEAVY = ("numpy", "concurrent.futures.process")
 assert not [m for m in HEAVY if m in sys.modules], "loaded by import bvlab.cli"
 out = sys.argv[1]
+with open(out + "/phi.json", "w") as fh:
+    fh.write('{"coeffs": [[-2, 0.5, 0.0], [1, 1.0, 0.0]]}')
+var = ["dynamics", "var", "--blaschke", "0.3+0j", "--phi", out + "/phi.json", "--n", "50"]
 for argv in (["table2"], ["order2", "--d", "16", "--refine"],
              ["means-curve", "--d", "2", "--rho0", "0.25", "--shells", "30",
               "--r-min", "1e-8", "--r-max", "1e-3"], ["selfcheck"],
-             ["variance", "shell", "--d", "4", "--method", "cesaro"]):
+             ["variance", "shell", "--d", "4", "--method", "cesaro"], var,
+             ["selfcheck", "--full"]):
     assert bvlab.cli.main([*argv, "--out", out]) == 0, argv
     loaded = [m for m in HEAVY if m in sys.modules]
     assert not loaded, (argv, loaded)
 # the probe can see a lazy import: the Monte Carlo Birkhoff sums load numpy
-with open(out + "/phi.json", "w") as fh:
-    fh.write('{"coeffs": [[1, 1.0, 0.0]]}')
-assert bvlab.cli.main(["dynamics", "var", "--phi", out + "/phi.json", "--n", "4",
-                       "--samples", "100", "--out", out]) == 0
+assert bvlab.cli.main([*var, "--samples", "100", "--method", "mc", "--out", out]) == 0
 assert "numpy" in sys.modules
 """
 
@@ -404,7 +442,7 @@ class TestDeterminism:
         for sub in ("a", "b"):
             code, out, _ = run_cli(["dynamics", "var", "--phi", str(phi_path),
                                     "--d", "2", "--n", "6", "--samples", "3000",
-                                    "--seed", "11"], tmp_path / sub, capsys)
+                                    "--seed", "11", "--method", "mc"], tmp_path / sub, capsys)
             assert code == 0
             outs.append(out)
         assert outs[0] == outs[1]

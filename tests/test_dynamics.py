@@ -1,14 +1,17 @@
-"""Dynamical variance on the circle: exact bookkeeping, sampling, coboundaries."""
+"""Dynamical variance on the circle: exact bookkeeping, series composition,
+sampling, coboundaries."""
 import math
 
 import numpy as np
 import pytest
 
-from bvlab.dynamics import (MAX_SAMPLES, MAX_WORK, MIN_BATCH, BlaschkeMap, CirclePotential,
-                            birkhoff_variance_exact, birkhoff_variance_mc,
-                            check_mc_work, coboundary_check, ks_uniform_statistic,
-                            log_deriv_mean, orbit_angles)
+from bvlab.dynamics import (MAX_EXACT_WORK, MAX_SAMPLES, MAX_WORK, MIN_BATCH, MIN_ORDER,
+                            BlaschkeMap, CirclePotential, birkhoff_variance,
+                            birkhoff_variance_exact, birkhoff_variance_mc, check_exact_work,
+                            check_mc_work, coboundary_check, log_deriv_mean)
 from bvlab.errors import ValidationError
+from oracles import (apply_circle, ks_uniform_statistic, log_abs_derivative, orbit_angles,
+                     quad_log_deriv_mean)
 
 
 class TestExactVariance:
@@ -20,6 +23,9 @@ class TestExactVariance:
 
     def test_zero_potential(self):
         assert birkhoff_variance_exact(CirclePotential.from_map({}), 2, 5) == 0.0
+
+    def test_zero_potential_does_not_loop(self):
+        assert birkhoff_variance_exact(CirclePotential.from_map({}), 2, 10**12) == 0.0
 
     def test_mean_zero_required(self):
         with pytest.raises(ValidationError):
@@ -77,6 +83,11 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             check_mc_work(n, samples, degree)
 
+    def test_work_bound_counts_potential_terms(self):
+        check_mc_work(10000, 2, 2)
+        with pytest.raises(ValidationError):
+            check_mc_work(10000, 2, 2, 3000)
+
     @pytest.mark.parametrize("samples, seed", [(1, 0), (MAX_SAMPLES + 1, 0), (100, -1)])
     def test_sample_count_and_seed_checked_before_sampling(self, samples, seed):
         phi = CirclePotential.from_map({1: 1.0})
@@ -97,10 +108,89 @@ class TestMonteCarlo:
         assert e1 > 0
 
 
+def _potential(seed: int, freqs) -> CirclePotential:
+    rng = np.random.Generator(np.random.Philox(seed))
+    return CirclePotential.from_map({m: complex(*rng.uniform(-1, 1, 2)) for m in freqs})
+
+
+POTENTIALS = [(-1, 1), (-3, 2, 5), (-7, -4, 1, 2, 3, 4)]
+
+
+class TestSeriesVariance:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("freqs", POTENTIALS)
+    def test_matches_frequency_bookkeeping(self, d, freqs):
+        phi = _potential(len(freqs), freqs)
+        for n in (1, 4, 13):
+            exact = birkhoff_variance_exact(phi, d, n)
+            value = birkhoff_variance(phi, BlaschkeMap.power(d), n).value
+            assert abs(value - exact) <= 1e-15 * exact
+
+    @pytest.mark.parametrize("zeros", [(-0.6 + 0.3j,), (0.5 + 0.2j, -0.4j), (0j, -0.5 + 0.3j)])
+    def test_monte_carlo_within_four_standard_errors(self, zeros):
+        # M = 3 with two negative frequencies: every coefficient of the composed
+        # series up to order 3 enters, the division by 1 - conj(a) f included
+        phi = _potential(17, (-2, -1, 1, 3))
+        b = BlaschkeMap(zeros)
+        exact = birkhoff_variance(phi, b, 12).value
+        est, err = birkhoff_variance_mc(phi, b, 12, 40000, seed=23)
+        assert abs(est - exact) <= 4 * err
+
+    def test_single_zero_correlations_are_geometric(self):
+        # phi = z: C(k) = [z] B^k = B'(0)^k = (-a)^k, so the limit is (1 - a)/(1 + a)
+        a, n = 0.3, 60
+        result = birkhoff_variance(CirclePotential.from_map({1: 1.0}), BlaschkeMap((a,)), n)
+        value = 1 + 2 * math.fsum((1 - k / n) * (-a) ** k for k in range(1, n))
+        assert result.value == pytest.approx(value, rel=1e-14)
+        assert result.limit == pytest.approx((1 - a) / (1 + a), rel=1e-14)
+        assert result.converged and result.limit_tail <= 1e-12
+
+    def test_pure_power_limit_is_exact(self):
+        # z^2 pushes frequency 5 past M after three steps: the iterate vanishes
+        result = birkhoff_variance(_potential(3, (-3, 2, 5)), BlaschkeMap.power(2), 10)
+        assert result.converged and result.limit_tail == 0.0
+
+    def test_slow_decay_is_not_converged(self):
+        result = birkhoff_variance(_potential(2, (-1, 1)), BlaschkeMap((0.9,)), 10)
+        assert not result.converged
+
+    def test_zero_potential_does_not_loop(self):
+        phi = CirclePotential.from_map({0: 2.0})
+        result = birkhoff_variance(phi, BlaschkeMap((0.3,)), 10**12)
+        assert (result.value, result.limit, result.converged) == (0.0, 0.0, True)
+
+    def test_work_bound(self):
+        phi = _potential(40, range(-40, 41))
+        check_exact_work(50, phi, 3)
+        small = CirclePotential.from_map({1: 1.0})
+        steps = MAX_EXACT_WORK // (MIN_ORDER**2 * (MIN_ORDER + 2))
+        check_exact_work(steps, small, 2)
+        with pytest.raises(ValidationError):
+            check_exact_work(steps + 1, small, 2)
+        with pytest.raises(ValidationError, match="--method mc"):
+            check_exact_work(1, _potential(5, range(-1500, 1501)), 2)
+
+    def test_power_map_stores_no_zeros(self):
+        b = BlaschkeMap.power(10**9)
+        assert b.zeros == () and b.degree == 10**9
+        assert BlaschkeMap((0j, 0.3, 0j)) == BlaschkeMap((0.3,), order=3)
+
+
 class TestLogDerivative:
     def test_pure_powers_exact(self):
         assert log_deriv_mean(BlaschkeMap.power(2)) == math.log(2)
         assert log_deriv_mean(BlaschkeMap.power(20)) == math.log(20)
+
+    @pytest.mark.parametrize("a", [1e-3, 0.3, 0.5 + 0.2j, -0.7j, 0.9, 0.99])
+    def test_jensen_formula_matches_quadrature(self, a):
+        b = BlaschkeMap((a,))
+        assert abs(log_deriv_mean(b) - quad_log_deriv_mean(b)) <= 1e-13
+
+    @pytest.mark.parametrize("zeros", [(0.5 + 0.2j, -0.4j), (0j, 0.6j),
+                                       (0.4 + 0.2j, -0.1 + 0.6j, 0.95)])
+    def test_midpoint_rule_matches_quadrature(self, zeros):
+        b = BlaschkeMap(zeros)
+        assert abs(log_deriv_mean(b) - quad_log_deriv_mean(b)) <= 1e-13
 
     def test_blaschke_positive_and_matches_orbit_average(self):
         b = BlaschkeMap((0.5 + 0j,))
@@ -111,8 +201,8 @@ class TestLogDerivative:
         z = np.exp(1j * rng.uniform(0, 2 * math.pi, 200))
         total = []
         for _ in range(400):
-            total.append(b.log_abs_derivative(z))
-            z = b.apply_circle(z)
+            total.append(log_abs_derivative(b, z))
+            z = apply_circle(b, z)
         samples = np.concatenate(total)
         mc = float(np.mean(samples))
         stderr = float(np.std(samples) / math.sqrt(400 * 200 / 10.0))  # correlated
