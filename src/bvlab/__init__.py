@@ -23,6 +23,6 @@ from .formulas import (DimensionRow, best_integer_degree, best_real_degree,
 from .laurent import ExteriorLaurent, SelfSimilarity
 from .order2 import Order2Report, order2_bound, order2_field, parameter_search
 from .variance import (VarianceEstimate, bloch_seminorm, cesaro_sigma4,
-                       growth_slope, hardy_check, integral_means,
+                       growth_slope, integral_means,
                        third_derivative, variance_block, variance_block_mass,
                        variance_lacunary)

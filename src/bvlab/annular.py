@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import fsum, inf, isfinite
 
 from .errors import (CapacityError, DivergentMomentError, FREQ_CAP,
-                     UnsupportedTermError, ValidationError, parse_int)
+                     UnsupportedTermError, ValidationError, parse_float, parse_int)
 from .laurent import ExteriorLaurent
 
 
@@ -116,13 +116,15 @@ class MonomialTerm:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "MonomialTerm":
+        def num(key: str) -> float:
+            return parse_float(doc[key], key)
+
         try:
-            coeff = complex(doc["re"], doc["im"])
+            coeff = complex(num("re"), num("im"))
             p, q = parse_int(doc["p"], "p"), parse_int(doc["q"], "q")
-            gamma = float(doc["gamma"])
             if "log_r_in" in doc and "log_r_out" in doc:
-                return cls(coeff, p, q, gamma, float(doc["log_r_in"]), float(doc["log_r_out"]))
-            return cls.make(coeff, p, q, gamma, float(doc["r_in"]), float(doc["r_out"]))
+                return cls(coeff, p, q, num("gamma"), num("log_r_in"), num("log_r_out"))
+            return cls.make(coeff, p, q, num("gamma"), num("r_in"), num("r_out"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed term document: {exc}") from exc
 

@@ -8,6 +8,7 @@ artifacts; nothing time-dependent is written.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -18,9 +19,8 @@ from . import __version__
 from .constructions import (ShellParams, build_shell, shell_beurling_series,
                             shell_cauchy_series, truncate_to_polynomial)
 from .dynamics import (MAX_SAMPLES, BlaschkeMap, CirclePotential, birkhoff_variance,
-                       birkhoff_variance_mc, check_exact_work, check_mc_work,
-                       coboundary_check, log_deriv_mean)
-from .errors import (BVLabError, CapacityError, UnresolvedScaleError,
+                       birkhoff_variance_mc, coboundary_check, log_deriv_mean)
+from .errors import (FREQ_CAP, BVLabError, CapacityError, UnresolvedScaleError,
                      UnresolvedTruncationError, ValidationError, parse_float, parse_int)
 from .formulas import (best_integer_degree, best_real_degree, distortion_constant,
                        julia_dim_k, julia_dim_t, optimal_rho0, sigma2_optimal,
@@ -39,25 +39,14 @@ def _flag(key: str) -> str:
     return "--out" if key == "output_dir" else "--" + key.replace("_", "-")
 
 
-def _value(cfg: RunConfig, key: str, default=None):
-    """The configured value of ``key``; a key without a default is required."""
-    value = cfg.get(key, default)
-    if value is None:
+def _need(opts: dict, key: str):
+    """The value of a key that this run cannot do without."""
+    if opts[key] is None:
         raise ValidationError(f"{key} is required: pass {_flag(key)} or set it in the config")
-    return value
-
-
-def _int(cfg: RunConfig, key: str, default: int | None = None) -> int:
-    return parse_int(_value(cfg, key, default), key)
-
-
-def _float(cfg: RunConfig, key: str, default: float | None = None) -> float:
-    return parse_float(_value(cfg, key, default), key)
+    return opts[key]
 
 
 def _read_json(path: str, what: str):
-    if not isinstance(path, str):  # a config number would name a file descriptor
-        raise ValidationError(f"the {what} path must be a string, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -76,82 +65,75 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _emit(config: RunConfig, out_dir: Path, name: str, payload: dict,
-          resolved: dict | None = None) -> None:
-    write_text(out_dir / f"{name}_manifest.json",
-               json_text(config.manifest(__version__, resolved)))
-    text = json_text(payload)
-    write_text(out_dir / f"{name}.json", text)
+def _emit(config: RunConfig, out_dir: Path, name: str, payload, resolved: dict | None = None,
+          files: dict | None = None, ext: str = "json") -> None:
+    """Write the manifest, the side files and the payload, and echo the payload.
+
+    Every text is serialized before the first file is written, so a value that
+    cannot be written (a non-finite float) leaves no artifact behind.
+    """
+    text = payload if isinstance(payload, str) else json_text(payload)
+    texts = {f"{name}_manifest.json": json_text(config.manifest(__version__, resolved)),
+             **(files or {}), f"{name}.{ext}": text}
+    for file_name, file_text in texts.items():
+        write_text(out_dir / file_name, file_text)
     sys.stdout.write(text)
 
 
-def _shell_params(cfg: RunConfig) -> ShellParams:
-    d = _float(cfg, "d")
-    rho0 = cfg.get("rho0")
-    rho0 = optimal_rho0(d) if rho0 == "optimal" else parse_float(rho0, "rho0")
-    n0 = cfg.get("n0")
-    return ShellParams(d=d, rho0=rho0, n0=None if n0 is None else parse_int(n0, "n0"),
-                       shells=_int(cfg, "shells", 10),
-                       max_freq=_int(cfg, "max_freq", 2**63 - 1))
+def _shell_params(opts: dict) -> ShellParams:
+    d = _need(opts, "d")
+    rho0 = optimal_rho0(d) if opts["rho0"] == "optimal" else opts["rho0"]
+    return ShellParams(d=d, rho0=rho0, n0=opts["n0"], shells=opts["shells"],
+                       max_freq=opts["max_freq"])
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the typed options and an emitter bound to the run
 # ---------------------------------------------------------------------------
 
-def cmd_table2(cfg: RunConfig, out_dir: Path) -> int:
+def cmd_table2(opts: dict, emit) -> int:
     rows = table2()
-    fmt = cfg.get("format", "csv")
-    header = ["d", "lambda_lemma", "improved", "c_d", "optimal_rho0",
-              "lambda_lemma_display", "improved_display"]
-    table_rows = [[r.d, r.lambda_lemma_coeff, r.improved_coeff, r.c_d, r.optimal_rho0,
-                   truncate_display(r.lambda_lemma_coeff), truncate_display(r.improved_coeff)]
-                  for r in rows]
-    write_text(out_dir / "table2_manifest.json", json_text(cfg.manifest(__version__)))
-    if fmt == "csv":
-        text = csv_text(header, table_rows)
-        write_text(out_dir / "table2.csv", text)
-        sys.stdout.write(text)
+    if opts["format"] == "csv":
+        header = ["d", "lambda_lemma", "improved", "c_d", "optimal_rho0",
+                  "lambda_lemma_display", "improved_display"]
+        emit("table2", csv_text(header, [
+            [r.d, r.lambda_lemma_coeff, r.improved_coeff, r.c_d, r.optimal_rho0,
+             truncate_display(r.lambda_lemma_coeff), truncate_display(r.improved_coeff)]
+            for r in rows]), ext="csv")
     else:
-        payload = {"rows": [r.to_doc() for r in rows]}
-        text = json_text(payload)
-        write_text(out_dir / "table2.json", text)
-        sys.stdout.write(text)
+        emit("table2", {"rows": [r.to_doc() for r in rows]})
     return 0
 
 
-def cmd_variance(cfg: RunConfig, out_dir: Path) -> int:
-    params = _shell_params(cfg)
-    method = cfg.get("method")
+def cmd_variance(opts: dict, emit) -> int:
+    params = _shell_params(opts)
+    method, r0, blocks = opts["method"], opts["r0"], opts["blocks"]
     if method == "exact":
         from .constructions import shell_moduli
-        est = variance_lacunary(shell_moduli(params, _int(cfg, "terms", 4000)), params.d)
+        est = variance_lacunary(shell_moduli(params, opts["terms"]), params.d)
     elif method == "block":
-        g = shell_beurling_series(_auto_shells(params, cfg))
-        est = variance_block(g, params.degree, _float(cfg, "r0", 1.5), _int(cfg, "blocks", 8))
+        g = shell_beurling_series(_auto_shells(params, r0, blocks))
+        est = variance_block(g, params.degree, r0, blocks)
     elif method == "mass":
         est = variance_block_mass(shell_beurling_series(params))
     else:  # cesaro
-        est = cesaro_sigma4(shell_cauchy_series(params), _float(cfg, "r0", 1.5),
-                            params.degree)
+        est = cesaro_sigma4(shell_cauchy_series(params), r0, params.degree)
     payload = est.to_doc()
     payload["d"] = params.d
     payload["rho0"] = params.rho0
     payload["closed_form"] = sigma2_optimal(params.d) if \
         abs(params.rho0 - optimal_rho0(params.d)) < 1e-12 else None
-    write_text(out_dir / "variance_diagnostics.csv",
-               csv_text(["scale_index", "running_estimate"],
-                        [[i, v] for i, v in est.diagnostics]))
-    _emit(cfg, out_dir, "variance", payload, {"rho0": params.rho0})
+    diagnostics = csv_text(["scale_index", "running_estimate"],
+                           [[i, v] for i, v in est.diagnostics])
+    emit("variance", payload, {"rho0": params.rho0},
+         files={"variance_diagnostics.csv": diagnostics})
     return 0
 
 
-def _auto_shells(params: ShellParams, cfg: RunConfig) -> ShellParams:
+def _auto_shells(params: ShellParams, r0: float, blocks: int) -> ShellParams:
     """Grow the shell count until the finest probed scale is resolved."""
     from dataclasses import replace
 
-    r0 = _float(cfg, "r0", 1.5)
-    blocks = _int(cfg, "blocks", 8)
     d = params.degree
     r_final_minus_1 = math.expm1(block_log_scales(r0, d, blocks)[-1])
     need = 10.0 / r_final_minus_1
@@ -161,87 +143,60 @@ def _auto_shells(params: ShellParams, cfg: RunConfig) -> ShellParams:
     return replace(params, shells=j)
 
 
-def cmd_optimize(cfg: RunConfig, out_dir: Path) -> int:
-    d_min = _int(cfg, "d_min", 2)
-    d_max = _int(cfg, "d_max", 64)
-    best_int = best_integer_degree(d_min, d_max)
-    best_real = best_real_degree(d_min, d_max)
-    payload = {
+def cmd_optimize(opts: dict, emit) -> int:
+    best_int = best_integer_degree(opts["d_min"], opts["d_max"])
+    best_real = best_real_degree(opts["d_min"], opts["d_max"])
+    emit("optimize", {
         "best_integer": {"d": best_int[0], "value": best_int[1],
                          "optimal_rho0": optimal_rho0(best_int[0])},
         "best_real": {"d": best_real[0], "value": best_real[1]},
-    }
-    _emit(cfg, out_dir, "optimize", payload)
+    })
     return 0
 
 
-def cmd_order2(cfg: RunConfig, out_dir: Path) -> int:
-    grid_d = cfg.get("grid_d")
-    if grid_d:
-        degrees = [parse_int(x, "grid_d") for x in str(grid_d).split(",")]
-        rhos = [x if x == "optimal" else parse_float(x, "grid_rho0")
-                for x in str(cfg.get("grid_rho0", "optimal")).split(",")]
-        n0s = [None if x == "default" else parse_int(x, "grid_n0")
-               for x in str(cfg.get("grid_n0", "default")).split(",")]
-        grid = shell_grid(degrees, rhos, n0s, _int(cfg, "shells", 6),
-                          _int(cfg, "max_freq", 2**63 - 1))
+def cmd_order2(opts: dict, emit) -> int:
+    if opts["grid_d"]:
+        grid = shell_grid(opts["grid_d"], opts["grid_rho0"], opts["grid_n0"],
+                          6 if opts["shells"] is None else opts["shells"], opts["max_freq"])
         best, board = parameter_search(grid)
         header = ["d", "rho0", "n0", "shells", "first_order", "second_order",
                   "total", "tail_mass"]
         rows = [[r.params.d, r.params.rho0, r.params.first_frequency, r.shells_used,
                  r.first_order, r.second_order, r.total, r.tail_mass] for r in board]
-        write_text(out_dir / "order2_leaderboard.csv", csv_text(header, rows))
-        _emit(cfg, out_dir, "order2", best.to_doc())
+        emit("order2", best.to_doc(), files={"order2_leaderboard.csv": csv_text(header, rows)})
         return 0
-    params = _shell_params(cfg)
-    if cfg.get("shells") is None:
-        params = _default_order2_shells(params)
-    report = order2_bound(params, refine=bool(cfg.get("refine")))
-    _emit(cfg, out_dir, "order2", report.to_doc(), {"rho0": params.rho0})
+    if opts["shells"] is None:  # half the capacity, leaving room for the refinement doubling
+        capacity = _shell_params({**opts, "shells": 10**6}).clipped_to_max_freq().shells
+        opts = {**opts, "shells": max(2, min(10, capacity // 2))}
+    params = _shell_params(opts)
+    report = order2_bound(params, refine=opts["refine"])
+    emit("order2", report.to_doc(), {"rho0": params.rho0})
     return 0
 
 
-def _default_order2_shells(params: ShellParams) -> ShellParams:
-    """Default shell count leaving room for the refinement doubling."""
-    from dataclasses import replace
-
-    cap_params = replace(params, shells=10**6).clipped_to_max_freq()
-    return replace(params, shells=max(2, min(10, cap_params.shells // 2)))
-
-
-def cmd_dimension(cfg: RunConfig, out_dir: Path) -> int:
-    d = _int(cfg, "d")
+def cmd_dimension(opts: dict, emit) -> int:
+    d, t, k = _need(opts, "d"), opts["t"], opts["k"]
     payload: dict = {"d": d, "remainder_order": "cubic in the distortion",
                      "c_d": distortion_constant(d)}
-    t = cfg.get("t")
-    k = cfg.get("k")
+    # the Smirnov bounds check |t| < 1 and 0 <= k < 1 before the expansions run
     if t is not None:
-        t = parse_float(t, "t")
-        payload["t"] = t
-        payload["dimension_t"] = julia_dim_t(d, t)
-        payload["smirnov_t"] = smirnov_dim_t(abs(t))
+        payload.update(t=t, smirnov_t=smirnov_dim_t(abs(t)), dimension_t=julia_dim_t(d, t))
     if k is not None:
-        k = parse_float(k, "k")
-        payload["k"] = k
-        payload["dimension_k"] = julia_dim_k(d, k)
-        payload["smirnov_k"] = smirnov_dim_k(k)
+        payload.update(k=k, smirnov_k=smirnov_dim_k(k), dimension_k=julia_dim_k(d, k))
     if t is None and k is None:
         payload["quadratic_coefficient_k"] = sigma2_optimal(d)
-    _emit(cfg, out_dir, "dimension", payload)
+    emit("dimension", payload)
     return 0
 
 
-def cmd_means_curve(cfg: RunConfig, out_dir: Path) -> int:
-    lo = _float(cfg, "r_min", 1e-6)
-    hi = _float(cfg, "r_max", 0.5)
-    n = _int(cfg, "points", 40)
-    if not (0.0 < lo < hi < math.inf and 2 <= n <= _MAX_POINTS):
-        raise ValidationError(f"need 0 < r_min < r_max < inf and 2 <= points <= {_MAX_POINTS}")
-    series_path = cfg.get("series")
-    if series_path:
-        g = ExteriorLaurent.from_doc(_read_json(series_path, "series"))
+def cmd_means_curve(opts: dict, emit) -> int:
+    lo, hi, n = opts["r_min"], opts["r_max"], opts["points"]
+    if not (0.0 < lo < hi < 1.0 and 2 <= n <= _MAX_POINTS):
+        raise ValidationError(f"need 0 < r_min < r_max < 1 and 2 <= points <= {_MAX_POINTS}")
+    if opts["series"]:
+        g = ExteriorLaurent.from_doc(_read_json(opts["series"], "series"))
     else:
-        g = shell_beurling_series(_shell_params(cfg))
+        g = shell_beurling_series(_shell_params(opts))
     rows = []
     for i in range(n):
         t = i / (n - 1)
@@ -252,23 +207,19 @@ def cmd_means_curve(cfg: RunConfig, out_dir: Path) -> int:
         resolved = g.max_freq >= 10.0 / x
         rows.append([1.0 + x, means, ratio, "true" if resolved else "false"])
     slope = growth_slope(g, 1.0 + lo, 1.0 + hi, n)
-    text = csv_text(["R", "integral_means", "ratio", "resolved"], rows)
-    write_text(out_dir / "means_curve.csv", text)
-    write_text(out_dir / "means_curve_manifest.json",
-               json_text(cfg.manifest(__version__, {"growth_slope": slope})))
-    sys.stdout.write(text)
+    emit("means_curve", csv_text(["R", "integral_means", "ratio", "resolved"], rows),
+         {"growth_slope": slope}, ext="csv")
     return 0
 
 
-def cmd_truncate(cfg: RunConfig, out_dir: Path) -> int:
-    mu_path = cfg.get("mu")
-    if mu_path:
+def cmd_truncate(opts: dict, emit) -> int:
+    if opts["mu"]:
         from .annular import PiecewiseField
-        mu = PiecewiseField.from_doc(_read_json(mu_path, "field"))
+        mu = PiecewiseField.from_doc(_read_json(opts["mu"], "field"))
     else:
-        mu = build_shell(_shell_params(cfg))
-    result = truncate_to_polynomial(mu, _float(cfg, "r1"), _float(cfg, "eps"),
-                                    rescale=bool(cfg.get("rescale")))
+        mu = build_shell(_shell_params(opts))
+    result = truncate_to_polynomial(mu, _need(opts, "r1"), _need(opts, "eps"),
+                                    rescale=opts["rescale"])
     payload = {
         "cutoff": result.cutoff,
         "correction_bound": result.correction_bound,
@@ -276,58 +227,40 @@ def cmd_truncate(cfg: RunConfig, out_dir: Path) -> int:
         "rescaled": result.rescaled,
         "terms": len(result.field.terms),
     }
-    write_text(out_dir / "truncated_field.json", json_text(result.field.to_doc()))
-    _emit(cfg, out_dir, "truncate", payload)
+    emit("truncate", payload, files={"truncated_field.json": json_text(result.field.to_doc())})
     return 0
 
 
-def cmd_dynamics(cfg: RunConfig, out_dir: Path) -> int:
-    sub = cfg.get("subcommand")
-    if sub == "coboundary":
-        check = coboundary_check(_int(cfg, "d", 2), _int(cfg, "n", 20))
-        payload = check.to_doc()
-        payload["seed"] = _int(cfg, "seed", 0)
-        _emit(cfg, out_dir, "dynamics_coboundary", payload)
+def cmd_dynamics(opts: dict, emit) -> int:
+    if opts["subcommand"] == "coboundary":
+        payload = coboundary_check(opts["d"], 20 if opts["n"] is None else opts["n"]).to_doc()
+        payload["seed"] = opts["seed"]
+        emit("dynamics_coboundary", payload)
         return 0
-    raw = str(cfg.get("blaschke") or "")
-    try:
-        zeros = tuple(complex(part) for part in raw.split(",") if part)
-    except ValueError as exc:
-        raise ValidationError(f"blaschke zeros must be complex numbers such as "
-                              f"0.3+0j, got {raw!r}") from exc
-    degree = len(zeros) + 1 if zeros else _int(cfg, "d", 2)
-    n, samples, seed = _int(cfg, "n", 50), _int(cfg, "samples", 100000), _int(cfg, "seed", 0)
+    n, samples, seed = 50 if opts["n"] is None else opts["n"], opts["samples"], opts["seed"]
     if seed < 0 or not 2 <= samples <= MAX_SAMPLES:  # checked on every route
         raise ValidationError(f"need seed >= 0 and 2 <= samples <= {MAX_SAMPLES}")
-    phi = CirclePotential.from_doc(_read_json(_value(cfg, "phi"), "potential"))
-    monte_carlo = cfg.get("method") == "mc"
-    if monte_carlo:
-        check_mc_work(n, samples, degree, len(phi.without_mean().coeffs))
-    else:
-        check_exact_work(n, phi, degree)
-    b = BlaschkeMap(zeros) if zeros else BlaschkeMap.power(degree)
-    if monte_carlo:
+    phi = CirclePotential.from_doc(_read_json(_need(opts, "phi"), "potential"))
+    zeros = opts["blaschke"]
+    b = BlaschkeMap(zeros) if zeros else BlaschkeMap.power(opts["d"])
+    # both routes bound their work before they build a series or sample an orbit
+    if opts["method"] == "mc":
         est, err = birkhoff_variance_mc(phi, b, n, samples, seed)
         payload = {"estimate": est, "stderr": err, "seed": seed}
     else:
         payload = birkhoff_variance(phi, b, n).to_doc()
     payload["log_deriv_mean"] = log_deriv_mean(b)
-    _emit(cfg, out_dir, "dynamics_var", payload)
+    emit("dynamics_var", payload)
     return 0
 
 
-def cmd_selfcheck(cfg: RunConfig, out_dir: Path) -> int:
-    results = run_selfcheck(full=bool(cfg.get("full")))
+def cmd_selfcheck(opts: dict, emit) -> int:
+    results = run_selfcheck(full=opts["full"])
+    sys.stdout.write("".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n"
+                             for r in results))
     ok = all(r.passed for r in results)
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{status} {r.name}: {r.detail}")
-    text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    payload = {"passed": ok, "checks": [
-        {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]}
-    _emit(cfg, out_dir, "selfcheck", payload)
+    emit("selfcheck", {"passed": ok, "checks": [
+        {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]})
     return 0 if ok else 1
 
 
@@ -335,15 +268,57 @@ def cmd_selfcheck(cfg: RunConfig, out_dir: Path) -> int:
 # argument parsing: one table declares every key of every command
 # ---------------------------------------------------------------------------
 
-# A key's kind is "int", "float", "text", "switch" or a tuple of choices.
-# "kind" and "subcommand" are positional; every other key is a --flag and may
-# also come from the config file.  The manifest echoes flags as parsed and
-# config values as written; the handlers coerce both when they read them.
-_SHELL = {"d": "text", "rho0": "text", "n0": "int", "shells": "int", "max_freq": "text"}
-_GLOBAL = {"seed": "int", "output_dir": "text"}
-_DEFAULTS = {"rho0": "optimal", "method": "exact"}  # echoed in manifests, below the config
+def _text(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _switch(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{key} must be true, false or null, got {value!r}")
+    return value
+
+
+def _choice(choices: tuple, value, key: str):
+    if value not in choices:
+        raise ValidationError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+def _rho0(value, key: str):
+    return value if value == "optimal" else parse_float(value, key)
+
+
+def _listed(read):
+    """Reader of a comma-separated list whose entries ``read`` reads."""
+    return lambda value, key: [read(x, key) for x in str(value).split(",")]
+
+
+def _zeros(value, key: str) -> tuple[complex, ...]:
+    try:
+        zeros = tuple(complex(part) for part in str(value).split(",") if part)
+        if all(map(cmath.isfinite, zeros)):
+            return zeros
+    except ValueError:
+        pass
+    raise ValidationError(f"{key} zeros must be finite complex numbers such as 0.3+0j, "
+                          f"got {value!r}")
+
+
+# Each key maps to (kind, default).  A kind is "int" or "float" (argparse reads
+# the flag), "text", "switch", a tuple of choices, or a reader for a flag that
+# argparse keeps as text.  "kind" and "subcommand" are positional; every other
+# key is a --flag and may also come from the config file.  _read coerces the
+# merged values once, before any handler runs; a missing or null value takes
+# the default (None: the handler needs the key or does without it).  The
+# manifest echoes flags as parsed and config values as written.
+_READERS = {"int": parse_int, "float": parse_float, "text": _text, "switch": _switch}
+_SHELL = {"d": (parse_float, None), "rho0": (_rho0, "optimal"), "n0": ("int", None),
+          "shells": ("int", 10), "max_freq": (parse_int, FREQ_CAP)}
+_GLOBAL = {"seed": ("int", 0), "output_dir": ("text", None)}
+_ECHOED = ("rho0", "method")  # defaults echoed in manifests, below the config
 _POSITIONAL = ("kind", "subcommand")
-_READERS = {"int": parse_int, "float": parse_float}
 _HELP = {"config": "JSON config file; flags override its values",
          "output_dir": "output directory (the BVLAB_OUT environment variable overrides)",
          "seed": "random seed for sampled paths",
@@ -354,27 +329,33 @@ _HELP = {"config": "JSON config file; flags override its values",
          "samples": "Monte Carlo orbits (--method mc only)"}
 _COMMANDS = {
     "table2": (cmd_table2, "comparison table of quadratic dimension coefficients",
-               {"format": ("csv", "json")}),
+               {"format": (("csv", "json"), "csv")}),
     "variance": (cmd_variance, "shell-coefficient variance by one of four methods",
-                 {"kind": ("shell",), **_SHELL, "method": ("exact", "block", "mass", "cesaro"),
-                  "terms": "int", "r0": "float", "blocks": "int"}),
+                 {"kind": (("shell",), None), **_SHELL,
+                  "method": (("exact", "block", "mass", "cesaro"), "exact"),
+                  "terms": ("int", 4000), "r0": ("float", 1.5), "blocks": ("int", 8)}),
     "optimize": (cmd_optimize, "best integer and real degree",
-                 {"d_min": "int", "d_max": "int"}),
+                 {"d_min": ("int", 2), "d_max": ("int", 64)}),
     "order2": (cmd_order2, "second-order variance bound / parameter search",
-               {**_SHELL, "refine": "switch", "grid_d": "text", "grid_rho0": "text",
-                "grid_n0": "text"}),
+               {**_SHELL, "shells": ("int", None), "refine": ("switch", False),
+                "grid_d": (_listed(parse_int), None),
+                "grid_rho0": (_listed(_rho0), ["optimal"]),
+                "grid_n0": (_listed(lambda x, key: None if x == "default"
+                                    else parse_int(x, key)), [None])}),
     "dimension": (cmd_dimension, "quadratic Julia-set dimension formulas",
-                  {"d": "int", "t": "float", "k": "float"}),
+                  {"d": ("int", None), "t": ("float", None), "k": ("float", None)}),
     "means-curve": (cmd_means_curve, "(R, I(R), ratio) table for a series",
-                    {**_SHELL, "series": "text", "r_min": "float", "r_max": "float",
-                     "points": "int"}),
+                    {**_SHELL, "series": ("text", None), "r_min": ("float", 1e-6),
+                     "r_max": ("float", 0.5), "points": ("int", 40)}),
     "truncate": (cmd_truncate, "cancel high Cauchy frequencies of a coefficient",
-                 {"mu": "text", **_SHELL, "r1": "float", "eps": "float", "rescale": "switch"}),
+                 {"mu": ("text", None), **_SHELL, "r1": ("float", None),
+                  "eps": ("float", None), "rescale": ("switch", False)}),
     "dynamics": (cmd_dynamics, "dynamical variance checks on the circle",
-                 {"subcommand": ("coboundary", "var"), "d": "int", "n": "int",
-                  "blaschke": "text", "phi": "text", "method": ("exact", "mc"),
-                  "samples": "int"}),
-    "selfcheck": (cmd_selfcheck, "run the built-in oracle comparisons", {"full": "switch"}),
+                 {"subcommand": (("coboundary", "var"), None), "d": ("int", 2),
+                  "n": ("int", None), "blaschke": (_zeros, ()), "phi": ("text", None),
+                  "method": (("exact", "mc"), "exact"), "samples": ("int", 100000)}),
+    "selfcheck": (cmd_selfcheck, "run the built-in oracle comparisons",
+                  {"full": ("switch", False)}),
 }
 
 
@@ -391,12 +372,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, keys) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for key, kind in {**keys, **_GLOBAL, "config": "text"}.items():
+        for key, (kind, _) in {**keys, **_GLOBAL, "config": ("text", None)}.items():
             if key in _POSITIONAL:
                 p.add_argument(key, choices=kind)
             elif kind == "switch":
                 p.add_argument(_flag(key), dest=key, action="store_true", default=None)
-            elif kind in _READERS:
+            elif kind in ("int", "float"):
                 p.add_argument(_flag(key), dest=key, type=partial(_READERS[kind], key=key),
                                help=_HELP.get(key))
             else:
@@ -405,25 +386,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_config(keys: dict, doc: dict) -> None:
-    """Config switches must be JSON booleans or null, choices one of theirs."""
-    for key, value in doc.items():
-        kind = keys.get(key)
-        if kind == "switch" and value is not None and not isinstance(value, bool):
-            raise ValidationError(f"{key} must be true, false or null, got {value!r}")
-        if isinstance(kind, tuple) and value not in kind:
-            raise ValidationError(f"{key} must be one of {', '.join(kind)}, got {value!r}")
+def _read(keys: dict, values: dict) -> dict:
+    """Every key's value coerced by its kind, or its default."""
+    opts = {}
+    for key, (kind, default) in keys.items():
+        value = values.get(key)
+        if value is None:
+            opts[key] = default
+        elif isinstance(kind, tuple):
+            opts[key] = _choice(kind, value, key)
+        else:
+            opts[key] = _READERS.get(kind, kind)(value, key)
+    return opts
 
 
 def run(argv: list[str]) -> int:
     args = vars(build_parser().parse_args(argv))
     command = args.pop("command")
     handler, _, keys = _COMMANDS[command]
+    keys = {**keys, **_GLOBAL}
     file_values = _load_config(args.pop("config"))
-    _check_config(keys, file_values)
-    defaults = {k: v for k, v in _DEFAULTS.items() if k in keys}
-    cfg = RunConfig(command, {*keys, *_GLOBAL}, {**defaults, **file_values}, args)
-    return handler(cfg, resolve_output_dir(cfg.get("output_dir"), None))
+    defaults = {k: keys[k][1] for k in _ECHOED if k in keys}
+    cfg = RunConfig(command, set(keys), {**defaults, **file_values}, args)
+    opts = _read(keys, cfg.values)
+    return handler(opts, partial(_emit, cfg, resolve_output_dir(opts["output_dir"])))
 
 
 def main(argv: list[str] | None = None) -> int:

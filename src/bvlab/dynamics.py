@@ -27,7 +27,7 @@ from math import fsum
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .errors import CapacityError, FREQ_CAP, ValidationError, parse_int
+from .errors import CapacityError, FREQ_CAP, ValidationError, parse_complex, parse_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -62,6 +62,8 @@ class CirclePotential:
         items = []
         for m, c in dict(mapping).items():
             c = complex(c)
+            if abs(int(m)) > FREQ_CAP:
+                raise CapacityError(f"potential frequency {m} exceeds 64-bit capacity")
             if c != 0:
                 items.append((int(m), c))
         return cls(tuple(sorted(items)))
@@ -82,10 +84,13 @@ class CirclePotential:
         return CirclePotential(tuple((m, c) for m, c in self.coeffs if m != 0))
 
     def eval_array(self, z: np.ndarray) -> np.ndarray:
+        """Values at points of the unit circle as sum c_m e^(i m arg z): the power z^m
+        of a float z with |z| = 1 + ulp overflows for |m| near FREQ_CAP."""
         import numpy as np
+        theta = np.angle(z)
         out = np.zeros_like(z, dtype=complex)
         for m, c in self.coeffs:
-            out += c * z**m
+            out += c * np.exp(1j * (m * theta))
         return out
 
     def to_doc(self) -> dict:
@@ -94,7 +99,7 @@ class CirclePotential:
     @classmethod
     def from_doc(cls, doc: dict) -> "CirclePotential":
         try:
-            return cls.from_map({parse_int(m, "frequency"): complex(re, im)
+            return cls.from_map({parse_int(m, "frequency"): parse_complex(re, im)
                                  for m, re, im in doc["coeffs"]})
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed potential document: {exc}") from exc
@@ -112,7 +117,7 @@ class BlaschkeMap:
 
     def __post_init__(self) -> None:
         zeros = tuple(complex(a) for a in self.zeros)
-        if any(abs(a) >= 1.0 for a in zeros):
+        if not all(abs(a) < 1.0 for a in zeros):  # a NaN zero fails this too
             raise ValidationError("Blaschke zeros must lie inside the unit disk")
         nonzero = tuple(a for a in zeros if a != 0)
         if len(nonzero) > MAX_ZEROS:
@@ -329,7 +334,10 @@ def birkhoff_variance_mc(phi: CirclePotential, b: BlaschkeMap, n: int,
         raise ValidationError("seed must be >= 0")
     phi0 = phi.without_mean()
     check_mc_work(n, samples, b.degree, len(phi0.coeffs))
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError as exc:  # numpy is the optional extra "mc"
+        raise ValidationError("Monte Carlo needs numpy: pip install 'bvlab[mc]'") from exc
     rng = np.random.Generator(np.random.Philox(seed))
     theta = rng.uniform(0.0, 2.0 * math.pi, samples)
     z = np.exp(1j * theta)

@@ -3,6 +3,7 @@
 Exit-code mapping used by the CLI: validation problems exit 2, capacity and
 unresolved-scale/truncation problems exit 3.
 """
+import math
 import re
 
 # Frequencies are kept as checked 64-bit-range integers.  Constructions that
@@ -72,7 +73,16 @@ def parse_int(value, key: str = "value") -> int:
 
 
 def parse_float(value, key: str = "value") -> float:
+    """Finite float from a number or a decimal string; booleans are not numbers."""
     try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{key} must be a number, got {value!r}") from exc
+        x = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):  # an int beyond the float range overflows
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValidationError(f"{key} must be a finite number, got {value!r}")
+    return x
+
+
+def parse_complex(re, im, key: str = "coefficient") -> complex:
+    """Finite complex number from its real and imaginary parts."""
+    return complex(parse_float(re, key), parse_float(im, key))

@@ -74,7 +74,7 @@ def best_integer_degree(d_min: int = 2, d_max: int = 64) -> tuple[int, float]:
     """
     if d_min < 2 or d_max < d_min:
         raise ValidationError("need 2 <= d_min <= d_max")
-    x = best_real_degree(d_min, d_max)[0] if d_min < d_max else d_min
+    x = best_real_degree(d_min, d_max)[0]
     candidates = sorted({min(max(f(x), d_min), d_max) for f in (math.floor, math.ceil)})
     return max(((d, sigma2_optimal(d)) for d in candidates), key=lambda dv: dv[1])
 
@@ -100,17 +100,17 @@ def golden_section_maximize(f, a: float, b: float, xtol: float = 1e-8) -> tuple[
     return x, f(x)
 
 
-def best_real_degree(lo: float = 2.0, hi: float = 64.0,
-                     xtol: float = 1e-8) -> tuple[float, float]:
+def best_real_degree(lo: float = 2.0, hi: float = 64.0) -> tuple[float, float]:
     """Real degree maximizing the optimal shell variance; the value is ~0.87914.
 
     Integer bounds are compared exactly; the search runs in floats clamped to
-    the largest float below 2^63 - 1, which itself rounds up to 2^63.
+    the largest float below 2^63 - 1, which itself rounds up to 2^63.  A range
+    of one point (lo == hi) returns that point.
     """
-    if not 1.0 < lo < hi:
-        raise ValidationError("need 1 < lo < hi")
-    return golden_section_maximize(sigma2_optimal, min(float(lo), _FLOAT_CAP),
-                                   min(float(hi), _FLOAT_CAP), xtol)
+    if not 1.0 < lo <= hi:
+        raise ValidationError("need 1 < lo <= hi")
+    return golden_section_maximize(sigma2_optimal, float(min(lo, _FLOAT_CAP)),
+                                   float(min(hi, _FLOAT_CAP)))
 
 
 def julia_dim_t(d: int, t: complex) -> float:
@@ -125,8 +125,7 @@ def julia_dim_t(d: int, t: complex) -> float:
 
 def distortion_constant(d: int) -> float:
     """Distortion improvement factor c_d = d^(1/(d-1)) / 2; c_2 = 1, c_d < 1 beyond."""
-    if d < 2:
-        raise ValidationError("degree must be >= 2")
+    check_degree(d)
     return d ** (1.0 / (d - 1.0)) / 2.0
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from math import fsum
 
-from .errors import FREQ_CAP, CapacityError, ValidationError, parse_int
+from .errors import FREQ_CAP, CapacityError, ValidationError, parse_complex, parse_int
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,8 @@ class ExteriorLaurent:
     @classmethod
     def from_doc(cls, doc: dict) -> "ExteriorLaurent":
         try:
-            coeffs = {parse_int(k, "frequency"): complex(re, im) for k, re, im in doc["coeffs"]}
+            coeffs = {parse_int(k, "frequency"): parse_complex(re, im)
+                      for k, re, im in doc["coeffs"]}
             max_freq = parse_int(doc["max_freq"], "max_freq")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed Laurent document: {exc}") from exc

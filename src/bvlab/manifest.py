@@ -89,12 +89,10 @@ def csv_text(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def resolve_output_dir(flag_value: str | None, config_value: str | None) -> Path:
+def resolve_output_dir(configured: str | None) -> Path:
     """Output directory: the BVLAB_OUT environment variable wins, then the
-    flag, then the config file, then ./bvlab_out."""
-    env = os.environ.get(OUTPUT_ENV)
-    chosen = env or flag_value or config_value or "bvlab_out"
-    return Path(chosen)
+    configured value (the flag over the config file), then ./bvlab_out."""
+    return Path(os.environ.get(OUTPUT_ENV) or configured or "bvlab_out")
 
 
 def write_text(path: Path, text: str) -> None:

@@ -23,6 +23,11 @@ from .laurent import ExteriorLaurent, convolve
 from .variance import VarianceEstimate, variance_block_mass
 
 COEFF_FLOOR = 1e-14  # sparsity floor for product coefficients, documented drop
+FLAG_TOL = 1e-9  # tail mass above this share of the kept mass leaves w unresolved
+# parameter_search costs 6-8 us per unit of (J + 5)^2 at each point, J its effective
+# shell count (0.3 ms at J = 2, 35 ms at d = 2 with 61 shells); the bound admits about
+# a quarter of a second, 80 times the README grid (three points of six shells)
+MAX_GRID_WORK = 3 * 10**4
 
 
 @dataclass(frozen=True)
@@ -64,8 +69,7 @@ class Order2Report:
         return doc
 
 
-def order2_field(mu: PiecewiseField, max_freq: int, floor: float = COEFF_FLOOR,
-                 flag_tol: float = 1e-9) -> Order2Field:
+def order2_field(mu: PiecewiseField, max_freq: int) -> Order2Field:
     """Compute w = S(mu*S(mu)) - (1/2)(S(mu))^2 truncated at ``max_freq``."""
     if max_freq < 1:
         raise ValidationError("max_freq must be >= 1")
@@ -73,7 +77,7 @@ def order2_field(mu: PiecewiseField, max_freq: int, floor: float = COEFF_FLOOR,
     product = multiply(mu, s_pw)
     first = beurling_exterior(product)            # exact finite series
     s_ext = beurling_exterior(mu)
-    square, dropped_sq = convolve(s_ext, s_ext, max_freq, floor)
+    square, dropped_sq = convolve(s_ext, s_ext, max_freq, COEFF_FLOOR)
 
     coeffs: dict[int, complex] = {}
     dropped = [dropped_sq]
@@ -84,10 +88,10 @@ def order2_field(mu: PiecewiseField, max_freq: int, floor: float = COEFF_FLOOR,
             coeffs[k] = c
     for k, c in square.coeffs.items():
         coeffs[k] = coeffs.get(k, 0) - 0.5 * c
-    coeffs = {k: c for k, c in coeffs.items() if abs(c) >= floor}
+    coeffs = {k: c for k, c in coeffs.items() if abs(c) >= COEFF_FLOOR}
     tail = fsum(dropped)
     total_mass = fsum(abs(c) ** 2 for c in coeffs.values())
-    flagged = tail > flag_tol * max(total_mass, 1e-300)
+    flagged = tail > FLAG_TOL * max(total_mass, 1e-300)
     return Order2Field(ExteriorLaurent(coeffs, max_freq), tail, flagged)
 
 
@@ -102,15 +106,14 @@ def _second_order(params: ShellParams) -> tuple[VarianceEstimate, Order2Field, S
     return variance_block_mass(w), field, eff
 
 
-def order2_bound(params: ShellParams, refine: bool = False,
-                 flag_tail: bool = True) -> Order2Report:
+def order2_bound(params: ShellParams, refine: bool = False) -> Order2Report:
     """First- plus second-order lower bound for the shell coefficient.
 
     ``refine`` doubles the shell count and frequency cutoff and reports the
     relative change of the total, the stability diagnostic of the truncation.
     """
     est, field, eff = _second_order(params)
-    if flag_tail and field.flagged:
+    if field.flagged:
         raise UnresolvedTruncationError(
             f"dropped tail mass {field.tail_mass:.3e} above tolerance")
     first = sigma2_shell(eff.d, eff.rho0)
@@ -130,9 +133,18 @@ def parameter_search(grid) -> tuple[Order2Report, list[Order2Report]]:
     """Evaluate a deterministic grid of shell parameters.
 
     Returns the best report and the full leaderboard sorted by descending
-    total (ties broken by the parameter triple).
+    total (ties broken by the parameter triple).  The grid may be lazy; its
+    work is bounded by MAX_GRID_WORK before the first point is evaluated.
     """
-    reports = [order2_bound(p) for p in grid]
+    points, work = [], 0
+    for p in grid:
+        work += (p.clipped_to_max_freq().shells + 5) ** 2
+        if work > MAX_GRID_WORK:
+            raise ValidationError(f"the grid needs sum over its points of (shells + 5)^2 "
+                                  f"<= {MAX_GRID_WORK}, with the shells each point keeps "
+                                  f"below max_freq")
+        points.append(p)
+    reports = [order2_bound(p) for p in points]
     if not reports:
         raise ValidationError("empty parameter grid")
     board = sorted(reports, key=lambda r: (-r.total, r.params.d, r.params.rho0,
@@ -140,20 +152,16 @@ def parameter_search(grid) -> tuple[Order2Report, list[Order2Report]]:
     return board[0], board
 
 
-def shell_grid(degrees, rho0_values, n0_values, shells: int,
-               max_freq: int) -> list[ShellParams]:
-    """Cartesian parameter grid in deterministic order.
+def shell_grid(degrees, rho0_values, n0_values, shells: int, max_freq: int):
+    """Cartesian parameter grid in deterministic order, built lazily.
 
     ``rho0_values`` entries may be the string "optimal", resolved per degree;
     ``n0_values`` may contain None for the per-degree default.
     """
     from .formulas import optimal_rho0
 
-    grid = []
     for d in degrees:
         for rho in rho0_values:
             rho_val = optimal_rho0(d) if rho == "optimal" else float(rho)
             for n0 in n0_values:
-                grid.append(ShellParams(d=d, rho0=rho_val, n0=n0,
-                                        shells=shells, max_freq=max_freq))
-    return grid
+                yield ShellParams(d=d, rho0=rho_val, n0=n0, shells=shells, max_freq=max_freq)

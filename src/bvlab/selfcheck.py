@@ -21,7 +21,7 @@ from .formulas import (best_integer_degree, best_real_degree, lambda_lemma_coeff
                        optimal_rho0, pointwise_sigma_bound, sigma2_optimal,
                        sigma2_shell, truncate_display)
 from .order2 import order2_bound
-from .variance import (cesaro_sigma4, growth_slope, hardy_check, linspace,
+from .variance import (cesaro_sigma4, growth_slope, linspace,
                        variance_block, variance_block_mass, variance_lacunary)
 
 
@@ -90,10 +90,6 @@ def run_selfcheck(full: bool = False) -> list[CheckResult]:
     lhs = eval_taylor(ck, 1.0 / z)
     rhs = -z * z * beurling_exterior(mixed.reflect_conjugate()).eval(z)
     results.append(_check("projection_reflection_relation", abs(lhs - rhs), 1e-8))
-
-    # radial-derivative identity for circle means
-    taylor = {k: complex(math.cos(k), 0.3 * math.sin(2 * k)) for k in range(20)}
-    results.append(_check("radial_derivative_identity", hardy_check(taylor, 0.97), 1e-12))
 
     # exact lacunary variance: unit coefficients over base 2
     est = variance_lacunary([1.0] * 64, 2)

@@ -331,24 +331,6 @@ def growth_slope(g: ExteriorLaurent, R_lo: float, R_hi: float, n_pts: int = 40) 
     return cov / var
 
 
-def hardy_check(taylor, r: float) -> float:
-    """Residual of the radial-derivative identity for interior Taylor series.
-
-    With M(r) = sum |a_k|^2 r^(2k), the left side (1/4r) d/dr (r dM/dr) is
-    evaluated from the termwise first and second derivatives, the right side
-    is the mean of |g'|^2; the identity is exact term by term, so the
-    residual only measures floating-point noise.
-    """
-    if not 0.0 < r < 1.0:
-        raise ValidationError("need 0 < r < 1")
-    items = sorted((int(k), complex(c)) for k, c in dict(taylor).items())
-    m1 = fsum(2 * k * abs(c) ** 2 * r ** (2 * k - 1) for k, c in items if k)
-    m2 = fsum(2 * k * (2 * k - 1) * abs(c) ** 2 * r ** (2 * k - 2) for k, c in items if k)
-    lhs = (m1 + r * m2) / (4.0 * r)
-    rhs = fsum(k * k * abs(c) ** 2 * r ** (2 * k - 2) for k, c in items if k)
-    return abs(lhs - rhs)
-
-
 def bloch_seminorm(g: ExteriorLaurent, radii=None, n_angles: int = 48) -> float:
     """Grid lower bound for sup (|z|^2 - 1) |g'(z)| over the exterior disk."""
     gp = g.derivative()

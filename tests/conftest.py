@@ -14,6 +14,9 @@ from bvlab.selfcheck import CheckResult, run_selfcheck
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+# a longer, randomized run of the fuzzers in test_cli_fuzz.py (2000 examples per case):
+#   python -m pytest tests/test_cli_fuzz.py --hypothesis-profile=fuzz-long
+settings.register_profile("fuzz-long", deadline=None, max_examples=8000)
 
 
 @pytest.fixture

@@ -78,6 +78,12 @@ class TestOptimize:
         assert code == 0
         assert json.loads(out)["best_integer"]["d"] == 20
 
+    def test_one_degree_range(self, tmp_path, capsys):
+        code, out, _ = run_cli(["optimize", "--d-min", "5", "--d-max", "5"], tmp_path, capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["best_integer"]["d"] == 5 and doc["best_real"]["d"] == 5.0
+
     def test_range_at_degree_capacity(self, tmp_path, capsys):
         # 2^63 - 1 rounds up to 2^63 as a float; the search must stay at or below it
         d_min = 9223372036854775000
@@ -176,6 +182,24 @@ class TestDynamics:
         assert doc["log_deriv_mean"] == pytest.approx(math.log1p(math.sqrt(0.91)), rel=1e-15)
         manifest = json.loads((tmp_path / "dynamics_var_manifest.json").read_text())
         assert manifest["config"]["method"] == "exact"
+
+    def test_var_monte_carlo_without_numpy(self, tmp_path, capsys, monkeypatch):
+        # numpy is the optional extra "mc"; without it the route is an input error
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps({"coeffs": [[-1, 1.0, 0.0]]}))
+        code, out, err = run_cli(["dynamics", "var", "--phi", str(phi_path), "--method", "mc",
+                                  "--samples", "10"], tmp_path, capsys)
+        assert code == 2 and out == ""
+        assert "bvlab[mc]" in json.loads(err)["message"]
+
+    def test_var_rejects_frequency_beyond_capacity(self, tmp_path, capsys):
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps({"coeffs": [[2**63, 1.0, 0.0]]}))
+        code, out, err = run_cli(["dynamics", "var", "--phi", str(phi_path), "--method", "mc",
+                                  "--samples", "10"], tmp_path, capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == "CapacityError"
 
     def test_var_exact_rejects_long_potential_naming_monte_carlo(self, tmp_path, capsys):
         phi_path = tmp_path / "phi.json"
@@ -280,6 +304,16 @@ class TestConfigAndErrors:
          None),
         (["dynamics", "var", "--phi", "{long}", "--method", "mc", "--n", "10000"], None),
         (["dynamics", "var", "--phi", "{long}"], None),
+        (["dynamics", "var", "--blaschke", "nan", "--phi", "{phi}"], None),
+        (["dynamics", "var", "--phi", "{nan_phi}"], None),
+        (["dynamics", "var", "--phi", "{inf_phi}", "--method", "mc", "--samples", "100"], None),
+        (["order2", "--grid-d", ",".join(["2"] * 20), "--grid-rho0", ",".join(["0.25"] * 20),
+          "--grid-n0", ",".join(["default"] * 10), "--shells", "61"], None),
+        (["optimize", "--d-min", "1e400", "--d-max", "1e401"], None),
+        (["dimension", "--d", "1e400"], None),
+        (["dimension", "--d", "2", "--t", "1e308"], None),
+        (["means-curve", "--d", "2", "--r-max", "1"], None),
+        (["table2"], {"output_dir": 5}),
     ], ids=["blaschke_zero", "config_shells", "huge_degree", "huge_r0", "binary_config",
             "self_similarity", "missing_degree", "bad_int_flag", "bad_choice",
             "unknown_flag", "missing_dimension_degree", "negative_seed", "string_switch",
@@ -287,12 +321,16 @@ class TestConfigAndErrors:
             "huge_terms", "huge_samples", "config_choice", "config_path_number",
             "infinite_degree", "overflowing_degree", "infinite_r0", "unit_r0", "huge_blocks",
             "infinite_eps", "huge_orbit", "huge_map_degree", "long_potential_mc",
-            "long_potential_exact"])
+            "long_potential_exact", "nan_zero", "nan_potential", "infinite_potential_mc",
+            "huge_grid", "overflowing_optimize_range", "overflowing_dimension_degree",
+            "overflowing_t", "unit_r_max", "config_output_dir_number"])
     def test_bad_input_gives_one_json_error(self, argv, config, tmp_path, capsys):
         docs = {"phi": {"coeffs": [[-1, 1.0, 0.0]]},
                 "series": {"coeffs": [[2, 1.0, 0.0]], "max_freq": 8, "self_similarity": "x"},
                 "fractional": {"coeffs": [[2.7, 1.0, 0.0]], "max_freq": 8.9},
-                "long": {"coeffs": [[m, 1.0, 0.0] for m in range(1, 3001)]}}
+                "long": {"coeffs": [[m, 1.0, 0.0] for m in range(1, 3001)]},
+                "nan_phi": {"coeffs": [[1, math.nan, 0.0]]},
+                "inf_phi": {"coeffs": [[-1, 1.0, 0.0], [2, math.inf, 0.0]]}}
         for name, doc in docs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         argv = [arg.format(**{name: tmp_path / f"{name}.json" for name in docs})
@@ -301,10 +339,12 @@ class TestConfigAndErrors:
             cfg = tmp_path / "cfg.json"
             cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
             argv += ["--config", str(cfg)]
-        code = main([*argv, "--out", str(tmp_path / "out")])
+        if not (isinstance(config, dict) and "output_dir" in config):
+            argv += ["--out", str(tmp_path / "out")]
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.out == ""
+        assert captured.out == "" and not (tmp_path / "out").exists()  # no artifact is left
         error = json.loads(captured.err)
         assert error["error"] == "ValidationError" and error["message"]
 

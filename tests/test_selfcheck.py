@@ -16,10 +16,6 @@ from conftest import assert_selfcheck, selfcheck_results
 NAMES = list(selfcheck_results())
 QUICK = {r.name for r in run_selfcheck()}
 
-# radial_derivative_identity compares two sums that hardy_check forms from
-# the same Taylor coefficients; no other package function enters it
-NO_PACKAGE_INPUT = {"radial_derivative_identity"}
-
 
 def then(change):
     """Mutation: apply ``change`` to whatever the patched function returns."""
@@ -94,8 +90,7 @@ def test_check_passes(name):
 
 def test_mutation_table_covers_every_check():
     mutated = {row.values[0] for row in MUTATIONS}
-    assert mutated | NO_PACKAGE_INPUT == set(NAMES)
-    assert not mutated & NO_PACKAGE_INPUT
+    assert mutated == set(NAMES)
 
 
 @pytest.mark.parametrize("name, target, mutate", MUTATIONS)

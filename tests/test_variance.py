@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bvlab.annular import beurling_exterior
 from bvlab.constructions import (ShellParams, random_unit_shell_field,
@@ -14,7 +12,7 @@ from bvlab.errors import UnresolvedScaleError, ValidationError
 from bvlab.formulas import optimal_rho0, sigma2_shell
 from bvlab.laurent import ExteriorLaurent, SelfSimilarity
 from bvlab.variance import (_radial_fourth_order_integral, bloch_seminorm,
-                            cesaro_sigma4, growth_slope, hardy_check,
+                            cesaro_sigma4, growth_slope,
                             integral_means, linspace, third_derivative,
                             variance_block, variance_block_mass,
                             variance_lacunary)
@@ -269,23 +267,6 @@ class TestGrowthSlope:
         g = ExteriorLaurent({2**n: 1.0 for n in range(26)}, 2**26)
         slope = growth_slope(g, 1 + 1e-5, 1 + 1e-2, 40)
         assert slope == pytest.approx(1.0 / LOG2, abs=0.05)
-
-
-class TestHardy:
-    def test_single_coefficient(self):
-        assert hardy_check({1: 1.0}, 0.5) == 0.0
-
-    @given(st.lists(st.complex_numbers(max_magnitude=3, allow_nan=False,
-                                       allow_infinity=False), min_size=1, max_size=20),
-           st.floats(0.1, 0.95))
-    @settings(max_examples=50, deadline=None)
-    def test_random_polynomials(self, coeffs, r):
-        taylor = dict(enumerate(coeffs))
-        assert hardy_check(taylor, r) <= 1e-12
-
-    def test_lacunary_near_boundary(self):
-        taylor = {2**n: 1.0 for n in range(10)}
-        assert hardy_check(taylor, 0.99) <= 1e-10
 
 
 class TestLinspace:
