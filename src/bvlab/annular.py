@@ -119,12 +119,17 @@ class MonomialTerm:
         def num(key: str) -> float:
             return parse_float(doc[key], key)
 
+        def bound(key: str, edge: float) -> float:
+            # a support may reach 0 or infinity: log_r_in = -inf, r_out = log_r_out = inf
+            return edge if doc[key] == edge else num(key)
+
         try:
             coeff = complex(num("re"), num("im"))
             p, q = parse_int(doc["p"], "p"), parse_int(doc["q"], "q")
             if "log_r_in" in doc and "log_r_out" in doc:
-                return cls(coeff, p, q, num("gamma"), num("log_r_in"), num("log_r_out"))
-            return cls.make(coeff, p, q, num("gamma"), num("r_in"), num("r_out"))
+                return cls(coeff, p, q, num("gamma"), bound("log_r_in", -inf),
+                           bound("log_r_out", inf))
+            return cls.make(coeff, p, q, num("gamma"), num("r_in"), bound("r_out", inf))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed term document: {exc}") from exc
 

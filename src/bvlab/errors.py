@@ -83,6 +83,6 @@ def parse_float(value, key: str = "value") -> float:
     return x
 
 
-def parse_complex(re, im, key: str = "coefficient") -> complex:
-    """Finite complex number from its real and imaginary parts."""
-    return complex(parse_float(re, key), parse_float(im, key))
+def parse_complex(re, im) -> complex:
+    """Finite complex coefficient from its real and imaginary parts."""
+    return complex(parse_float(re, "coefficient"), parse_float(im, "coefficient"))

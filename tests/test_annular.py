@@ -1,4 +1,5 @@
 """Transform algebra against closed forms, quadrature oracles and invariants."""
+import json
 import math
 from math import inf
 
@@ -379,6 +380,27 @@ class TestSerialization:
         f = PiecewiseField.of(MonomialTerm.make(complex(re, im), p, q, gamma, r_in, r_out))
         doc = f.to_doc()
         assert PiecewiseField.from_doc(doc).to_doc() == doc
+
+    @pytest.mark.parametrize("r_in, r_out", [(0.0, 0.5), (0.5, math.inf), (0.0, math.inf)])
+    def test_round_trip_support_reaching_zero_or_infinity(self, r_in, r_out):
+        f = PiecewiseField.of(MonomialTerm.make(1 + 2j, 0, 3, 0.0, r_in, r_out))
+        assert PiecewiseField.from_doc(f.to_doc()) == f
+        assert PiecewiseField.from_doc(json.loads(json.dumps(f.to_doc()))) == f
+        for key in ("log_r_in", "log_r_out"):  # the plain radii alone
+            doc = f.to_doc()
+            del doc["terms"][0][key]
+            assert PiecewiseField.from_doc(doc) == f
+
+    @pytest.mark.parametrize("key, value", [
+        ("log_r_in", math.inf), ("log_r_out", -math.inf), ("log_r_in", math.nan),
+        ("log_r_out", math.nan), ("r_in", math.inf), ("r_out", -math.inf), ("r_out", math.nan)])
+    def test_wrong_signed_or_nan_radius_rejected(self, key, value):
+        term = {"re": 1.0, "im": 0.0, "p": 0, "q": 2, "gamma": 0.0, "r_in": 0.2, "r_out": 0.5,
+                key: value}
+        if key.startswith("log"):  # the log form is read only when both bounds are present
+            term = {"log_r_in": -1.6, "log_r_out": -0.7, **term}
+        with pytest.raises(ValidationError, match=f"{key} must be a finite number"):
+            PiecewiseField.from_doc({"terms": [term]})
 
     def test_malformed_document(self):
         with pytest.raises(ValidationError):

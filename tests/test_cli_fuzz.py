@@ -36,7 +36,8 @@ from hypothesis import strategies as st
 from bvlab import cli
 from bvlab.selfcheck import CheckResult
 
-WALL_S = 3.0  # the slowest drawn runs that pass take about 0.4 s
+# the slowest run the drawn values admit (an order2 grid at its work bound) takes 0.2 s
+WALL_S = 3.0
 BIG = [0, 1, -1, 2**63 - 1, 2**63, -(2**63), math.inf, -math.inf, math.nan, "1e400", -2.5]
 NOT_NUMBERS = ["abc", "", "1e", "0x10", "1,2", "None"]
 WRONG_TYPES = [True, False, [], [1], {}, {"a": 1}]
@@ -60,6 +61,9 @@ READER_VALUES = {
 }
 BAD_READER_VALUES = ["1+0j", "nan+0j", "1e400j", "x", "", "2**63", "1.5"]
 DOC_KEYS = {"series": "series", "mu": "field", "phi": "potential"}
+# keys drawn on every run: at its default of 100000 samples a Monte Carlo run
+# takes up to 2 s, so the fuzzer always draws the sample count (20 at most)
+ALWAYS = {"samples"}
 
 
 def _pick(valid, bad, rate):
@@ -98,9 +102,9 @@ def _document(kind, rate):
              "q": _pick([0, 1, -2], [2**63, "q"], rate),
              "gamma": _pick([0.0, -2.0, -16.0], BIG[4:], rate),
              "r_in": _pick([0.0, 0.2, 0.5], [-1.0, math.nan, math.inf], rate),
-             "r_out": _pick([0.3, 0.6, 0.9], [0.1, math.inf, math.nan], rate)},
-            optional={"log_r_in": _pick([-1.0, -0.1], [math.nan, -math.inf], rate),
-                      "log_r_out": _pick([-0.05], [math.inf, 0.5], rate)})
+             "r_out": _pick([0.3, 0.6, 0.9, math.inf], [0.1, -math.inf, math.nan], rate)},
+            optional={"log_r_in": _pick([-1.0, -0.1, -math.inf], [math.nan, math.inf], rate),
+                      "log_r_out": _pick([-0.05, math.inf], [-math.inf, math.nan], rate)})
         doc = st.fixed_dictionaries({"terms": st.lists(term, max_size=3)})
     wrong = [[], "x", {"coeffs": "x"}, {"terms": [1]}, {"coeffs": [[1, 2]]}]
     return st.integers(0, 9).flatmap(lambda i: st.sampled_from(wrong) if i < rate // 2 else doc)
@@ -132,8 +136,8 @@ def _value(key, kind, as_json, rates):
 
 
 def _some(draw, keys):
-    """Each key three times in five."""
-    return [key for key in keys if draw(st.integers(0, 4)) >= 2]
+    """Each key three times in five, and each ``ALWAYS`` key every time."""
+    return [key for key in keys if key in ALWAYS or draw(st.integers(0, 4)) >= 2]
 
 
 @st.composite
