@@ -24,5 +24,5 @@ from .laurent import ExteriorLaurent, SelfSimilarity
 from .order2 import Order2Report, order2_bound, order2_field, parameter_search
 from .variance import (VarianceEstimate, bloch_seminorm, cesaro_sigma4,
                        growth_slope, integral_means,
-                       third_derivative, variance_block, variance_block_mass,
+                       variance_block, variance_block_mass,
                        variance_lacunary)

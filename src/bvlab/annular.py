@@ -107,29 +107,37 @@ class MonomialTerm:
                             self.log_r_in, self.log_r_out)
 
     def to_doc(self) -> dict:
-        return {
-            "re": self.coeff.real, "im": self.coeff.imag,
-            "p": self.p, "q": self.q, "gamma": self.gamma,
-            "r_in": self.r_in, "r_out": self.r_out,
-            "log_r_in": self.log_r_in, "log_r_out": self.log_r_out,
-        }
+        # a bound at 0 or infinity is spelled r_in 0 or r_out null, without its log key
+        doc = {"re": self.coeff.real, "im": self.coeff.imag, "p": self.p, "q": self.q,
+               "gamma": self.gamma, "r_in": self.r_in,
+               "r_out": self.r_out if isfinite(self.log_r_out) else None}
+        for key in ("log_r_in", "log_r_out"):
+            if isfinite(getattr(self, key)):
+                doc[key] = getattr(self, key)
+        return doc
 
     @classmethod
     def from_doc(cls, doc: dict) -> "MonomialTerm":
         def num(key: str) -> float:
             return parse_float(doc[key], key)
 
-        def bound(key: str, edge: float) -> float:
-            # a support may reach 0 or infinity: log_r_in = -inf, r_out = log_r_out = inf
-            return edge if doc[key] == edge else num(key)
+        def log_bound(key: str, edge: float) -> float:
+            # the log key when present, else the radius key: r_in 0 is the log -inf,
+            # r_out null (or inf) the log +inf; an infinite log of the same side is read too
+            log_key = "log_" + key
+            if log_key in doc:
+                return edge if doc[log_key] == edge else num(log_key)
+            if edge == inf and doc[key] in (None, inf):
+                return inf
+            r = num(key)
+            if r < 0:
+                raise ValidationError("radial support needs 0 <= r_in < r_out")
+            return -inf if r == 0 else math.log(r)
 
         try:
-            coeff = complex(num("re"), num("im"))
-            p, q = parse_int(doc["p"], "p"), parse_int(doc["q"], "q")
-            if "log_r_in" in doc and "log_r_out" in doc:
-                return cls(coeff, p, q, num("gamma"), bound("log_r_in", -inf),
-                           bound("log_r_out", inf))
-            return cls.make(coeff, p, q, num("gamma"), num("r_in"), bound("r_out", inf))
+            return cls(complex(num("re"), num("im")), parse_int(doc["p"], "p"),
+                       parse_int(doc["q"], "q"), num("gamma"), log_bound("r_in", -inf),
+                       log_bound("r_out", inf))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed term document: {exc}") from exc
 
@@ -267,7 +275,7 @@ def moment(term: MonomialTerm, j: int) -> complex:
     return 2.0 * term.coeff * (hi - lo) / e
 
 
-def cauchy_exterior(field: PiecewiseField, max_freq: int | None = None) -> ExteriorLaurent:
+def cauchy_exterior(field: PiecewiseField) -> ExteriorLaurent:
     """Laurent series of the Cauchy transform on |z| > max r_out.
 
     Each term contributes the single frequency k = p - q + 1 (only when
@@ -286,10 +294,7 @@ def cauchy_exterior(field: PiecewiseField, max_freq: int | None = None) -> Exter
             if k > FREQ_CAP:
                 raise CapacityError("Cauchy frequency exceeds capacity")
             coeffs[k] = coeffs.get(k, 0) + a
-    if max_freq is None:
-        return ExteriorLaurent(coeffs, max(coeffs, default=1))
-    kept = {k: c for k, c in coeffs.items() if k <= max_freq}
-    return ExteriorLaurent(kept, max_freq)
+    return ExteriorLaurent(coeffs, max(coeffs, default=1))
 
 
 def _cauchy_term_pieces(t: MonomialTerm) -> list[MonomialTerm]:
@@ -368,16 +373,13 @@ def beurling(field: PiecewiseField) -> PiecewiseField:
     return derivative_z(cauchy_full(field))
 
 
-def beurling_exterior(field: PiecewiseField, max_freq: int | None = None) -> ExteriorLaurent:
+def beurling_exterior(field: PiecewiseField) -> ExteriorLaurent:
     """Exterior Laurent series of the transform: a_k z^-k maps to -k a_k z^-(k+1)."""
     s = cauchy_exterior(field).derivative()
-    if max_freq is None:
-        return s.with_max_freq(max(s.coeffs, default=1))
-    kept = {k: c for k, c in s.coeffs.items() if k <= max_freq}
-    return ExteriorLaurent(kept, max_freq)
+    return s.with_max_freq(max(s.coeffs, default=1))
 
 
-def bergman_coefficients(field: PiecewiseField, max_index: int | None = None) -> dict[int, complex]:
+def bergman_coefficients(field: PiecewiseField) -> dict[int, complex]:
     """Interior Taylor coefficients c_k = (k+1)/pi * integral of field * conj(w)^k.
 
     Requires support inside the closed unit disk.  A term contributes the
@@ -389,7 +391,7 @@ def bergman_coefficients(field: PiecewiseField, max_index: int | None = None) ->
     out: dict[int, complex] = {}
     for t in field.terms:
         k = t.q - t.p
-        if k < 0 or (max_index is not None and k > max_index):
+        if k < 0:
             continue
         e = 2 * t.q + t.gamma + 2.0
         if e == 0.0:

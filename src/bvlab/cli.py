@@ -366,23 +366,35 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+class _Command(_Parser):
+    """A subcommand's parser; it adds its arguments only when argv names it."""
+
+    def __init__(self, *args, keys: dict, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.keys = keys
+
+    def parse_known_args(self, args=None, namespace=None):
+        keys, self.keys = self.keys, {}
+        for key, (kind, _) in {**keys, **_GLOBAL, "config": ("text", None)}.items():
+            if key in _POSITIONAL:
+                self.add_argument(key, choices=kind)
+            elif kind == "switch":
+                self.add_argument(_flag(key), dest=key, action="store_true", default=None)
+            elif kind in ("int", "float"):
+                self.add_argument(_flag(key), dest=key, type=partial(_READERS[kind], key=key),
+                                  help=_HELP.get(key))
+            else:
+                self.add_argument(_flag(key), dest=key, help=_HELP.get(key),
+                                  choices=kind if isinstance(kind, tuple) else None)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bvlab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
     for name, (_, help_text, keys) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for key, (kind, _) in {**keys, **_GLOBAL, "config": ("text", None)}.items():
-            if key in _POSITIONAL:
-                p.add_argument(key, choices=kind)
-            elif kind == "switch":
-                p.add_argument(_flag(key), dest=key, action="store_true", default=None)
-            elif kind in ("int", "float"):
-                p.add_argument(_flag(key), dest=key, type=partial(_READERS[kind], key=key),
-                               help=_HELP.get(key))
-            else:
-                p.add_argument(_flag(key), dest=key, help=_HELP.get(key),
-                               choices=kind if isinstance(kind, tuple) else None)
+        sub.add_parser(name, help=help_text, keys=keys)
     return parser
 
 

@@ -134,7 +134,7 @@ def build_shell(params: ShellParams) -> PiecewiseField:
 def shell_cauchy_series(params: ShellParams) -> ExteriorLaurent:
     """Exterior Cauchy series of the shell field, with block metadata attached."""
     field = build_shell(params)
-    return cauchy_exterior(field, params.series_cutoff()).with_self_similarity(
+    return cauchy_exterior(field).truncated(params.series_cutoff()).with_self_similarity(
         params.degree, params.first_frequency)
 
 
@@ -144,10 +144,7 @@ def shell_beurling_series(params: ShellParams) -> ExteriorLaurent:
     Coefficient moduli are 2 (1 - 1/n_j) (rho0^(1/d) - rho0) at the
     frequencies n_j; the series is exact below the first missing shell.
     """
-    s = shell_cauchy_series(params).derivative()
-    mf = params.series_cutoff()
-    kept = {k: c for k, c in s.coeffs.items() if k <= mf}
-    return ExteriorLaurent(kept, mf, SelfSimilarity(params.degree, params.first_frequency))
+    return shell_cauchy_series(params).derivative().truncated(params.series_cutoff())
 
 
 def shell_cauchy_identity_check(params: ShellParams, samples) -> tuple[float, float]:

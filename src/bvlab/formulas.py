@@ -184,18 +184,17 @@ def lambda_lemma_coeff(d: float) -> float:
     return (d - 1.0) ** 2 / (d * d * math.log(d))
 
 
-def table2(degrees=TABLE2_DEGREES) -> list[DimensionRow]:
+def table2() -> list[DimensionRow]:
     """Comparison rows of the basic and improved quadratic coefficients."""
     return [DimensionRow(d, lambda_lemma_coeff(d), sigma2_optimal(d),
                          distortion_constant(d), optimal_rho0(d))
-            for d in degrees]
+            for d in TABLE2_DEGREES]
 
 
-def truncate_display(x: float, places: int = 4) -> str:
-    """Decimal display truncated (not rounded) to ``places`` digits.
+def truncate_display(x: float) -> str:
+    """Decimal display truncated (not rounded) to four digits.
 
     Matches the ellipsis convention of the reference table; the raw values
     are always emitted alongside.
     """
-    scale = 10**places
-    return f"{math.floor(x * scale) / scale:.{places}f}"
+    return f"{math.floor(x * 10**4) / 10**4:.4f}"

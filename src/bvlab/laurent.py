@@ -127,6 +127,11 @@ class ExteriorLaurent:
     def with_max_freq(self, max_freq: int) -> "ExteriorLaurent":
         return ExteriorLaurent(self.coeffs, max_freq, self.self_similarity)
 
+    def truncated(self, max_freq: int) -> "ExteriorLaurent":
+        """The coefficients with k <= max_freq, exact up to the new cutoff."""
+        return ExteriorLaurent({k: c for k, c in self.coeffs.items() if k <= max_freq},
+                               max_freq, self.self_similarity)
+
     # -- serialization -----------------------------------------------------
 
     def to_doc(self) -> dict:
@@ -156,13 +161,11 @@ class ExteriorLaurent:
         return f"ExteriorLaurent({len(self.coeffs)} terms, max_freq={self.max_freq})"
 
 
-def convolve(a: ExteriorLaurent, b: ExteriorLaurent, max_freq: int,
-             floor: float = 0.0) -> tuple[ExteriorLaurent, float]:
+def convolve(a: ExteriorLaurent, b: ExteriorLaurent,
+             max_freq: int) -> tuple[ExteriorLaurent, float]:
     """Product of two exterior series truncated at ``max_freq``.
 
     Returns the truncated product and the l2 mass of the dropped tail.
-    Coefficients with modulus below ``floor`` are dropped (and counted in the
-    tail mass) to keep the result sparse.
     """
     out: dict[int, complex] = {}
     ka = sorted(a.coeffs)
@@ -174,12 +177,6 @@ def convolve(a: ExteriorLaurent, b: ExteriorLaurent, max_freq: int,
             if k > FREQ_CAP:
                 raise CapacityError("product frequency exceeds capacity")
             out[k] = out.get(k, 0) + ci * b.coeffs[j]
-    dropped = []
-    kept: dict[int, complex] = {}
-    for k in sorted(out):
-        c = out[k]
-        if k > max_freq or abs(c) < floor:
-            dropped.append(abs(c) ** 2)
-        else:
-            kept[k] = c
-    return ExteriorLaurent(kept, max_freq), fsum(dropped)
+    kept = {k: c for k, c in out.items() if k <= max_freq}
+    return ExteriorLaurent(kept, max_freq), fsum(abs(c) ** 2 for k, c in out.items()
+                                                 if k > max_freq)

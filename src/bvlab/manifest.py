@@ -116,9 +116,6 @@ class RunConfig:
         self.command = command
         self.values = merged
 
-    def get(self, key: str, default=None):
-        return self.values.get(key, default)
-
     def manifest(self, version: str, extra: dict | None = None) -> dict:
         doc = {
             "tool": TOOL_NAME,

@@ -17,12 +17,12 @@ from math import fsum
 
 from .annular import PiecewiseField, beurling, beurling_exterior, multiply
 from .constructions import ShellParams, build_shell
-from .errors import UnresolvedTruncationError, ValidationError
+from .errors import FREQ_CAP, UnresolvedTruncationError, ValidationError
 from .formulas import sigma2_shell
 from .laurent import ExteriorLaurent, convolve
 from .variance import VarianceEstimate, variance_block_mass
 
-COEFF_FLOOR = 1e-14  # sparsity floor for product coefficients, documented drop
+COEFF_FLOOR = 1e-14  # coefficients of w below this modulus go to the tail mass
 FLAG_TOL = 1e-9  # tail mass above this share of the kept mass leaves w unresolved
 # parameter_search costs 6-8 us per unit of (J + 5)^2 at each point, J its effective
 # shell count (0.3 ms at J = 2, 35 ms at d = 2 with 61 shells); the bound admits about
@@ -70,38 +70,38 @@ class Order2Report:
 
 
 def order2_field(mu: PiecewiseField, max_freq: int) -> Order2Field:
-    """Compute w = S(mu*S(mu)) - (1/2)(S(mu))^2 truncated at ``max_freq``."""
+    """Compute w = S(mu*S(mu)) - (1/2)(S(mu))^2 truncated at ``max_freq``.
+
+    w is formed in full and cut once: the kept coefficients are those with
+    k <= max_freq and modulus at least COEFF_FLOOR, and the tail mass is the
+    l2 mass of all the others.
+    """
     if max_freq < 1:
         raise ValidationError("max_freq must be >= 1")
-    s_pw = beurling(mu)
-    product = multiply(mu, s_pw)
-    first = beurling_exterior(product)            # exact finite series
+    first = beurling_exterior(multiply(mu, beurling(mu)))  # exact finite series
     s_ext = beurling_exterior(mu)
-    square, dropped_sq = convolve(s_ext, s_ext, max_freq, COEFF_FLOOR)
-
-    coeffs: dict[int, complex] = {}
-    dropped = [dropped_sq]
-    for k, c in first.coeffs.items():
-        if k > max_freq:
-            dropped.append(abs(c) ** 2)
-        else:
-            coeffs[k] = c
+    square, _ = convolve(s_ext, s_ext, FREQ_CAP)
+    w = dict(first.coeffs)
     for k, c in square.coeffs.items():
-        coeffs[k] = coeffs.get(k, 0) - 0.5 * c
-    coeffs = {k: c for k, c in coeffs.items() if abs(c) >= COEFF_FLOOR}
+        w[k] = w.get(k, 0) - 0.5 * c
+    kept, dropped = {}, []
+    for k, c in w.items():
+        if k <= max_freq and abs(c) >= COEFF_FLOOR:
+            kept[k] = c
+        else:
+            dropped.append(abs(c) ** 2)
     tail = fsum(dropped)
-    total_mass = fsum(abs(c) ** 2 for c in coeffs.values())
+    total_mass = fsum(abs(c) ** 2 for c in kept.values())
     flagged = tail > FLAG_TOL * max(total_mass, 1e-300)
-    return Order2Field(ExteriorLaurent(coeffs, max_freq), tail, flagged)
+    return Order2Field(ExteriorLaurent(kept, max_freq), tail, flagged)
 
 
 def _second_order(params: ShellParams) -> tuple[VarianceEstimate, Order2Field, ShellParams]:
     eff = params.clipped_to_max_freq()
     if eff.shells < 2:
         raise ValidationError("need at least two shells below the frequency cutoff")
-    mu = build_shell(eff)
-    mf = min(eff.max_freq, 2 * eff.frequency(eff.shells - 1))
-    field = order2_field(mu, mf)
+    # clipped_to_max_freq keeps 2 n_j <= max_freq for every shell, so w fits in full
+    field = order2_field(build_shell(eff), 2 * eff.frequency(eff.shells - 1))
     w = field.w.with_self_similarity(eff.degree, eff.first_frequency)
     return variance_block_mass(w), field, eff
 

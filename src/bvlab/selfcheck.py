@@ -180,7 +180,7 @@ def run_selfcheck(full: bool = False) -> list[CheckResult]:
         worst = 0.0
         for _ in range(5):
             mu = random_unit_shell_field(rng)
-            s = beurling_exterior(mu, max_freq=10**7)
+            s = beurling_exterior(mu).truncated(10**7)
             worst = max(worst, growth_slope(s, 1 + 1e-5, 1 + 1e-2, 30))
         results.append(CheckResult("random_growth_slopes", worst <= 1.05,
                                    f"max slope {worst:.4f}"))

@@ -23,7 +23,7 @@ from math import expm1, fsum, log1p
 from .errors import FREQ_CAP, UnresolvedScaleError, ValidationError
 from .laurent import ExteriorLaurent
 
-METHODS = ("lacunary_exact", "block_increment", "block_mass", "cesaro4")
+TOLERANCE = 1e-3  # relative change of the last two running estimates that counts as converged
 # cesaro_sigma4 needs R0^2 - 1 to be a finite double (R0 below about 1.3e154);
 # the bound keeps a wide margin below that
 CESARO_R0_MAX = 1e38
@@ -37,18 +37,13 @@ class VarianceEstimate:
     method: str
     diagnostics: tuple[tuple[int, float], ...]
     converged: bool
-    tolerance: float
-
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValidationError(f"unknown method {self.method!r}")
 
     def to_doc(self) -> dict:
         return {
             "value": self.value,
             "method": self.method,
             "converged": self.converged,
-            "tolerance": self.tolerance,
+            "tolerance": TOLERANCE,
             "diagnostics": [[i, v] for i, v in self.diagnostics],
         }
 
@@ -62,11 +57,11 @@ def _running_tail(values: list[float]) -> list[float]:
     return [_tail_average(values[:i + 1]) for i in range(len(values))]
 
 
-def _consecutive_converged(values: list[float], tol: float) -> bool:
+def _consecutive_converged(values: list[float]) -> bool:
     if len(values) < 2:
         return False
     a, b = values[-2], values[-1]
-    return abs(b - a) <= tol * max(abs(a), abs(b), 1e-30)
+    return abs(b - a) <= TOLERANCE * max(abs(a), abs(b), 1e-30)
 
 
 def _aitken(values: list[float]) -> list[float]:
@@ -113,7 +108,7 @@ def integral_means(g: ExteriorLaurent, R: float) -> float:
     return integral_means_log(g, math.log(R))
 
 
-def variance_lacunary(moduli, d: float, tolerance: float = 1e-3) -> VarianceEstimate:
+def variance_lacunary(moduli, d: float) -> VarianceEstimate:
     """Cesaro mean of squared moduli divided by log d.
 
     Exact for lacunary series whose frequencies grow with ratio d; the
@@ -129,7 +124,7 @@ def variance_lacunary(moduli, d: float, tolerance: float = 1e-3) -> VarianceEsti
     diagnostics = [(n, fsum(squares[:n]) / n / log_d) for n in checkpoints]
     values = [v for _, v in diagnostics]
     return VarianceEstimate(values[-1], "lacunary_exact", tuple(diagnostics),
-                            _consecutive_converged(values, tolerance), tolerance)
+                            _consecutive_converged(values))
 
 
 def block_log_scales(R0: float, d: int, n_blocks: int) -> list[float]:
@@ -145,8 +140,7 @@ def block_log_scales(R0: float, d: int, n_blocks: int) -> list[float]:
     return [math.log(R0) / d**k for k in range(n_blocks + 1)]
 
 
-def variance_block(g: ExteriorLaurent, d: int, R0: float, n_blocks: int,
-                   tolerance: float = 1e-3) -> VarianceEstimate:
+def variance_block(g: ExteriorLaurent, d: int, R0: float, n_blocks: int) -> VarianceEstimate:
     """Variance from increments of I(R) between the scales R0^(1/d^k).
 
     Each increment [I(R_(k+1)) - I(R_k)] / [log(1/(R_(k+1)-1)) - log(1/(R_k-1))]
@@ -167,10 +161,10 @@ def variance_block(g: ExteriorLaurent, d: int, R0: float, n_blocks: int,
     running = _running_tail(_aitken(increments))
     diagnostics = tuple(enumerate(running))
     return VarianceEstimate(running[-1], "block_increment", diagnostics,
-                            _consecutive_converged(running, tolerance), tolerance)
+                            _consecutive_converged(running))
 
 
-def variance_block_mass(g: ExteriorLaurent, tolerance: float = 1e-3) -> VarianceEstimate:
+def variance_block_mass(g: ExteriorLaurent) -> VarianceEstimate:
     """Per-block l2 coefficient mass over log(base).
 
     Requires self-similarity metadata on ``g``; block l covers frequencies in
@@ -200,7 +194,7 @@ def variance_block_mass(g: ExteriorLaurent, tolerance: float = 1e-3) -> Variance
     running = _running_tail(per_block)
     diagnostics = tuple(enumerate(running))
     return VarianceEstimate(running[-1], "block_mass", diagnostics,
-                            _consecutive_converged(running, tolerance), tolerance)
+                            _consecutive_converged(running))
 
 
 def _block_index(k: int, edges: list[int], base: int) -> int:
@@ -214,13 +208,7 @@ def _block_index(k: int, edges: list[int], base: int) -> int:
     return lo
 
 
-def third_derivative(g: ExteriorLaurent) -> ExteriorLaurent:
-    """Termwise third derivative: b_k maps to -k(k+1)(k+2) b_k at k + 3."""
-    return g.third_derivative()
-
-
-def cesaro_sigma4(v: ExteriorLaurent, R0: float, d: int,
-                  tolerance: float = 1e-3) -> VarianceEstimate:
+def cesaro_sigma4(v: ExteriorLaurent, R0: float, d: int) -> VarianceEstimate:
     """Fourth-order average of v''' against the hyperbolic density.
 
     Per fundamental annulus A(R^(1/d), R) the estimate is
@@ -254,7 +242,7 @@ def cesaro_sigma4(v: ExteriorLaurent, R0: float, d: int,
     running = _running_tail(values)
     diagnostics = tuple(enumerate(running))
     return VarianceEstimate(running[-1], "cesaro4", diagnostics,
-                            _consecutive_converged(running, tolerance), tolerance)
+                            _consecutive_converged(running))
 
 
 def _radial_fourth_order_integral(mass: dict[int, float], log_lo: float,

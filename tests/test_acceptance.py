@@ -20,7 +20,7 @@ from bvlab.constructions import (ShellParams, build_shell, lacunary_vector_field
 from bvlab.formulas import (distortion_constant, lambda_lemma_coeff,
                             optimal_rho0, sigma2_optimal)
 from bvlab.order2 import order2_field
-from bvlab.variance import (cesaro_sigma4, growth_slope, third_derivative,
+from bvlab.variance import (cesaro_sigma4, growth_slope,
                             variance_block, variance_block_mass,
                             variance_lacunary)
 from conftest import assert_selfcheck, circle
@@ -123,11 +123,11 @@ def test_criterion_5_upper_bound_properties(rng):
     with criterion(5, "growth slopes <= 1.05 and third-derivative ratio <= 3/2", 120.0):
         for _ in range(20):
             mu = random_unit_shell_field(rng)
-            series = beurling_exterior(mu, max_freq=10**7)
+            series = beurling_exterior(mu).truncated(10**7)
             slope = growth_slope(series, 1 + 1e-5, 1 + 1e-2, 40)
             assert slope <= 1.05
 
-            v3 = third_derivative(cauchy_exterior(mu, max_freq=10**7))
+            v3 = cauchy_exterior(mu).truncated(10**7).third_derivative()
             for i in range(200):
                 R = 1.0 + 10.0 ** (-4.0 * ((i % 40) + 1) / 40.0)
                 z = circle(R, 2.399963 * i)

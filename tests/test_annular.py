@@ -14,6 +14,7 @@ from bvlab.annular import (MonomialTerm, PiecewiseField, bergman_coefficients,
 from bvlab.constructions import ShellParams, build_shell
 from bvlab.errors import (DivergentMomentError, UnsupportedTermError,
                           ValidationError)
+from bvlab.manifest import json_text
 from conftest import circle
 from oracles import (quad_bergman_coefficient, quad_cauchy_at, quad_moment,
                      wirtinger_dbar, wirtinger_dz)
@@ -383,13 +384,33 @@ class TestSerialization:
 
     @pytest.mark.parametrize("r_in, r_out", [(0.0, 0.5), (0.5, math.inf), (0.0, math.inf)])
     def test_round_trip_support_reaching_zero_or_infinity(self, r_in, r_out):
+        # a bound at 0 or infinity is written as r_in 0 or r_out null, without its log key
         f = PiecewiseField.of(MonomialTerm.make(1 + 2j, 0, 3, 0.0, r_in, r_out))
+        term = f.to_doc()["terms"][0]
+        assert ("log_r_in" in term) == (r_in > 0) and ("log_r_out" in term) == (r_out < inf)
+        assert term["r_out"] == (None if r_out == inf else r_out)
         assert PiecewiseField.from_doc(f.to_doc()) == f
-        assert PiecewiseField.from_doc(json.loads(json.dumps(f.to_doc()))) == f
+        assert PiecewiseField.from_doc(json.loads(json_text(f.to_doc()))) == f
         for key in ("log_r_in", "log_r_out"):  # the plain radii alone
             doc = f.to_doc()
-            del doc["terms"][0][key]
+            doc["terms"][0].pop(key, None)
             assert PiecewiseField.from_doc(doc) == f
+
+    def test_each_bound_read_from_its_log_key_else_its_radius(self):
+        term = {"re": 1.0, "im": 0.0, "p": 0, "q": 2, "gamma": 0.0, "r_in": 0.2, "r_out": 0.5}
+        both = MonomialTerm.from_doc(term)
+        assert MonomialTerm.from_doc({**term, "log_r_in": -1.0}).log_r_in == -1.0
+        assert MonomialTerm.from_doc({**term, "log_r_out": -0.25}).log_r_in == both.log_r_in
+        assert MonomialTerm.from_doc({**term, "r_out": inf}).log_r_out == inf
+        with pytest.raises(ValidationError):
+            MonomialTerm.from_doc({**term, "r_in": -0.1})
+
+    def test_finite_bounds_keep_their_bytes(self):
+        f = PiecewiseField.of(MonomialTerm.make(0.5 - 1j, 3, 1, -2.5, 0.25, 0.75))
+        assert json_text(f.to_doc()) == (
+            '{"terms": [{"gamma": -2.5, "im": -1, "log_r_in": -1.3862943611198906, '
+            '"log_r_out": -0.2876820724517809, "p": 3, "q": 1, "r_in": 0.25, '
+            '"r_out": 0.75, "re": 0.5}]}\n')
 
     @pytest.mark.parametrize("key, value", [
         ("log_r_in", math.inf), ("log_r_out", -math.inf), ("log_r_in", math.nan),
@@ -397,7 +418,7 @@ class TestSerialization:
     def test_wrong_signed_or_nan_radius_rejected(self, key, value):
         term = {"re": 1.0, "im": 0.0, "p": 0, "q": 2, "gamma": 0.0, "r_in": 0.2, "r_out": 0.5,
                 key: value}
-        if key.startswith("log"):  # the log form is read only when both bounds are present
+        if key.startswith("log"):  # the log key, when present, is read before the radius
             term = {"log_r_in": -1.6, "log_r_out": -0.7, **term}
         with pytest.raises(ValidationError, match=f"{key} must be a finite number"):
             PiecewiseField.from_doc({"terms": [term]})

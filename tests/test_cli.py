@@ -10,9 +10,11 @@ from pathlib import Path
 import pytest
 
 import bvlab
+from bvlab.annular import PiecewiseField
 from bvlab.cli import build_parser, main
 from bvlab.dynamics import BlaschkeMap, CirclePotential, birkhoff_variance
 from bvlab.errors import FREQ_CAP, ValidationError, parse_int
+from bvlab.manifest import json_text
 
 
 def run_cli(args, out_dir: Path, capsys) -> tuple[int, str, str]:
@@ -144,6 +146,21 @@ class TestMeansCurve:
         assert code == 0
         lines = (tmp_path / "means_curve.csv").read_text().strip().splitlines()
         assert any(line.endswith("false") for line in lines[1:])
+
+
+class TestTruncate:
+    def test_field_reaching_the_origin(self, tmp_path, capsys):
+        # a term at r_in = 0 is written as r_in 0 without log_r_in, and reads back equal
+        mu = tmp_path / "mu.json"
+        mu.write_text(json.dumps({"terms": [{"re": 1, "im": 0, "p": 1, "q": 0, "gamma": -1,
+                                             "r_in": 0.0, "r_out": 0.5}]}))
+        code, _, err = run_cli(["truncate", "--mu", str(mu), "--r1", "0.7", "--eps", "0.01"],
+                               tmp_path, capsys)
+        assert code == 0, err
+        text = (tmp_path / "truncated_field.json").read_text()
+        field = PiecewiseField.from_doc(json.loads(text))
+        assert json_text(field.to_doc()) == text
+        assert min(t.log_r_in for t in field.terms) == -math.inf
 
 
 class TestDynamics:

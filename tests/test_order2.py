@@ -3,6 +3,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvlab.annular import (MonomialTerm, PiecewiseField, beurling, multiply)
 from bvlab.constructions import ShellParams, build_shell
@@ -73,6 +75,33 @@ class TestOrder2Field:
         assert clipped.tail_mass > 0
         assert full.tail_mass <= 1e-25
         assert clipped.flagged
+
+    @pytest.mark.parametrize("mu, max_freq, mass", [
+        (build_shell(ShellParams(d=3, rho0=0.3, shells=3)), 20, 0.21536),
+        (PiecewiseField.of(MonomialTerm.make(1.0, 3, 0, -1.0, 0.2, 0.5),
+                           MonomialTerm.make(0.5, 1, 0, 0.0, 0.5, 0.7)), 5, 1.2230e-4)])
+    def test_tail_mass_is_the_mass_of_w_beyond_the_cut(self, mu, max_freq, mass):
+        # the square's dropped coefficients enter w at -1/2 and net against S(mu S(mu))
+        full = order2_field(mu, max_freq=10**6)
+        beyond = [abs(c) ** 2 for k, c in full.w.coeffs.items() if k > max_freq]
+        tail = order2_field(mu, max_freq).tail_mass
+        assert tail == pytest.approx(math.fsum(beyond), rel=1e-12, abs=0)
+        assert tail == pytest.approx(mass, rel=1e-4)
+
+    @given(st.lists(st.tuples(st.floats(-2, 2), st.integers(1, 12), st.sampled_from([0.0, -1.0]),
+                              st.floats(0.05, 0.9), st.floats(0.02, 0.5)),
+                    min_size=2, max_size=4),
+           st.integers(1, 48))
+    @settings(max_examples=50, deadline=None)
+    def test_single_cut(self, terms, cutoff):
+        # cutting at c keeps exactly the uncut w below c and counts the rest as tail
+        mu = PiecewiseField(tuple(MonomialTerm.make(c, p, 0, gamma, r, min(r + width, 0.99))
+                                  for c, p, gamma, r, width in terms))
+        full, cut = order2_field(mu, 10**6), order2_field(mu, cutoff)
+        assert cut.w.coeffs == {k: c for k, c in full.w.coeffs.items() if k <= cutoff}
+        rest = [abs(c) ** 2 for k, c in full.w.coeffs.items() if k > cutoff]
+        assert cut.tail_mass == pytest.approx(math.fsum([*rest, full.tail_mass]),
+                                              rel=1e-12, abs=0)
 
 
 class TestOrder2Bound:
