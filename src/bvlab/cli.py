@@ -15,22 +15,11 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from . import __version__
-from .constructions import (ShellParams, build_shell, shell_beurling_series,
-                            shell_cauchy_series, truncate_to_polynomial)
-from .dynamics import (MAX_SAMPLES, BlaschkeMap, CirclePotential, birkhoff_variance,
-                       birkhoff_variance_mc, coboundary_check, log_deriv_mean)
+from . import (__version__, annular, constructions, dynamics, formulas, laurent, order2,
+               selfcheck, variance)
 from .errors import (FREQ_CAP, BVLabError, CapacityError, UnresolvedScaleError,
                      UnresolvedTruncationError, ValidationError, parse_float, parse_int)
-from .formulas import (best_integer_degree, best_real_degree, distortion_constant,
-                       julia_dim_k, julia_dim_t, optimal_rho0, sigma2_optimal,
-                       smirnov_dim_k, smirnov_dim_t, table2, truncate_display)
-from .laurent import ExteriorLaurent
 from .manifest import RunConfig, csv_text, json_text, resolve_output_dir, write_text
-from .order2 import order2_bound, parameter_search, shell_grid
-from .selfcheck import run_selfcheck
-from .variance import (block_log_scales, cesaro_sigma4, growth_slope, integral_means_log,
-                       variance_block, variance_block_mass, variance_lacunary)
 
 _MAX_POINTS = 10**4  # 100x the default means-curve grid
 
@@ -80,11 +69,11 @@ def _emit(config: RunConfig, out_dir: Path, name: str, payload, resolved: dict |
     sys.stdout.write(text)
 
 
-def _shell_params(opts: dict) -> ShellParams:
+def _shell_params(opts: dict) -> constructions.ShellParams:
     d = _need(opts, "d")
-    rho0 = optimal_rho0(d) if opts["rho0"] == "optimal" else opts["rho0"]
-    return ShellParams(d=d, rho0=rho0, n0=opts["n0"], shells=opts["shells"],
-                       max_freq=opts["max_freq"])
+    rho0 = formulas.optimal_rho0(d) if opts["rho0"] == "optimal" else opts["rho0"]
+    return constructions.ShellParams(d=d, rho0=rho0, n0=opts["n0"], shells=opts["shells"],
+                                     max_freq=opts["max_freq"])
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +81,14 @@ def _shell_params(opts: dict) -> ShellParams:
 # ---------------------------------------------------------------------------
 
 def cmd_table2(opts: dict, emit) -> int:
-    rows = table2()
+    rows = formulas.table2()
     if opts["format"] == "csv":
         header = ["d", "lambda_lemma", "improved", "c_d", "optimal_rho0",
                   "lambda_lemma_display", "improved_display"]
         emit("table2", csv_text(header, [
             [r.d, r.lambda_lemma_coeff, r.improved_coeff, r.c_d, r.optimal_rho0,
-             truncate_display(r.lambda_lemma_coeff), truncate_display(r.improved_coeff)]
+             formulas.truncate_display(r.lambda_lemma_coeff),
+             formulas.truncate_display(r.improved_coeff)]
             for r in rows]), ext="csv")
     else:
         emit("table2", {"rows": [r.to_doc() for r in rows]})
@@ -109,20 +99,25 @@ def cmd_variance(opts: dict, emit) -> int:
     params = _shell_params(opts)
     method, r0, blocks = opts["method"], opts["r0"], opts["blocks"]
     if method == "exact":
-        from .constructions import shell_moduli
-        est = variance_lacunary(shell_moduli(params, opts["terms"]), params.d)
-    elif method == "block":
-        g = shell_beurling_series(_auto_shells(params, r0, blocks))
-        est = variance_block(g, params.degree, r0, blocks)
+        est = variance.variance_lacunary(constructions.shell_moduli(params, opts["terms"]),
+                                         params.d)
+    elif method == "block":  # grow the shell count until the finest probed scale is resolved
+        d, shells = params.degree, params.shells
+        need = 10.0 / math.expm1(variance.block_log_scales(r0, d, blocks)[-1])
+        while params.first_frequency * d ** (shells - 1) < need:
+            shells += 1
+        g = constructions.shell_beurling_series(_shell_params({**opts, "shells": shells}))
+        est = variance.variance_block(g, d, r0, blocks)
     elif method == "mass":
-        est = variance_block_mass(shell_beurling_series(params))
+        est = variance.variance_block_mass(constructions.shell_beurling_series(params))
     else:  # cesaro
-        est = cesaro_sigma4(shell_cauchy_series(params), r0, params.degree)
+        est = variance.cesaro_sigma4(constructions.shell_cauchy_series(params), r0,
+                                     params.degree)
     payload = est.to_doc()
     payload["d"] = params.d
     payload["rho0"] = params.rho0
-    payload["closed_form"] = sigma2_optimal(params.d) if \
-        abs(params.rho0 - optimal_rho0(params.d)) < 1e-12 else None
+    payload["closed_form"] = formulas.sigma2_optimal(params.d) if \
+        abs(params.rho0 - formulas.optimal_rho0(params.d)) < 1e-12 else None
     diagnostics = csv_text(["scale_index", "running_estimate"],
                            [[i, v] for i, v in est.diagnostics])
     emit("variance", payload, {"rho0": params.rho0},
@@ -130,25 +125,12 @@ def cmd_variance(opts: dict, emit) -> int:
     return 0
 
 
-def _auto_shells(params: ShellParams, r0: float, blocks: int) -> ShellParams:
-    """Grow the shell count until the finest probed scale is resolved."""
-    from dataclasses import replace
-
-    d = params.degree
-    r_final_minus_1 = math.expm1(block_log_scales(r0, d, blocks)[-1])
-    need = 10.0 / r_final_minus_1
-    j = params.shells
-    while params.first_frequency * d ** (j - 1) < need:
-        j += 1
-    return replace(params, shells=j)
-
-
 def cmd_optimize(opts: dict, emit) -> int:
-    best_int = best_integer_degree(opts["d_min"], opts["d_max"])
-    best_real = best_real_degree(opts["d_min"], opts["d_max"])
+    best_int = formulas.best_integer_degree(opts["d_min"], opts["d_max"])
+    best_real = formulas.best_real_degree(opts["d_min"], opts["d_max"])
     emit("optimize", {
         "best_integer": {"d": best_int[0], "value": best_int[1],
-                         "optimal_rho0": optimal_rho0(best_int[0])},
+                         "optimal_rho0": formulas.optimal_rho0(best_int[0])},
         "best_real": {"d": best_real[0], "value": best_real[1]},
     })
     return 0
@@ -156,9 +138,9 @@ def cmd_optimize(opts: dict, emit) -> int:
 
 def cmd_order2(opts: dict, emit) -> int:
     if opts["grid_d"]:
-        grid = shell_grid(opts["grid_d"], opts["grid_rho0"], opts["grid_n0"],
-                          6 if opts["shells"] is None else opts["shells"], opts["max_freq"])
-        best, board = parameter_search(grid)
+        grid = order2.shell_grid(opts["grid_d"], opts["grid_rho0"], opts["grid_n0"],
+                                 6 if opts["shells"] is None else opts["shells"], opts["max_freq"])
+        best, board = order2.parameter_search(grid)
         header = ["d", "rho0", "n0", "shells", "first_order", "second_order",
                   "total", "tail_mass"]
         rows = [[r.params.d, r.params.rho0, r.params.first_frequency, r.shells_used,
@@ -169,7 +151,7 @@ def cmd_order2(opts: dict, emit) -> int:
         capacity = _shell_params({**opts, "shells": 10**6}).clipped_to_max_freq().shells
         opts = {**opts, "shells": max(2, min(10, capacity // 2))}
     params = _shell_params(opts)
-    report = order2_bound(params, refine=opts["refine"])
+    report = order2.order2_bound(params, refine=opts["refine"])
     emit("order2", report.to_doc(), {"rho0": params.rho0})
     return 0
 
@@ -177,14 +159,16 @@ def cmd_order2(opts: dict, emit) -> int:
 def cmd_dimension(opts: dict, emit) -> int:
     d, t, k = _need(opts, "d"), opts["t"], opts["k"]
     payload: dict = {"d": d, "remainder_order": "cubic in the distortion",
-                     "c_d": distortion_constant(d)}
+                     "c_d": formulas.distortion_constant(d)}
     # the Smirnov bounds check |t| < 1 and 0 <= k < 1 before the expansions run
     if t is not None:
-        payload.update(t=t, smirnov_t=smirnov_dim_t(abs(t)), dimension_t=julia_dim_t(d, t))
+        payload.update(t=t, smirnov_t=formulas.smirnov_dim_t(abs(t)),
+                       dimension_t=formulas.julia_dim_t(d, t))
     if k is not None:
-        payload.update(k=k, smirnov_k=smirnov_dim_k(k), dimension_k=julia_dim_k(d, k))
+        payload.update(k=k, smirnov_k=formulas.smirnov_dim_k(k),
+                       dimension_k=formulas.julia_dim_k(d, k))
     if t is None and k is None:
-        payload["quadratic_coefficient_k"] = sigma2_optimal(d)
+        payload["quadratic_coefficient_k"] = formulas.sigma2_optimal(d)
     emit("dimension", payload)
     return 0
 
@@ -194,19 +178,19 @@ def cmd_means_curve(opts: dict, emit) -> int:
     if not (0.0 < lo < hi < 1.0 and 2 <= n <= _MAX_POINTS):
         raise ValidationError(f"need 0 < r_min < r_max < 1 and 2 <= points <= {_MAX_POINTS}")
     if opts["series"]:
-        g = ExteriorLaurent.from_doc(_read_json(opts["series"], "series"))
+        g = laurent.ExteriorLaurent.from_doc(_read_json(opts["series"], "series"))
     else:
-        g = shell_beurling_series(_shell_params(opts))
+        g = constructions.shell_beurling_series(_shell_params(opts))
     rows = []
     for i in range(n):
         t = i / (n - 1)
         x = math.exp((1 - t) * math.log(hi) + t * math.log(lo))  # R - 1, descending
         log_R = math.log1p(x)
-        means = integral_means_log(g, log_R)
+        means = variance.integral_means_log(g, log_R)
         ratio = means / math.log(1.0 / x)
         resolved = g.max_freq >= 10.0 / x
         rows.append([1.0 + x, means, ratio, "true" if resolved else "false"])
-    slope = growth_slope(g, 1.0 + lo, 1.0 + hi, n)
+    slope = variance.growth_slope(g, 1.0 + lo, 1.0 + hi, n)
     emit("means_curve", csv_text(["R", "integral_means", "ratio", "resolved"], rows),
          {"growth_slope": slope}, ext="csv")
     return 0
@@ -214,12 +198,11 @@ def cmd_means_curve(opts: dict, emit) -> int:
 
 def cmd_truncate(opts: dict, emit) -> int:
     if opts["mu"]:
-        from .annular import PiecewiseField
-        mu = PiecewiseField.from_doc(_read_json(opts["mu"], "field"))
+        mu = annular.PiecewiseField.from_doc(_read_json(opts["mu"], "field"))
     else:
-        mu = build_shell(_shell_params(opts))
-    result = truncate_to_polynomial(mu, _need(opts, "r1"), _need(opts, "eps"),
-                                    rescale=opts["rescale"])
+        mu = constructions.build_shell(_shell_params(opts))
+    result = constructions.truncate_to_polynomial(mu, _need(opts, "r1"), _need(opts, "eps"),
+                                                  rescale=opts["rescale"])
     payload = {
         "cutoff": result.cutoff,
         "correction_bound": result.correction_bound,
@@ -233,29 +216,30 @@ def cmd_truncate(opts: dict, emit) -> int:
 
 def cmd_dynamics(opts: dict, emit) -> int:
     if opts["subcommand"] == "coboundary":
-        payload = coboundary_check(opts["d"], 20 if opts["n"] is None else opts["n"]).to_doc()
+        n = 20 if opts["n"] is None else opts["n"]
+        payload = dynamics.coboundary_check(opts["d"], n).to_doc()
         payload["seed"] = opts["seed"]
         emit("dynamics_coboundary", payload)
         return 0
     n, samples, seed = 50 if opts["n"] is None else opts["n"], opts["samples"], opts["seed"]
-    if seed < 0 or not 2 <= samples <= MAX_SAMPLES:  # checked on every route
-        raise ValidationError(f"need seed >= 0 and 2 <= samples <= {MAX_SAMPLES}")
-    phi = CirclePotential.from_doc(_read_json(_need(opts, "phi"), "potential"))
+    if seed < 0 or not 2 <= samples <= dynamics.MAX_SAMPLES:  # checked on every route
+        raise ValidationError(f"need seed >= 0 and 2 <= samples <= {dynamics.MAX_SAMPLES}")
+    phi = dynamics.CirclePotential.from_doc(_read_json(_need(opts, "phi"), "potential"))
     zeros = opts["blaschke"]
-    b = BlaschkeMap(zeros) if zeros else BlaschkeMap.power(opts["d"])
+    b = dynamics.BlaschkeMap(zeros) if zeros else dynamics.BlaschkeMap.power(opts["d"])
     # both routes bound their work before they build a series or sample an orbit
     if opts["method"] == "mc":
-        est, err = birkhoff_variance_mc(phi, b, n, samples, seed)
+        est, err = dynamics.birkhoff_variance_mc(phi, b, n, samples, seed)
         payload = {"estimate": est, "stderr": err, "seed": seed}
     else:
-        payload = birkhoff_variance(phi, b, n).to_doc()
-    payload["log_deriv_mean"] = log_deriv_mean(b)
+        payload = dynamics.birkhoff_variance(phi, b, n).to_doc()
+    payload["log_deriv_mean"] = dynamics.log_deriv_mean(b)
     emit("dynamics_var", payload)
     return 0
 
 
 def cmd_selfcheck(opts: dict, emit) -> int:
-    results = run_selfcheck(full=opts["full"])
+    results = selfcheck.run_selfcheck(full=opts["full"])
     sys.stdout.write("".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n"
                              for r in results))
     ok = all(r.passed for r in results)

@@ -18,7 +18,7 @@ from math import fsum
 from .annular import PiecewiseField, beurling, beurling_exterior, multiply
 from .constructions import ShellParams, build_shell
 from .errors import FREQ_CAP, UnresolvedTruncationError, ValidationError
-from .formulas import sigma2_shell
+from .formulas import optimal_rho0, sigma2_shell
 from .laurent import ExteriorLaurent, convolve
 from .variance import VarianceEstimate, variance_block_mass
 
@@ -158,8 +158,6 @@ def shell_grid(degrees, rho0_values, n0_values, shells: int, max_freq: int):
     ``rho0_values`` entries may be the string "optimal", resolved per degree;
     ``n0_values`` may contain None for the per-degree default.
     """
-    from .formulas import optimal_rho0
-
     for d in degrees:
         for rho in rho0_values:
             rho_val = optimal_rho0(d) if rho == "optimal" else float(rho)

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from .annular import (MonomialTerm, PiecewiseField, beurling, beurling_exterior,
                       bergman_coefficients, cauchy_exterior, cauchy_full,
                       eval_taylor, pullback_power)
-from .constructions import (ShellParams, lacunary_vector_field,
-                            random_unit_shell_field, shell_beurling_series,
-                            shell_cauchy_series, truncate_to_polynomial)
+from .constructions import (ShellParams, lacunary_vector_field, random_unit_shell_field,
+                            shell_beurling_series, shell_cauchy_identity_check,
+                            shell_cauchy_series, shell_moduli, truncate_to_polynomial)
 from .dynamics import coboundary_check
 from .formulas import (best_integer_degree, best_real_degree, lambda_lemma_coeff,
                        optimal_rho0, pointwise_sigma_bound, sigma2_optimal,
                        sigma2_shell, truncate_display)
+from .laurent import ExteriorLaurent
 from .order2 import order2_bound
 from .variance import (cesaro_sigma4, growth_slope, linspace,
                        variance_block, variance_block_mass, variance_lacunary)
@@ -134,7 +135,6 @@ def run_selfcheck(full: bool = False) -> list[CheckResult]:
     results.append(_check("lacunary_functional_equation", res, max(bound * 1.01, 1e-12)))
 
     # shell Cauchy transform against the lacunary field
-    from .constructions import shell_cauchy_identity_check
     res, _ = shell_cauchy_identity_check(ShellParams(d=3, rho0=0.2, shells=10),
                                          [1.5 + 0.2j, -1.3 + 1.1j])
     results.append(_check("shell_cauchy_identity", res, 1e-10))
@@ -154,13 +154,11 @@ def run_selfcheck(full: bool = False) -> list[CheckResult]:
     doc = mu4.to_doc()
     ok = PiecewiseField.from_doc(doc).to_doc() == doc
     se_doc = se.to_doc()
-    from .laurent import ExteriorLaurent
     ok = ok and ExteriorLaurent.from_doc(se_doc).to_doc() == se_doc
     results.append(CheckResult("serialization_roundtrip", ok, "bit-stable"))
 
     if full:
         # four-method agreement at the optimal radius
-        from .constructions import shell_moduli
         for d in (2, 3, 4, 20):
             p = ShellParams(d=d, rho0=optimal_rho0(d), shells=22 if d == 2 else 12)
             target = sigma2_optimal(d)

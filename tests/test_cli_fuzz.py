@@ -16,6 +16,10 @@ through ``cli.main`` in-process and must
 * raise no warning,
 * end within ``WALL_S`` seconds.
 
+One command line per command also runs as ``python -m bvlab.cli`` in a fresh
+interpreter, which covers start-up, the module bodies a command runs and the
+encoding of the streams.
+
 Each command gets a quarter of the hypothesis profile's examples, so a
 longer profile (``--hypothesis-profile``) runs the same properties for longer.
 """
@@ -23,7 +27,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -231,7 +238,7 @@ def _one_passing_check(full=False):
 @given(data=st.data())
 def test_every_input_keeps_the_exit_contract(command, data):
     argv, config = data.draw(_invocation(command))
-    with mock.patch.object(cli, "run_selfcheck", _one_passing_check):
+    with mock.patch("bvlab.selfcheck.run_selfcheck", _one_passing_check):  # cli calls it there
         _check_contract(*_run(argv, config))
 
 
@@ -262,3 +269,28 @@ def test_every_reader_key_has_valid_values():
     readers = {key for _, _, keys in cli._COMMANDS.values() for key, (kind, _) in keys.items()
                if callable(kind)}
     assert readers == set(READER_VALUES)
+
+
+def _invalid_line(command: str) -> list[str]:
+    """The command with a non-ASCII value in its first key that takes one (the
+    global ``--seed`` for a command whose own keys are all switches)."""
+    keys = {**cli._COMMANDS[command][2], **cli._GLOBAL}
+    positional = [keys[key][0][0] for key in cli._POSITIONAL if key in keys]
+    key = next(key for key, (kind, _) in keys.items()
+               if key not in cli._POSITIONAL and kind != "switch")
+    return [command, *positional, cli._flag(key), "\u03c0"]
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_invalid_value_in_a_fresh_interpreter(command, tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "BVLAB_OUT"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    argv = _invalid_line(command)
+    proc = subprocess.run([sys.executable, "-m", "bvlab.cli", *argv, "--out", str(tmp_path)],
+                          env=env, capture_output=True, timeout=60)
+    out, err = proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
+    assert proc.returncode == 2, (argv, proc.returncode, err)
+    assert out == "" and "Traceback" not in err, (argv, out, err)
+    assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+    error = json.loads(err)
+    assert isinstance(error, dict) and "\u03c0" in error["message"], (argv, err)

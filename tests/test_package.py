@@ -1,0 +1,112 @@
+"""The package surface: which module bodies a command runs, the names that
+``from bvlab import X`` serves, and the scripts that import them."""
+import json
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bvlab
+
+SRC = Path(bvlab.__file__).resolve().parents[1]
+SCRIPTS = sorted((SRC.parent / "scripts").glob("*.py"))
+
+# Every name the package served before its submodules were loaded lazily.
+NAMES = """
+MonomialTerm PiecewiseField beurling beurling_exterior bergman_coefficients cauchy_exterior
+cauchy_full derivative_z moment multiply pullback_power
+LacunaryField PerturbationSpec ShellParams build_shell lacunary_vector_field periodise
+perturbation_vector_field shell_beurling_series shell_cauchy_identity_check
+shell_cauchy_series truncate_to_polynomial
+BirkhoffVariance BlaschkeMap CirclePotential birkhoff_variance birkhoff_variance_exact
+birkhoff_variance_mc coboundary_check log_deriv_mean
+BVLabError CapacityError DivergentMomentError UnresolvedScaleError UnresolvedTruncationError
+UnsupportedTermError ValidationError
+DimensionRow best_integer_degree best_real_degree distortion_constant julia_dim_k julia_dim_t
+optimal_rho0 pointwise_sigma_bound sigma2_optimal sigma2_shell smirnov_dim_k smirnov_dim_t
+table2
+ExteriorLaurent SelfSimilarity
+Order2Report order2_bound order2_field parameter_search
+VarianceEstimate bloch_seminorm cesaro_sigma4 growth_slope integral_means variance_block
+variance_block_mass variance_lacunary
+""".split()
+
+# Runs each command line of argv[2] in turn and records, after the package
+# import and after each command, the submodules whose body has run.  The type
+# test does not trigger a lazy load; a loaded module is a plain module again.
+_LOAD_PROBE = """
+import json
+import sys
+import types
+
+
+def ran():
+    return sorted(name[len("bvlab."):] for name, module in list(sys.modules.items())
+                  if name.startswith("bvlab.") and type(module) is types.ModuleType)
+
+
+import bvlab
+
+steps = {"import bvlab": ran()}
+import bvlab.cli
+
+out = sys.argv[1]
+for argv in json.loads(sys.argv[2]):
+    assert bvlab.cli.main([*argv, "--out", out]) == 0, argv
+    steps[" ".join(argv)] = ran()
+with open(out + "/loaded_modules.json", "w", encoding="utf-8") as fh:
+    json.dump(steps, fh)
+"""
+
+CLOSED_FORM = ["cli", "errors", "formulas", "manifest"]
+EVERY_MODULE = sorted(["annular", "cli", "constructions", "dynamics", "errors", "formulas",
+                       "laurent", "manifest", "order2", "selfcheck", "variance"])
+
+
+def _env() -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "BVLAB_OUT"}
+    env["PYTHONPATH"] = str(SRC)
+    return env
+
+
+def test_each_command_runs_only_the_modules_it_uses(tmp_path):
+    steps = [["table2"], ["optimize"], ["dimension", "--d", "20", "--k", "0.1"],
+             ["dynamics", "coboundary", "--d", "2", "--n", "20"], ["selfcheck", "--full"]]
+    proc = subprocess.run([sys.executable, "-c", _LOAD_PROBE, str(tmp_path), json.dumps(steps)],
+                          env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    ran = json.loads((tmp_path / "loaded_modules.json").read_text(encoding="utf-8"))
+    assert ran == {
+        "import bvlab": [],
+        "table2": CLOSED_FORM,
+        "optimize": CLOSED_FORM,
+        "dimension --d 20 --k 0.1": CLOSED_FORM,
+        "dynamics coboundary --d 2 --n 20": sorted([*CLOSED_FORM, "dynamics"]),
+        "selfcheck --full": EVERY_MODULE,
+    }
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_name_resolves_to_its_home_object(name):
+    namespace: dict = {}
+    exec(f"from bvlab import {name}", namespace)
+    obj = namespace[name]
+    assert obj.__module__.startswith("bvlab.")
+    assert getattr(sys.modules[obj.__module__], name) is obj
+    assert getattr(bvlab, name) is obj
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        bvlab.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from bvlab import no_such_name", {})
+    assert not hasattr(bvlab, "FREQ_CAP")  # served by bvlab.errors only
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
+def test_script_imports(path):
+    runpy.run_path(str(path), run_name="imported")
