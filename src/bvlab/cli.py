@@ -11,6 +11,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -19,9 +20,10 @@ from . import (__version__, annular, constructions, dynamics, formulas, laurent,
                selfcheck, variance)
 from .errors import (FREQ_CAP, BVLabError, CapacityError, UnresolvedScaleError,
                      UnresolvedTruncationError, ValidationError, parse_float, parse_int)
-from .manifest import RunConfig, csv_text, json_text, resolve_output_dir, write_text
+from .manifest import csv_text, json_text, write_text
 
 _MAX_POINTS = 10**4  # 100x the default means-curve grid
+OUTPUT_ENV = "BVLAB_OUT"
 
 
 def _flag(key: str) -> str:
@@ -45,24 +47,30 @@ def _read_json(path: str, what: str):
         raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, keys: dict) -> dict:
     if path is None:
         return {}
     doc = _read_json(path, "config")
     if not isinstance(doc, dict):
         raise ValidationError("config must be a JSON object")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     return doc
 
 
-def _emit(config: RunConfig, out_dir: Path, name: str, payload, resolved: dict | None = None,
+def _emit(manifest: dict, out_dir: Path, name: str, payload, resolved: dict | None = None,
           files: dict | None = None, ext: str = "json") -> None:
     """Write the manifest, the side files and the payload, and echo the payload.
 
-    Every text is serialized before the first file is written, so a value that
-    cannot be written (a non-finite float) leaves no artifact behind.
+    The manifest gains ``resolved``, the values the run chose, when there are
+    any.  Every text is serialized before the first file is written, so a value
+    that cannot be written (a non-finite float) leaves no artifact behind.
     """
     text = payload if isinstance(payload, str) else json_text(payload)
-    texts = {f"{name}_manifest.json": json_text(config.manifest(__version__, resolved)),
+    if resolved:
+        manifest = {**manifest, "resolved": resolved}
+    texts = {f"{name}_manifest.json": json_text(manifest),
              **(files or {}), f"{name}.{ext}": text}
     for file_name, file_text in texts.items():
         write_text(out_dir / file_name, file_text)
@@ -253,8 +261,10 @@ def cmd_selfcheck(opts: dict, emit) -> int:
 # ---------------------------------------------------------------------------
 
 def _text(value, key: str) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(f"{key} must be a string, got {value!r}")
+    """A string that can name a file: no NUL, and no lone surrogate, which UTF-8
+    cannot encode (argparse hands on undecodable argv bytes as surrogates)."""
+    if not isinstance(value, str) or any(c == "\0" or "\ud800" <= c <= "\udfff" for c in value):
+        raise ValidationError(f"{key} must be a UTF-8 string without NUL, got {value!r}")
     return value
 
 
@@ -401,11 +411,15 @@ def run(argv: list[str]) -> int:
     command = args.pop("command")
     handler, _, keys = _COMMANDS[command]
     keys = {**keys, **_GLOBAL}
-    file_values = _load_config(args.pop("config"))
-    defaults = {k: keys[k][1] for k in _ECHOED if k in keys}
-    cfg = RunConfig(command, set(keys), {**defaults, **file_values}, args)
-    opts = _read(keys, cfg.values)
-    return handler(opts, partial(_emit, cfg, resolve_output_dir(opts["output_dir"])))
+    # the echoed defaults, below the config values as written, below the flags as parsed
+    values = {**{k: keys[k][1] for k in _ECHOED if k in keys},
+              **_load_config(args.pop("config"), keys),
+              **{k: v for k, v in args.items() if v is not None}}
+    opts = _read(keys, values)
+    manifest = {"tool": "bvlab", "version": __version__, "command": command, "config": values}
+    # the environment variable wins, then the flag or the config, then ./bvlab_out
+    out_dir = Path(os.environ.get(OUTPUT_ENV) or opts["output_dir"] or "bvlab_out")
+    return handler(opts, partial(_emit, manifest, out_dir))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -17,6 +17,7 @@ Scales below the resolution cutoff of the input raise UnresolvedScaleError.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import expm1, fsum, log1p
 
@@ -25,8 +26,8 @@ from .laurent import ExteriorLaurent
 
 TOLERANCE = 1e-3  # relative change of the last two running estimates that counts as converged
 # cesaro_sigma4 needs R0^2 - 1 to be a finite double (R0 below about 1.3e154);
-# the bound keeps a wide margin below that
-CESARO_R0_MAX = 1e38
+# the tests check the closed form against a quadrature at this edge
+CESARO_R0_MAX = 1e154
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ def variance_block_mass(g: ExteriorLaurent) -> VarianceEstimate:
     for k in sorted(g.coeffs):
         if k < edges[0]:
             continue
-        idx = _block_index(k, edges, ss.base)
+        idx = bisect_right(edges, k) - 1
         if idx < complete:
             buckets[idx].append(abs(g.coeffs[k]) ** 2)
     masses = [fsum(b) for b in buckets]
@@ -195,17 +196,6 @@ def variance_block_mass(g: ExteriorLaurent) -> VarianceEstimate:
     diagnostics = tuple(enumerate(running))
     return VarianceEstimate(running[-1], "block_mass", diagnostics,
                             _consecutive_converged(running))
-
-
-def _block_index(k: int, edges: list[int], base: int) -> int:
-    lo, hi = 0, len(edges)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if edges[mid] <= k:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def cesaro_sigma4(v: ExteriorLaurent, R0: float, d: int) -> VarianceEstimate:

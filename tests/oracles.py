@@ -225,25 +225,51 @@ def angular_mean_square(g_eval, R: float, n: int = 4096) -> float:
 
 
 def mp_radial_fourth_order(mass: dict[int, float], log_lo: float, log_hi: float,
-                           dps: int = 40, pieces: int = 16) -> float:
-    """(1/16) int sum_m M_m x^3 (1+x)^(-m) dx over x = r^2 - 1 in [r_lo, r_hi].
+                           dps: int = 30, rtol: float = 1e-20) -> float:
+    """(1/16) int sum_m M_m x^3 (1+x)^(-m) dx over x = r^2 - 1 in [x_lo, x_hi].
 
-    Gauss-Legendre at ``dps`` digits on ``pieces`` log-spaced subintervals,
-    which resolve the peak of every frequency near x = 3/m.
+    Integrated in s = log x, where frequency m is a smooth bump peaking at
+    x = 4/(m-4) with exponential flanks, so that no R0 stretches a piece over
+    decades of x.  The pieces start at the peaks inside the interval.  On each
+    piece Gauss-Legendre rules of 12 and 24 nodes at ``dps`` digits are
+    compared, and the piece where they disagree most is halved until the
+    disagreements sum to at most ``rtol`` of the total.  At each node the terms
+    below 10^-(dps+5) of the largest are dropped.
     """
     import mpmath as mp
+    from mpmath.calculus.quadrature import GaussLegendre
 
     with mp.workdps(dps):
-        a = mp.expm1(2 * mp.mpf(log_lo))
-        b = mp.expm1(2 * mp.mpf(log_hi))
-        points = [a * (b / a) ** (mp.mpf(i) / pieces) for i in range(pieces + 1)]
-        items = [(m, mp.mpf(w)) for m, w in sorted(mass.items())]
+        rules = [GaussLegendre(mp.mp).calc_nodes(degree, mp.mp.prec) for degree in (3, 4)]
+        terms = [(m, mp.log(w)) for m, w in sorted(mass.items()) if w > 0]
+        cut = -(dps + 5) * mp.log(10)
 
-        def integrand(x):
-            log_u = mp.log1p(x)
-            return x**3 * mp.fsum(w * mp.exp(-m * log_u) for m, w in items)
+        def integrand(s):
+            log_u = mp.log1p(mp.exp(s))
+            exps = [log_w + 4 * s - m * log_u for m, log_w in terms]
+            top = max(exps)
+            return mp.exp(top) * mp.fsum(mp.exp(e - top) for e in exps if e - top > cut)
 
-        return float(mp.quad(integrand, points, method="gauss-legendre") / 16)
+        def piece(lo, hi):  # (24-node value, its distance from the 12-node value)
+            half, mid = (hi - lo) / 2, (hi + lo) / 2
+            coarse, fine = (half * mp.fsum(w * integrand(mid + half * x) for x, w in rule)
+                            for rule in rules)
+            return fine, abs(fine - coarse)
+
+        lo = mp.log(mp.expm1(2 * mp.mpf(log_lo)))
+        hi = mp.log(mp.expm1(2 * mp.mpf(log_hi)))
+        peaks = sorted(s for s in (mp.log(mp.mpf(4) / (m - 4)) for m, _ in terms if m > 4)
+                       if lo < s < hi)
+        edges = [lo, *peaks, hi]
+        pieces = {(a, b): piece(a, b) for a, b in zip(edges, edges[1:])}
+        while True:
+            total = mp.fsum(value for value, _ in pieces.values())
+            if mp.fsum(gap for _, gap in pieces.values()) <= rtol * total:
+                return float(total / 16)
+            a, b = max(pieces, key=lambda ab: pieces[ab][1])
+            mid = (a + b) / 2
+            del pieces[(a, b)]
+            pieces.update({(a, mid): piece(a, mid), (mid, b): piece(mid, b)})
 
 
 def apply_circle(b: BlaschkeMap, z: np.ndarray) -> np.ndarray:

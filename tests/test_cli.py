@@ -287,6 +287,18 @@ class TestConfigAndErrors:
         assert (env_dir / "table2.csv").exists()
         assert not (tmp_path / "flag_dir").exists()
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_output_dir_with_a_control_character(self, via_config, tmp_path, capsys):
+        out_dir = str(tmp_path / "a\x01b")
+        argv = ["table2", "--out", out_dir]
+        if via_config:
+            (tmp_path / "cfg.json").write_text(json.dumps({"output_dir": out_dir}))
+            argv = ["table2", "--config", str(tmp_path / "cfg.json")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "a\x01b" / "table2_manifest.json").read_text())
+        assert manifest["config"]["output_dir"] == out_dir
+
     @pytest.mark.parametrize("argv, config", [
         (["dynamics", "var", "--blaschke", "foo", "--phi", "{phi}"], None),
         (["variance", "shell", "--d", "3"], {"shells": "abc"}),
@@ -331,6 +343,9 @@ class TestConfigAndErrors:
         (["dimension", "--d", "2", "--t", "1e308"], None),
         (["means-curve", "--d", "2", "--r-max", "1"], None),
         (["table2"], {"output_dir": 5}),
+        (["table2", "a\x01b"], None),
+        (["table2"], {"output_dir": "a\u0000b"}),
+        (["table2", "--out", "{tmp}/s\udcff"], None),
     ], ids=["blaschke_zero", "config_shells", "huge_degree", "huge_r0", "binary_config",
             "self_similarity", "missing_degree", "bad_int_flag", "bad_choice",
             "unknown_flag", "missing_dimension_degree", "negative_seed", "string_switch",
@@ -340,7 +355,8 @@ class TestConfigAndErrors:
             "infinite_eps", "huge_orbit", "huge_map_degree", "long_potential_mc",
             "long_potential_exact", "nan_zero", "nan_potential", "infinite_potential_mc",
             "huge_grid", "overflowing_optimize_range", "overflowing_dimension_degree",
-            "overflowing_t", "unit_r_max", "config_output_dir_number"])
+            "overflowing_t", "unit_r_max", "config_output_dir_number",
+            "control_character_argument", "nul_output_dir", "undecodable_out"])
     def test_bad_input_gives_one_json_error(self, argv, config, tmp_path, capsys):
         docs = {"phi": {"coeffs": [[-1, 1.0, 0.0]]},
                 "series": {"coeffs": [[2, 1.0, 0.0]], "max_freq": 8, "self_similarity": "x"},
@@ -350,13 +366,13 @@ class TestConfigAndErrors:
                 "inf_phi": {"coeffs": [[-1, 1.0, 0.0], [2, math.inf, 0.0]]}}
         for name, doc in docs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
-        argv = [arg.format(**{name: tmp_path / f"{name}.json" for name in docs})
+        argv = [arg.format(tmp=tmp_path, **{name: tmp_path / f"{name}.json" for name in docs})
                 for arg in argv]
         if config is not None:
             cfg = tmp_path / "cfg.json"
             cfg.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
             argv += ["--config", str(cfg)]
-        if not (isinstance(config, dict) and "output_dir" in config):
+        if "--out" not in argv and not (isinstance(config, dict) and "output_dir" in config):
             argv += ["--out", str(tmp_path / "out")]
         code = main(argv)
         captured = capsys.readouterr()

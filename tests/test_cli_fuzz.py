@@ -3,7 +3,8 @@
 For every command of ``cli._COMMANDS`` hypothesis draws a command line and a
 config file from the kinds the table declares: valid values, boundary values
 (0, 1, 2^63 - 1, 2^63, inf, nan, 1e400, negatives), strings that are not
-numbers and wrong JSON types.  The document keys point at documents shaped
+numbers (a control character among them), wrong JSON types and, one draw in
+ten, a stray argument.  The document keys point at documents shaped
 after the three ``from_doc`` schemas (potential, Laurent series, field),
 NaN and Infinity literals included.  Each example first draws its faults:
 none, in the values, in the documents, or a few in both, so that runs with
@@ -13,6 +14,8 @@ through ``cli.main`` in-process and must
 * exit 0, 2 or 3,
 * write nothing to stderr on success, and exactly one JSON object (and
   nothing on stdout) on failure,
+* on success, write JSON artifacts that parse, although the name of the
+  output directory, which every manifest echoes, holds a control character,
 * raise no warning,
 * end within ``WALL_S`` seconds.
 
@@ -46,7 +49,7 @@ from bvlab.selfcheck import CheckResult
 # the slowest run the drawn values admit (an order2 grid at its work bound) takes 0.2 s
 WALL_S = 3.0
 BIG = [0, 1, -1, 2**63 - 1, 2**63, -(2**63), math.inf, -math.inf, math.nan, "1e400", -2.5]
-NOT_NUMBERS = ["abc", "", "1e", "0x10", "1,2", "None"]
+NOT_NUMBERS = ["abc", "", "1e", "0x10", "1,2", "None", "1\x01"]
 WRONG_TYPES = [True, False, [], [1], {}, {"a": 1}]
 # (values, documents): how many draws in ten are faulty
 FAULTS = [(0, 0), (3, 0), (0, 5), (1, 2)]
@@ -136,7 +139,7 @@ def _value(key, kind, as_json, rates):
     if isinstance(kind, tuple):
         return _pick(list(kind), ["bogus", 1], rate)
     if kind == "text":
-        return _pick(["x", None], [5, True], rate) if as_json else st.just("x")
+        return _pick(["x", None], [5, True, "a\u0000b"], rate) if as_json else st.just("x")
     if key.startswith("grid_"):
         return _listed(READER_VALUES[key], rate)
     return _pick(READER_VALUES[key], [*BIG, *NOT_NUMBERS, *BAD_READER_VALUES, *wrong], rate)
@@ -162,6 +165,8 @@ def _invocation(draw, command):
         kind = keys[key][0]
         value = draw(_value(key, kind, False, rates))
         argv += [cli._flag(key)] if kind == "switch" else [cli._flag(key), value]
+    if draw(st.integers(0, 9)) == 0:  # a stray argument: argparse echoes it unquoted
+        argv.append(draw(st.sampled_from([*NOT_NUMBERS, *BAD_READER_VALUES])))
     config = None
     if draw(st.booleans()):
         config_keys = _some(draw, [*flag_keys, "output_dir"]) + draw(
@@ -191,22 +196,29 @@ def _materialize(value, tmp: Path, counter: list) -> str:
 
 
 def _run(argv, config):
-    """Run one invocation in a fresh directory: (argv, code, stdout, stderr, warnings)."""
+    """Run one invocation in a fresh directory: (argv, code, stdout, stderr, warnings).
+
+    The output directories carry a control character, which every manifest
+    echoes; after a successful run every JSON artifact must parse.
+    """
     with tempfile.TemporaryDirectory() as tmp_dir:
         tmp, counter = Path(tmp_dir), []
         argv = [_materialize(v, tmp, counter) for v in argv]
+        out_dir = tmp / "out\x01"
         if isinstance(config, dict):
             config = {k: _materialize(v, tmp, counter) if isinstance(v, tuple) else v
                       for k, v in config.items()}
             if config.get("output_dir") == "x":  # the valid text: a directory of this run
-                config["output_dir"] = str(tmp / "config_out")
+                config["output_dir"] = str(tmp / "config\x01out")
         if config is not None:
             blob = config if isinstance(config, bytes) else \
                 json.dumps(config, allow_nan=True).encode()
             (tmp / "config.json").write_bytes(blob)
             argv += ["--config", str(tmp / "config.json")]
-        if not (isinstance(config, dict) and config.get("output_dir") is not None):
-            argv += ["--out", str(tmp / "out")]
+        if isinstance(config, dict) and config.get("output_dir") is not None:
+            out_dir = config["output_dir"]  # where a run that accepts it writes
+        else:
+            argv += ["--out", str(out_dir)]
         out, err = io.StringIO(), io.StringIO()
         previous = signal.signal(signal.SIGALRM, _interrupt)
         signal.setitimer(signal.ITIMER_REAL, WALL_S)
@@ -218,6 +230,11 @@ def _run(argv, config):
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
+        if code == 0:
+            written = list(Path(out_dir).glob("*.json"))
+            assert written, (argv, out_dir)
+            for path in written:
+                json.loads(path.read_text(encoding="utf-8"))
     return argv, code, out.getvalue(), err.getvalue(), [str(w.message) for w in caught]
 
 

@@ -11,7 +11,7 @@ from bvlab.constructions import (ShellParams, random_unit_shell_field,
 from bvlab.errors import UnresolvedScaleError, ValidationError
 from bvlab.formulas import optimal_rho0, sigma2_shell
 from bvlab.laurent import ExteriorLaurent, SelfSimilarity
-from bvlab.variance import (_radial_fourth_order_integral, bloch_seminorm,
+from bvlab.variance import (CESARO_R0_MAX, _radial_fourth_order_integral, bloch_seminorm,
                             cesaro_sigma4, growth_slope,
                             integral_means, linspace,
                             variance_block, variance_block_mass,
@@ -197,13 +197,14 @@ def _resolved_annuli(v: ExteriorLaurent, R0: float, d: int) -> list[tuple[float,
 
 
 class TestRadialClosedForm:
-    """The closed form against an independent 40-digit quadrature."""
+    """The closed form against an independent 30-digit quadrature in log x."""
 
     @staticmethod
-    def check_shallowest_and_deepest_annulus(v: ExteriorLaurent, d: int) -> None:
+    def check_shallowest_and_deepest_annulus(v: ExteriorLaurent, d: int,
+                                             R0: float = 1.5) -> None:
         mass = {k: abs(c) ** 2 for k, c in v.third_derivative().coeffs.items()}
-        annuli = _resolved_annuli(v, 1.5, d)
-        assert len(annuli) == len(cesaro_sigma4(v, 1.5, d).diagnostics)
+        annuli = _resolved_annuli(v, R0, d)
+        assert len(annuli) == len(cesaro_sigma4(v, R0, d).diagnostics)
         for log_lo, log_hi in (annuli[0], annuli[-1]):
             ref = mp_radial_fourth_order(mass, log_lo, log_hi)
             got = _radial_fourth_order_integral(mass, log_lo, log_hi)
@@ -213,6 +214,14 @@ class TestRadialClosedForm:
     def test_shell_series(self, d):
         params = ShellParams(d=d, rho0=optimal_rho0(d), shells=22 if d == 2 else 12)
         self.check_shallowest_and_deepest_annulus(shell_cauchy_series(params), d)
+
+    @pytest.mark.parametrize("d", [2, 3, 16, 20])
+    def test_shell_series_at_the_r0_cap(self, d):
+        # the shallowest annulus spans x from R0^(2/d) - 1 to R0^2 - 1, the
+        # largest finite range any admitted R0 gives
+        params = ShellParams(d=d, rho0=optimal_rho0(d), shells=22 if d == 2 else 12)
+        self.check_shallowest_and_deepest_annulus(shell_cauchy_series(params), d,
+                                                  CESARO_R0_MAX)
 
     def test_lowest_frequency_both_branches(self):
         # third derivative -6 z^-4: the logarithmic antiderivative on the
