@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 _NAMES = {
     "annular": "MonomialTerm PiecewiseField beurling beurling_exterior bergman_coefficients "
                "cauchy_exterior cauchy_full derivative_z moment multiply pullback_power",
-    "constructions": "LacunaryField PerturbationSpec ShellParams build_shell "
-                     "lacunary_vector_field periodise perturbation_vector_field "
+    "constructions": "LacunaryField ShellParams build_shell lacunary_vector_field "
                      "shell_beurling_series shell_cauchy_identity_check shell_cauchy_series "
                      "truncate_to_polynomial",
     "dynamics": "BirkhoffVariance BlaschkeMap CirclePotential birkhoff_variance "
@@ -27,7 +26,7 @@ _NAMES = {
     "manifest": "",
     "order2": "Order2Report order2_bound order2_field parameter_search",
     "selfcheck": "",
-    "variance": "VarianceEstimate bloch_seminorm cesaro_sigma4 growth_slope integral_means "
+    "variance": "VarianceEstimate cesaro_sigma4 growth_slope integral_means "
                 "variance_block variance_block_mass variance_lacunary",
 }
 _HOME = {name: module for module, names in _NAMES.items() for name in names.split()}

@@ -159,10 +159,6 @@ class PiecewiseField:
     def of(cls, *terms: MonomialTerm) -> "PiecewiseField":
         return cls(tuple(terms))
 
-    @classmethod
-    def empty(cls) -> "PiecewiseField":
-        return cls(())
-
     def eval(self, z: complex) -> complex:
         re, im = [], []
         for t in self.terms:
@@ -204,13 +200,6 @@ class PiecewiseField:
             MonomialTerm(t.coeff, t.q, t.p, t.gamma, t.log_r_in, t.log_r_out)
             for t in self.terms))
 
-    def sup_norm_sampled(self, n_radial: int = 64, n_angles: int = 32) -> float:
-        """Max sampled |value| over a probe grid avoiding breakpoints."""
-        best = 0.0
-        for z in probe_points(self, n_radial, n_angles):
-            best = max(best, abs(self.eval(z)))
-        return best
-
     def to_doc(self) -> dict:
         return {"terms": [t.to_doc() for t in self.terms]}
 
@@ -224,32 +213,6 @@ class PiecewiseField:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PiecewiseField({len(self.terms)} terms)"
-
-
-def probe_points(field: PiecewiseField, n_radial: int = 64, n_angles: int = 32,
-                 pad: float = 1e-4) -> list[complex]:
-    """Deterministic probe grid over the support, placed off breakpoints."""
-    lo, hi = field.min_r_in(), field.max_r_out()
-    if hi <= 0:
-        return []
-    if not isfinite(hi):
-        bps = field.breakpoints()
-        hi = 2.0 * bps[-1] if bps else 2.0
-    lo = max(lo, hi * 1e-3)
-    pts = []
-    for i in range(n_radial):
-        r = lo + (hi - lo) * (i + 0.5 + pad) / n_radial
-        for j in range(n_angles):
-            th = 2 * math.pi * (j + 0.37) / n_angles
-            pts.append(r * complex(math.cos(th), math.sin(th)))
-    return pts
-
-
-def fields_allclose(f: PiecewiseField, g: PiecewiseField, tol: float = 1e-10,
-                    n_radial: int = 48, n_angles: int = 24) -> bool:
-    """Numerical field equality: agreement on a dense probe set."""
-    pts = probe_points(f.add(g), n_radial, n_angles)
-    return all(abs(f.eval(z) - g.eval(z)) <= tol for z in pts)
 
 
 # ---------------------------------------------------------------------------

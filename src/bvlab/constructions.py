@@ -1,4 +1,5 @@
-"""Builders for the explicit Beltrami coefficients and vector fields.
+"""Builders for the shell Beltrami coefficient, the lacunary vector field,
+truncations to polynomial Cauchy transforms and random unit-modulus shell fields.
 
 The shell coefficient places the unit-modulus block (conj(z)/|z|)^(n_j - 2)
 on the annulus r_j <= |z| < r_(j+1), with n_j = n0 * d^j and r_j = rho0^(1/n_j).
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 from math import fsum, inf
 from typing import TYPE_CHECKING
 
-from .annular import MonomialTerm, PiecewiseField, cauchy_exterior, pullback_power
+from .annular import MonomialTerm, PiecewiseField, cauchy_exterior
 from .errors import CapacityError, FREQ_CAP, ValidationError
 from .formulas import check_degree
 from .laurent import ExteriorLaurent, SelfSimilarity
@@ -86,9 +87,6 @@ class ShellParams:
                 f"shell frequency n_{j} = {self.first_frequency}*{self.degree}^{j} "
                 "exceeds 64-bit capacity")
         return n
-
-    def frequencies(self) -> list[int]:
-        return [self.frequency(j) for j in range(self.shells)]
 
     def log_radius(self, j: int) -> float:
         # exact integer frequency keeps log r_j = log(rho0)/n_j to full precision;
@@ -197,7 +195,7 @@ def shell_moduli(params: ShellParams, n_terms: int) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# lacunary and polynomial-perturbation vector fields
+# lacunary vector fields
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -251,50 +249,6 @@ def lacunary_vector_field(d: int, n_terms: int) -> LacunaryField:
     meta = SelfSimilarity(d, max(d - 1, 1))
     return LacunaryField(ExteriorLaurent(v, mf, meta), ExteriorLaurent(vp, mf, meta),
                          constant, d, n_terms)
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """Polynomial data Q (degree <= d - 2) driving a degree-d perturbation."""
-
-    d: int
-    q_coeffs: tuple[complex, ...]
-    n_terms: int = 8
-
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ValidationError("degree must be >= 2")
-        if len(self.q_coeffs) > self.d - 1:
-            raise ValidationError("polynomial degree must be <= d - 2")
-        if self.n_terms < 0:
-            raise ValidationError("series length must be >= 0")
-        object.__setattr__(self, "q_coeffs", tuple(complex(c) for c in self.q_coeffs))
-
-
-def perturbation_block(spec: PerturbationSpec, k: int) -> ExteriorLaurent:
-    """Single block v_k(z) = (z/d) Q(z^(d^k)) / (d^k z^(d^(k+1)))."""
-    d = spec.d
-    coeffs: dict[int, complex] = {}
-    scale = 1.0 / d ** (k + 1)
-    for m, qm in enumerate(spec.q_coeffs):
-        if qm == 0:
-            continue
-        freq = d**k * (d - m) - 1
-        if freq > FREQ_CAP:
-            raise CapacityError("perturbation frequency exceeds capacity")
-        coeffs[freq] = coeffs.get(freq, 0) + qm * scale
-    return ExteriorLaurent(coeffs, max(coeffs, default=1))
-
-
-def perturbation_vector_field(spec: PerturbationSpec) -> ExteriorLaurent:
-    """v(z) = (z/d) sum_(k < K) Q(z^(d^k)) / (d^k z^(d^(k+1)))."""
-    coeffs: dict[int, complex] = {}
-    for k in range(spec.n_terms):
-        for f, c in perturbation_block(spec, k).coeffs.items():
-            coeffs[f] = coeffs.get(f, 0) + c
-    mf = max(2 * spec.d**spec.n_terms - 2, 1)
-    mf = min(mf, FREQ_CAP)
-    return ExteriorLaurent(coeffs, mf, SelfSimilarity(spec.d, max(spec.d - 1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,29 +315,6 @@ def truncate_to_polynomial(mu: PiecewiseField, r1: float, eps: float,
         out = out.scaled(1.0 / (1.0 + bound))
         rescaled = True
     return TruncationResult(out, n_cut, bound, q ** (n_cut + 1) / (1.0 - q), rescaled)
-
-
-def periodise(mu0: PiecewiseField, d: int, copies: int) -> PiecewiseField:
-    """Sum of pullbacks of ``mu0`` under z -> z^(d^k) for k < copies.
-
-    ``mu0`` must live in one fundamental annulus [r0, r0^(1/d)); the pullback
-    copies then tile disjoint annuli accumulating at the unit circle.
-    """
-    if d < 2:
-        raise ValidationError("degree must be >= 2")
-    if copies < 1:
-        return PiecewiseField.empty()
-    if not mu0.terms:
-        return mu0
-    lo = min(t.log_r_in for t in mu0.terms)
-    hi = max(t.log_r_out for t in mu0.terms)
-    if lo == -inf or hi > lo / d + 1e-12:
-        raise ValidationError("support must lie inside one fundamental annulus "
-                              "[r0, r0^(1/d)) with 0 < r0 < 1")
-    out = mu0
-    for k in range(1, copies):
-        out = out.add(pullback_power(mu0, d**k))
-    return out
 
 
 def random_unit_shell_field(rng: np.random.Generator | random.Random,

@@ -9,7 +9,6 @@ variance estimator.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import fsum
 
@@ -69,14 +68,6 @@ class ExteriorLaurent:
     def frequencies(self) -> list[int]:
         return sorted(self.coeffs)
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def coefficient_bound(self, R: float) -> float:
-        """Upper bound sum |b_k| R^-k for |g| on the circle |z| = R."""
-        lR = math.log(R)
-        return fsum(abs(c) * math.exp(-k * lR) for k, c in sorted(self.coeffs.items()))
-
     def eval(self, z: complex) -> complex:
         """Evaluate at |z| > 1 (absolutely convergent there)."""
         if abs(z) <= 1.0:
@@ -114,12 +105,6 @@ class ExteriorLaurent:
     def scale(self, a: complex) -> "ExteriorLaurent":
         return ExteriorLaurent({k: a * c for k, c in self.coeffs.items()},
                                self.max_freq, self.self_similarity)
-
-    def add(self, other: "ExteriorLaurent") -> "ExteriorLaurent":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return ExteriorLaurent(out, max(self.max_freq, other.max_freq), self.self_similarity)
 
     def with_self_similarity(self, base: int, first_index: int) -> "ExteriorLaurent":
         return ExteriorLaurent(self.coeffs, self.max_freq, SelfSimilarity(base, first_index))

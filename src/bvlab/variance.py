@@ -308,17 +308,3 @@ def growth_slope(g: ExteriorLaurent, R_lo: float, R_hi: float, n_pts: int = 40) 
     var = fsum((x - x_mean) ** 2 for x in xs)
     return cov / var
 
-
-def bloch_seminorm(g: ExteriorLaurent, radii=None, n_angles: int = 48) -> float:
-    """Grid lower bound for sup (|z|^2 - 1) |g'(z)| over the exterior disk."""
-    gp = g.derivative()
-    if radii is None:
-        radii = [1.0 + math.exp(u) for u in linspace(math.log(1e-4), math.log(40.0), 60)]
-    best = 0.0
-    for R in radii:
-        w = R * R - 1.0
-        for j in range(n_angles):
-            th = 2 * math.pi * (j + 0.31) / n_angles
-            z = R * complex(math.cos(th), math.sin(th))
-            best = max(best, w * abs(gp.eval(z)))
-    return best

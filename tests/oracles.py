@@ -15,6 +15,9 @@ closed-form antiderivatives used in the package:
     log-spaced pieces;
   * numpy orbits of Blaschke maps on the circle and the 4096-point midpoint
     rule for the circle mean of log |B'|, from the logarithmic derivative.
+
+Sampled sup norms and field equality use a probe grid placed off the radial
+breakpoints; the Bloch seminorm is a grid lower bound from the series itself.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ import numpy as np
 
 from bvlab.annular import MonomialTerm, PiecewiseField
 from bvlab.dynamics import BlaschkeMap
+from bvlab.laurent import ExteriorLaurent
 
 
 def term_values(term: MonomialTerm, w: np.ndarray) -> np.ndarray:
@@ -51,6 +55,45 @@ def field_values(field: PiecewiseField, w: np.ndarray) -> np.ndarray:
     for t in field.terms:
         out += term_values(t, w)
     return out
+
+
+def probe_points(field: PiecewiseField, n_radial: int, n_angles: int) -> np.ndarray:
+    """Deterministic probe grid over the support, placed off breakpoints."""
+    lo, hi = field.min_r_in(), field.max_r_out()
+    if hi <= 0:
+        return np.zeros(0, dtype=complex)
+    if not math.isfinite(hi):
+        bps = field.breakpoints()
+        hi = 2.0 * bps[-1] if bps else 2.0
+    lo = max(lo, hi * 1e-3)
+    r = lo + (hi - lo) * (np.arange(n_radial) + 0.5 + 1e-4) / n_radial
+    th = 2 * math.pi * (np.arange(n_angles) + 0.37) / n_angles
+    return (r[:, None] * np.exp(1j * th)[None, :]).ravel()
+
+
+def sup_norm_sampled(field: PiecewiseField, n_radial: int = 64, n_angles: int = 32) -> float:
+    """Max sampled |value| over the probe grid."""
+    return float(np.max(np.abs(field_values(field, probe_points(field, n_radial, n_angles))),
+                        initial=0.0))
+
+
+def fields_allclose(f: PiecewiseField, g: PiecewiseField, tol: float) -> bool:
+    """Numerical field equality: agreement on a dense probe set of both supports."""
+    pts = probe_points(f.add(g), 48, 24)
+    return bool(np.all(np.abs(field_values(f, pts) - field_values(g, pts)) <= tol))
+
+
+def bloch_seminorm(g: ExteriorLaurent) -> float:
+    """Grid lower bound for sup (|z|^2 - 1) |g'(z)| over the exterior disk."""
+    gp = g.derivative()
+    n_angles = 48
+    best = 0.0
+    for R in 1.0 + np.exp(np.linspace(math.log(1e-4), math.log(40.0), 60)):
+        w = R * R - 1.0
+        for j in range(n_angles):
+            th = 2 * math.pi * (j + 0.31) / n_angles
+            best = max(best, w * abs(gp.eval(R * complex(math.cos(th), math.sin(th)))))
+    return best
 
 
 def _band_grid(r_lo: float, r_hi: float, n_r: int, n_t: int):

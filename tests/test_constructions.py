@@ -1,14 +1,11 @@
-"""Shell builders, lacunary/perturbation fields, truncation and periodisation."""
+"""Shell builders, lacunary fields and truncation to polynomial Cauchy transforms."""
 import math
 
 import pytest
 
 from bvlab.annular import (MonomialTerm, PiecewiseField, cauchy_exterior,
-                           cauchy_full, fields_allclose)
-from bvlab.constructions import (PerturbationSpec, ShellParams,
-                                 build_shell, lacunary_vector_field,
-                                 periodise, perturbation_block,
-                                 perturbation_vector_field,
+                           cauchy_full, pullback_power)
+from bvlab.constructions import (ShellParams, build_shell, lacunary_vector_field,
                                  shell_beurling_series,
                                  shell_cauchy_identity_check,
                                  truncate_to_polynomial)
@@ -16,6 +13,7 @@ from bvlab.errors import CapacityError, ValidationError
 from bvlab.formulas import optimal_rho0
 from bvlab.variance import variance_lacunary
 from conftest import circle
+from oracles import fields_allclose, sup_norm_sampled
 
 
 class TestShellParams:
@@ -35,7 +33,7 @@ class TestShellParams:
     def test_capacity(self):
         p = ShellParams(d=16, rho0=0.05, shells=40)
         with pytest.raises(CapacityError):
-            p.frequencies()
+            [p.frequency(j) for j in range(p.shells)]
 
     def test_real_degree_formula_only(self):
         p = ShellParams(d=2.5, rho0=0.3)
@@ -145,47 +143,6 @@ class TestLacunaryField:
         assert lac.v.coeffs == {} and lac.v_prime.coeffs == {}
 
 
-class TestPerturbation:
-    def test_linear_polynomial_reproduces_lacunary(self):
-        d = 3
-        spec = PerturbationSpec(d=d, q_coeffs=(0.0, -1.0), n_terms=7)
-        v = perturbation_vector_field(spec)
-        lac = lacunary_vector_field(d, 7)
-        assert set(v.coeffs) == set(lac.v.coeffs)
-        for k in v.coeffs:
-            assert v.coeffs[k] == pytest.approx(lac.v.coeffs[k], rel=1e-14)
-
-    def test_zero_polynomial(self):
-        spec = PerturbationSpec(d=4, q_coeffs=(), n_terms=5)
-        assert perturbation_vector_field(spec).coeffs == {}
-
-    def test_degree4_frequency_enumeration(self):
-        spec = PerturbationSpec(d=4, q_coeffs=(1.0, 0.0, 1.0), n_terms=5)
-        v = perturbation_vector_field(spec)
-        expected = {}
-        for k in range(5):
-            expected[4**k * 4 - 1] = 1.0 / 4 ** (k + 1)   # constant coefficient of Q
-            expected[4**k * 2 - 1] = 1.0 / 4 ** (k + 1)   # quadratic coefficient
-        assert set(v.coeffs) == set(expected)
-        for f, c in expected.items():
-            assert v.coeffs[f] == pytest.approx(c)
-
-    def test_periodicity_relation(self):
-        spec = PerturbationSpec(d=4, q_coeffs=(0.5, -1.0j, 2.0), n_terms=6)
-        d = spec.d
-        for k in range(4):
-            vk = perturbation_block(spec, k)
-            vk1 = perturbation_block(spec, k + 1)
-            for z in (circle(1.05, 0.3), circle(1.2, 2.0)):
-                lhs = vk1.eval(z)
-                rhs = vk.eval(z**d) / (d * z ** (d - 1))
-                assert abs(lhs - rhs) <= 1e-10
-
-    def test_degree_validation(self):
-        with pytest.raises(ValidationError):
-            PerturbationSpec(d=3, q_coeffs=(1.0, 1.0, 1.0))
-
-
 class TestTruncation:
     def annulus_field(self) -> PiecewiseField:
         return PiecewiseField.of(MonomialTerm.make(1.0, 1, 0, -1.0, 0.2, 0.5),
@@ -205,7 +162,8 @@ class TestTruncation:
     def test_high_frequencies_cancelled(self):
         mu = PiecewiseField.of(MonomialTerm.make(1.0, 1, 0, -1.0, 0.2, 0.5),
                                MonomialTerm.make(1.0, 24, 0, -24.0, 0.2, 0.5),
-                               MonomialTerm.make(0.3, 39, 0, -39.0, 0.2, 0.5))
+                               MonomialTerm.make(0.3, 39, 0, -39.0, 0.2, 0.5),
+                               MonomialTerm.make(0.4, 17, 0, -17.0, 0.2, 0.5))
         result = truncate_to_polynomial(mu, 0.7, 0.01)
         series = cauchy_exterior(result.field)
         assert result.cutoff == 17
@@ -221,16 +179,16 @@ class TestTruncation:
         mu = PiecewiseField.of(MonomialTerm.make(1.0, 24, 0, -24.0, 0.2, 0.5))
         raw = truncate_to_polynomial(mu, 0.7, 0.05)
         assert raw.correction_bound <= 0.05 + 1e-12
-        assert raw.field.sup_norm_sampled() <= 1.0 + raw.correction_bound + 1e-9
+        assert sup_norm_sampled(raw.field) <= 1.0 + raw.correction_bound + 1e-9
         scaled = truncate_to_polynomial(mu, 0.7, 0.05, rescale=True)
         assert scaled.rescaled
-        assert scaled.field.sup_norm_sampled() <= 1.0 + 1e-9
+        assert sup_norm_sampled(scaled.field) <= 1.0 + 1e-9
 
     def test_perturbation_stays_below_tolerance_pointwise(self):
         mu = PiecewiseField.of(MonomialTerm.make(1.0, 24, 0, -24.0, 0.2, 0.5))
         result = truncate_to_polynomial(mu, 0.7, 0.05)
         diff = result.field.add(mu.scaled(-1.0))
-        assert diff.sup_norm_sampled(96, 48) <= 0.05 + 1e-12
+        assert sup_norm_sampled(diff, 96, 48) <= 0.05 + 1e-12
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -238,31 +196,12 @@ class TestTruncation:
 
 
 class TestPeriodise:
-    def fundamental_block(self, d: int, r0: float) -> PiecewiseField:
-        n = 4
-        return PiecewiseField.of(MonomialTerm.make(1.0, n - 2, 0, float(2 - n),
-                                                   r0, r0 ** (1.0 / d)))
-
-    def test_three_disjoint_copies(self):
-        mu = periodise(self.fundamental_block(2, 0.25), 2, 3)
-        assert len(mu.terms) == 3
-        spans = sorted((t.log_r_in, t.log_r_out) for t in mu.terms)
-        for (a1, b1), (a2, _) in zip(spans, spans[1:]):
-            assert b1 <= a2 + 1e-15
-        assert mu.sup_norm_sampled() == pytest.approx(1.0, abs=1e-12)
-
     def test_shell_equals_periodised_first_shell(self):
+        # the shell is the z^d-periodisation of its first shell: the sum of its pullbacks
         params = ShellParams(d=3, rho0=0.2, shells=4)
         shell = build_shell(params)
-        innermost = min(shell.terms, key=lambda t: t.log_r_in)
-        rebuilt = periodise(PiecewiseField.of(innermost), 3, 4)
+        innermost = PiecewiseField.of(min(shell.terms, key=lambda t: t.log_r_in))
+        rebuilt = innermost
+        for k in range(1, 4):
+            rebuilt = rebuilt.add(pullback_power(innermost, 3**k))
         assert fields_allclose(shell, rebuilt, tol=1e-12)
-
-    def test_single_copy_identity(self):
-        block = self.fundamental_block(2, 0.3)
-        assert periodise(block, 2, 1) == block
-
-    def test_overlap_rejected(self):
-        too_wide = PiecewiseField.of(MonomialTerm.make(1.0, 2, 0, -2.0, 0.25, 0.9))
-        with pytest.raises(ValidationError):
-            periodise(too_wide, 2, 3)

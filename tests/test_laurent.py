@@ -117,10 +117,3 @@ class TestMetadataAndSerialization:
         g = ExteriorLaurent.from_doc({"coeffs": [[2.0, 1.0, 0.0], ["3", 0.5, 0.0]],
                                       "max_freq": "9223372036854775807"})
         assert sorted(g.coeffs) == [2, 3] and g.max_freq == 2**63 - 1
-
-    def test_coefficient_bound(self):
-        g = ExteriorLaurent({1: 3.0, 2: 4.0j}, 2)
-        R = 2.0
-        assert g.coefficient_bound(R) == pytest.approx(3.0 / 2 + 4.0 / 4)
-        z = circle(R, 2.1)
-        assert abs(g.eval(z)) <= g.coefficient_bound(R) + 1e-15

@@ -43,7 +43,7 @@ class TestOrder2Field:
         assert out.w.eval(z) == pytest.approx(-0.5 * s_quad**2, rel=1e-4)
 
     def test_zero_field(self):
-        out = order2_field(PiecewiseField.empty(), max_freq=10)
+        out = order2_field(PiecewiseField(()), max_freq=10)
         assert out.w.coeffs == {} and out.tail_mass == 0.0
 
     def test_route_independence_small_instance(self):

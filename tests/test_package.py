@@ -1,5 +1,7 @@
 """The package surface: which module bodies a command runs, the names that
-``from bvlab import X`` serves, and the scripts that import them."""
+``from bvlab import X`` serves, the scripts that import them, and no unused
+imports in the package."""
+import ast
 import json
 import os
 import runpy
@@ -14,13 +16,12 @@ import bvlab
 SRC = Path(bvlab.__file__).resolve().parents[1]
 SCRIPTS = sorted((SRC.parent / "scripts").glob("*.py"))
 
-# Every name the package served before its submodules were loaded lazily.
+# Every name the package serves.
 NAMES = """
 MonomialTerm PiecewiseField beurling beurling_exterior bergman_coefficients cauchy_exterior
 cauchy_full derivative_z moment multiply pullback_power
-LacunaryField PerturbationSpec ShellParams build_shell lacunary_vector_field periodise
-perturbation_vector_field shell_beurling_series shell_cauchy_identity_check
-shell_cauchy_series truncate_to_polynomial
+LacunaryField ShellParams build_shell lacunary_vector_field shell_beurling_series
+shell_cauchy_identity_check shell_cauchy_series truncate_to_polynomial
 BirkhoffVariance BlaschkeMap CirclePotential birkhoff_variance birkhoff_variance_exact
 birkhoff_variance_mc coboundary_check log_deriv_mean
 BVLabError CapacityError DivergentMomentError UnresolvedScaleError UnresolvedTruncationError
@@ -30,8 +31,8 @@ optimal_rho0 pointwise_sigma_bound sigma2_optimal sigma2_shell smirnov_dim_k smi
 table2
 ExteriorLaurent SelfSimilarity
 Order2Report order2_bound order2_field parameter_search
-VarianceEstimate bloch_seminorm cesaro_sigma4 growth_slope integral_means variance_block
-variance_block_mass variance_lacunary
+VarianceEstimate cesaro_sigma4 growth_slope integral_means variance_block variance_block_mass
+variance_lacunary
 """.split()
 
 # Runs each command line of argv[2] in turn and records, after the package
@@ -89,6 +90,10 @@ def test_each_command_runs_only_the_modules_it_uses(tmp_path):
     }
 
 
+def test_names_are_the_served_names():
+    assert sorted(NAMES) == sorted(bvlab._HOME)
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_name_resolves_to_its_home_object(name):
     namespace: dict = {}
@@ -110,3 +115,22 @@ def test_unknown_name_is_an_attribute_error():
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
 def test_script_imports(path):
     runpy.run_path(str(path), run_name="imported")
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads (an attribute's base counts as read)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(imported - read)
+
+
+def test_no_unused_imports():
+    unused = {path.name: _unused_imports(path) for path in sorted((SRC / "bvlab").glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -11,12 +11,11 @@ from bvlab.constructions import (ShellParams, random_unit_shell_field,
 from bvlab.errors import UnresolvedScaleError, ValidationError
 from bvlab.formulas import optimal_rho0, sigma2_shell
 from bvlab.laurent import ExteriorLaurent, SelfSimilarity
-from bvlab.variance import (CESARO_R0_MAX, _radial_fourth_order_integral, bloch_seminorm,
-                            cesaro_sigma4, growth_slope,
+from bvlab.variance import (CESARO_R0_MAX, _radial_fourth_order_integral, cesaro_sigma4, growth_slope,
                             integral_means, linspace,
                             variance_block, variance_block_mass,
                             variance_lacunary)
-from oracles import angular_mean_square, mp_radial_fourth_order
+from oracles import angular_mean_square, bloch_seminorm, mp_radial_fourth_order
 
 LOG2 = math.log(2.0)
 
@@ -276,7 +275,7 @@ class TestGrowthSlope:
 
 class TestLinspace:
     @pytest.mark.parametrize("start, stop, num", [
-        (math.log(1e-4), math.log(40.0), 60),   # bloch_seminorm's radii
+        (math.log(1e-4), math.log(40.0), 60),   # the Bloch-seminorm oracle's radii
         (0.01, 0.99, 197),                      # selfcheck's rho0 grid
     ])
     def test_bit_equal_to_numpy(self, start, stop, num):
