@@ -14,9 +14,9 @@ from bvlab.formulas import truncate_display
 def main() -> None:
     print("degree   basic        improved     c_d        optimal_rho0")
     for row in table2():
-        print(f"{row.d:>6}   {truncate_display(row.lambda_lemma_coeff)}       "
-              f"{truncate_display(row.improved_coeff)}       "
-              f"{row.c_d:.6f}   {row.optimal_rho0:.9f}")
+        print(f"{row['d']:>6}   {truncate_display(row['lambda_lemma'])}       "
+              f"{truncate_display(row['improved'])}       "
+              f"{row['c_d']:.6f}   {row['optimal_rho0']:.9f}")
     d_int, v_int = best_integer_degree(2, 64)
     d_real, v_real = best_real_degree()
     print(f"\nbest integer degree: {d_int}  value {v_int:.6f}")

@@ -19,7 +19,7 @@ _NAMES = {
                 "birkhoff_variance_exact birkhoff_variance_mc coboundary_check log_deriv_mean",
     "errors": "BVLabError CapacityError DivergentMomentError UnresolvedScaleError "
               "UnresolvedTruncationError UnsupportedTermError ValidationError",
-    "formulas": "DimensionRow best_integer_degree best_real_degree distortion_constant "
+    "formulas": "best_integer_degree best_real_degree distortion_constant "
                 "julia_dim_k julia_dim_t optimal_rho0 pointwise_sigma_bound sigma2_optimal "
                 "sigma2_shell smirnov_dim_k smirnov_dim_t table2",
     "laurent": "ExteriorLaurent SelfSimilarity",

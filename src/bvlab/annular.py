@@ -254,8 +254,6 @@ def cauchy_exterior(field: PiecewiseField) -> ExteriorLaurent:
         a = moment(t, j)
         if a != 0:
             k = j + 1
-            if k > FREQ_CAP:
-                raise CapacityError("Cauchy frequency exceeds capacity")
             coeffs[k] = coeffs.get(k, 0) + a
     return ExteriorLaurent(coeffs, max(coeffs, default=1))
 

@@ -78,10 +78,8 @@ def _emit(manifest: dict, out_dir: Path, name: str, payload, resolved: dict | No
 
 
 def _shell_params(opts: dict) -> constructions.ShellParams:
-    d = _need(opts, "d")
-    rho0 = formulas.optimal_rho0(d) if opts["rho0"] == "optimal" else opts["rho0"]
-    return constructions.ShellParams(d=d, rho0=rho0, n0=opts["n0"], shells=opts["shells"],
-                                     max_freq=opts["max_freq"])
+    return constructions.ShellParams(d=_need(opts, "d"), rho0=opts["rho0"], n0=opts["n0"],
+                                     shells=opts["shells"], max_freq=opts["max_freq"])
 
 
 # ---------------------------------------------------------------------------
@@ -91,15 +89,12 @@ def _shell_params(opts: dict) -> constructions.ShellParams:
 def cmd_table2(opts: dict, emit) -> int:
     rows = formulas.table2()
     if opts["format"] == "csv":
-        header = ["d", "lambda_lemma", "improved", "c_d", "optimal_rho0",
-                  "lambda_lemma_display", "improved_display"]
-        emit("table2", csv_text(header, [
-            [r.d, r.lambda_lemma_coeff, r.improved_coeff, r.c_d, r.optimal_rho0,
-             formulas.truncate_display(r.lambda_lemma_coeff),
-             formulas.truncate_display(r.improved_coeff)]
+        emit("table2", csv_text([*rows[0], "lambda_lemma_display", "improved_display"], [
+            [*r.values(), formulas.truncate_display(r["lambda_lemma"]),
+             formulas.truncate_display(r["improved"])]
             for r in rows]), ext="csv")
     else:
-        emit("table2", {"rows": [r.to_doc() for r in rows]})
+        emit("table2", {"rows": rows})
     return 0
 
 
@@ -109,13 +104,12 @@ def cmd_variance(opts: dict, emit) -> int:
     if method == "exact":
         est = variance.variance_lacunary(constructions.shell_moduli(params, opts["terms"]),
                                          params.d)
-    elif method == "block":  # grow the shell count until the finest probed scale is resolved
-        d, shells = params.degree, params.shells
-        need = 10.0 / math.expm1(variance.block_log_scales(r0, d, blocks)[-1])
-        while params.first_frequency * d ** (shells - 1) < need:
-            shells += 1
+    elif method == "block":  # the fewest shells, at least --shells, that reach the finest scale
+        need = variance.resolving_freq(
+            math.expm1(variance.block_log_scales(r0, params.degree, blocks)[-1]))
+        shells = max(params.shells, params.shells_below(math.ceil(need) - 1) + 1)
         g = constructions.shell_beurling_series(_shell_params({**opts, "shells": shells}))
-        est = variance.variance_block(g, d, r0, blocks)
+        est = variance.variance_block(g, params.degree, r0, blocks)
     elif method == "mass":
         est = variance.variance_block_mass(constructions.shell_beurling_series(params))
     else:  # cesaro
@@ -156,7 +150,7 @@ def cmd_order2(opts: dict, emit) -> int:
         emit("order2", best.to_doc(), files={"order2_leaderboard.csv": csv_text(header, rows)})
         return 0
     if opts["shells"] is None:  # half the capacity, leaving room for the refinement doubling
-        capacity = _shell_params({**opts, "shells": 10**6}).clipped_to_max_freq().shells
+        capacity = _shell_params({**opts, "shells": 0}).capacity
         opts = {**opts, "shells": max(2, min(10, capacity // 2))}
     params = _shell_params(opts)
     report = order2.order2_bound(params, refine=opts["refine"])
@@ -196,7 +190,7 @@ def cmd_means_curve(opts: dict, emit) -> int:
         log_R = math.log1p(x)
         means = variance.integral_means_log(g, log_R)
         ratio = means / math.log(1.0 / x)
-        resolved = g.max_freq >= 10.0 / x
+        resolved = g.max_freq >= variance.resolving_freq(x)
         rows.append([1.0 + x, means, ratio, "true" if resolved else "false"])
     slope = variance.growth_slope(g, 1.0 + lo, 1.0 + hi, n)
     emit("means_curve", csv_text(["R", "integral_means", "ratio", "resolved"], rows),

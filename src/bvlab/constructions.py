@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 from .annular import MonomialTerm, PiecewiseField, cauchy_exterior
 from .errors import CapacityError, FREQ_CAP, ValidationError
-from .formulas import check_degree
+from .formulas import check_degree, optimal_rho0
 from .laurent import ExteriorLaurent, SelfSimilarity
 
 if TYPE_CHECKING:
@@ -49,18 +49,21 @@ class ShellParams:
     """Parameters of the shell coefficient and its Laurent truncation.
 
     ``d`` may be a real number > 1 for formula-only paths; materializing a
-    field requires an integer degree.  ``shells`` is the number of annuli and
-    ``max_freq`` the Laurent resolution cutoff carried by derived series.
+    field requires an integer degree.  ``rho0="optimal"`` resolves to
+    ``optimal_rho0(d)``.  ``shells`` is the number of annuli and ``max_freq``
+    the Laurent resolution cutoff carried by derived series.
     """
 
     d: float
-    rho0: float
+    rho0: float | str
     n0: int | None = None
     shells: int = 10
     max_freq: int = FREQ_CAP
 
     def __post_init__(self) -> None:
         check_degree(self.d)
+        if self.rho0 == "optimal":
+            object.__setattr__(self, "rho0", optimal_rho0(self.d))
         if not 0.0 < self.rho0 < 1.0:
             raise ValidationError("rho0 must lie in (0, 1)")
         if self.shells < 0:
@@ -105,15 +108,19 @@ class ShellParams:
         """rho0^(1/d) - rho0, the limiting half-modulus of the transform coefficients."""
         return self.rho0 ** (1.0 / self.d) - self.rho0
 
-    def clipped_to_max_freq(self) -> "ShellParams":
+    def shells_below(self, freq: int) -> int:
+        """The number of shell frequencies n_j <= freq."""
+        return len(SelfSimilarity(self.degree, self.first_frequency).block_edges(freq))
+
+    @property
+    def capacity(self) -> int:
         """Largest shell count whose full product spectrum fits under max_freq."""
-        j = 0
-        while j < self.shells:
-            n = self.first_frequency * self.degree**j
-            if 2 * n > self.max_freq or n > FREQ_CAP:
-                break
-            j += 1
-        return self if j == self.shells else replace(self, shells=j)
+        return self.shells_below(min(self.max_freq // 2, FREQ_CAP))
+
+    def clipped_to_max_freq(self) -> "ShellParams":
+        """These parameters with at most ``capacity`` shells."""
+        shells = min(self.shells, self.capacity)
+        return self if shells == self.shells else replace(self, shells=shells)
 
 
 def build_shell(params: ShellParams) -> PiecewiseField:

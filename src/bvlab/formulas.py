@@ -8,31 +8,10 @@ each other through the distortion constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import FREQ_CAP, ValidationError
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class DimensionRow:
-    """Per-degree comparison of the two quadratic dimension coefficients."""
-
-    d: float
-    lambda_lemma_coeff: float
-    improved_coeff: float
-    c_d: float
-    optimal_rho0: float
-
-    def to_doc(self) -> dict:
-        return {
-            "d": self.d,
-            "lambda_lemma": self.lambda_lemma_coeff,
-            "improved": self.improved_coeff,
-            "c_d": self.c_d,
-            "optimal_rho0": self.optimal_rho0,
-        }
 
 
 def check_degree(d: float) -> None:
@@ -184,10 +163,10 @@ def lambda_lemma_coeff(d: float) -> float:
     return (d - 1.0) ** 2 / (d * d * math.log(d))
 
 
-def table2() -> list[DimensionRow]:
-    """Comparison rows of the basic and improved quadratic coefficients."""
-    return [DimensionRow(d, lambda_lemma_coeff(d), sigma2_optimal(d),
-                         distortion_constant(d), optimal_rho0(d))
+def table2() -> list[dict]:
+    """Per-degree rows comparing the basic and improved quadratic coefficients."""
+    return [{"d": d, "lambda_lemma": lambda_lemma_coeff(d), "improved": sigma2_optimal(d),
+             "c_d": distortion_constant(d), "optimal_rho0": optimal_rho0(d)}
             for d in TABLE2_DEGREES]
 
 

@@ -86,8 +86,6 @@ class ExteriorLaurent:
         """Termwise d/dz: b_k z^-k maps to -k b_k z^-(k+1)."""
         out = {}
         for k, c in self.coeffs.items():
-            if k + 1 > FREQ_CAP:
-                raise CapacityError("derivative frequency exceeds capacity")
             out[k + 1] = -k * c
         return ExteriorLaurent(out, self.max_freq + 1, self.self_similarity)
 
@@ -95,8 +93,6 @@ class ExteriorLaurent:
         """Termwise d^3/dz^3: b_k maps to -k(k+1)(k+2) b_k at frequency k+3."""
         out = {}
         for k, c in self.coeffs.items():
-            if k + 3 > FREQ_CAP:
-                raise CapacityError("third-derivative frequency exceeds capacity")
             out[k + 3] = -k * (k + 1) * (k + 2) * c
         return ExteriorLaurent(out, self.max_freq + 3, self.self_similarity)
 

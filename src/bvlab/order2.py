@@ -18,7 +18,7 @@ from math import fsum
 from .annular import PiecewiseField, beurling, beurling_exterior, multiply
 from .constructions import ShellParams, build_shell
 from .errors import FREQ_CAP, UnresolvedTruncationError, ValidationError
-from .formulas import optimal_rho0, sigma2_shell
+from .formulas import sigma2_shell
 from .laurent import ExteriorLaurent, convolve
 from .variance import VarianceEstimate, variance_block_mass
 
@@ -121,7 +121,7 @@ def order2_bound(params: ShellParams, refine: bool = False) -> Order2Report:
     stability = None
     if refine:
         doubled = replace(params, shells=2 * eff.shells,
-                          max_freq=min(2 * params.max_freq, 2**63 - 1))
+                          max_freq=min(2 * params.max_freq, FREQ_CAP))
         est2, _, _ = _second_order(doubled)
         total2 = first + est2.value
         stability = abs(total2 - total) / max(abs(total), 1e-300)
@@ -160,6 +160,5 @@ def shell_grid(degrees, rho0_values, n0_values, shells: int, max_freq: int):
     """
     for d in degrees:
         for rho in rho0_values:
-            rho_val = optimal_rho0(d) if rho == "optimal" else float(rho)
             for n0 in n0_values:
-                yield ShellParams(d=d, rho0=rho_val, n0=n0, shells=shells, max_freq=max_freq)
+                yield ShellParams(d=d, rho0=rho, n0=n0, shells=shells, max_freq=max_freq)

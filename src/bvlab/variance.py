@@ -12,7 +12,8 @@ estimators here are coefficient sums:
   * cesaro_sigma4      - fourth-order average of the third derivative
                          against the hyperbolic density, in closed form.
 
-Scales below the resolution cutoff of the input raise UnresolvedScaleError.
+Scales that the cutoff of the input does not resolve (resolving_freq) raise
+UnresolvedScaleError.
 """
 from __future__ import annotations
 
@@ -49,20 +50,24 @@ class VarianceEstimate:
         }
 
 
-def _tail_average(values: list[float]) -> float:
-    tail = values[-max(1, (len(values) + 1) // 2):]
-    return fsum(tail) / len(tail)
-
-
-def _running_tail(values: list[float]) -> list[float]:
-    return [_tail_average(values[:i + 1]) for i in range(len(values))]
-
-
 def _consecutive_converged(values: list[float]) -> bool:
     if len(values) < 2:
         return False
     a, b = values[-2], values[-1]
     return abs(b - a) <= TOLERANCE * max(abs(a), abs(b), 1e-30)
+
+
+def _tail_estimate(values: list[float], method: str) -> VarianceEstimate:
+    """Running means of the last ceil(n/2) of the first n values; the last is the value."""
+    running = [fsum(values[(i + 1) // 2:i + 1]) / (i + 1 - (i + 1) // 2)
+               for i in range(len(values))]
+    return VarianceEstimate(running[-1], method, tuple(enumerate(running)),
+                            _consecutive_converged(running))
+
+
+def resolving_freq(r_minus_1: float) -> float:
+    """The frequency cutoff a series needs to resolve the scale R = 1 + r_minus_1."""
+    return 10.0 / r_minus_1
 
 
 def _aitken(values: list[float]) -> list[float]:
@@ -150,19 +155,17 @@ def variance_block(g: ExteriorLaurent, d: int, R0: float, n_blocks: int) -> Vari
     """
     log_R = block_log_scales(R0, d, n_blocks)
     r_minus_1 = [expm1(l) for l in log_R]
-    if g.max_freq < 10.0 / r_minus_1[-1]:
+    need = resolving_freq(r_minus_1[-1])
+    if g.max_freq < need:
         raise UnresolvedScaleError(
             f"series cutoff {g.max_freq} cannot resolve R - 1 = {r_minus_1[-1]:.3e}; "
-            f"needs max_freq >= {10.0 / r_minus_1[-1]:.3e}")
+            f"needs max_freq >= {need:.3e}")
     means = [integral_means_log(g, l) for l in log_R]
     scales = [math.log(1.0 / x) for x in r_minus_1]
     increments = []
     for k in range(n_blocks):
         increments.append((means[k + 1] - means[k]) / (scales[k + 1] - scales[k]))
-    running = _running_tail(_aitken(increments))
-    diagnostics = tuple(enumerate(running))
-    return VarianceEstimate(running[-1], "block_increment", diagnostics,
-                            _consecutive_converged(running))
+    return _tail_estimate(_aitken(increments), "block_increment")
 
 
 def variance_block_mass(g: ExteriorLaurent) -> VarianceEstimate:
@@ -190,12 +193,7 @@ def variance_block_mass(g: ExteriorLaurent) -> VarianceEstimate:
         idx = bisect_right(edges, k) - 1
         if idx < complete:
             buckets[idx].append(abs(g.coeffs[k]) ** 2)
-    masses = [fsum(b) for b in buckets]
-    per_block = [m / log_d for m in masses]
-    running = _running_tail(per_block)
-    diagnostics = tuple(enumerate(running))
-    return VarianceEstimate(running[-1], "block_mass", diagnostics,
-                            _consecutive_converged(running))
+    return _tail_estimate([fsum(b) / log_d for b in buckets], "block_mass")
 
 
 def cesaro_sigma4(v: ExteriorLaurent, R0: float, d: int) -> VarianceEstimate:
@@ -219,7 +217,7 @@ def cesaro_sigma4(v: ExteriorLaurent, R0: float, d: int) -> VarianceEstimate:
     while True:
         log_hi = math.log(R0) / d**k
         log_lo = log_hi / d
-        if 10.0 / expm1(log_lo) > v.max_freq:
+        if resolving_freq(expm1(log_lo)) > v.max_freq:
             break
         num = _radial_fourth_order_integral(mass, log_lo, log_hi)
         den = math.log(expm1(2 * log_hi) / expm1(2 * log_lo))
@@ -229,10 +227,7 @@ def cesaro_sigma4(v: ExteriorLaurent, R0: float, d: int) -> VarianceEstimate:
             break
     if not values:
         raise UnresolvedScaleError("series cutoff cannot resolve one fundamental annulus")
-    running = _running_tail(values)
-    diagnostics = tuple(enumerate(running))
-    return VarianceEstimate(running[-1], "cesaro4", diagnostics,
-                            _consecutive_converged(running))
+    return _tail_estimate(values, "cesaro4")
 
 
 def _radial_fourth_order_integral(mass: dict[int, float], log_lo: float,

@@ -12,8 +12,8 @@ from bvlab.annular import (MonomialTerm, PiecewiseField, bergman_coefficients,
                            cauchy_full, derivative_z, eval_taylor, moment,
                            multiply, pullback_power)
 from bvlab.constructions import ShellParams, build_shell
-from bvlab.errors import (DivergentMomentError, UnsupportedTermError,
-                          ValidationError)
+from bvlab.errors import (FREQ_CAP, CapacityError, DivergentMomentError,
+                          UnsupportedTermError, ValidationError)
 from bvlab.manifest import json_text
 from conftest import circle
 from oracles import (quad_bergman_coefficient, quad_cauchy_at, quad_moment,
@@ -119,6 +119,10 @@ class TestCauchy:
             assert series.coeffs[n - 1] == pytest.approx((2 / n) * delta, rel=1e-13)
             # the shell radii satisfy r_j^(n_j) = rho0 by construction
             assert math.exp(n * params.log_radius(j)) == pytest.approx(0.2, abs=1e-12)
+
+    def test_frequency_past_capacity(self):
+        with pytest.raises(CapacityError):
+            cauchy_exterior(PiecewiseField.of(MonomialTerm.make(1.0, FREQ_CAP, 0, 0.0, 0.5, 1.0)))
 
     def test_conjugate_type_terms_have_no_exterior_series(self):
         f = PiecewiseField.of(MonomialTerm.make(1.0, 0, 3, 0.0, 0.4, 0.9))

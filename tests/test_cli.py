@@ -73,6 +73,14 @@ class TestVariance:
         assert diag[0] == "scale_index,running_estimate"
         assert len(diag) > 2
 
+    def test_block_method_grows_to_the_fewest_resolving_shells(self, tmp_path, capsys):
+        # 19 shells are the fewest whose last frequency 2^19 reaches 10/(1.5^(1/2^14) - 1);
+        # 18 give 0.3612863906826521 and 17 raise UnresolvedScaleError
+        code, out, _ = run_cli(["variance", "shell", "--d", "2", "--rho0", "0.25", "--method",
+                                "block", "--blocks", "14", "--shells", "1"], tmp_path, capsys)
+        assert code == 0
+        assert json.loads(out)["value"] == 0.3612863906840157
+
 
 class TestOptimize:
     def test_range_to_1e18_needs_no_scan(self, tmp_path, capsys):

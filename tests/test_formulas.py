@@ -146,28 +146,27 @@ class TestPointwiseBounds:
 
 class TestTable:
     def test_rows_match_reference_display(self):
-        rows = {int(r.d): r for r in table2()}
+        rows = {int(r["d"]): r for r in table2()}
         assert sorted(rows) == [2, 3, 4, 20]
         for d, (lam_disp, imp_disp) in TABLE2_EXPECTED.items():
             r = rows[d]
-            assert truncate_display(r.lambda_lemma_coeff) == lam_disp
-            assert truncate_display(r.improved_coeff) == imp_disp
-            assert abs(r.lambda_lemma_coeff - lambda_lemma_coeff(d)) <= 5e-5
-            assert abs(r.improved_coeff - sigma2_optimal(d)) <= 5e-5
+            assert truncate_display(r["lambda_lemma"]) == lam_disp
+            assert truncate_display(r["improved"]) == imp_disp
+            assert abs(r["lambda_lemma"] - lambda_lemma_coeff(d)) <= 5e-5
+            assert abs(r["improved"] - sigma2_optimal(d)) <= 5e-5
 
     def test_improved_dominates_basic(self):
         for r in table2():
-            assert r.improved_coeff >= r.lambda_lemma_coeff
-            if r.d >= 3:
-                assert r.improved_coeff > r.lambda_lemma_coeff
+            assert r["improved"] >= r["lambda_lemma"]
+            if r["d"] >= 3:
+                assert r["improved"] > r["lambda_lemma"]
 
     def test_degree2_columns_coincide(self):
-        row = next(r for r in table2() if r.d == 2)
-        assert row.lambda_lemma_coeff == pytest.approx(row.improved_coeff, rel=1e-15)
+        row = next(r for r in table2() if r["d"] == 2)
+        assert row["lambda_lemma"] == pytest.approx(row["improved"], rel=1e-15)
 
     def test_row_serialization(self):
-        doc = table2()[0].to_doc()
-        assert set(doc) == {"d", "lambda_lemma", "improved", "c_d", "optimal_rho0"}
+        assert list(table2()[0]) == ["d", "lambda_lemma", "improved", "c_d", "optimal_rho0"]
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvlab.errors import CapacityError, ValidationError
+from bvlab.errors import FREQ_CAP, CapacityError, ValidationError
 from bvlab.laurent import ExteriorLaurent, SelfSimilarity, convolve
 from conftest import circle
 from oracles import contour_derivative
@@ -28,6 +28,15 @@ class TestConstruction:
         g = ExteriorLaurent({2**63 - 2: 1.0}, 2**63 - 1)
         with pytest.raises(CapacityError):
             g.third_derivative()
+        # the constructor's check guards both derivatives at the first frequency past FREQ_CAP
+        with pytest.raises(CapacityError):
+            ExteriorLaurent({FREQ_CAP: 1.0}, FREQ_CAP).derivative()
+        with pytest.raises(CapacityError):
+            ExteriorLaurent({FREQ_CAP - 2: 1.0}, FREQ_CAP).third_derivative()
+        assert ExteriorLaurent({FREQ_CAP - 1: 1.0}, FREQ_CAP).derivative().frequencies() \
+            == [FREQ_CAP]
+        assert ExteriorLaurent({FREQ_CAP - 3: 1.0}, FREQ_CAP).third_derivative() \
+            .frequencies() == [FREQ_CAP]
 
     def test_eval_requires_exterior_point(self):
         g = ExteriorLaurent({1: 1.0}, 1)

@@ -1,5 +1,5 @@
 """The package surface: which module bodies a command runs, the names that
-``from bvlab import X`` serves, the scripts that import them, and no unused
+``from bvlab import X`` serves, the scripts that run them, and no unused
 imports in the package."""
 import ast
 import json
@@ -26,7 +26,7 @@ BirkhoffVariance BlaschkeMap CirclePotential birkhoff_variance birkhoff_variance
 birkhoff_variance_mc coboundary_check log_deriv_mean
 BVLabError CapacityError DivergentMomentError UnresolvedScaleError UnresolvedTruncationError
 UnsupportedTermError ValidationError
-DimensionRow best_integer_degree best_real_degree distortion_constant julia_dim_k julia_dim_t
+best_integer_degree best_real_degree distortion_constant julia_dim_k julia_dim_t
 optimal_rho0 pointwise_sigma_bound sigma2_optimal sigma2_shell smirnov_dim_k smirnov_dim_t
 table2
 ExteriorLaurent SelfSimilarity
@@ -36,8 +36,9 @@ variance_lacunary
 """.split()
 
 # Runs each command line of argv[2] in turn and records, after the package
-# import and after each command, the submodules whose body has run.  The type
-# test does not trigger a lazy load; a loaded module is a plain module again.
+# import and after each command, the submodules whose body has run and whether
+# dataclasses is loaded.  The type test does not trigger a lazy load; a loaded
+# module is a plain module again.
 _LOAD_PROBE = """
 import json
 import sys
@@ -52,14 +53,16 @@ def ran():
 import bvlab
 
 steps = {"import bvlab": ran()}
+dataclasses = {"import bvlab": "dataclasses" in sys.modules}
 import bvlab.cli
 
 out = sys.argv[1]
 for argv in json.loads(sys.argv[2]):
     assert bvlab.cli.main([*argv, "--out", out]) == 0, argv
     steps[" ".join(argv)] = ran()
+    dataclasses[" ".join(argv)] = "dataclasses" in sys.modules
 with open(out + "/loaded_modules.json", "w", encoding="utf-8") as fh:
-    json.dump(steps, fh)
+    json.dump({"modules": steps, "dataclasses": dataclasses}, fh)
 """
 
 CLOSED_FORM = ["cli", "errors", "formulas", "manifest"]
@@ -79,8 +82,8 @@ def test_each_command_runs_only_the_modules_it_uses(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _LOAD_PROBE, str(tmp_path), json.dumps(steps)],
                           env=_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    ran = json.loads((tmp_path / "loaded_modules.json").read_text(encoding="utf-8"))
-    assert ran == {
+    loaded = json.loads((tmp_path / "loaded_modules.json").read_text(encoding="utf-8"))
+    assert loaded["modules"] == {
         "import bvlab": [],
         "table2": CLOSED_FORM,
         "optimize": CLOSED_FORM,
@@ -88,6 +91,9 @@ def test_each_command_runs_only_the_modules_it_uses(tmp_path):
         "dynamics coboundary --d 2 --n 20": sorted([*CLOSED_FORM, "dynamics"]),
         "selfcheck --full": EVERY_MODULE,
     }
+    # dataclasses pulls in inspect, about 6 ms per process that these commands do not need
+    closed_form_steps = ["import bvlab", "table2", "optimize", "dimension --d 20 --k 0.1"]
+    assert [loaded["dataclasses"][step] for step in closed_form_steps] == [False] * 4
 
 
 def test_names_are_the_served_names():
@@ -113,8 +119,11 @@ def test_unknown_name_is_an_attribute_error():
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
-def test_script_imports(path):
-    runpy.run_path(str(path), run_name="imported")
+def test_script_imports(path, monkeypatch, capsys):
+    """Each script's main runs to the end with its default arguments."""
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
 
 
 def _unused_imports(path: Path) -> list[str]:
