@@ -17,8 +17,10 @@ radius would round to 1.0 and destroy the moment integrals r^e with huge e.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import fsum, inf, isfinite
+from operator import itemgetter
 
 from .errors import (CapacityError, DivergentMomentError, FREQ_CAP,
                      UnsupportedTermError, ValidationError, parse_float, parse_int)
@@ -75,10 +77,6 @@ class MonomialTerm:
     @property
     def r_out(self) -> float:
         return math.exp(self.log_r_out)
-
-    @property
-    def angular_frequency(self) -> int:
-        return self.q - self.p
 
     def contains_log(self, log_abs_z: float) -> bool:
         return self.log_r_in <= log_abs_z < self.log_r_out
@@ -142,8 +140,9 @@ class MonomialTerm:
             raise ValidationError(f"malformed term document: {exc}") from exc
 
 
-def _term_sort_key(t: MonomialTerm):
-    return (t.angular_frequency, t.log_r_in, t.log_r_out, t.p, t.gamma)
+def _sort_key(p: int, q: int, gamma: float, log_r_in: float, log_r_out: float):
+    """Canonical order of terms: angular frequency, support, then conjugate power and gamma."""
+    return (q - p, log_r_in, log_r_out, p, gamma)
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,8 @@ class PiecewiseField:
     terms: tuple[MonomialTerm, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(sorted(self.terms, key=_term_sort_key)))
+        object.__setattr__(self, "terms", tuple(sorted(
+            self.terms, key=lambda t: _sort_key(t.p, t.q, t.gamma, t.log_r_in, t.log_r_out))))
 
     @classmethod
     def of(cls, *terms: MonomialTerm) -> "PiecewiseField":
@@ -228,14 +228,23 @@ def moment(term: MonomialTerm, j: int) -> complex:
     """
     if j != term.p - term.q:
         return 0j
-    e = term.p + term.q + j + term.gamma + 2.0
+    return _radial_moment(term.coeff, term.p, term.gamma, term.log_r_in, term.log_r_out)
+
+
+def _radial_moment(coeff: complex, p: int, gamma: float,
+                   log_r_in: float, log_r_out: float) -> complex:
+    """The moment of a term at its one frequency j = p - q, where e = 2p + gamma + 2."""
+    e = 2 * p + gamma + 2.0
     if e == 0.0:
-        if not (isfinite(term.log_r_in) and isfinite(term.log_r_out)):
+        if not (isfinite(log_r_in) and isfinite(log_r_out)):
             raise DivergentMomentError("logarithmic moment with unbounded support")
-        return 2.0 * term.coeff * (term.log_r_out - term.log_r_in)
-    hi = _pow_log(e, term.log_r_out)
-    lo = _pow_log(e, term.log_r_in)
-    return 2.0 * term.coeff * (hi - lo) / e
+        return 2.0 * coeff * (log_r_out - log_r_in)
+    hi = _pow_log(e, log_r_out)
+    lo = _pow_log(e, log_r_in)
+    return 2.0 * coeff * (hi - lo) / e
+
+
+_UNBOUNDED = "cauchy_exterior requires bounded supports"
 
 
 def cauchy_exterior(field: PiecewiseField) -> ExteriorLaurent:
@@ -245,7 +254,7 @@ def cauchy_exterior(field: PiecewiseField) -> ExteriorLaurent:
     p >= q), with coefficient moment(term, p - q).
     """
     if not field.bounded_support():
-        raise ValidationError("cauchy_exterior requires bounded supports")
+        raise ValidationError(_UNBOUNDED)
     coeffs: dict[int, complex] = {}
     for t in field.terms:
         j = t.p - t.q
@@ -374,20 +383,64 @@ def eval_taylor(coeffs: dict[int, complex], z: complex) -> complex:
     return complex(fsum(re), fsum(im))
 
 
+def _products(f: PiecewiseField, g: PiecewiseField):
+    """The nonzero products of overlapping terms a of f and b of g, in a-major, b-minor order.
+
+    Exponents add on the support intersection; each product comes as
+    (coeff, p, q, gamma, log_r_in, log_r_out).  The terms of g are indexed by
+    log_r_in, so each a tests only the b that start below its outer radius.
+    """
+    gs = g.terms
+    order = sorted(range(len(gs)), key=lambda i: gs[i].log_r_in)
+    starts = [gs[i].log_r_in for i in order]
+    for a in f.terms:
+        for i in sorted(order[:bisect_left(starts, a.log_r_out)]):
+            b = gs[i]
+            # b starts below a's outer radius, so the two overlap when b ends above its inner one
+            if b.log_r_out > a.log_r_in:
+                c = a.coeff * b.coeff
+                if c != 0:
+                    yield (c, a.p + b.p, a.q + b.q, a.gamma + b.gamma,
+                           max(a.log_r_in, b.log_r_in), min(a.log_r_out, b.log_r_out))
+
+
 def multiply(f: PiecewiseField, g: PiecewiseField) -> PiecewiseField:
     """Pointwise product: exponents add on the support intersection."""
-    out = []
-    for a in f.terms:
-        for b in g.terms:
-            lin = max(a.log_r_in, b.log_r_in)
-            lout = min(a.log_r_out, b.log_r_out)
-            if lin >= lout:
-                continue
-            c = a.coeff * b.coeff
-            if c != 0:
-                out.append(MonomialTerm(c, a.p + b.p, a.q + b.q,
-                                        a.gamma + b.gamma, lin, lout))
-    return PiecewiseField(tuple(out))
+    return PiecewiseField(tuple(MonomialTerm(*t) for t in _products(f, g)))
+
+
+def product_beurling_exterior(f: PiecewiseField, g: PiecewiseField) -> dict[int, complex]:
+    """The coefficients of beurling_exterior(multiply(f, g)), bit for bit.
+
+    Each product term with p >= q contributes its moment at k = p - q + 1; the
+    moments of each frequency are summed in the canonical term order, as
+    cauchy_exterior sums them, and the derivative maps a_k to -k a_k at k + 1.
+    The product terms themselves are never built.
+    """
+    pieces = []
+    for c, p, q, gamma, lin, lout in _products(f, g):
+        if not isfinite(lout):
+            raise ValidationError(_UNBOUNDED)
+        if p >= q:
+            pieces.append((_sort_key(p, q, gamma, lin, lout), c))
+    pieces.sort(key=itemgetter(0))
+    coeffs: dict[int, complex] = {}
+    for (m, lin, lout, p, gamma), c in pieces:
+        a = _radial_moment(c, p, gamma, lin, lout)
+        if a != 0:
+            k = 1 - m
+            coeffs[k] = coeffs.get(k, 0) + a
+    # the checks of the two series beurling_exterior builds, in their order: a summed k
+    # past FREQ_CAP, then a kept k whose k + 1 is; the largest k comes first
+    out = {}
+    for k, a in coeffs.items():
+        if k > FREQ_CAP:
+            raise CapacityError(f"frequency {k} exceeds 64-bit capacity")
+        if a != 0:
+            if k == FREQ_CAP:
+                raise CapacityError(f"frequency {k + 1} exceeds 64-bit capacity")
+            out[k + 1] = -k * a
+    return out
 
 
 def pullback_power(field: PiecewiseField, d: int) -> PiecewiseField:

@@ -151,12 +151,12 @@ def convolve(a: ExteriorLaurent, b: ExteriorLaurent,
     out: dict[int, complex] = {}
     ka = sorted(a.coeffs)
     kb = sorted(b.coeffs)
+    if ka and kb and ka[-1] + kb[-1] > FREQ_CAP:
+        raise CapacityError("product frequency exceeds capacity")
     for i in ka:
         ci = a.coeffs[i]
         for j in kb:
             k = i + j
-            if k > FREQ_CAP:
-                raise CapacityError("product frequency exceeds capacity")
             out[k] = out.get(k, 0) + ci * b.coeffs[j]
     kept = {k: c for k, c in out.items() if k <= max_freq}
     return ExteriorLaurent(kept, max_freq), fsum(abs(c) ** 2 for k, c in out.items()

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import fsum
 
-from .annular import PiecewiseField, beurling, beurling_exterior, multiply
+from .annular import PiecewiseField, beurling, beurling_exterior, product_beurling_exterior
 from .constructions import ShellParams, build_shell
 from .errors import FREQ_CAP, UnresolvedTruncationError, ValidationError
 from .formulas import sigma2_shell
@@ -78,10 +78,9 @@ def order2_field(mu: PiecewiseField, max_freq: int) -> Order2Field:
     """
     if max_freq < 1:
         raise ValidationError("max_freq must be >= 1")
-    first = beurling_exterior(multiply(mu, beurling(mu)))  # exact finite series
+    w = product_beurling_exterior(mu, beurling(mu))  # exact finite series
     s_ext = beurling_exterior(mu)
     square, _ = convolve(s_ext, s_ext, FREQ_CAP)
-    w = dict(first.coeffs)
     for k, c in square.coeffs.items():
         w[k] = w.get(k, 0) - 0.5 * c
     kept, dropped = {}, []
@@ -111,6 +110,8 @@ def order2_bound(params: ShellParams, refine: bool = False) -> Order2Report:
 
     ``refine`` doubles the shell count and frequency cutoff and reports the
     relative change of the total, the stability diagnostic of the truncation.
+    At shell capacity, where the doubled parameters clip back to the same
+    shells, it compares with one shell fewer instead.
     """
     est, field, eff = _second_order(params)
     if field.flagged:
@@ -120,9 +121,13 @@ def order2_bound(params: ShellParams, refine: bool = False) -> Order2Report:
     total = first + est.value
     stability = None
     if refine:
-        doubled = replace(params, shells=2 * eff.shells,
-                          max_freq=min(2 * params.max_freq, FREQ_CAP))
-        est2, _, _ = _second_order(doubled)
+        other = replace(params, shells=2 * eff.shells,
+                        max_freq=min(2 * params.max_freq, FREQ_CAP))
+        if other.clipped_to_max_freq().shells == eff.shells:
+            if eff.shells < 3:
+                raise ValidationError("refining at shell capacity needs at least three shells")
+            other = replace(eff, shells=eff.shells - 1)
+        est2, _, _ = _second_order(other)
         total2 = first + est2.value
         stability = abs(total2 - total) / max(abs(total), 1e-300)
     return Order2Report(first, est.value, total, params, eff.shells,

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from bvlab.annular import (MonomialTerm, PiecewiseField, bergman_coefficients,
                            beurling, beurling_exterior, cauchy_exterior,
                            cauchy_full, derivative_z, eval_taylor, moment,
-                           multiply, pullback_power)
+                           multiply, product_beurling_exterior, pullback_power)
 from bvlab.constructions import ShellParams, build_shell
-from bvlab.errors import (FREQ_CAP, CapacityError, DivergentMomentError,
+from bvlab.errors import (FREQ_CAP, BVLabError, CapacityError, DivergentMomentError,
                           UnsupportedTermError, ValidationError)
 from bvlab.manifest import json_text
 from conftest import circle
@@ -323,6 +323,108 @@ class TestMultiply:
         for z in (circle(0.55, 0.4), circle(0.65, 1.9), circle(0.72, 3.1),
                   circle(0.45, 0.1), circle(0.79, 5.5)):
             assert prod.eval(z) == pytest.approx(mu4.eval(z) * g.eval(z), abs=1e-14)
+
+
+def multiply_all_pairs(f: PiecewiseField, g: PiecewiseField) -> PiecewiseField:
+    """Reference product: every pair of terms tested, in a-major, b-minor order."""
+    out = []
+    for a in f.terms:
+        for b in g.terms:
+            lin = max(a.log_r_in, b.log_r_in)
+            lout = min(a.log_r_out, b.log_r_out)
+            if lin < lout and a.coeff * b.coeff != 0:
+                out.append(MonomialTerm(a.coeff * b.coeff, a.p + b.p, a.q + b.q,
+                                        a.gamma + b.gamma, lin, lout))
+    return PiecewiseField(tuple(out))
+
+
+def transform_routes(f: PiecewiseField, g: PiecewiseField):
+    """The product transform by both routes: coefficients, or the error class raised."""
+    routes = []
+    for route in (lambda: beurling_exterior(multiply(f, g)).coeffs,
+                  lambda: product_beurling_exterior(f, g)):
+        try:
+            routes.append(route())
+        except BVLabError as exc:
+            routes.append(type(exc))
+    return routes
+
+
+def shell_ladder(d: int, rho0):
+    """Shell fields at a few shell counts from one to capacity."""
+    cap = ShellParams(d=d, rho0=rho0).capacity
+    for shells in sorted({1, 2, 3, 5, cap // 4, cap // 2, cap - 1, cap}):
+        yield build_shell(ShellParams(d=d, rho0=rho0, shells=shells))
+
+
+# radii that give supports reaching 0, nested, overlapping and disjoint; gammas that
+# give products with e = 2p + gamma + 2 = 0 when p = 0
+_TERM = st.builds(lambda c, p, q, gamma, r_in, width: MonomialTerm.make(
+                      c, p, q, gamma, r_in, r_in + width),
+                  st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False),
+                  st.integers(0, 3), st.integers(-4, 2), st.sampled_from([-2.0, -1.0, 0.0, 1.5]),
+                  st.sampled_from([0.0, 0.0, 0.0, 0.2, 0.5]), st.sampled_from([0.15, 0.3, 0.6]))
+_FIELD = st.lists(_TERM, min_size=1, max_size=5).map(lambda ts: PiecewiseField(tuple(ts)))
+
+
+class TestProductTransform:
+    """product_beurling_exterior against beurling_exterior(multiply(f, g)), bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    @pytest.mark.parametrize("rho0", ["optimal", 0.3])
+    def test_shell_fields(self, d, rho0):
+        for mu in shell_ladder(d, rho0):
+            old, new = transform_routes(mu, beurling(mu))
+            assert new == old and isinstance(new, dict)
+
+    @given(_FIELD, _FIELD)
+    @settings(max_examples=150, deadline=None)
+    def test_random_fields(self, f, g):
+        old, new = transform_routes(f, g)
+        assert new == old
+
+    def test_logarithmic_product(self):
+        f = PiecewiseField.of(MonomialTerm.make(1.0, 0, 0, -1.0, 0.3, 0.6))
+        g = PiecewiseField.of(MonomialTerm.make(0.5j, 0, 0, -1.0, 0.2, 0.5))
+        old, new = transform_routes(f, g)
+        assert new == old and list(new) == [2]
+        assert new[2] == pytest.approx(-2.0 * 0.5j * math.log(0.5 / 0.3), rel=1e-15)
+        def reaching_zero(field):
+            return PiecewiseField(tuple(MonomialTerm(t.coeff, t.p, t.q, t.gamma, -inf,
+                                                     t.log_r_out) for t in field.terms))
+
+        assert transform_routes(reaching_zero(f), reaching_zero(g)) \
+            == [DivergentMomentError] * 2
+
+    def test_unbounded_product_rejected(self):
+        f = PiecewiseField.of(MonomialTerm.make(1.0, 2, 0, -2.0, 0.5, inf))
+        g = PiecewiseField.of(MonomialTerm.make(1.0, 0, -3, 0.0, 0.7, inf),
+                              MonomialTerm.make(0.0, 0, 0, 0.0, 0.6, inf))
+        assert transform_routes(f, g) == [ValidationError] * 2
+        # a zero product is no term, so its support is never tested
+        assert transform_routes(f, PiecewiseField.of(g.terms[0].scaled(0))) == [{}, {}]
+
+    def test_frequency_at_capacity(self):
+        # e = 2p + gamma + 2 = 2 keeps the moment finite at a conjugate power near FREQ_CAP
+        def field(p):
+            return PiecewiseField.of(MonomialTerm.make(1.0, p, 0, -float(2 * p), 0.5, 0.8))
+
+        indicator = PiecewiseField.of(MonomialTerm.make(1.0, 0, 0, 0.0, 0.4, 0.9))
+        old, new = transform_routes(field(FREQ_CAP - 2), indicator)
+        assert new == old and list(new) == [FREQ_CAP]
+        assert transform_routes(field(FREQ_CAP - 1), indicator) == [CapacityError] * 2
+        assert transform_routes(field(FREQ_CAP), indicator) == [CapacityError] * 2
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_multiply_keeps_the_all_pairs_terms(self, d):
+        for mu in shell_ladder(d, "optimal"):
+            g = beurling(mu)
+            assert repr(multiply(mu, g).terms) == repr(multiply_all_pairs(mu, g).terms)
+
+    @given(_FIELD, _FIELD)
+    @settings(max_examples=100, deadline=None)
+    def test_multiply_keeps_the_all_pairs_terms_random(self, f, g):
+        assert repr(multiply(f, g).terms) == repr(multiply_all_pairs(f, g).terms)
 
 
 class TestPullback:

@@ -280,6 +280,13 @@ class TestConfigAndErrors:
         assert code == 3
         assert json.loads(err)["error"] == "CapacityError"
 
+    def test_refine_without_a_shell_to_drop(self, tmp_path, capsys):
+        # a capacity of two shells, at max_freq 480 and at its double
+        code = main(["order2", "--d", "16", "--n0", "15", "--max-freq", "480", "--refine",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+
     def test_validation_exit_code(self, tmp_path, capsys):
         code = main(["variance", "shell", "--d", "20", "--rho0", "1.5",
                      "--out", str(tmp_path)])

@@ -83,6 +83,14 @@ class TestAlgebra:
         assert prod.coeffs == {}
         assert dropped == pytest.approx(16.0)
 
+    def test_convolution_capacity(self):
+        # the largest pair of frequencies decides: FREQ_CAP fits, FREQ_CAP + 1 does not
+        b = ExteriorLaurent({1: 1.0, 2: 0.5}, 2)
+        prod, _ = convolve(ExteriorLaurent({FREQ_CAP - 2: 1.0}, FREQ_CAP), b, FREQ_CAP)
+        assert prod.frequencies() == [FREQ_CAP - 1, FREQ_CAP]
+        with pytest.raises(CapacityError, match="^product frequency exceeds capacity$"):
+            convolve(ExteriorLaurent({FREQ_CAP - 1: 1.0}, FREQ_CAP), b, FREQ_CAP)
+
     @given(st.lists(st.tuples(st.integers(1, 12),
                               st.complex_numbers(max_magnitude=5, allow_nan=False,
                                                  allow_infinity=False)),

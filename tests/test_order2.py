@@ -142,6 +142,31 @@ class TestOrder2Bound:
         with pytest.raises(ValidationError):
             order2_bound(ShellParams(d=3, rho0=0.3, shells=1))
 
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_refine_at_capacity_compares_one_shell_fewer(self, d):
+        # doubling clips back to the capacity there, so J is compared with J - 1
+        params = ShellParams(d=d, rho0=optimal_rho0(d))
+        params = replace(params, shells=params.capacity)
+        report = order2_bound(params, refine=True)
+        lower = order2_bound(replace(params, shells=params.capacity - 1))
+        assert report.shells_used == params.capacity
+        assert report.stability > 0
+        assert report.stability == abs(report.total - lower.total) / abs(report.total)
+
+    def test_refine_below_capacity_doubles(self):
+        params = ShellParams(d=16, rho0=optimal_rho0(16), n0=15, shells=4)
+        report = order2_bound(params, refine=True)
+        doubled = order2_bound(replace(params, shells=8))
+        assert report.stability == abs(doubled.total - report.total) / abs(report.total)
+
+    def test_refine_at_a_capacity_of_two_shells(self):
+        # max_freq 480 keeps n_0 = 15 and n_1 = 240, and so does its double
+        params = ShellParams(d=16, rho0=0.3, n0=15, shells=2, max_freq=480)
+        assert params.capacity == 2 == replace(params, max_freq=960).capacity
+        assert order2_bound(params).shells_used == 2
+        with pytest.raises(ValidationError, match="at least three shells"):
+            order2_bound(params, refine=True)
+
 
 class TestParameterSearch:
     def test_leaderboard_sorted_and_contains_reference_point(self):

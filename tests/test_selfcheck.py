@@ -78,6 +78,8 @@ MUTATIONS = [
          "coefficient-above-one"),
     _row("order2_degree16", "bvlab.order2.convolve",
          then(lambda out: (out[0].scale(2.0), out[1])), "square-term"),
+    _row("order2_degree16", "bvlab.order2.product_beurling_exterior",
+         then(lambda coeffs: {k: 2.0 * c for k, c in coeffs.items()}), "product-term"),
     _row("order2_degree16", "bvlab.selfcheck.order2_bound",
          lambda orig: lambda params, refine=False: orig(params), "no-stability"),
 ]
