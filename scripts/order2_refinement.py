@@ -9,7 +9,9 @@ from __future__ import annotations
 import argparse
 import math
 
-from bvlab import ShellParams, optimal_rho0, order2_bound
+from bvlab.constructions import ShellParams
+from bvlab.formulas import optimal_rho0
+from bvlab.order2 import order2_bound
 
 
 def analytic_limit(d: float, rho0: float) -> float:

@@ -6,9 +6,10 @@ real degrees, and the second-order improvement at degree 16.
 """
 from __future__ import annotations
 
-from bvlab import (ShellParams, best_integer_degree, best_real_degree,
-                   optimal_rho0, order2_bound, table2)
-from bvlab.formulas import truncate_display
+from bvlab.constructions import ShellParams
+from bvlab.formulas import (best_integer_degree, best_real_degree, optimal_rho0, table2,
+                            truncate_display)
+from bvlab.order2 import order2_bound
 
 
 def main() -> None:

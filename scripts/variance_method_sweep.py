@@ -5,11 +5,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from bvlab import (ShellParams, cesaro_sigma4, optimal_rho0, sigma2_optimal,
-                   shell_beurling_series, shell_cauchy_series, variance_block,
-                   variance_block_mass, variance_lacunary)
-from bvlab.constructions import shell_moduli
+from bvlab.constructions import (ShellParams, shell_beurling_series, shell_cauchy_series,
+                                 shell_moduli)
+from bvlab.formulas import optimal_rho0, sigma2_optimal
 from bvlab.manifest import csv_text
+from bvlab.variance import cesaro_sigma4, variance_block, variance_block_mass, variance_lacunary
 
 
 def main() -> None:

@@ -20,7 +20,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import fsum, inf, isfinite
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .errors import (CapacityError, DivergentMomentError, FREQ_CAP,
                      UnsupportedTermError, ValidationError, parse_float, parse_int)
@@ -182,9 +182,6 @@ class PiecewiseField:
     def min_r_in(self) -> float:
         return min((t.r_in for t in self.terms), default=0.0)
 
-    def bounded_support(self) -> bool:
-        return all(isfinite(t.log_r_out) for t in self.terms)
-
     def add(self, other: "PiecewiseField") -> "PiecewiseField":
         return PiecewiseField(self.terms + other.terms)
 
@@ -219,21 +216,13 @@ class PiecewiseField:
 # transforms
 # ---------------------------------------------------------------------------
 
-def moment(term: MonomialTerm, j: int) -> complex:
-    """(1/pi) integral of term(w) * w^j over the plane.
-
-    Vanishes unless j = p - q by angular orthogonality; otherwise equals
-    2 c (r_out^e - r_in^e)/e with e = p + q + j + gamma + 2, and the
-    degenerate e = 0 case integrates to 2 c log(r_out/r_in).
-    """
-    if j != term.p - term.q:
-        return 0j
-    return _radial_moment(term.coeff, term.p, term.gamma, term.log_r_in, term.log_r_out)
-
-
 def _radial_moment(coeff: complex, p: int, gamma: float,
                    log_r_in: float, log_r_out: float) -> complex:
-    """The moment of a term at its one frequency j = p - q, where e = 2p + gamma + 2."""
+    """(1/pi) integral of a term times w^j over the plane, at its one frequency j = p - q.
+
+    Angular orthogonality kills every other j.  With e = 2p + gamma + 2 it is
+    2 c (r_out^e - r_in^e)/e, and 2 c log(r_out/r_in) when e = 0.
+    """
     e = 2 * p + gamma + 2.0
     if e == 0.0:
         if not (isfinite(log_r_in) and isfinite(log_r_out)):
@@ -244,26 +233,53 @@ def _radial_moment(coeff: complex, p: int, gamma: float,
     return 2.0 * coeff * (hi - lo) / e
 
 
-_UNBOUNDED = "cauchy_exterior requires bounded supports"
+_as_tuple = attrgetter("coeff", "p", "q", "gamma", "log_r_in", "log_r_out")
+
+
+def _cauchy_coefficients(pieces) -> dict[int, complex]:
+    """Exterior Cauchy coefficients of terms given as (coeff, p, q, gamma, log_r_in, log_r_out).
+
+    Each term with p >= q contributes its moment at the single frequency
+    k = p - q + 1; the moments of each frequency are summed in the canonical
+    term order.  An unbounded piece is rejected before any moment is taken.
+    """
+    keyed = []
+    for c, p, q, gamma, lin, lout in pieces:
+        if not isfinite(lout):
+            raise ValidationError("cauchy_exterior requires bounded supports")
+        if p >= q:
+            keyed.append((_sort_key(p, q, gamma, lin, lout), c))
+    keyed.sort(key=itemgetter(0))
+    coeffs: dict[int, complex] = {}
+    for (m, lin, lout, p, gamma), c in keyed:
+        a = _radial_moment(c, p, gamma, lin, lout)
+        if a != 0:
+            k = 1 - m
+            coeffs[k] = coeffs.get(k, 0) + a
+    return coeffs
+
+
+def _transform_coefficients(cauchy: dict[int, complex]) -> dict[int, complex]:
+    """The derivative of a Cauchy series: a_k z^-k maps to -k a_k z^-(k+1).
+
+    The capacity checks raise what ExteriorLaurent raises for the Cauchy series
+    and then its derivative: a summed k past FREQ_CAP, then a kept k whose k + 1
+    is.  The keys come largest first, so one pass keeps that order.
+    """
+    out = {}
+    for k, a in cauchy.items():
+        if k > FREQ_CAP:
+            raise CapacityError(f"frequency {k} exceeds 64-bit capacity")
+        if a != 0:
+            if k == FREQ_CAP:
+                raise CapacityError(f"frequency {k + 1} exceeds 64-bit capacity")
+            out[k + 1] = -k * a
+    return out
 
 
 def cauchy_exterior(field: PiecewiseField) -> ExteriorLaurent:
-    """Laurent series of the Cauchy transform on |z| > max r_out.
-
-    Each term contributes the single frequency k = p - q + 1 (only when
-    p >= q), with coefficient moment(term, p - q).
-    """
-    if not field.bounded_support():
-        raise ValidationError(_UNBOUNDED)
-    coeffs: dict[int, complex] = {}
-    for t in field.terms:
-        j = t.p - t.q
-        if j < 0:
-            continue
-        a = moment(t, j)
-        if a != 0:
-            k = j + 1
-            coeffs[k] = coeffs.get(k, 0) + a
+    """Laurent series of the Cauchy transform on |z| > max r_out."""
+    coeffs = _cauchy_coefficients(map(_as_tuple, field.terms))
     return ExteriorLaurent(coeffs, max(coeffs, default=1))
 
 
@@ -345,8 +361,8 @@ def beurling(field: PiecewiseField) -> PiecewiseField:
 
 def beurling_exterior(field: PiecewiseField) -> ExteriorLaurent:
     """Exterior Laurent series of the transform: a_k z^-k maps to -k a_k z^-(k+1)."""
-    s = cauchy_exterior(field).derivative()
-    return s.with_max_freq(max(s.coeffs, default=1))
+    coeffs = _transform_coefficients(_cauchy_coefficients(map(_as_tuple, field.terms)))
+    return ExteriorLaurent(coeffs, max(coeffs, default=1))
 
 
 def bergman_coefficients(field: PiecewiseField) -> dict[int, complex]:
@@ -376,8 +392,8 @@ def bergman_coefficients(field: PiecewiseField) -> dict[int, complex]:
 
 def eval_taylor(coeffs: dict[int, complex], z: complex) -> complex:
     re, im = [], []
-    for k in sorted(coeffs):
-        v = coeffs[k] * z**k
+    for k, c in coeffs.items():
+        v = c * z**k
         re.append(v.real)
         im.append(v.imag)
     return complex(fsum(re), fsum(im))
@@ -412,35 +428,9 @@ def multiply(f: PiecewiseField, g: PiecewiseField) -> PiecewiseField:
 def product_beurling_exterior(f: PiecewiseField, g: PiecewiseField) -> dict[int, complex]:
     """The coefficients of beurling_exterior(multiply(f, g)), bit for bit.
 
-    Each product term with p >= q contributes its moment at k = p - q + 1; the
-    moments of each frequency are summed in the canonical term order, as
-    cauchy_exterior sums them, and the derivative maps a_k to -k a_k at k + 1.
-    The product terms themselves are never built.
+    The product terms go to the transform as tuples; they are never built.
     """
-    pieces = []
-    for c, p, q, gamma, lin, lout in _products(f, g):
-        if not isfinite(lout):
-            raise ValidationError(_UNBOUNDED)
-        if p >= q:
-            pieces.append((_sort_key(p, q, gamma, lin, lout), c))
-    pieces.sort(key=itemgetter(0))
-    coeffs: dict[int, complex] = {}
-    for (m, lin, lout, p, gamma), c in pieces:
-        a = _radial_moment(c, p, gamma, lin, lout)
-        if a != 0:
-            k = 1 - m
-            coeffs[k] = coeffs.get(k, 0) + a
-    # the checks of the two series beurling_exterior builds, in their order: a summed k
-    # past FREQ_CAP, then a kept k whose k + 1 is; the largest k comes first
-    out = {}
-    for k, a in coeffs.items():
-        if k > FREQ_CAP:
-            raise CapacityError(f"frequency {k} exceeds 64-bit capacity")
-        if a != 0:
-            if k == FREQ_CAP:
-                raise CapacityError(f"frequency {k + 1} exceeds 64-bit capacity")
-            out[k + 1] = -k * a
-    return out
+    return _transform_coefficients(_cauchy_coefficients(_products(f, g)))
 
 
 def pullback_power(field: PiecewiseField, d: int) -> PiecewiseField:

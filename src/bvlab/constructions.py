@@ -215,7 +215,6 @@ class LacunaryField:
     """
 
     v: ExteriorLaurent
-    v_prime: ExteriorLaurent
     constant: complex
     d: int
     n_terms: int
@@ -236,11 +235,10 @@ class LacunaryField:
 
 
 def lacunary_vector_field(d: int, n_terms: int) -> LacunaryField:
-    """v(z) = -(z/d) sum_(n < N) z^(-(d-1) d^n) / d^n and its derivative."""
+    """v(z) = -(z/d) sum_(n < N) z^(-(d-1) d^n) / d^n."""
     if d < 2:
         raise ValidationError("degree must be >= 2")
     v: dict[int, complex] = {}
-    vp: dict[int, complex] = {}
     constant = 0j
     for n in range(n_terms):
         lam = (d - 1) * d**n
@@ -251,11 +249,9 @@ def lacunary_vector_field(d: int, n_terms: int) -> LacunaryField:
             constant += c
         else:
             v[lam - 1] = v.get(lam - 1, 0) + c
-        vp[lam] = vp.get(lam, 0) + (lam - 1.0) / d ** (n + 1)
     mf = max((d - 1) * d**n_terms - 1, 1) if n_terms else 1
     meta = SelfSimilarity(d, max(d - 1, 1))
-    return LacunaryField(ExteriorLaurent(v, mf, meta), ExteriorLaurent(vp, mf, meta),
-                         constant, d, n_terms)
+    return LacunaryField(ExteriorLaurent(v, mf, meta), constant, d, n_terms)
 
 
 # ---------------------------------------------------------------------------

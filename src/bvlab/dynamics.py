@@ -170,7 +170,7 @@ def birkhoff_variance_exact(phi: CirclePotential, d: int, n: int) -> float:
                 raise CapacityError("Birkhoff frequency exceeds capacity")
             acc[f] = acc.get(f, 0) + c
         scale *= d
-    return fsum(abs(c) ** 2 for _, c in sorted(acc.items())) / n
+    return fsum(abs(c) ** 2 for c in acc.values()) / n
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,8 @@ class ExteriorLaurent:
             raise ValidationError("evaluation requires |z| > 1")
         re, im = [], []
         w = 1.0 / z
-        for k in self.frequencies():
-            v = self.coeffs[k] * w**k
+        for k, c in self.coeffs.items():
+            v = c * w**k
             re.append(v.real)
             im.append(v.imag)
         return complex(fsum(re), fsum(im))

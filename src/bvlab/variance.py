@@ -99,11 +99,11 @@ def integral_means_log(g: ExteriorLaurent, log_R: float) -> float:
     if not log_R > 0.0:
         raise ValidationError("integral means require R > 1")
     terms = []
-    for k in sorted(g.coeffs):
+    for k, c in g.coeffs.items():
         e = -2.0 * k * log_R
         if e < -745.0:
             continue
-        terms.append(abs(g.coeffs[k]) ** 2 * math.exp(e))
+        terms.append(abs(c) ** 2 * math.exp(e))
     return fsum(terms)
 
 
@@ -187,12 +187,12 @@ def variance_block_mass(g: ExteriorLaurent) -> VarianceEstimate:
         raise UnresolvedScaleError("no complete self-similar block below the cutoff")
     log_d = math.log(ss.base)
     buckets: list[list[float]] = [[] for _ in range(complete)]
-    for k in sorted(g.coeffs):
+    for k, c in g.coeffs.items():
         if k < edges[0]:
             continue
         idx = bisect_right(edges, k) - 1
         if idx < complete:
-            buckets[idx].append(abs(g.coeffs[k]) ** 2)
+            buckets[idx].append(abs(c) ** 2)
     return _tail_estimate([fsum(b) / log_d for b in buckets], "block_mass")
 
 

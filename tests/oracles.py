@@ -18,6 +18,8 @@ closed-form antiderivatives used in the package:
 
 Sampled sup norms and field equality use a probe grid placed off the radial
 breakpoints; the Bloch seminorm is a grid lower bound from the series itself.
+``moment`` is no oracle: it poses the package's closed-form moment at any
+frequency j, for the tests of that closed form.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import math
 
 import numpy as np
 
-from bvlab.annular import MonomialTerm, PiecewiseField
+from bvlab.annular import MonomialTerm, PiecewiseField, _radial_moment
 from bvlab.dynamics import BlaschkeMap
 from bvlab.laurent import ExteriorLaurent
 
@@ -94,6 +96,13 @@ def bloch_seminorm(g: ExteriorLaurent) -> float:
             th = 2 * math.pi * (j + 0.31) / n_angles
             best = max(best, w * abs(gp.eval(R * complex(math.cos(th), math.sin(th)))))
     return best
+
+
+def moment(term: MonomialTerm, j: int) -> complex:
+    """(1/pi) integral of term(w) * w^j over the plane; zero unless j = p - q."""
+    if j != term.p - term.q:
+        return 0j
+    return _radial_moment(term.coeff, term.p, term.gamma, term.log_r_in, term.log_r_out)
 
 
 def _band_grid(r_lo: float, r_hi: float, n_r: int, n_t: int):

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 
 from bvlab.annular import (MonomialTerm, PiecewiseField, bergman_coefficients,
                            beurling, beurling_exterior, cauchy_exterior,
-                           cauchy_full, derivative_z, eval_taylor, moment,
-                           multiply, product_beurling_exterior, pullback_power)
+                           cauchy_full, derivative_z, eval_taylor, multiply,
+                           product_beurling_exterior, pullback_power)
 from bvlab.constructions import ShellParams, build_shell
 from bvlab.errors import (FREQ_CAP, BVLabError, CapacityError, DivergentMomentError,
                           UnsupportedTermError, ValidationError)
 from bvlab.manifest import json_text
 from conftest import circle
-from oracles import (quad_bergman_coefficient, quad_cauchy_at, quad_moment,
+from oracles import (moment, quad_bergman_coefficient, quad_cauchy_at, quad_moment,
                      sup_norm_sampled, wirtinger_dbar, wirtinger_dz)
 
 

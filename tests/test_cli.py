@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,9 @@ from bvlab.annular import PiecewiseField
 from bvlab.cli import build_parser, main
 from bvlab.dynamics import BlaschkeMap, CirclePotential, birkhoff_variance
 from bvlab.errors import FREQ_CAP, ValidationError, parse_int
+from bvlab.formulas import sigma2_optimal
 from bvlab.manifest import json_text
+from bvlab.order2 import order2_field
 
 
 def run_cli(args, out_dir: Path, capsys) -> tuple[int, str, str]:
@@ -132,6 +135,16 @@ class TestOrder2:
         # shells whose product spectrum exceeds the cutoff are not materialized
         assert doc["shells"] == 9
         assert 0.891 <= doc["total"] <= 0.90
+
+
+class TestDimension:
+    def test_neither_t_nor_k_writes_the_quadratic_coefficient(self, tmp_path, capsys):
+        code, out, err = run_cli(["dimension", "--d", "20"], tmp_path, capsys)
+        assert code == 0 and err == ""
+        doc = json.loads((tmp_path / "dimension.json").read_text())
+        assert doc == json.loads(out)
+        assert doc["quadratic_coefficient_k"] == sigma2_optimal(20)
+        assert "t" not in doc and "k" not in doc
 
 
 class TestMeansCurve:
@@ -287,6 +300,22 @@ class TestConfigAndErrors:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
 
+    def test_unresolved_truncation_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("bvlab.order2.order2_field",
+                            lambda mu, max_freq: replace(order2_field(mu, max_freq), flagged=True))
+        code = main(["order2", "--d", "16", "--n0", "15", "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        assert json.loads(captured.err)["error"] == "UnresolvedTruncationError"
+
+    def test_output_dir_under_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = main(["table2", "--out", str(tmp_path / "file" / "out")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert json.loads(captured.err)["error"] == "OSError"
+
     def test_validation_exit_code(self, tmp_path, capsys):
         code = main(["variance", "shell", "--d", "20", "--rho0", "1.5",
                      "--out", str(tmp_path)])
@@ -361,6 +390,8 @@ class TestConfigAndErrors:
         (["table2", "a\x01b"], None),
         (["table2"], {"output_dir": "a\u0000b"}),
         (["table2", "--out", "{tmp}/s\udcff"], None),
+        (["table2", "--config", "{tmp}/missing.json"], None),
+        (["dynamics", "var", "--phi", "{tmp}/missing.json"], None),
     ], ids=["blaschke_zero", "config_shells", "huge_degree", "huge_r0", "binary_config",
             "self_similarity", "missing_degree", "bad_int_flag", "bad_choice",
             "unknown_flag", "missing_dimension_degree", "negative_seed", "string_switch",
@@ -371,7 +402,8 @@ class TestConfigAndErrors:
             "long_potential_exact", "nan_zero", "nan_potential", "infinite_potential_mc",
             "huge_grid", "overflowing_optimize_range", "overflowing_dimension_degree",
             "overflowing_t", "unit_r_max", "config_output_dir_number",
-            "control_character_argument", "nul_output_dir", "undecodable_out"])
+            "control_character_argument", "nul_output_dir", "undecodable_out",
+            "missing_config", "missing_phi"])
     def test_bad_input_gives_one_json_error(self, argv, config, tmp_path, capsys):
         docs = {"phi": {"coeffs": [[-1, 1.0, 0.0]]},
                 "series": {"coeffs": [[2, 1.0, 0.0]], "max_freq": 8, "self_similarity": "x"},

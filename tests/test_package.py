@@ -1,6 +1,6 @@
-"""The package surface: which module bodies a command runs, the names that
-``from bvlab import X`` serves, the scripts that run them, and no unused
-imports in the package."""
+"""The package surface: which module bodies a command runs, the one import
+path of each name, the scripts that run them, and no unused imports in the
+package or the scripts."""
 import ast
 import json
 import os
@@ -16,24 +16,26 @@ import bvlab
 SRC = Path(bvlab.__file__).resolve().parents[1]
 SCRIPTS = sorted((SRC.parent / "scripts").glob("*.py"))
 
-# Every name the package serves.
-NAMES = """
-MonomialTerm PiecewiseField beurling beurling_exterior bergman_coefficients cauchy_exterior
-cauchy_full derivative_z moment multiply pullback_power
-LacunaryField ShellParams build_shell lacunary_vector_field shell_beurling_series
-shell_cauchy_identity_check shell_cauchy_series truncate_to_polynomial
-BirkhoffVariance BlaschkeMap CirclePotential birkhoff_variance birkhoff_variance_exact
-birkhoff_variance_mc coboundary_check log_deriv_mean
-BVLabError CapacityError DivergentMomentError UnresolvedScaleError UnresolvedTruncationError
-UnsupportedTermError ValidationError
-best_integer_degree best_real_degree distortion_constant julia_dim_k julia_dim_t
-optimal_rho0 pointwise_sigma_bound sigma2_optimal sigma2_shell smirnov_dim_k smirnov_dim_t
-table2
-ExteriorLaurent SelfSimilarity
-Order2Report order2_bound order2_field parameter_search
-VarianceEstimate cesaro_sigma4 growth_slope integral_means variance_block variance_block_mass
-variance_lacunary
-""".split()
+# Each module with the names it defines; a name is imported from its module only.
+HOMES = {
+    "annular": "MonomialTerm PiecewiseField beurling beurling_exterior bergman_coefficients "
+               "cauchy_exterior cauchy_full derivative_z multiply pullback_power",
+    "constructions": "LacunaryField ShellParams build_shell lacunary_vector_field "
+                     "shell_beurling_series shell_cauchy_identity_check shell_cauchy_series "
+                     "truncate_to_polynomial",
+    "dynamics": "BirkhoffVariance BlaschkeMap CirclePotential birkhoff_variance "
+                "birkhoff_variance_exact birkhoff_variance_mc coboundary_check log_deriv_mean",
+    "errors": "BVLabError CapacityError DivergentMomentError UnresolvedScaleError "
+              "UnresolvedTruncationError UnsupportedTermError ValidationError",
+    "formulas": "best_integer_degree best_real_degree distortion_constant julia_dim_k "
+                "julia_dim_t optimal_rho0 pointwise_sigma_bound sigma2_optimal sigma2_shell "
+                "smirnov_dim_k smirnov_dim_t table2",
+    "laurent": "ExteriorLaurent SelfSimilarity",
+    "order2": "Order2Report order2_bound order2_field parameter_search",
+    "variance": "VarianceEstimate cesaro_sigma4 growth_slope integral_means variance_block "
+                "variance_block_mass variance_lacunary",
+}
+HOME = {name: module for module, names in HOMES.items() for name in names.split()}
 
 # Runs each command line of argv[2] in turn and records, after the package
 # import and after each command, the submodules whose body has run and whether
@@ -97,17 +99,17 @@ def test_each_command_runs_only_the_modules_it_uses(tmp_path):
 
 
 def test_names_are_the_served_names():
-    assert sorted(NAMES) == sorted(bvlab._HOME)
+    """The package serves its submodules, and none of the names they define."""
+    assert not set(HOME) & set(vars(bvlab))
+    assert not hasattr(bvlab, "__getattr__")
 
 
-@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("name", HOME)
 def test_name_resolves_to_its_home_object(name):
-    namespace: dict = {}
-    exec(f"from bvlab import {name}", namespace)
-    obj = namespace[name]
-    assert obj.__module__.startswith("bvlab.")
-    assert getattr(sys.modules[obj.__module__], name) is obj
-    assert getattr(bvlab, name) is obj
+    module = sys.modules[f"bvlab.{HOME[name]}"]
+    assert getattr(module, name).__module__ == module.__name__
+    with pytest.raises(ImportError):
+        exec(f"from bvlab import {name}", {})
 
 
 def test_unknown_name_is_an_attribute_error():
@@ -141,5 +143,6 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_no_unused_imports():
-    unused = {path.name: _unused_imports(path) for path in sorted((SRC / "bvlab").glob("*.py"))}
+    paths = [*sorted((SRC / "bvlab").glob("*.py")), *SCRIPTS]
+    unused = {path.name: _unused_imports(path) for path in paths}
     assert {name: names for name, names in unused.items() if names} == {}

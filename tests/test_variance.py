@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvlab.annular import beurling_exterior
 from bvlab.constructions import (ShellParams, random_unit_shell_field,
@@ -11,10 +13,9 @@ from bvlab.constructions import (ShellParams, random_unit_shell_field,
 from bvlab.errors import UnresolvedScaleError, ValidationError
 from bvlab.formulas import optimal_rho0, sigma2_shell
 from bvlab.laurent import ExteriorLaurent, SelfSimilarity
-from bvlab.variance import (CESARO_R0_MAX, _radial_fourth_order_integral, cesaro_sigma4, growth_slope,
-                            integral_means, linspace,
-                            variance_block, variance_block_mass,
-                            variance_lacunary)
+from bvlab.variance import (CESARO_R0_MAX, _radial_fourth_order_integral, cesaro_sigma4,
+                            growth_slope, integral_means, integral_means_log, linspace,
+                            variance_block, variance_block_mass, variance_lacunary)
 from oracles import angular_mean_square, bloch_seminorm, mp_radial_fourth_order
 
 LOG2 = math.log(2.0)
@@ -160,6 +161,23 @@ class TestBlockMass:
     def test_empty_series(self):
         g = ExteriorLaurent({}, 64, SelfSimilarity(2, 2))
         assert variance_block_mass(g).value == 0.0
+
+
+class TestCoefficientOrder:
+    """The estimators sum with fsum, so the order of the coefficient dict is immaterial."""
+
+    @given(st.dictionaries(st.integers(1, 4000),
+                           st.complex_numbers(max_magnitude=1e3, allow_nan=False,
+                                              allow_infinity=False), min_size=1, max_size=60),
+           st.randoms(use_true_random=False), st.floats(1e-6, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_shuffled_coefficients(self, coeffs, rnd, log_R):
+        items = sorted(coeffs.items())
+        shuffled = rnd.sample(items, len(items))
+        ss = SelfSimilarity(2, 1)
+        g, h = ExteriorLaurent(items, 4000, ss), ExteriorLaurent(shuffled, 4000, ss)
+        assert integral_means_log(h, log_R) == integral_means_log(g, log_R)
+        assert variance_block_mass(h) == variance_block_mass(g)
 
 
 class TestCesaro:
