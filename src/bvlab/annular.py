@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import fsum, inf, isfinite
+from math import inf, isfinite
 from operator import attrgetter, itemgetter
 
 from .errors import (CapacityError, DivergentMomentError, FREQ_CAP,
                      UnsupportedTermError, ValidationError, parse_float, parse_int)
-from .laurent import ExteriorLaurent
+from .laurent import ExteriorLaurent, complex_fsum, derivative_coefficients
 
 
 def _pow_log(e: float, log_r: float) -> float:
@@ -160,12 +160,7 @@ class PiecewiseField:
         return cls(tuple(terms))
 
     def eval(self, z: complex) -> complex:
-        re, im = [], []
-        for t in self.terms:
-            v = t.value(z)
-            re.append(v.real)
-            im.append(v.imag)
-        return complex(fsum(re), fsum(im))
+        return complex_fsum(t.value(z) for t in self.terms)
 
     def breakpoints(self) -> list[float]:
         """Finite radial breakpoints, sorted and deduplicated."""
@@ -241,7 +236,9 @@ def _cauchy_coefficients(pieces) -> dict[int, complex]:
 
     Each term with p >= q contributes its moment at the single frequency
     k = p - q + 1; the moments of each frequency are summed in the canonical
-    term order.  An unbounded piece is rejected before any moment is taken.
+    term order, so the keys come largest first, the order in which
+    derivative_coefficients checks capacity.  An unbounded piece is rejected
+    before any moment is taken.
     """
     keyed = []
     for c, p, q, gamma, lin, lout in pieces:
@@ -257,24 +254,6 @@ def _cauchy_coefficients(pieces) -> dict[int, complex]:
             k = 1 - m
             coeffs[k] = coeffs.get(k, 0) + a
     return coeffs
-
-
-def _transform_coefficients(cauchy: dict[int, complex]) -> dict[int, complex]:
-    """The derivative of a Cauchy series: a_k z^-k maps to -k a_k z^-(k+1).
-
-    The capacity checks raise what ExteriorLaurent raises for the Cauchy series
-    and then its derivative: a summed k past FREQ_CAP, then a kept k whose k + 1
-    is.  The keys come largest first, so one pass keeps that order.
-    """
-    out = {}
-    for k, a in cauchy.items():
-        if k > FREQ_CAP:
-            raise CapacityError(f"frequency {k} exceeds 64-bit capacity")
-        if a != 0:
-            if k == FREQ_CAP:
-                raise CapacityError(f"frequency {k + 1} exceeds 64-bit capacity")
-            out[k + 1] = -k * a
-    return out
 
 
 def cauchy_exterior(field: PiecewiseField) -> ExteriorLaurent:
@@ -361,7 +340,7 @@ def beurling(field: PiecewiseField) -> PiecewiseField:
 
 def beurling_exterior(field: PiecewiseField) -> ExteriorLaurent:
     """Exterior Laurent series of the transform: a_k z^-k maps to -k a_k z^-(k+1)."""
-    coeffs = _transform_coefficients(_cauchy_coefficients(map(_as_tuple, field.terms)))
+    coeffs = derivative_coefficients(_cauchy_coefficients(map(_as_tuple, field.terms)))
     return ExteriorLaurent(coeffs, max(coeffs, default=1))
 
 
@@ -391,12 +370,7 @@ def bergman_coefficients(field: PiecewiseField) -> dict[int, complex]:
 
 
 def eval_taylor(coeffs: dict[int, complex], z: complex) -> complex:
-    re, im = [], []
-    for k, c in coeffs.items():
-        v = c * z**k
-        re.append(v.real)
-        im.append(v.imag)
-    return complex(fsum(re), fsum(im))
+    return complex_fsum(c * z**k for k, c in coeffs.items())
 
 
 def _products(f: PiecewiseField, g: PiecewiseField):
@@ -430,7 +404,7 @@ def product_beurling_exterior(f: PiecewiseField, g: PiecewiseField) -> dict[int,
 
     The product terms go to the transform as tuples; they are never built.
     """
-    return _transform_coefficients(_cauchy_coefficients(_products(f, g)))
+    return derivative_coefficients(_cauchy_coefficients(_products(f, g)))
 
 
 def pullback_power(field: PiecewiseField, d: int) -> PiecewiseField:

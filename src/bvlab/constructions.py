@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from math import fsum, inf
 from typing import TYPE_CHECKING
 
-from .annular import MonomialTerm, PiecewiseField, cauchy_exterior
+from .annular import MonomialTerm, PiecewiseField, beurling_exterior, cauchy_exterior
 from .errors import CapacityError, FREQ_CAP, ValidationError
 from .formulas import check_degree, optimal_rho0
 from .laurent import ExteriorLaurent, SelfSimilarity
@@ -149,7 +149,8 @@ def shell_beurling_series(params: ShellParams) -> ExteriorLaurent:
     Coefficient moduli are 2 (1 - 1/n_j) (rho0^(1/d) - rho0) at the
     frequencies n_j; the series is exact below the first missing shell.
     """
-    return shell_cauchy_series(params).derivative().truncated(params.series_cutoff())
+    return beurling_exterior(build_shell(params)).truncated(
+        params.series_cutoff()).with_self_similarity(params.degree, params.first_frequency)
 
 
 def shell_cauchy_identity_check(params: ShellParams, samples) -> tuple[float, float]:
@@ -250,8 +251,7 @@ def lacunary_vector_field(d: int, n_terms: int) -> LacunaryField:
         else:
             v[lam - 1] = v.get(lam - 1, 0) + c
     mf = max((d - 1) * d**n_terms - 1, 1) if n_terms else 1
-    meta = SelfSimilarity(d, max(d - 1, 1))
-    return LacunaryField(ExteriorLaurent(v, mf, meta), constant, d, n_terms)
+    return LacunaryField(ExteriorLaurent(v, mf), constant, d, n_terms)
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +302,9 @@ def truncate_to_polynomial(mu: PiecewiseField, r1: float, eps: float,
     log_r1 = math.log(r1)
     corrections = []
     bounds = []
-    for j in sorted(series.coeffs):
+    for j, b in series.coeffs.items():
         if j <= n_cut:
             continue
-        b = series.coeffs[j]
         denom = (2.0 / (j + 1)) * (math.exp((j + 1) * log_r1)
                                    - (0.0 if log_rho0 == -inf else math.exp((j + 1) * log_rho0)))
         amp = b / denom

@@ -93,9 +93,6 @@ class CirclePotential:
             out += c * np.exp(1j * (m * theta))
         return out
 
-    def to_doc(self) -> dict:
-        return {"coeffs": [[m, c.real, c.imag] for m, c in self.coeffs]}
-
     @classmethod
     def from_doc(cls, doc: dict) -> "CirclePotential":
         try:

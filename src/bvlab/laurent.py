@@ -5,14 +5,44 @@ frequency k >= 1 to the complex coefficient b_k.  ``max_freq`` is the
 resolution cutoff: the stored coefficients are exact for k <= max_freq,
 nothing is claimed beyond it.  Optional self-similarity metadata records the
 lacunary block structure (base d, first block edge n0) used by the block-mass
-variance estimator.
+variance estimator; it is not part of the series document.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, prod
 
 from .errors import FREQ_CAP, CapacityError, ValidationError, parse_complex, parse_int
+
+
+def complex_fsum(values) -> complex:
+    """Sum of complex values with the real and imaginary parts each summed by fsum."""
+    re, im = [], []
+    for v in values:
+        re.append(v.real)
+        im.append(v.imag)
+    return complex(fsum(re), fsum(im))
+
+
+def derivative_coefficients(coeffs: dict[int, complex], order: int = 1) -> dict[int, complex]:
+    """The n-th z-derivative termwise: a_k z^-k maps to (-1)^n k(k+1)...(k+n-1) a_k z^-(k+n).
+
+    Per key, in the order given: a key past FREQ_CAP raises, then a nonzero
+    coefficient whose k + n is past it.  Zero coefficients are dropped.
+    """
+    last = FREQ_CAP - order  # the largest k whose image fits
+    out = {}
+    for k, a in coeffs.items():
+        if k > FREQ_CAP:
+            raise CapacityError(f"frequency {k} exceeds 64-bit capacity")
+        if a != 0:
+            if k > last:
+                raise CapacityError(f"frequency {k + order} exceeds 64-bit capacity")
+            if order == 1:  # the transform's rule, kept as cheap as one negation per term
+                out[k + 1] = -k * a
+            else:
+                out[k + order] = (-1) ** order * prod(range(k, k + order)) * a
+    return out
 
 
 @dataclass(frozen=True)
@@ -72,41 +102,20 @@ class ExteriorLaurent:
         """Evaluate at |z| > 1 (absolutely convergent there)."""
         if abs(z) <= 1.0:
             raise ValidationError("evaluation requires |z| > 1")
-        re, im = [], []
         w = 1.0 / z
-        for k, c in self.coeffs.items():
-            v = c * w**k
-            re.append(v.real)
-            im.append(v.imag)
-        return complex(fsum(re), fsum(im))
+        return complex_fsum(c * w**k for k, c in self.coeffs.items())
 
     # -- calculus ----------------------------------------------------------
 
-    def derivative(self) -> "ExteriorLaurent":
-        """Termwise d/dz: b_k z^-k maps to -k b_k z^-(k+1)."""
-        out = {}
-        for k, c in self.coeffs.items():
-            out[k + 1] = -k * c
-        return ExteriorLaurent(out, self.max_freq + 1, self.self_similarity)
-
-    def third_derivative(self) -> "ExteriorLaurent":
-        """Termwise d^3/dz^3: b_k maps to -k(k+1)(k+2) b_k at frequency k+3."""
-        out = {}
-        for k, c in self.coeffs.items():
-            out[k + 3] = -k * (k + 1) * (k + 2) * c
-        return ExteriorLaurent(out, self.max_freq + 3, self.self_similarity)
+    def derivative(self, order: int = 1) -> "ExteriorLaurent":
+        """Termwise d^n/dz^n, by derivative_coefficients."""
+        return ExteriorLaurent(derivative_coefficients(self.coeffs, order),
+                               self.max_freq + order, self.self_similarity)
 
     # -- algebra -----------------------------------------------------------
 
-    def scale(self, a: complex) -> "ExteriorLaurent":
-        return ExteriorLaurent({k: a * c for k, c in self.coeffs.items()},
-                               self.max_freq, self.self_similarity)
-
     def with_self_similarity(self, base: int, first_index: int) -> "ExteriorLaurent":
         return ExteriorLaurent(self.coeffs, self.max_freq, SelfSimilarity(base, first_index))
-
-    def with_max_freq(self, max_freq: int) -> "ExteriorLaurent":
-        return ExteriorLaurent(self.coeffs, max_freq, self.self_similarity)
 
     def truncated(self, max_freq: int) -> "ExteriorLaurent":
         """The coefficients with k <= max_freq, exact up to the new cutoff."""
@@ -116,13 +125,10 @@ class ExteriorLaurent:
     # -- serialization -----------------------------------------------------
 
     def to_doc(self) -> dict:
-        doc = {
+        return {
             "coeffs": [[k, self.coeffs[k].real, self.coeffs[k].imag] for k in self.frequencies()],
             "max_freq": self.max_freq,
         }
-        if self.self_similarity is not None:
-            doc["self_similarity"] = [self.self_similarity.base, self.self_similarity.first_index]
-        return doc
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ExteriorLaurent":
@@ -132,11 +138,7 @@ class ExteriorLaurent:
             max_freq = parse_int(doc["max_freq"], "max_freq")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed Laurent document: {exc}") from exc
-        ss = doc.get("self_similarity")
-        if ss is not None and not (isinstance(ss, list) and len(ss) == 2
-                                   and all(type(v) is int for v in ss)):
-            raise ValidationError(f"self_similarity must be a pair of integers, got {ss!r}")
-        return cls(coeffs, max_freq, None if ss is None else SelfSimilarity(*ss))
+        return cls(coeffs, max_freq)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ExteriorLaurent({len(self.coeffs)} terms, max_freq={self.max_freq})"

@@ -101,6 +101,9 @@ def _second_order(params: ShellParams) -> tuple[VarianceEstimate, Order2Field, S
         raise ValidationError("need at least two shells below the frequency cutoff")
     # clipped_to_max_freq keeps 2 n_j <= max_freq for every shell, so w fits in full
     field = order2_field(build_shell(eff), 2 * eff.frequency(eff.shells - 1))
+    if field.flagged:
+        raise UnresolvedTruncationError(
+            f"dropped tail mass {field.tail_mass:.3e} above tolerance")
     w = field.w.with_self_similarity(eff.degree, eff.first_frequency)
     return variance_block_mass(w), field, eff
 
@@ -114,9 +117,6 @@ def order2_bound(params: ShellParams, refine: bool = False) -> Order2Report:
     shells, it compares with one shell fewer instead.
     """
     est, field, eff = _second_order(params)
-    if field.flagged:
-        raise UnresolvedTruncationError(
-            f"dropped tail mass {field.tail_mass:.3e} above tolerance")
     first = sigma2_shell(eff.d, eff.rho0)
     total = first + est.value
     stability = None

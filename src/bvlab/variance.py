@@ -178,11 +178,9 @@ def variance_block_mass(g: ExteriorLaurent) -> VarianceEstimate:
     ss = g.self_similarity
     if ss is None:
         raise ValidationError("block-mass estimator needs self-similarity metadata")
-    edges = ss.block_edges(g.max_freq)
-    # keep blocks [n_l, n_(l+1)) with n_(l+1) <= max_freq + 1
+    # block [n_l, n_(l+1)) is complete when n_(l+1) <= max_freq + 1
+    edges = ss.block_edges(g.max_freq + 1)
     complete = len(edges) - 1
-    if edges and edges[-1] * ss.base <= g.max_freq + 1:
-        complete = len(edges)
     if complete < 1:
         raise UnresolvedScaleError("no complete self-similar block below the cutoff")
     log_d = math.log(ss.base)
@@ -210,7 +208,7 @@ def cesaro_sigma4(v: ExteriorLaurent, R0: float, d: int) -> VarianceEstimate:
     """
     if d < 2 or not 1.0 < R0 <= CESARO_R0_MAX:
         raise ValidationError(f"need d >= 2 and 1 < R0 <= {CESARO_R0_MAX:g}")
-    v3 = v.third_derivative()
+    v3 = v.derivative(3)
     mass = {k: abs(c) ** 2 for k, c in v3.coeffs.items()}
     values = []
     k = 0

@@ -127,7 +127,7 @@ def test_criterion_5_upper_bound_properties(rng):
             slope = growth_slope(series, 1 + 1e-5, 1 + 1e-2, 40)
             assert slope <= 1.05
 
-            v3 = cauchy_exterior(mu).truncated(10**7).third_derivative()
+            v3 = cauchy_exterior(mu).truncated(10**7).derivative(3)
             for i in range(200):
                 R = 1.0 + 10.0 ** (-4.0 * ((i % 40) + 1) / 40.0)
                 z = circle(R, 2.399963 * i)

@@ -309,6 +309,22 @@ class TestConfigAndErrors:
         assert captured.out == "" and not (tmp_path / "out").exists()
         assert json.loads(captured.err)["error"] == "UnresolvedTruncationError"
 
+    def test_unresolved_refinement_exit_code(self, tmp_path, capsys, monkeypatch):
+        # only the refinement's field is flagged; the stability must not be read from it
+        calls = []
+
+        def second_flagged(mu, max_freq):
+            calls.append(max_freq)
+            return replace(order2_field(mu, max_freq), flagged=len(calls) == 2)
+
+        monkeypatch.setattr("bvlab.order2.order2_field", second_flagged)
+        code = main(["order2", "--d", "16", "--n0", "15", "--shells", "4", "--refine",
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 3 and len(calls) == 2
+        assert captured.out == "" and not (tmp_path / "out").exists()
+        assert json.loads(captured.err)["error"] == "UnresolvedTruncationError"
+
     def test_output_dir_under_a_regular_file(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
         code = main(["table2", "--out", str(tmp_path / "file" / "out")])
@@ -349,7 +365,6 @@ class TestConfigAndErrors:
         (["variance", "shell", "--d", "1e300", "--method", "exact"], None),
         (["variance", "shell", "--d", "3", "--method", "cesaro", "--r0", "1e300"], None),
         (["table2"], b"\xc0\x80"),
-        (["means-curve", "--series", "{series}"], None),
         (["variance", "shell"], {"method": "mass"}),
         (["variance", "shell", "--d", "3", "--n0", "abc"], None),
         (["variance", "shell", "--d", "3", "--method", "fast"], None),
@@ -393,7 +408,7 @@ class TestConfigAndErrors:
         (["table2", "--config", "{tmp}/missing.json"], None),
         (["dynamics", "var", "--phi", "{tmp}/missing.json"], None),
     ], ids=["blaschke_zero", "config_shells", "huge_degree", "huge_r0", "binary_config",
-            "self_similarity", "missing_degree", "bad_int_flag", "bad_choice",
+            "missing_degree", "bad_int_flag", "bad_choice",
             "unknown_flag", "missing_dimension_degree", "negative_seed", "string_switch",
             "fractional_frequency", "huge_points", "infinite_r_max", "no_terms",
             "huge_terms", "huge_samples", "config_choice", "config_path_number",
@@ -406,7 +421,6 @@ class TestConfigAndErrors:
             "missing_config", "missing_phi"])
     def test_bad_input_gives_one_json_error(self, argv, config, tmp_path, capsys):
         docs = {"phi": {"coeffs": [[-1, 1.0, 0.0]]},
-                "series": {"coeffs": [[2, 1.0, 0.0]], "max_freq": 8, "self_similarity": "x"},
                 "fractional": {"coeffs": [[2.7, 1.0, 0.0]], "max_freq": 8.9},
                 "long": {"coeffs": [[m, 1.0, 0.0] for m in range(1, 3001)]},
                 "nan_phi": {"coeffs": [[1, math.nan, 0.0]]},

@@ -103,9 +103,7 @@ def _document(kind, rate):
     elif kind == "series":
         doc = st.fixed_dictionaries(
             {"coeffs": entries([1, 2, 3, 8]),
-             "max_freq": _pick([8, 3000, 2**63 - 1], [0, 2**63, 8.5, math.inf, "8", None], rate)},
-            optional={"self_similarity": _pick([[2, 1], [3, 2]],
-                                               [[2, 0], "x", [2.0, 1], [1], None], rate)})
+             "max_freq": _pick([8, 3000, 2**63 - 1], [0, 2**63, 8.5, math.inf, "8", None], rate)})
     else:
         term = st.fixed_dictionaries(
             {"re": num, "im": num, "p": _pick([0, 1, 2, 18], [-1, 2**63, 1.5], rate),

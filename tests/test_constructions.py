@@ -7,9 +7,9 @@ from bvlab.annular import (MonomialTerm, PiecewiseField, cauchy_exterior,
                            cauchy_full, pullback_power)
 from bvlab.constructions import (ShellParams, build_shell, lacunary_vector_field,
                                  shell_beurling_series,
-                                 shell_cauchy_identity_check,
+                                 shell_cauchy_identity_check, shell_cauchy_series,
                                  truncate_to_polynomial)
-from bvlab.errors import CapacityError, ValidationError
+from bvlab.errors import FREQ_CAP, BVLabError, CapacityError, ValidationError
 from bvlab.formulas import optimal_rho0
 from bvlab.variance import variance_lacunary
 from conftest import circle
@@ -70,6 +70,30 @@ class TestBuildShell:
         mu = build_shell(ShellParams(d=3, rho0=0.2, shells=5))
         for z in (circle(0.6, 0.3), circle(0.8, 2.0), circle(0.95, 5.1)):
             assert abs(mu.eval(z)) == pytest.approx(1.0, abs=1e-13)
+
+
+def _outcome(build):
+    """(coefficients bit for bit, cutoff, ladder) of a series, or (error type, message)."""
+    try:
+        g = build()
+    except BVLabError as exc:
+        return type(exc).__name__, str(exc)
+    return ({k: (c.real.hex(), c.imag.hex()) for k, c in g.coeffs.items()}, g.max_freq,
+            g.self_similarity)
+
+
+class TestShellSeries:
+    @pytest.mark.parametrize("d", [2, 3, 16, 20])
+    def test_transform_series_is_the_cut_derivative_of_the_cauchy_series(self, d):
+        # shell counts up to one past the capacity; cutoffs from 1 to FREQ_CAP
+        cap = ShellParams(d=d, rho0=0.3).shells_below(FREQ_CAP)
+        for rho0 in (0.3, optimal_rho0(d)):
+            for shells in (0, 1, 3, cap - 1, cap, cap + 1):
+                for max_freq in (1, 2, 10, 1000, 10**12, FREQ_CAP):
+                    p = ShellParams(d=d, rho0=rho0, shells=shells, max_freq=max_freq)
+                    assert _outcome(lambda: shell_beurling_series(p)) == _outcome(
+                        lambda: shell_cauchy_series(p).derivative().truncated(
+                            p.series_cutoff()))
 
 
 class TestShellCauchyIdentity:

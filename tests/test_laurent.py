@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvlab.errors import FREQ_CAP, CapacityError, ValidationError
-from bvlab.laurent import ExteriorLaurent, SelfSimilarity, convolve
+from bvlab.laurent import ExteriorLaurent, SelfSimilarity, convolve, derivative_coefficients
 from conftest import circle
 from oracles import contour_derivative
 
@@ -27,15 +27,15 @@ class TestConstruction:
     def test_third_derivative_capacity(self):
         g = ExteriorLaurent({2**63 - 2: 1.0}, 2**63 - 1)
         with pytest.raises(CapacityError):
-            g.third_derivative()
-        # the constructor's check guards both derivatives at the first frequency past FREQ_CAP
+            g.derivative(3)
+        # derivative_coefficients guards both orders at the first frequency past FREQ_CAP
         with pytest.raises(CapacityError):
             ExteriorLaurent({FREQ_CAP: 1.0}, FREQ_CAP).derivative()
         with pytest.raises(CapacityError):
-            ExteriorLaurent({FREQ_CAP - 2: 1.0}, FREQ_CAP).third_derivative()
+            ExteriorLaurent({FREQ_CAP - 2: 1.0}, FREQ_CAP).derivative(3)
         assert ExteriorLaurent({FREQ_CAP - 1: 1.0}, FREQ_CAP).derivative().frequencies() \
             == [FREQ_CAP]
-        assert ExteriorLaurent({FREQ_CAP - 3: 1.0}, FREQ_CAP).third_derivative() \
+        assert ExteriorLaurent({FREQ_CAP - 3: 1.0}, FREQ_CAP).derivative(3) \
             .frequencies() == [FREQ_CAP]
 
     def test_eval_requires_exterior_point(self):
@@ -52,14 +52,45 @@ class TestCalculus:
 
     def test_third_derivative_single_term(self):
         g = ExteriorLaurent({1: 1.0}, 1)
-        assert g.third_derivative().coeffs == {4: -6.0}
+        assert g.derivative(3).coeffs == {4: -6.0}
 
     def test_third_derivative_against_contour(self):
         g = ExteriorLaurent({1: 0.7, 2: -0.4 + 0.1j, 5: 0.9j}, 10)
         z = circle(1.2, 0.6)
-        exact = g.third_derivative().eval(z)
+        exact = g.derivative(3).eval(z)
         numeric = contour_derivative(g.eval, z, 3, radius=0.05)
         assert abs(exact - numeric) <= 1e-6 * max(1.0, abs(numeric))
+
+    @given(st.lists(st.tuples(st.one_of(st.integers(1, 40),
+                                        st.integers(FREQ_CAP - 4, FREQ_CAP + 1)),
+                              st.one_of(st.just(0j), st.complex_numbers())),
+                    max_size=6),
+           st.sampled_from([1, 3]))
+    @settings(max_examples=200, deadline=None)
+    def test_derivative_coefficients_rule(self, items, n):
+        # bit for bit -k a (n = 1) and -k (k+1) (k+2) a (n = 3), with the same
+        # capacity errors in the same order as the rule stated termwise
+        coeffs = dict(items)
+
+        def outcome(rule):
+            try:
+                out = rule(coeffs)
+            except CapacityError as exc:
+                return str(exc)
+            return {k: (c.real.hex(), c.imag.hex()) for k, c in out.items()}
+
+        def termwise(coeffs):
+            out = {}
+            for k, a in coeffs.items():
+                if k > FREQ_CAP:
+                    raise CapacityError(f"frequency {k} exceeds 64-bit capacity")
+                if a != 0:
+                    if k + n > FREQ_CAP:
+                        raise CapacityError(f"frequency {k + n} exceeds 64-bit capacity")
+                    out[k + n] = -k * a if n == 1 else -k * (k + 1) * (k + 2) * a
+            return out
+
+        assert outcome(lambda c: derivative_coefficients(c, n)) == outcome(termwise)
 
     def test_derivative_matches_contour(self):
         g = ExteriorLaurent({1: 1.0, 3: 2.0}, 5)
@@ -112,12 +143,15 @@ class TestMetadataAndSerialization:
         assert ss.block_edges(200) == [2, 6, 18, 54, 162]
 
     def test_round_trip(self):
+        # the block ladder is not part of the document, so it is neither written nor read
         g = ExteriorLaurent({2: 1.5 - 0.25j, 7: 3.0}, 100, SelfSimilarity(2, 2))
         doc = g.to_doc()
+        assert "self_similarity" not in doc
         again = ExteriorLaurent.from_doc(doc)
         assert again.to_doc() == doc
         assert again.coeffs == g.coeffs and again.max_freq == 100
-        assert again.self_similarity == g.self_similarity
+        assert again.self_similarity is None
+        assert ExteriorLaurent.from_doc({**doc, "self_similarity": "x"}).to_doc() == doc
 
     def test_malformed(self):
         with pytest.raises(ValidationError):

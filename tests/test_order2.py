@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from bvlab.annular import (MonomialTerm, PiecewiseField, beurling, multiply)
 from bvlab.constructions import ShellParams, build_shell
-from bvlab.errors import ValidationError
+from bvlab.errors import UnresolvedTruncationError, ValidationError
 from bvlab.formulas import optimal_rho0, sigma2_shell
 from bvlab.order2 import (order2_bound, order2_field, parameter_search,
                           shell_grid)
@@ -158,6 +158,20 @@ class TestOrder2Bound:
         report = order2_bound(params, refine=True)
         doubled = order2_bound(replace(params, shells=8))
         assert report.stability == abs(doubled.total - report.total) / abs(report.total)
+
+    def test_refine_checks_the_refined_field(self, monkeypatch):
+        # a flagged refinement raises as a flagged first field does
+        calls = []
+
+        def second_flagged(mu, max_freq):
+            calls.append(max_freq)
+            return replace(order2_field(mu, max_freq), flagged=len(calls) == 2)
+
+        monkeypatch.setattr("bvlab.order2.order2_field", second_flagged)
+        params = ShellParams(d=16, rho0=optimal_rho0(16), n0=15, shells=4)
+        with pytest.raises(UnresolvedTruncationError, match="dropped tail mass"):
+            order2_bound(params, refine=True)
+        assert len(calls) == 2
 
     def test_refine_at_a_capacity_of_two_shells(self):
         # max_freq 480 keeps n_0 = 15 and n_1 = 240, and so does its double

@@ -1,7 +1,9 @@
 """The package surface: which module bodies a command runs, the one import
-path of each name, the scripts that run them, and no unused imports in the
-package or the scripts."""
+path of each name, the scripts that run them, the bindings the benchmark's
+tracer wraps, and no unused imports in the package or the scripts."""
 import ast
+import importlib
+import importlib.util
 import json
 import os
 import runpy
@@ -30,7 +32,7 @@ HOMES = {
     "formulas": "best_integer_degree best_real_degree distortion_constant julia_dim_k "
                 "julia_dim_t optimal_rho0 pointwise_sigma_bound sigma2_optimal sigma2_shell "
                 "smirnov_dim_k smirnov_dim_t table2",
-    "laurent": "ExteriorLaurent SelfSimilarity",
+    "laurent": "ExteriorLaurent SelfSimilarity complex_fsum derivative_coefficients",
     "order2": "Order2Report order2_bound order2_field parameter_search",
     "variance": "VarianceEstimate cesaro_sigma4 growth_slope integral_means variance_block "
                 "variance_block_mass variance_lacunary",
@@ -126,6 +128,31 @@ def test_script_imports(path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [str(path)])
     runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_benchmark_tracer_finds_every_binding(tmp_path):
+    """perfbench/tracer.py wraps functions by name: each must exist, and each size hook
+    must read the arguments and result it is given."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", SRC.parent / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    modules = {name: importlib.import_module(f"bvlab.{name}") for name in EVERY_MODULE}
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        annular, constructions = modules["annular"], modules["constructions"]
+        block = annular.PiecewiseField.of(annular.MonomialTerm.make(1.0, 2, 0, -2.0, 0.5, 0.8))
+        annular.multiply(block, block)
+        params = constructions.ShellParams(d=16, rho0=0.3, n0=15, shells=3)
+        modules["order2"].order2_bound(params)
+        modules["variance"].cesaro_sigma4(constructions.shell_cauchy_series(params), 1.5, 16)
+        modules["manifest"].write_text(tmp_path / "out.txt", "text")
+    finally:
+        tracer.uninstall()
+    doc = tracer.dump()
+    assert doc["missing"] == [] and doc["hook_errors"] == {}
+    assert set(tracer_module.HOOKS) <= {name for name, *_ in doc["spans"]}
 
 
 def _unused_imports(path: Path) -> list[str]:

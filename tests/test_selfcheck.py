@@ -10,6 +10,7 @@ from pkgutil import resolve_name
 
 import pytest
 
+from bvlab.laurent import ExteriorLaurent
 from bvlab.selfcheck import run_selfcheck
 from conftest import assert_selfcheck, selfcheck_results
 
@@ -30,8 +31,14 @@ def field_times(factor):
     return then(lambda field: field.scaled(factor))
 
 
+def scaled(series, factor):
+    """The exterior series times ``factor``, with its cutoff and block ladder."""
+    return ExteriorLaurent({k: factor * c for k, c in series.coeffs.items()},
+                           series.max_freq, series.self_similarity)
+
+
 def series_times(factor):
-    return then(lambda series: series.scale(factor))
+    return then(lambda series: scaled(series, factor))
 
 
 def _row(name, target, mutate, why):
@@ -54,7 +61,7 @@ MUTATIONS = [
          field_times(1.001), "reflection"),
     _row("lacunary_unit_variance", "bvlab.selfcheck.variance_lacunary",
          then(lambda est: replace(est, value=est.value * (1 + 1e-9))), "estimator"),
-    _row("shell_mass_vs_closed_form_d2", "bvlab.constructions.shell_cauchy_series",
+    _row("shell_mass_vs_closed_form_d2", "bvlab.constructions.beurling_exterior",
          series_times(1.05), "shell-series"),
     _row("table_display_values", "bvlab.selfcheck.lambda_lemma_coeff", times(1.001),
          "coefficient"),
@@ -63,7 +70,7 @@ MUTATIONS = [
     _row("truncation_worked_example", "bvlab.annular.PiecewiseField.max_r_out", times(1.05),
          "support-radius"),
     _row("lacunary_functional_equation", "bvlab.selfcheck.lacunary_vector_field",
-         then(lambda lac: replace(lac, v=lac.v.scale(1.001))), "field"),
+         then(lambda lac: replace(lac, v=scaled(lac.v, 1.001))), "field"),
     _row("shell_cauchy_identity", "bvlab.constructions.shell_cauchy_series", series_times(1.001),
          "shell-series"),
     *(_row(f"coboundary_exact_d{d}", "bvlab.dynamics.birkhoff_variance_exact",
@@ -71,14 +78,15 @@ MUTATIONS = [
     _row("pointwise_bounds", "bvlab.selfcheck.pointwise_sigma_bound", times(1 + 1e-12),
          "bound"),
     _row("serialization_roundtrip", "bvlab.laurent.ExteriorLaurent.from_doc",
-         lambda orig: classmethod(lambda cls, doc: orig(doc).with_max_freq(doc["max_freq"] + 1)),
+         lambda orig: classmethod(
+             lambda cls, doc: ExteriorLaurent(orig(doc).coeffs, doc["max_freq"] + 1)),
          "max-freq-off-by-one"),
     *(_row(f"method_agreement_d{d}", "bvlab.variance._radial_fourth_order_integral",
            times(1.05), "cesaro-radial-integral") for d in (2, 3, 4, 20)),
     _row("random_growth_slopes", "bvlab.selfcheck.random_unit_shell_field", field_times(2.0),
          "coefficient-above-one"),
     _row("order2_degree16", "bvlab.order2.convolve",
-         then(lambda out: (out[0].scale(2.0), out[1])), "square-term"),
+         then(lambda out: (scaled(out[0], 2.0), out[1])), "square-term"),
     _row("order2_degree16", "bvlab.order2.product_beurling_exterior",
          then(lambda coeffs: {k: 2.0 * c for k, c in coeffs.items()}), "product-term"),
     _row("order2_degree16", "bvlab.selfcheck.order2_bound",

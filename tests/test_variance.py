@@ -162,6 +162,12 @@ class TestBlockMass:
         g = ExteriorLaurent({}, 64, SelfSimilarity(2, 2))
         assert variance_block_mass(g).value == 0.0
 
+    @pytest.mark.parametrize("max_freq, blocks", [(14, 2), (15, 3), (16, 3)])
+    def test_block_ending_at_the_cutoff(self, max_freq, blocks):
+        # [8, 16) is complete when its upper edge 16 is at most max_freq + 1
+        g = ExteriorLaurent({2: 1.0, 4: 1.0, 8: 1.0}, max_freq, SelfSimilarity(2, 2))
+        assert len(variance_block_mass(g).diagnostics) == blocks
+
 
 class TestCoefficientOrder:
     """The estimators sum with fsum, so the order of the coefficient dict is immaterial."""
@@ -219,7 +225,7 @@ class TestRadialClosedForm:
     @staticmethod
     def check_shallowest_and_deepest_annulus(v: ExteriorLaurent, d: int,
                                              R0: float = 1.5) -> None:
-        mass = {k: abs(c) ** 2 for k, c in v.third_derivative().coeffs.items()}
+        mass = {k: abs(c) ** 2 for k, c in v.derivative(3).coeffs.items()}
         annuli = _resolved_annuli(v, R0, d)
         assert len(annuli) == len(cesaro_sigma4(v, R0, d).diagnostics)
         for log_lo, log_hi in (annuli[0], annuli[-1]):
@@ -261,7 +267,7 @@ class TestThirdDerivative:
     def test_hyperbolic_ratio_bound_for_shell_fields(self):
         # |v'''| (|z|^2-1)^2 / 4 <= 3/2 for transforms of unit coefficients
         params = ShellParams(d=4, rho0=optimal_rho0(4), shells=12)
-        v3 = shell_cauchy_series(params).third_derivative()
+        v3 = shell_cauchy_series(params).derivative(3)
         worst = 0.0
         for i in range(10):
             R = 1.0 + 10.0 ** (-0.4 * i)
