@@ -1,24 +1,17 @@
 #!/usr/bin/env python3
 """Truncation ladder for the second-order bound.
 
-Shows how the degree-16 total stabilizes as the shell count grows, against
-the hand-derived limiting block mass.
+Shows how the degree-16 total stabilizes as the shell count grows: each
+second-order value with its a-posteriori error, against the hand-derived
+limiting block mass.
 """
 from __future__ import annotations
 
 import argparse
-import math
 
 from bvlab.constructions import ShellParams
-from bvlab.formulas import optimal_rho0
+from bvlab.formulas import optimal_rho0, sigma2_second_order
 from bvlab.order2 import order2_bound
-
-
-def analytic_limit(d: float, rho0: float) -> float:
-    delta = rho0 ** (1.0 / d) - rho0
-    cross = 16.0 * delta**4 / (d * d - 1.0)
-    diag = 2.0 * (rho0 ** (2.0 / d) - rho0**2) - 8.0 * rho0 * delta - 2.0 * delta**2
-    return cross + diag * diag
 
 
 def main() -> None:
@@ -28,12 +21,13 @@ def main() -> None:
     args = parser.parse_args()
 
     rho0 = optimal_rho0(args.d)
-    limit = analytic_limit(args.d, rho0) / math.log(args.d)
+    limit = sigma2_second_order(args.d, rho0)
     print(f"degree {args.d}, rho0 {rho0:.9f}, limiting second order {limit:.9f}")
-    print("shells   second_order    total           deviation_from_limit")
+    print("shells   second_order    error       total           deviation_from_limit")
     for shells in range(3, args.max_shells + 1):
         report = order2_bound(ShellParams(d=args.d, rho0=rho0, shells=shells))
-        print(f"{shells:>6}   {report.second_order:.9f}     {report.total:.9f}"
+        error = report.second_order_estimate.error
+        print(f"{shells:>6}   {report.second_order:.9f}     {error:.2e}    {report.total:.9f}"
               f"     {report.second_order - limit:+.2e}")
 
 

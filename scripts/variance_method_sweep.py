@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Sweep the four variance estimators over a degree grid and emit CSV."""
+"""Sweep the four variance estimators over a degree grid and emit CSV: each value
+with its a-posteriori error, next to the closed form."""
 from __future__ import annotations
 
 import argparse
@@ -22,15 +23,16 @@ def main() -> None:
     for d in (int(x) for x in args.degrees.split(",")):
         params = ShellParams(d=d, rho0=optimal_rho0(d), shells=22 if d == 2 else 12)
         g = shell_beurling_series(params)
-        rows.append([
-            d,
-            sigma2_optimal(d),
-            variance_lacunary(shell_moduli(params, 2000), d).value,
-            variance_block(g, d, 1.5, 14 if d == 2 else 8).value,
-            variance_block_mass(g).value,
-            cesaro_sigma4(shell_cauchy_series(params), 1.5, d).value,
-        ])
-    text = csv_text(["d", "closed_form", "lacunary", "block", "mass", "cesaro4"], rows)
+        estimates = [
+            variance_lacunary(shell_moduli(params, 2000), d),
+            variance_block(g, d, 1.5, 14 if d == 2 else 8),
+            variance_block_mass(g),
+            cesaro_sigma4(shell_cauchy_series(params), 1.5, d),
+        ]
+        rows.append([d, sigma2_optimal(d),
+                     *(x for est in estimates for x in (est.value, est.error))])
+    text = csv_text(["d", "closed_form", "lacunary", "lacunary_error", "block", "block_error",
+                     "mass", "mass_error", "cesaro4", "cesaro4_error"], rows)
     if args.out == "-":
         sys.stdout.write(text)
     else:

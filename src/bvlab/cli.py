@@ -101,13 +101,15 @@ def cmd_table2(opts: dict, emit) -> int:
 def cmd_variance(opts: dict, emit) -> int:
     params = _shell_params(opts)
     method, r0, blocks = opts["method"], opts["r0"], opts["blocks"]
+    resolved = {"rho0": params.rho0}
     if method == "exact":
         est = variance.variance_lacunary(constructions.shell_moduli(params, opts["terms"]),
                                          params.d)
     elif method == "block":  # the fewest shells, at least --shells, that reach the finest scale
         need = variance.resolving_freq(
             math.expm1(variance.block_log_scales(r0, params.degree, blocks)[-1]))
-        shells = max(params.shells, params.shells_below(math.ceil(need) - 1) + 1)
+        shells = resolved["shells"] = max(params.shells,
+                                          params.shells_below(math.ceil(need) - 1) + 1)
         g = constructions.shell_beurling_series(_shell_params({**opts, "shells": shells}))
         est = variance.variance_block(g, params.degree, r0, blocks)
     elif method == "mass":
@@ -120,10 +122,8 @@ def cmd_variance(opts: dict, emit) -> int:
     payload["rho0"] = params.rho0
     payload["closed_form"] = formulas.sigma2_optimal(params.d) if \
         abs(params.rho0 - formulas.optimal_rho0(params.d)) < 1e-12 else None
-    diagnostics = csv_text(["scale_index", "running_estimate"],
-                           [[i, v] for i, v in est.diagnostics])
-    emit("variance", payload, {"rho0": params.rho0},
-         files={"variance_diagnostics.csv": diagnostics})
+    diagnostics = csv_text(["scale_index", "scale_value"], [[i, v] for i, v in est.diagnostics])
+    emit("variance", payload, resolved, files={"variance_diagnostics.csv": diagnostics})
     return 0
 
 

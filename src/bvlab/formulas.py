@@ -30,6 +30,18 @@ def sigma2_shell(d: float, rho0: float) -> float:
     return 4.0 * delta * delta / math.log(d)
 
 
+def sigma2_second_order(d: float, rho0: float) -> float:
+    """Limiting second-order block mass of the shell field over log d, derived by hand:
+    [16 delta^4/(d^2-1) + (2(rho0^(2/d) - rho0^2) - 8 rho0 delta - 2 delta^2)^2] / log d,
+    delta = rho0^(1/d) - rho0, for any first shell frequency."""
+    check_degree(d)
+    if not 0.0 < rho0 < 1.0:
+        raise ValidationError("rho0 must lie in (0, 1)")
+    delta = rho0 ** (1.0 / d) - rho0
+    diag = 2.0 * (rho0 ** (2.0 / d) - rho0**2) - 8.0 * rho0 * delta - 2.0 * delta**2
+    return (16.0 * delta**4 / (d * d - 1.0) + diag * diag) / math.log(d)
+
+
 def optimal_rho0(d: float) -> float:
     """Maximizer d^(d/(1-d)) of the shell variance in rho0."""
     check_degree(d)

@@ -84,6 +84,8 @@ class ExteriorLaurent:
             if c != 0:
                 cleaned[k] = c
         max_freq = int(max_freq)
+        if max_freq > FREQ_CAP:
+            raise CapacityError(f"max_freq {max_freq} exceeds 64-bit capacity")
         if cleaned and max_freq < max(cleaned):
             raise ValidationError("stored frequency exceeds max_freq")
         object.__setattr__(self, "coeffs", cleaned)
@@ -108,7 +110,7 @@ class ExteriorLaurent:
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, order: int = 1) -> "ExteriorLaurent":
-        """Termwise d^n/dz^n, by derivative_coefficients."""
+        """Termwise d^n/dz^n, exact up to max_freq + n (which must not pass FREQ_CAP)."""
         return ExteriorLaurent(derivative_coefficients(self.coeffs, order),
                                self.max_freq + order, self.self_similarity)
 

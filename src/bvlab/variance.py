@@ -5,12 +5,16 @@ I(R) = (1/2pi) int |g(R e^(i theta))|^2 d theta against log(1/(R-1)) as
 R -> 1+.  By orthogonality I(R) = sum |b_k|^2 R^(-2k) exactly, so all
 estimators here are coefficient sums:
 
-  * variance_lacunary  - Cesaro limit of squared moduli over log(base);
+  * variance_lacunary  - Cesaro means of squared moduli over log(base);
   * variance_block     - increments of I(R) between self-similar scales;
   * variance_block_mass- per-block l2 coefficient mass over log(base),
                          exact for eventually self-similar series;
   * cesaro_sigma4      - fourth-order average of the third derivative
                          against the hyperbolic density, in closed form.
+
+Each builds a per-scale sequence whose error shrinks by a known ratio (1/d
+per self-similar scale, 1/2 between the Cesaro checkpoints N/2 and N), and
+one rule, _limit_estimate, reports its limit and a-posteriori error.
 
 Scales that the cutoff of the input does not resolve (resolving_freq) raise
 UnresolvedScaleError.
@@ -23,9 +27,9 @@ from dataclasses import dataclass
 from math import expm1, fsum, log1p
 
 from .errors import FREQ_CAP, UnresolvedScaleError, ValidationError
-from .laurent import ExteriorLaurent
+from .laurent import ExteriorLaurent, derivative_coefficients
 
-TOLERANCE = 1e-3  # relative change of the last two running estimates that counts as converged
+TOLERANCE = 1e-3  # a-posteriori error, relative to the value, that counts as converged
 # cesaro_sigma4 needs R0^2 - 1 to be a finite double (R0 below about 1.3e154);
 # the tests check the closed form against a quadrature at this edge
 CESARO_R0_MAX = 1e154
@@ -33,59 +37,46 @@ CESARO_R0_MAX = 1e154
 
 @dataclass(frozen=True)
 class VarianceEstimate:
-    """Variance value with method tag and per-scale convergence diagnostics."""
+    """Variance value with its a-posteriori error (None from a single scale), method
+    tag, the raw per-scale values it was extrapolated from, and convergence."""
 
     value: float
+    error: float | None
     method: str
     diagnostics: tuple[tuple[int, float], ...]
     converged: bool
 
     def to_doc(self) -> dict:
-        return {
-            "value": self.value,
-            "method": self.method,
-            "converged": self.converged,
-            "tolerance": TOLERANCE,
-            "diagnostics": [[i, v] for i, v in self.diagnostics],
-        }
+        return {"value": self.value, "error": self.error, "method": self.method,
+                "converged": self.converged, "tolerance": TOLERANCE,
+                "diagnostics": [[i, v] for i, v in self.diagnostics]}
 
 
-def _consecutive_converged(values: list[float]) -> bool:
+def _limit_estimate(values: list[float], ratio: float, method: str,
+                    scales=None) -> VarianceEstimate:
+    """The limit of values whose error shrinks by ``ratio`` = r from one scale to the next.
+
+    The value (v_l - r v_(l-1))/(1 - r) is v_l plus the Richardson step
+    (v_l - v_(l-1)) r/(1 - r), and the error is the size of that step.  The ratio q of
+    the last two differences supports that error when 0 <= q <= 2r/(1 + r), as the step
+    with q then lies within it; converged needs that support and an error of at most
+    TOLERANCE times the value.
+    """
+    diagnostics = tuple(zip(range(len(values)) if scales is None else scales, values))
     if len(values) < 2:
-        return False
-    a, b = values[-2], values[-1]
-    return abs(b - a) <= TOLERANCE * max(abs(a), abs(b), 1e-30)
-
-
-def _tail_estimate(values: list[float], method: str) -> VarianceEstimate:
-    """Running means of the last ceil(n/2) of the first n values; the last is the value."""
-    running = [fsum(values[(i + 1) // 2:i + 1]) / (i + 1 - (i + 1) // 2)
-               for i in range(len(values))]
-    return VarianceEstimate(running[-1], method, tuple(enumerate(running)),
-                            _consecutive_converged(running))
+        return VarianceEstimate(values[-1], None, method, diagnostics, False)
+    last = values[-1] - values[-2]
+    before = values[-2] - values[-3] if len(values) > 2 else math.nan  # nan fails both tests
+    step = last * ratio / (1.0 - ratio)
+    value = values[-1] + step
+    supported = before * last >= 0 and (1.0 + ratio) * abs(last) <= 2.0 * ratio * abs(before)
+    return VarianceEstimate(value, abs(step), method, diagnostics,
+                            supported and abs(step) <= TOLERANCE * abs(value))
 
 
 def resolving_freq(r_minus_1: float) -> float:
     """The frequency cutoff a series needs to resolve the scale R = 1 + r_minus_1."""
     return 10.0 / r_minus_1
-
-
-def _aitken(values: list[float]) -> list[float]:
-    """Aitken delta-squared acceleration, elementwise with safe fallbacks.
-
-    Block increments of self-similar series converge geometrically (ratio
-    1/d), which Aitken removes exactly; for already-converged sequences the
-    denominator degenerates and the raw value is kept.
-    """
-    out = list(values)
-    for i in range(2, len(values)):
-        x0, x1, x2 = values[i - 2], values[i - 1], values[i]
-        denom = (x2 - x1) - (x1 - x0)
-        if abs(denom) > 1e-9 * max(abs(x2 - x1), abs(x1 - x0), 1e-30):
-            acc = x2 - (x2 - x1) ** 2 / denom
-            if math.isfinite(acc):
-                out[i] = acc
-    return out
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -115,22 +106,20 @@ def integral_means(g: ExteriorLaurent, R: float) -> float:
 
 
 def variance_lacunary(moduli, d: float) -> VarianceEstimate:
-    """Cesaro mean of squared moduli divided by log d.
+    """Cesaro means of squared moduli over log d, exact for lacunary series of ratio d.
 
-    Exact for lacunary series whose frequencies grow with ratio d; the
-    diagnostics record running Cesaro means at geometric checkpoints.
+    The mean of N squares misses the limit by about S/N, so the checkpoints halve
+    from N, rounding up, and the step 2 v_N - v_(N/2) removes that term.  It weighs
+    each square by a nonnegative weight, so the value stays within their range.
     """
-    moduli = [float(m) for m in moduli]
-    if not d > 1.0 or not moduli:
+    squares = [m * m for m in map(float, moduli)]
+    if not d > 1.0 or not squares:
         raise ValidationError("need a lacunary base above 1 and at least one modulus")
-    log_d = math.log(d)
-    squares = [m * m for m in moduli]
-    step = max(1, len(squares) // 32)
-    checkpoints = sorted(set(range(step, len(squares) + 1, step)) | {len(squares)})
-    diagnostics = [(n, fsum(squares[:n]) / n / log_d) for n in checkpoints]
-    values = [v for _, v in diagnostics]
-    return VarianceEstimate(values[-1], "lacunary_exact", tuple(diagnostics),
-                            _consecutive_converged(values))
+    checkpoints = [len(squares)]
+    while checkpoints[0] > 1:
+        checkpoints.insert(0, -(-checkpoints[0] // 2))
+    return _limit_estimate([fsum(squares[:n]) / n / math.log(d) for n in checkpoints], 0.5,
+                           "lacunary_exact", checkpoints)
 
 
 def block_log_scales(R0: float, d: int, n_blocks: int) -> list[float]:
@@ -150,8 +139,8 @@ def variance_block(g: ExteriorLaurent, d: int, R0: float, n_blocks: int) -> Vari
     """Variance from increments of I(R) between the scales R0^(1/d^k).
 
     Each increment [I(R_(k+1)) - I(R_k)] / [log(1/(R_(k+1)-1)) - log(1/(R_k-1))]
-    measures the coefficient mass of one self-similar block; the reported
-    value averages the last ceil(n/2) increments.
+    measures the coefficient mass of one self-similar block.  Their error
+    shrinks by about 1/d per scale, and the reported value is their limit.
     """
     log_R = block_log_scales(R0, d, n_blocks)
     r_minus_1 = [expm1(l) for l in log_R]
@@ -162,10 +151,9 @@ def variance_block(g: ExteriorLaurent, d: int, R0: float, n_blocks: int) -> Vari
             f"needs max_freq >= {need:.3e}")
     means = [integral_means_log(g, l) for l in log_R]
     scales = [math.log(1.0 / x) for x in r_minus_1]
-    increments = []
-    for k in range(n_blocks):
-        increments.append((means[k + 1] - means[k]) / (scales[k + 1] - scales[k]))
-    return _tail_estimate(_aitken(increments), "block_increment")
+    increments = [(means[k + 1] - means[k]) / (scales[k + 1] - scales[k])
+                  for k in range(n_blocks)]
+    return _limit_estimate(increments, 1.0 / d, "block_increment")
 
 
 def variance_block_mass(g: ExteriorLaurent) -> VarianceEstimate:
@@ -186,12 +174,10 @@ def variance_block_mass(g: ExteriorLaurent) -> VarianceEstimate:
     log_d = math.log(ss.base)
     buckets: list[list[float]] = [[] for _ in range(complete)]
     for k, c in g.coeffs.items():
-        if k < edges[0]:
-            continue
-        idx = bisect_right(edges, k) - 1
-        if idx < complete:
+        idx = bisect_right(edges, k) - 1  # -1 below the first edge
+        if 0 <= idx < complete:
             buckets[idx].append(abs(c) ** 2)
-    return _tail_estimate([fsum(b) / log_d for b in buckets], "block_mass")
+    return _limit_estimate([fsum(b) / log_d for b in buckets], 1.0 / ss.base, "block_mass")
 
 
 def cesaro_sigma4(v: ExteriorLaurent, R0: float, d: int) -> VarianceEstimate:
@@ -203,16 +189,14 @@ def cesaro_sigma4(v: ExteriorLaurent, R0: float, d: int) -> VarianceEstimate:
 
     the angular integral being exact by orthogonality and the radial one an
     incomplete beta function per frequency (see _radial_fourth_order_integral),
-    so the closed form has no quadrature error.  Per-annulus values over
-    deeper annuli are the diagnostics and stabilize for self-similar input.
+    so the closed form has no quadrature error.  For self-similar input the
+    per-annulus values approach their limit by about 1/d per annulus.
     """
     if d < 2 or not 1.0 < R0 <= CESARO_R0_MAX:
         raise ValidationError(f"need d >= 2 and 1 < R0 <= {CESARO_R0_MAX:g}")
-    v3 = v.derivative(3)
-    mass = {k: abs(c) ** 2 for k, c in v3.coeffs.items()}
+    mass = {k: abs(c) ** 2 for k, c in derivative_coefficients(v.coeffs, 3).items()}
     values = []
-    k = 0
-    while True:
+    for k in range(65):
         log_hi = math.log(R0) / d**k
         log_lo = log_hi / d
         if resolving_freq(expm1(log_lo)) > v.max_freq:
@@ -220,12 +204,9 @@ def cesaro_sigma4(v: ExteriorLaurent, R0: float, d: int) -> VarianceEstimate:
         num = _radial_fourth_order_integral(mass, log_lo, log_hi)
         den = math.log(expm1(2 * log_hi) / expm1(2 * log_lo))
         values.append((8.0 / 3.0) * num / den)
-        k += 1
-        if k > 64:
-            break
     if not values:
         raise UnresolvedScaleError("series cutoff cannot resolve one fundamental annulus")
-    return _tail_estimate(values, "cesaro4")
+    return _limit_estimate(values, 1.0 / d, "cesaro4")
 
 
 def _radial_fourth_order_integral(mass: dict[int, float], log_lo: float,

@@ -15,9 +15,10 @@ from bvlab.annular import PiecewiseField
 from bvlab.cli import build_parser, main
 from bvlab.dynamics import BlaschkeMap, CirclePotential, birkhoff_variance
 from bvlab.errors import FREQ_CAP, ValidationError, parse_int
-from bvlab.formulas import sigma2_optimal
+from bvlab.formulas import sigma2_optimal, sigma2_second_order
 from bvlab.manifest import json_text
 from bvlab.order2 import order2_field
+from bvlab.variance import TOLERANCE
 
 
 def run_cli(args, out_dir: Path, capsys) -> tuple[int, str, str]:
@@ -73,16 +74,57 @@ class TestVariance:
             assert doc["method"] == tag
             assert doc["value"] == pytest.approx(doc["closed_form"], rel=0.02)
         diag = (tmp_path / "variance_diagnostics.csv").read_text().splitlines()
-        assert diag[0] == "scale_index,running_estimate"
+        assert diag[0] == "scale_index,scale_value"
         assert len(diag) > 2
 
     def test_block_method_grows_to_the_fewest_resolving_shells(self, tmp_path, capsys):
         # 19 shells are the fewest whose last frequency 2^19 reaches 10/(1.5^(1/2^14) - 1);
-        # 18 give 0.3612863906826521 and 17 raise UnresolvedScaleError
+        # 18 give 0.3606023779490682 and 17 raise UnresolvedScaleError.  The manifest
+        # records the grown count
         code, out, _ = run_cli(["variance", "shell", "--d", "2", "--rho0", "0.25", "--method",
                                 "block", "--blocks", "14", "--shells", "1"], tmp_path, capsys)
         assert code == 0
-        assert json.loads(out)["value"] == 0.3612863906840157
+        doc = json.loads(out)
+        assert doc["value"] == 0.360602377952943
+        # the limit of the increments is closer to the closed form than their tail average
+        tail_average = 0.3612863906840157
+        assert abs(doc["value"] - doc["closed_form"]) < abs(tail_average - doc["closed_form"])
+        manifest = json.loads((tmp_path / "variance_manifest.json").read_text())
+        assert manifest["resolved"] == {"rho0": 0.25, "shells": 19}
+
+
+# The documented estimator runs, each with the tail average it reported before its
+# per-scale sequence was extrapolated
+DOCUMENTED_RUNS = [
+    (["--d", "20", "--rho0", "optimal", "--method", "exact"], 0.8791074265310996),
+    (["--d", "2", "--rho0", "0.25", "--method", "block", "--blocks", "14", "--shells", "22"],
+     0.3612863906840157),
+    (["--d", "3", "--method", "mass"], 0.5387383502622685),
+    (["--d", "3", "--method", "cesaro"], 0.5394000904181688),
+]
+
+
+@pytest.mark.parametrize("argv, tail_average", DOCUMENTED_RUNS)
+def test_documented_variance_runs_report_their_limit(tmp_path, capsys, argv, tail_average):
+    code, out, _ = run_cli(["variance", "shell", *argv], tmp_path, capsys)
+    assert code == 0
+    doc = json.loads(out)
+    miss = abs(doc["value"] - doc["closed_form"])
+    assert miss < abs(tail_average - doc["closed_form"])
+    assert miss <= doc["error"]
+    assert not doc["converged"] or miss <= TOLERANCE * doc["closed_form"]
+
+
+def test_documented_order2_run_reports_its_limit(tmp_path, capsys):
+    code, out, _ = run_cli(["order2", "--d", "16", "--rho0", "optimal", "--n0", "15",
+                            "--refine"], tmp_path, capsys)
+    assert code == 0
+    doc = json.loads(out)
+    limit = sigma2_second_order(16, doc["rho0"])
+    miss = abs(doc["second_order"] - limit)
+    assert miss < abs(0.01780361366781225 - limit)  # the tail average before
+    estimate = doc["second_order_diagnostics"]
+    assert estimate["converged"] and miss <= min(estimate["error"], TOLERANCE * limit)
 
 
 class TestOptimize:
@@ -159,6 +201,19 @@ class TestMeansCurve:
         assert all(line.endswith("true") for line in lines[1:])
         manifest = json.loads((tmp_path / "means_curve_manifest.json").read_text())
         assert manifest["resolved"]["growth_slope"] == pytest.approx(0.3607, abs=6e-3)
+
+    @pytest.mark.parametrize("max_freq, code", [(FREQ_CAP, 0), (FREQ_CAP + 1, 3)])
+    def test_series_cutoff_at_capacity(self, tmp_path, capsys, max_freq, code):
+        # a cutoff of 2^63 would mark every scale resolved beyond the 64-bit range
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps({"coeffs": [[2, 1.0, 0.0]], "max_freq": max_freq}))
+        got, out, err = run_cli(["means-curve", "--series", str(series)], tmp_path, capsys)
+        assert got == code
+        if code:
+            assert out == "" and json.loads(err)["error"] == "CapacityError"
+        else:
+            lines = (tmp_path / "means_curve.csv").read_text().strip().splitlines()
+            assert all(line.endswith("true") for line in lines[1:])
 
     def test_flags_unresolved_rows(self, tmp_path, capsys):
         code, _, _ = run_cli(["means-curve", "--d", "2", "--rho0", "0.25",

@@ -33,10 +33,22 @@ class TestConstruction:
             ExteriorLaurent({FREQ_CAP: 1.0}, FREQ_CAP).derivative()
         with pytest.raises(CapacityError):
             ExteriorLaurent({FREQ_CAP - 2: 1.0}, FREQ_CAP).derivative(3)
-        assert ExteriorLaurent({FREQ_CAP - 1: 1.0}, FREQ_CAP).derivative().frequencies() \
+        assert ExteriorLaurent({FREQ_CAP - 1: 1.0}, FREQ_CAP - 1).derivative().frequencies() \
             == [FREQ_CAP]
-        assert ExteriorLaurent({FREQ_CAP - 3: 1.0}, FREQ_CAP).derivative(3) \
+        assert ExteriorLaurent({FREQ_CAP - 3: 1.0}, FREQ_CAP - 3).derivative(3) \
             .frequencies() == [FREQ_CAP]
+
+    def test_cutoff_capacity(self):
+        # a cutoff past FREQ_CAP would claim exactness beyond the 64-bit range
+        assert ExteriorLaurent({1: 1.0}, FREQ_CAP).max_freq == FREQ_CAP
+        with pytest.raises(CapacityError, match="max_freq"):
+            ExteriorLaurent({1: 1.0}, FREQ_CAP + 1)
+        # the n-th derivative is exact up to max_freq + n, so it raises past the cap
+        assert ExteriorLaurent({1: 1.0}, FREQ_CAP - 3).derivative(3).max_freq == FREQ_CAP
+        with pytest.raises(CapacityError, match="max_freq"):
+            ExteriorLaurent({1: 1.0}, FREQ_CAP).derivative(3)
+        with pytest.raises(CapacityError):
+            ExteriorLaurent.from_doc({"coeffs": [[2, 1.0, 0.0]], "max_freq": 2**63})
 
     def test_eval_requires_exterior_point(self):
         g = ExteriorLaurent({1: 1.0}, 1)

@@ -9,24 +9,11 @@ from hypothesis import strategies as st
 from bvlab.annular import (MonomialTerm, PiecewiseField, beurling, multiply)
 from bvlab.constructions import ShellParams, build_shell
 from bvlab.errors import UnresolvedTruncationError, ValidationError
-from bvlab.formulas import optimal_rho0, sigma2_shell
-from bvlab.order2 import (order2_bound, order2_field, parameter_search,
+from bvlab.formulas import optimal_rho0, sigma2_second_order, sigma2_shell
+from bvlab.order2 import (_second_order, order2_bound, order2_field, parameter_search,
                           shell_grid)
 from conftest import circle
 from oracles import quad_beurling_at, quad_beurling_exterior
-
-
-def analytic_block_mass_limit(d: float, rho0: float) -> float:
-    """Limiting per-block mass of w for shell fields, derived by hand.
-
-    Cross coefficients tend to 4 delta^2 n_small/n_large (summing to
-    16 delta^4/(d^2-1) in square mass per block) and the diagonal tends to
-    2(rho0^(2/d) - rho0^2) - 8 rho0 delta - 2 delta^2.
-    """
-    delta = rho0 ** (1.0 / d) - rho0
-    cross = 16.0 * delta**4 / (d * d - 1.0)
-    diag = 2.0 * (rho0 ** (2.0 / d) - rho0**2) - 8.0 * rho0 * delta - 2.0 * delta**2
-    return cross + diag * diag
 
 
 class TestOrder2Field:
@@ -112,10 +99,19 @@ class TestOrder2Bound:
         assert report.total == pytest.approx(report.first_order + report.second_order)
 
     def test_degree16_matches_analytic_limit(self):
+        # measured 3.9e-11 at seven shells
         params = ShellParams(d=16, rho0=optimal_rho0(16), n0=15, shells=7)
         report = order2_bound(params)
-        expected = analytic_block_mass_limit(16, params.rho0) / math.log(16)
-        assert report.second_order == pytest.approx(expected, rel=1e-2)
+        expected = sigma2_second_order(16, params.rho0)
+        assert report.second_order == pytest.approx(expected, rel=1e-9)
+        assert abs(report.second_order - expected) <= report.second_order_estimate.error
+
+    @pytest.mark.parametrize("d", [16, 20])
+    def test_second_order_matches_the_closed_form(self, d):
+        # eight shells at the optimal radius: measured 3.3e-15 (d = 16) and 2.0e-16 (d = 20)
+        rho0 = optimal_rho0(d)
+        report = order2_bound(ShellParams(d=d, rho0=rho0, shells=8))
+        assert abs(report.second_order - sigma2_second_order(d, rho0)) <= 3e-14
 
     def test_degree20_exceeds_first_order(self):
         params = ShellParams(d=20, rho0=optimal_rho0(20), shells=6)
@@ -133,7 +129,7 @@ class TestOrder2Bound:
         params = ShellParams(d=16, rho0=optimal_rho0(16), n0=15, shells=7)
         report = order2_bound(params)
         values = [v for _, v in report.second_order_estimate.diagnostics]
-        # running tail averages stabilize as the early-shell deficits wash out
+        # the raw block masses approach their limit as the early-shell deficits wash out
         assert abs(values[-1] - values[-2]) <= 2e-3 * values[-1]
         errors = [abs(v - values[-1]) for v in values]
         assert errors == sorted(errors, reverse=True)
@@ -143,14 +139,22 @@ class TestOrder2Bound:
             order2_bound(ShellParams(d=3, rho0=0.3, shells=1))
 
     @pytest.mark.parametrize("d", [2, 3, 16])
-    def test_refine_at_capacity_compares_one_shell_fewer(self, d):
-        # doubling clips back to the capacity there, so J is compared with J - 1
+    def test_refine_at_capacity_compares_one_shell_fewer(self, d, monkeypatch):
+        # doubling clips back to the capacity there, so J is compared with J - 1; at
+        # d = 2 and 16 both limits agree to the last bit, so the calls show the comparison
         params = ShellParams(d=d, rho0=optimal_rho0(d))
         params = replace(params, shells=params.capacity)
+        shells = []
+
+        def second_order(p):
+            shells.append(p.shells)
+            return _second_order(p)
+
+        monkeypatch.setattr("bvlab.order2._second_order", second_order)
         report = order2_bound(params, refine=True)
+        assert shells == [params.capacity, params.capacity - 1]
         lower = order2_bound(replace(params, shells=params.capacity - 1))
         assert report.shells_used == params.capacity
-        assert report.stability > 0
         assert report.stability == abs(report.total - lower.total) / abs(report.total)
 
     def test_refine_below_capacity_doubles(self):

@@ -30,7 +30,8 @@ HOMES = {
     "errors": "BVLabError CapacityError DivergentMomentError UnresolvedScaleError "
               "UnresolvedTruncationError UnsupportedTermError ValidationError",
     "formulas": "best_integer_degree best_real_degree distortion_constant julia_dim_k "
-                "julia_dim_t optimal_rho0 pointwise_sigma_bound sigma2_optimal sigma2_shell "
+                "julia_dim_t optimal_rho0 pointwise_sigma_bound sigma2_optimal "
+                "sigma2_second_order sigma2_shell "
                 "smirnov_dim_k smirnov_dim_t table2",
     "laurent": "ExteriorLaurent SelfSimilarity complex_fsum derivative_coefficients",
     "order2": "Order2Report order2_bound order2_field parameter_search",

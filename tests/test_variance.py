@@ -1,5 +1,6 @@
 """Variance estimators against closed forms, quadrature and one another."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from bvlab.constructions import (ShellParams, random_unit_shell_field,
                                  shell_beurling_series, shell_cauchy_series,
                                  shell_moduli)
 from bvlab.errors import UnresolvedScaleError, ValidationError
-from bvlab.formulas import optimal_rho0, sigma2_shell
+from bvlab.formulas import optimal_rho0, sigma2_optimal, sigma2_shell
 from bvlab.laurent import ExteriorLaurent, SelfSimilarity
-from bvlab.variance import (CESARO_R0_MAX, _radial_fourth_order_integral, cesaro_sigma4,
-                            growth_slope, integral_means, integral_means_log, linspace,
-                            variance_block, variance_block_mass, variance_lacunary)
+from bvlab.variance import (CESARO_R0_MAX, TOLERANCE, _limit_estimate,
+                            _radial_fourth_order_integral, cesaro_sigma4, growth_slope,
+                            integral_means, integral_means_log, linspace, variance_block,
+                            variance_block_mass, variance_lacunary)
 from oracles import angular_mean_square, bloch_seminorm, mp_radial_fourth_order
 
 LOG2 = math.log(2.0)
@@ -114,13 +116,68 @@ class TestLacunaryVariance:
         assert 0.0 < est.value < 1.0 / LOG2
 
 
+class TestLimitEstimate:
+    @given(st.floats(-10, 10), st.floats(-10, 10), st.integers(2, 64), st.integers(2, 24))
+    @settings(max_examples=200, deadline=None)
+    def test_recovers_the_limit_of_a_geometric_sequence(self, limit, c, d, n):
+        r = 1.0 / d
+        values = [limit + c * r**l for l in range(n)]
+        est = _limit_estimate(values, r, "geometric")
+        # the rounding of the last two values, at most twice amplified, and of the sum
+        assert abs(est.value - limit) <= 4 * sys.float_info.epsilon * (
+            abs(limit) + abs(c) * r ** (n - 2))
+        assert est.diagnostics == tuple(enumerate(values))
+
+    def test_supported_ratio_converges(self):
+        est = _limit_estimate([1.0 + 1e-6 * 0.5**l for l in range(6)], 0.5, "geometric")
+        assert est.converged and est.error == pytest.approx(1e-6 * 0.5**5)
+
+    @pytest.mark.parametrize("values", [
+        [1.0 + 1e-6 * 0.9**l for l in range(6)],   # shrinks by 0.9, not by 1/2
+        [1.0 + 1e-6 * (-0.5)**l for l in range(6)],  # alternates
+        [1.0 + 4.3e-10, 1.0 + 2.2e-10, 1.0 - 6.2e-9],  # the last value breaks the pattern
+    ])
+    def test_disagreeing_ratio_is_not_converged(self, values):
+        est = _limit_estimate(values, 0.5, "geometric")
+        assert est.error <= TOLERANCE * est.value  # small, but not supported
+        assert not est.converged
+
+    def test_one_or_two_values_are_not_converged(self):
+        one = _limit_estimate([1.0], 0.5, "short")
+        assert (one.value, one.error, one.converged) == (1.0, None, False)
+        two = _limit_estimate([1.0, 1.0], 0.5, "short")
+        assert (two.value, two.error, two.converged) == (1.0, 0.0, False)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 12, 16, 20, 32])
+def test_converged_estimates_on_the_sweep_grid_are_within_tolerance(d):
+    # the grid of scripts/variance_method_sweep.py; a converged estimate also lies
+    # within its error of the closed form, up to the rounding of both
+    params = ShellParams(d=d, rho0=optimal_rho0(d), shells=22 if d == 2 else 12)
+    g = shell_beurling_series(params)
+    target = sigma2_optimal(d)
+    for est in (variance_lacunary(shell_moduli(params, 2000), d),
+                variance_block(g, d, 1.5, 14 if d == 2 else 8),
+                variance_block_mass(g),
+                cesaro_sigma4(shell_cauchy_series(params), 1.5, d)):
+        if est.converged:
+            miss = abs(est.value - target)
+            assert miss <= TOLERANCE * target, est.method
+            assert miss <= est.error + 4 * sys.float_info.epsilon * target, est.method
+
+
 class TestBlockVariance:
     def test_shell_d2_example(self):
         params = ShellParams(d=2, rho0=0.25, shells=20)
         g = shell_beurling_series(params)
         est = variance_block(g, 2, 1.1, 8)
         assert est.value == pytest.approx(0.3607, abs=5e-3)
-        assert est.value == est.diagnostics[-1][1]
+        # one step past the last raw increment, within the error it reports, and
+        # closer than the tail average of Aitken values, 0.3630796850889242
+        error = abs(est.value - sigma2_shell(2, 0.25))
+        assert error < abs(est.diagnostics[-1][1] - sigma2_shell(2, 0.25))
+        assert error < abs(0.3630796850889242 - sigma2_shell(2, 0.25))
+        assert error <= est.error
 
     def test_unit_lacunary(self):
         g = ExteriorLaurent({2**n: 1.0 for n in range(20)}, 2**20,
@@ -150,8 +207,9 @@ class TestBlockMass:
         n_last = params.frequency(11)
         raw_masses = [abs(g.coeffs[params.frequency(j)]) ** 2 for j in range(12)]
         assert raw_masses[-1] == pytest.approx(limit * (1 - 1 / n_last) ** 2, rel=1e-12)
-        # the tail average keeps the O(1/n) deficits of its shells
-        assert est.value == pytest.approx(sigma2_shell(3, 0.1), rel=1e-3)
+        # the step removes the O(1/n) deficits of the shells (measured 2.4e-11)
+        assert est.value == pytest.approx(sigma2_shell(3, 0.1), rel=1e-9)
+        assert est.converged
 
     def test_requires_metadata(self):
         g = ExteriorLaurent({4: 1.0}, 8)
