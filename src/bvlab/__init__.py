@@ -10,7 +10,7 @@ import sys
 __version__ = "0.1.0"
 
 for _module in ("annular", "constructions", "dynamics", "errors", "formulas", "laurent",
-                "manifest", "order2", "selfcheck", "variance"):
+                "manifest", "order2", "records", "selfcheck", "variance"):
     _spec = importlib.util.find_spec(f"{__name__}.{_module}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     globals()[_module] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import inf, isfinite
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .errors import (CapacityError, DivergentMomentError, FREQ_CAP,
                      UnsupportedTermError, ValidationError, parse_float, parse_int)
 from .laurent import ExteriorLaurent, complex_fsum, derivative_coefficients
+from .records import record
 
 
 def _pow_log(e: float, log_r: float) -> float:
@@ -42,24 +42,18 @@ def _pow_log(e: float, log_r: float) -> float:
     return math.exp(e * log_r)
 
 
-@dataclass(frozen=True)
-class MonomialTerm:
+class MonomialTerm(record("MonomialTerm", "coeff p q gamma log_r_in log_r_out")):
     """One monomial piece c * conj(z)^p z^q |z|^gamma on [r_in, r_out)."""
 
-    coeff: complex
-    p: int
-    q: int
-    gamma: float
-    log_r_in: float
-    log_r_out: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.p < 0:
+    def __new__(cls, coeff: complex, p: int, q: int, gamma: float,
+                log_r_in: float, log_r_out: float) -> "MonomialTerm":
+        if p < 0:
             raise ValidationError("conjugate power p must be >= 0")
-        if not self.log_r_in < self.log_r_out:
+        if not log_r_in < log_r_out:
             raise ValidationError("term needs r_in < r_out")
-        object.__setattr__(self, "coeff", complex(self.coeff))
-        object.__setattr__(self, "gamma", float(self.gamma))
+        return super().__new__(cls, complex(coeff), p, q, float(gamma), log_r_in, log_r_out)
 
     @classmethod
     def make(cls, coeff: complex, p: int, q: int, gamma: float,
@@ -101,8 +95,7 @@ class MonomialTerm:
         return v
 
     def scaled(self, a: complex) -> "MonomialTerm":
-        return MonomialTerm(a * self.coeff, self.p, self.q, self.gamma,
-                            self.log_r_in, self.log_r_out)
+        return self._replace(coeff=a * self.coeff)
 
     def to_doc(self) -> dict:
         # a bound at 0 or infinity is spelled r_in 0 or r_out null, without its log key
@@ -145,19 +138,18 @@ def _sort_key(p: int, q: int, gamma: float, log_r_in: float, log_r_out: float):
     return (q - p, log_r_in, log_r_out, p, gamma)
 
 
-@dataclass(frozen=True)
-class PiecewiseField:
+class PiecewiseField(record("PiecewiseField", "terms")):
     """Finite sum of monomial terms; terms are canonically sorted at construction."""
 
-    terms: tuple[MonomialTerm, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(sorted(
-            self.terms, key=lambda t: _sort_key(t.p, t.q, t.gamma, t.log_r_in, t.log_r_out))))
+    def __new__(cls, terms) -> "PiecewiseField":
+        return super().__new__(cls, tuple(sorted(
+            terms, key=lambda t: _sort_key(t.p, t.q, t.gamma, t.log_r_in, t.log_r_out))))
 
     @classmethod
     def of(cls, *terms: MonomialTerm) -> "PiecewiseField":
-        return cls(tuple(terms))
+        return cls(terms)
 
     def eval(self, z: complex) -> complex:
         return complex_fsum(t.value(z) for t in self.terms)
@@ -228,11 +220,9 @@ def _radial_moment(coeff: complex, p: int, gamma: float,
     return 2.0 * coeff * (hi - lo) / e
 
 
-_as_tuple = attrgetter("coeff", "p", "q", "gamma", "log_r_in", "log_r_out")
-
-
 def _cauchy_coefficients(pieces) -> dict[int, complex]:
-    """Exterior Cauchy coefficients of terms given as (coeff, p, q, gamma, log_r_in, log_r_out).
+    """Exterior Cauchy coefficients of terms, each a MonomialTerm or a plain tuple
+    (coeff, p, q, gamma, log_r_in, log_r_out).
 
     Each term with p >= q contributes its moment at the single frequency
     k = p - q + 1; the moments of each frequency are summed in the canonical
@@ -258,7 +248,7 @@ def _cauchy_coefficients(pieces) -> dict[int, complex]:
 
 def cauchy_exterior(field: PiecewiseField) -> ExteriorLaurent:
     """Laurent series of the Cauchy transform on |z| > max r_out."""
-    coeffs = _cauchy_coefficients(map(_as_tuple, field.terms))
+    coeffs = _cauchy_coefficients(field.terms)
     return ExteriorLaurent(coeffs, max(coeffs, default=1))
 
 
@@ -340,7 +330,7 @@ def beurling(field: PiecewiseField) -> PiecewiseField:
 
 def beurling_exterior(field: PiecewiseField) -> ExteriorLaurent:
     """Exterior Laurent series of the transform: a_k z^-k maps to -k a_k z^-(k+1)."""
-    coeffs = derivative_coefficients(_cauchy_coefficients(map(_as_tuple, field.terms)))
+    coeffs = derivative_coefficients(_cauchy_coefficients(field.terms))
     return ExteriorLaurent(coeffs, max(coeffs, default=1))
 
 
@@ -383,15 +373,14 @@ def _products(f: PiecewiseField, g: PiecewiseField):
     gs = g.terms
     order = sorted(range(len(gs)), key=lambda i: gs[i].log_r_in)
     starts = [gs[i].log_r_in for i in order]
-    for a in f.terms:
-        for i in sorted(order[:bisect_left(starts, a.log_r_out)]):
-            b = gs[i]
+    for ca, pa, qa, ga, in_a, out_a in f.terms:  # a term is its field tuple
+        for i in sorted(order[:bisect_left(starts, out_a)]):
+            cb, pb, qb, gb, in_b, out_b = gs[i]
             # b starts below a's outer radius, so the two overlap when b ends above its inner one
-            if b.log_r_out > a.log_r_in:
-                c = a.coeff * b.coeff
+            if out_b > in_a:
+                c = ca * cb
                 if c != 0:
-                    yield (c, a.p + b.p, a.q + b.q, a.gamma + b.gamma,
-                           max(a.log_r_in, b.log_r_in), min(a.log_r_out, b.log_r_out))
+                    yield (c, pa + pb, qa + qb, ga + gb, max(in_a, in_b), min(out_a, out_b))
 
 
 def multiply(f: PiecewiseField, g: PiecewiseField) -> PiecewiseField:

@@ -219,7 +219,7 @@ def cmd_truncate(opts: dict, emit) -> int:
 def cmd_dynamics(opts: dict, emit) -> int:
     if opts["subcommand"] == "coboundary":
         n = 20 if opts["n"] is None else opts["n"]
-        payload = dynamics.coboundary_check(opts["d"], n).to_doc()
+        payload = dynamics.coboundary_check(opts["d"], n)._asdict()
         payload["seed"] = opts["seed"]
         emit("dynamics_coboundary", payload)
         return 0
@@ -245,8 +245,7 @@ def cmd_selfcheck(opts: dict, emit) -> int:
     sys.stdout.write("".join(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n"
                              for r in results))
     ok = all(r.passed for r in results)
-    emit("selfcheck", {"passed": ok, "checks": [
-        {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]})
+    emit("selfcheck", {"passed": ok, "checks": [r._asdict() for r in results]})
     return 0 if ok else 1
 
 

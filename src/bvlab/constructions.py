@@ -14,7 +14,6 @@ frequency capacity is reached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from math import fsum, inf
 from typing import TYPE_CHECKING
 
@@ -22,6 +21,7 @@ from .annular import MonomialTerm, PiecewiseField, beurling_exterior, cauchy_ext
 from .errors import CapacityError, FREQ_CAP, ValidationError
 from .formulas import check_degree, optimal_rho0
 from .laurent import ExteriorLaurent, SelfSimilarity
+from .records import record
 
 if TYPE_CHECKING:
     import random
@@ -44,8 +44,7 @@ def default_first_frequency(d: int) -> int:
     return 2 if d == 2 else d - 1
 
 
-@dataclass(frozen=True)
-class ShellParams:
+class ShellParams(record("ShellParams", "d rho0 n0 shells max_freq")):
     """Parameters of the shell coefficient and its Laurent truncation.
 
     ``d`` may be a real number > 1 for formula-only paths; materializing a
@@ -54,24 +53,22 @@ class ShellParams:
     the Laurent resolution cutoff carried by derived series.
     """
 
-    d: float
-    rho0: float | str
-    n0: int | None = None
-    shells: int = 10
-    max_freq: int = FREQ_CAP
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        check_degree(self.d)
-        if self.rho0 == "optimal":
-            object.__setattr__(self, "rho0", optimal_rho0(self.d))
-        if not 0.0 < self.rho0 < 1.0:
+    def __new__(cls, d: float, rho0: float | str, n0: int | None = None, shells: int = 10,
+                max_freq: int = FREQ_CAP) -> "ShellParams":
+        check_degree(d)
+        if rho0 == "optimal":
+            rho0 = optimal_rho0(d)
+        if not 0.0 < rho0 < 1.0:
             raise ValidationError("rho0 must lie in (0, 1)")
-        if self.shells < 0:
+        if shells < 0:
             raise ValidationError("shell count must be >= 0")
-        if self.max_freq < 1:
+        if max_freq < 1:
             raise ValidationError("max_freq must be >= 1")
-        if self.n0 is not None and self.n0 < 2:
+        if n0 is not None and n0 < 2:
             raise ValidationError("first shell frequency n0 must be >= 2")
+        return super().__new__(cls, d, rho0, n0, shells, max_freq)
 
     @property
     def degree(self) -> int:
@@ -120,7 +117,7 @@ class ShellParams:
     def clipped_to_max_freq(self) -> "ShellParams":
         """These parameters with at most ``capacity`` shells."""
         shells = min(self.shells, self.capacity)
-        return self if shells == self.shells else replace(self, shells=shells)
+        return self if shells == self.shells else self._replace(shells=shells)
 
 
 def build_shell(params: ShellParams) -> PiecewiseField:
@@ -206,19 +203,15 @@ def shell_moduli(params: ShellParams, n_terms: int) -> list[float]:
 # lacunary vector fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LacunaryField:
+class LacunaryField(record("LacunaryField", "v constant d n_terms")):
     """Truncated solution of v(z^d) = d z^(d-1) v(z) + z on |z| > 1.
 
-    ``constant`` is the frequency-zero part (nonzero only for d = 2), which a
-    strictly-decaying Laurent series cannot carry; add it back when checking
-    the functional equation.
+    ``v`` is an ExteriorLaurent.  ``constant`` is the frequency-zero part
+    (nonzero only for d = 2), which a strictly-decaying Laurent series cannot
+    carry; add it back when checking the functional equation.
     """
 
-    v: ExteriorLaurent
-    constant: complex
-    d: int
-    n_terms: int
+    __slots__ = ()
 
     def functional_equation_residual(self, z: complex) -> tuple[float, float]:
         """|v(z^d) - d z^(d-1) v(z) - z| at a sample, with its analytic tail bound.
@@ -258,13 +251,13 @@ def lacunary_vector_field(d: int, n_terms: int) -> LacunaryField:
 # truncation to polynomial Cauchy transforms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncationResult:
-    field: PiecewiseField
-    cutoff: int                  # exterior Cauchy frequencies > cutoff are cancelled
-    correction_bound: float      # sup-norm bound of the added correction
-    tail_bound: float            # geometric bound actually achieved
-    rescaled: bool
+class TruncationResult(record("TruncationResult", [
+        "field",             # a PiecewiseField
+        "cutoff",            # exterior Cauchy frequencies > cutoff are cancelled
+        "correction_bound",  # sup-norm bound of the added correction
+        "tail_bound",        # geometric bound actually achieved
+        "rescaled"])):
+    __slots__ = ()
 
 
 def truncate_to_polynomial(mu: PiecewiseField, r1: float, eps: float,

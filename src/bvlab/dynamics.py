@@ -22,12 +22,12 @@ asymptotic variance 1/log d of g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from math import fsum
 from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import CapacityError, FREQ_CAP, ValidationError, parse_complex, parse_int
+from .records import record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -51,11 +51,11 @@ MAX_ZEROS = 1024
 LIMIT_RTOL = 1e-12  # the limit is converged when its tail estimate is below this x C(0)
 
 
-@dataclass(frozen=True)
-class CirclePotential:
-    """Trigonometric polynomial sum c_m e^(i m theta) as a sparse frequency map."""
+class CirclePotential(record("CirclePotential", "coeffs")):
+    """Trigonometric polynomial sum c_m e^(i m theta) as a sparse frequency map:
+    ``coeffs`` holds the (m, c_m) pairs."""
 
-    coeffs: tuple[tuple[int, complex], ...]
+    __slots__ = ()
 
     @classmethod
     def from_map(cls, mapping) -> "CirclePotential":
@@ -102,28 +102,25 @@ class CirclePotential:
             raise ValidationError(f"malformed potential document: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class BlaschkeMap:
+class BlaschkeMap(record("BlaschkeMap", "zeros order")):
     """B(z) = z^order * prod (z - a_i) / (1 - conj(a_i) z) with zeros a_i in the disk.
 
     Zeros at the origin are folded into ``order``, so a power map stores none.
     """
 
-    zeros: tuple[complex, ...]
-    order: int = 1
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        zeros = tuple(complex(a) for a in self.zeros)
+    def __new__(cls, zeros, order: int = 1) -> "BlaschkeMap":
+        zeros = tuple(complex(a) for a in zeros)
         if not all(abs(a) < 1.0 for a in zeros):  # a NaN zero fails this too
             raise ValidationError("Blaschke zeros must lie inside the unit disk")
         nonzero = tuple(a for a in zeros if a != 0)
         if len(nonzero) > MAX_ZEROS:
             raise ValidationError(f"a Blaschke map takes at most {MAX_ZEROS} zeros "
                                   f"off the origin")
-        if self.order < 1:
+        if order < 1:
             raise ValidationError("the order of the zero at the origin must be >= 1")
-        object.__setattr__(self, "zeros", nonzero)
-        object.__setattr__(self, "order", self.order + len(zeros) - len(nonzero))
+        return super().__new__(cls, nonzero, order + len(zeros) - len(nonzero))
 
     @classmethod
     def power(cls, d: int) -> "BlaschkeMap":
@@ -224,8 +221,7 @@ def check_exact_work(n: int, phi: CirclePotential, degree: int) -> None:
             f"(Monte Carlo) for longer orbits or higher frequencies")
 
 
-@dataclass(frozen=True)
-class BirkhoffVariance:
+class BirkhoffVariance(record("BirkhoffVariance", "value limit limit_tail converged tolerance")):
     """Finite-n variance, its n -> infinity limit and the limit's tail estimate.
 
     ``limit_tail`` is 0 when the truncated iterate B^n vanished (every later
@@ -233,11 +229,7 @@ class BirkhoffVariance:
     when they decay, and None when they do not.
     """
 
-    value: float
-    limit: float
-    limit_tail: float | None
-    converged: bool
-    tolerance: float
+    __slots__ = ()
 
     def to_doc(self) -> dict:
         return {"variance": self.value, "limit": self.limit, "limit_tail": self.limit_tail,
@@ -372,14 +364,8 @@ def log_deriv_mean(b: BlaschkeMap) -> float:
     return fsum(map(math.log, sums)) / _QUAD_POINTS
 
 
-@dataclass(frozen=True)
-class CoboundaryCheck:
-    lhs: float
-    rhs: float
-    residual: float
-
-    def to_doc(self) -> dict:
-        return {"lhs": self.lhs, "rhs": self.rhs, "residual": self.residual}
+class CoboundaryCheck(record("CoboundaryCheck", "lhs rhs residual")):
+    __slots__ = ()
 
 
 def coboundary_check(d: int, n: int) -> CoboundaryCheck:

@@ -9,10 +9,10 @@ variance estimator; it is not part of the series document.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import fsum, prod
 
 from .errors import FREQ_CAP, CapacityError, ValidationError, parse_complex, parse_int
+from .records import record
 
 
 def complex_fsum(values) -> complex:
@@ -45,16 +45,15 @@ def derivative_coefficients(coeffs: dict[int, complex], order: int = 1) -> dict[
     return out
 
 
-@dataclass(frozen=True)
-class SelfSimilarity:
+class SelfSimilarity(record("SelfSimilarity", "base first_index")):
     """Lacunary block structure: block edges sit at n0 * base**j."""
 
-    base: int
-    first_index: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.base < 2 or self.first_index < 1:
+    def __new__(cls, base: int, first_index: int) -> "SelfSimilarity":
+        if base < 2 or first_index < 1:
             raise ValidationError("self-similarity needs base >= 2 and first index >= 1")
+        return super().__new__(cls, base, first_index)
 
     def block_edges(self, max_freq: int) -> list[int]:
         edges = []
@@ -67,12 +66,14 @@ class SelfSimilarity:
         return edges
 
 
-class ExteriorLaurent:
-    """Immutable sparse Laurent series on |z| > 1.  Treat instances as frozen."""
+class ExteriorLaurent(record("ExteriorLaurent", "coeffs max_freq self_similarity")):
+    """Sparse Laurent series on |z| > 1.  The record is immutable; treat ``coeffs``,
+    a dict, as frozen too."""
 
-    __slots__ = ("coeffs", "max_freq", "self_similarity")
+    __slots__ = ()
 
-    def __init__(self, coeffs, max_freq: int, self_similarity: SelfSimilarity | None = None):
+    def __new__(cls, coeffs, max_freq: int,
+                self_similarity: SelfSimilarity | None = None) -> "ExteriorLaurent":
         cleaned: dict[int, complex] = {}
         for k, c in dict(coeffs).items():
             k = int(k)
@@ -88,12 +89,7 @@ class ExteriorLaurent:
             raise CapacityError(f"max_freq {max_freq} exceeds 64-bit capacity")
         if cleaned and max_freq < max(cleaned):
             raise ValidationError("stored frequency exceeds max_freq")
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "max_freq", max_freq)
-        object.__setattr__(self, "self_similarity", self_similarity)
-
-    def __setattr__(self, *_):  # pragma: no cover - guard only
-        raise AttributeError("ExteriorLaurent is immutable")
+        return super().__new__(cls, cleaned, max_freq, self_similarity)
 
     # -- basic queries -----------------------------------------------------
 
@@ -106,13 +102,6 @@ class ExteriorLaurent:
             raise ValidationError("evaluation requires |z| > 1")
         w = 1.0 / z
         return complex_fsum(c * w**k for k, c in self.coeffs.items())
-
-    # -- calculus ----------------------------------------------------------
-
-    def derivative(self, order: int = 1) -> "ExteriorLaurent":
-        """Termwise d^n/dz^n, exact up to max_freq + n (which must not pass FREQ_CAP)."""
-        return ExteriorLaurent(derivative_coefficients(self.coeffs, order),
-                               self.max_freq + order, self.self_similarity)
 
     # -- algebra -----------------------------------------------------------
 

@@ -45,7 +45,7 @@ def _json(value) -> str:
             raise ValidationError("JSON object keys must be strings")
         return "{" + ", ".join(f"{encode_basestring(key)}: {_json(value[key])}"
                                for key in sorted(value)) + "}"
-    if isinstance(value, (list, tuple)):
+    if type(value) in (list, tuple):  # a record, a tuple subclass, is no array
         return "[" + ", ".join(map(_json, value)) + "]"
     raise ValidationError(f"cannot serialize {type(value).__name__}")
 

@@ -12,7 +12,6 @@ coefficient computation, and the self-product is a sparse convolution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from math import fsum
 
 from .annular import PiecewiseField, beurling, beurling_exterior, product_beurling_exterior
@@ -20,6 +19,7 @@ from .constructions import ShellParams, build_shell
 from .errors import FREQ_CAP, UnresolvedTruncationError, ValidationError
 from .formulas import sigma2_shell
 from .laurent import ExteriorLaurent, convolve
+from .records import record
 from .variance import VarianceEstimate, variance_block_mass
 
 COEFF_FLOOR = 1e-14  # coefficients of w below this modulus go to the tail mass
@@ -30,26 +30,19 @@ FLAG_TOL = 1e-9  # tail mass above this share of the kept mass leaves w unresolv
 MAX_GRID_WORK = 3 * 10**4
 
 
-@dataclass(frozen=True)
-class Order2Field:
+class Order2Field(record("Order2Field", "w tail_mass flagged")):
     """w as an exterior series plus the l2 mass dropped beyond the cutoff."""
 
-    w: ExteriorLaurent
-    tail_mass: float
-    flagged: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Order2Report:
-    first_order: float
-    second_order: float
-    total: float
-    params: ShellParams
-    shells_used: int
-    max_freq_used: int
-    tail_mass: float
-    second_order_estimate: VarianceEstimate
-    stability: float | None = None
+class Order2Report(record("Order2Report", [
+        "first_order", "second_order", "total",
+        "params",                 # the ShellParams asked for
+        "shells_used", "max_freq_used", "tail_mass",
+        "second_order_estimate",  # the VarianceEstimate of w
+        "stability"])):
+    __slots__ = ()
 
     def to_doc(self) -> dict:
         doc = {
@@ -121,12 +114,12 @@ def order2_bound(params: ShellParams, refine: bool = False) -> Order2Report:
     total = first + est.value
     stability = None
     if refine:
-        other = replace(params, shells=2 * eff.shells,
-                        max_freq=min(2 * params.max_freq, FREQ_CAP))
+        other = params._replace(shells=2 * eff.shells,
+                                max_freq=min(2 * params.max_freq, FREQ_CAP))
         if other.clipped_to_max_freq().shells == eff.shells:
             if eff.shells < 3:
                 raise ValidationError("refining at shell capacity needs at least three shells")
-            other = replace(eff, shells=eff.shells - 1)
+            other = eff._replace(shells=eff.shells - 1)
         est2, _, _ = _second_order(other)
         total2 = first + est2.value
         stability = abs(total2 - total) / max(abs(total), 1e-300)

@@ -8,7 +8,6 @@ slower cross-method sweeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .annular import (MonomialTerm, PiecewiseField, beurling, beurling_exterior,
                       bergman_coefficients, cauchy_exterior, cauchy_full,
@@ -22,15 +21,13 @@ from .formulas import (best_integer_degree, best_real_degree, lambda_lemma_coeff
                        sigma2_second_order, sigma2_shell, truncate_display)
 from .laurent import ExteriorLaurent
 from .order2 import order2_bound
+from .records import record
 from .variance import (cesaro_sigma4, growth_slope, linspace,
                        variance_block, variance_block_mass, variance_lacunary)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(record("CheckResult", "name passed detail")):
+    __slots__ = ()
 
 
 def _check(name: str, value: float, bound: float) -> CheckResult:

@@ -14,42 +14,47 @@ estimators here are coefficient sums:
 
 Each builds a per-scale sequence whose error shrinks by a known ratio (1/d
 per self-similar scale, 1/2 between the Cesaro checkpoints N/2 and N), and
-one rule, _limit_estimate, reports its limit and a-posteriori error.
+one rule, _limit_estimate, reports its limit and a-posteriori error; a last
+difference at rounding level (ROUNDING_FLOOR) counts as converged.
 
-Scales that the cutoff of the input does not resolve (resolving_freq) raise
-UnresolvedScaleError.
+Scales that the cutoff of the input does not resolve raise
+UnresolvedScaleError.  The cutoff a scale needs (resolving_freq) grows with
+the order of the derivative in the integrand: cesaro_sigma4 resolves the
+third derivative of its series, the other estimators the series itself.
 """
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import expm1, fsum, log1p
 
 from .errors import FREQ_CAP, UnresolvedScaleError, ValidationError
 from .laurent import ExteriorLaurent, derivative_coefficients
+from .records import record
 
 TOLERANCE = 1e-3  # a-posteriori error, relative to the value, that counts as converged
+# a last difference within ROUNDING_FLOOR * |value| is rounding, not a trend.  At shell
+# capacity the second-order block masses end in differences of up to 25.6 eps |value|:
+# d = 3 at rho0 0.05, optimal and 0.6, d = 12 at 0.05, d = 16 at 0.05 and 0.6, d = 20
+# at 0.6.  On the estimator sweep grid every last difference below 64 eps |value| (6.4
+# and 8.1 at d = 32) converges by its ratio too, and the estimates that do not
+# converge end in differences of 5e12 eps |value| and more.
+ROUNDING_FLOOR = 64 * sys.float_info.epsilon
 # cesaro_sigma4 needs R0^2 - 1 to be a finite double (R0 below about 1.3e154);
 # the tests check the closed form against a quadrature at this edge
 CESARO_R0_MAX = 1e154
 
 
-@dataclass(frozen=True)
-class VarianceEstimate:
+class VarianceEstimate(record("VarianceEstimate", "value error method diagnostics converged")):
     """Variance value with its a-posteriori error (None from a single scale), method
-    tag, the raw per-scale values it was extrapolated from, and convergence."""
+    tag, the raw per-scale values it was extrapolated from as (scale, value) pairs,
+    and convergence."""
 
-    value: float
-    error: float | None
-    method: str
-    diagnostics: tuple[tuple[int, float], ...]
-    converged: bool
+    __slots__ = ()
 
     def to_doc(self) -> dict:
-        return {"value": self.value, "error": self.error, "method": self.method,
-                "converged": self.converged, "tolerance": TOLERANCE,
-                "diagnostics": [[i, v] for i, v in self.diagnostics]}
+        return {**self._asdict(), "tolerance": TOLERANCE}
 
 
 def _limit_estimate(values: list[float], ratio: float, method: str,
@@ -59,24 +64,39 @@ def _limit_estimate(values: list[float], ratio: float, method: str,
     The value (v_l - r v_(l-1))/(1 - r) is v_l plus the Richardson step
     (v_l - v_(l-1)) r/(1 - r), and the error is the size of that step.  The ratio q of
     the last two differences supports that error when 0 <= q <= 2r/(1 + r), as the step
-    with q then lies within it; converged needs that support and an error of at most
-    TOLERANCE times the value.
+    with q then lies within it, and so does a last difference within ROUNDING_FLOOR
+    times the value, where q is rounding noise; either needs three values.  converged
+    needs that support and an error of at most TOLERANCE times the value.
     """
     diagnostics = tuple(zip(range(len(values)) if scales is None else scales, values))
     if len(values) < 2:
         return VarianceEstimate(values[-1], None, method, diagnostics, False)
     last = values[-1] - values[-2]
-    before = values[-2] - values[-3] if len(values) > 2 else math.nan  # nan fails both tests
     step = last * ratio / (1.0 - ratio)
     value = values[-1] + step
-    supported = before * last >= 0 and (1.0 + ratio) * abs(last) <= 2.0 * ratio * abs(before)
+    supported = False
+    if len(values) > 2:
+        before = values[-2] - values[-3]
+        supported = abs(last) <= ROUNDING_FLOOR * abs(value) or (
+            before * last >= 0 and (1.0 + ratio) * abs(last) <= 2.0 * ratio * abs(before))
     return VarianceEstimate(value, abs(step), method, diagnostics,
                             supported and abs(step) <= TOLERANCE * abs(value))
 
 
-def resolving_freq(r_minus_1: float) -> float:
-    """The frequency cutoff a series needs to resolve the scale R = 1 + r_minus_1."""
-    return 10.0 / r_minus_1
+# the y > 2n at which y^(2n) e^(-y), n the derivative order, has fallen to e^-20 of its
+# peak at y = 2n: the root of y = 20 + 2n (1 + log(y/(2n))), for the orders in use
+_DECAY_WIDTH = {0: 20.0, 3: 36.89846248292565}
+
+
+def resolving_freq(r_minus_1: float, order: int = 0) -> float:
+    """The frequency cutoff a series needs to resolve the scale R = 1 + r_minus_1 in an
+    integrand of its ``order``-th derivative, ``order`` 0 or 3.
+
+    Frequency m enters that integrand with the weight m^(2n) R^(-2m), about
+    y^(2n) e^(-y) with y = 2m (R - 1), and the cutoff is where the weight has fallen to
+    e^-20 of its peak: 10/(R - 1) for the series, 18.45/(R - 1) for its third derivative.
+    """
+    return _DECAY_WIDTH[order] / 2.0 / r_minus_1
 
 
 def linspace(start: float, stop: float, num: int) -> list[float]:
@@ -199,7 +219,7 @@ def cesaro_sigma4(v: ExteriorLaurent, R0: float, d: int) -> VarianceEstimate:
     for k in range(65):
         log_hi = math.log(R0) / d**k
         log_lo = log_hi / d
-        if resolving_freq(expm1(log_lo)) > v.max_freq:
+        if resolving_freq(expm1(log_lo), 3) > v.max_freq:
             break
         num = _radial_fourth_order_integral(mass, log_lo, log_hi)
         den = math.log(expm1(2 * log_hi) / expm1(2 * log_lo))

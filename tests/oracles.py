@@ -19,7 +19,8 @@ closed-form antiderivatives used in the package:
 Sampled sup norms and field equality use a probe grid placed off the radial
 breakpoints; the Bloch seminorm is a grid lower bound from the series itself.
 ``moment`` is no oracle: it poses the package's closed-form moment at any
-frequency j, for the tests of that closed form.
+frequency j, for the tests of that closed form.  Nor is ``derivative``: it
+applies the package's derivative rule to a whole series.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from bvlab.annular import MonomialTerm, PiecewiseField, _radial_moment
 from bvlab.dynamics import BlaschkeMap
-from bvlab.laurent import ExteriorLaurent
+from bvlab.laurent import ExteriorLaurent, derivative_coefficients
 
 
 def term_values(term: MonomialTerm, w: np.ndarray) -> np.ndarray:
@@ -85,9 +86,15 @@ def fields_allclose(f: PiecewiseField, g: PiecewiseField, tol: float) -> bool:
     return bool(np.all(np.abs(field_values(f, pts) - field_values(g, pts)) <= tol))
 
 
+def derivative(g: ExteriorLaurent, order: int = 1) -> ExteriorLaurent:
+    """Termwise d^n/dz^n, exact up to max_freq + n (which must not pass FREQ_CAP)."""
+    return ExteriorLaurent(derivative_coefficients(g.coeffs, order), g.max_freq + order,
+                           g.self_similarity)
+
+
 def bloch_seminorm(g: ExteriorLaurent) -> float:
     """Grid lower bound for sup (|z|^2 - 1) |g'(z)| over the exterior disk."""
-    gp = g.derivative()
+    gp = derivative(g)
     n_angles = 48
     best = 0.0
     for R in 1.0 + np.exp(np.linspace(math.log(1e-4), math.log(40.0), 60)):

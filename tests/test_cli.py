@@ -5,7 +5,6 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -357,7 +356,7 @@ class TestConfigAndErrors:
 
     def test_unresolved_truncation_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("bvlab.order2.order2_field",
-                            lambda mu, max_freq: replace(order2_field(mu, max_freq), flagged=True))
+                            lambda mu, max_freq: order2_field(mu, max_freq)._replace(flagged=True))
         code = main(["order2", "--d", "16", "--n0", "15", "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
         assert code == 3
@@ -370,7 +369,7 @@ class TestConfigAndErrors:
 
         def second_flagged(mu, max_freq):
             calls.append(max_freq)
-            return replace(order2_field(mu, max_freq), flagged=len(calls) == 2)
+            return order2_field(mu, max_freq)._replace(flagged=len(calls) == 2)
 
         monkeypatch.setattr("bvlab.order2.order2_field", second_flagged)
         code = main(["order2", "--d", "16", "--n0", "15", "--shells", "4", "--refine",

@@ -13,7 +13,7 @@ from bvlab.errors import FREQ_CAP, BVLabError, CapacityError, ValidationError
 from bvlab.formulas import optimal_rho0
 from bvlab.variance import variance_lacunary
 from conftest import circle
-from oracles import fields_allclose, sup_norm_sampled
+from oracles import derivative, fields_allclose, sup_norm_sampled
 
 
 class TestShellParams:
@@ -94,8 +94,8 @@ class TestShellSeries:
                 for max_freq in (1, 2, 10, 1000, 10**12, FREQ_CAP):
                     p = ShellParams(d=d, rho0=rho0, shells=shells, max_freq=max_freq)
                     assert _outcome(lambda: shell_beurling_series(p)) == _outcome(
-                        lambda: shell_cauchy_series(p).truncated(
-                            p.series_cutoff() - 1).derivative())
+                        lambda: derivative(shell_cauchy_series(p).truncated(
+                            p.series_cutoff() - 1)))
 
 
 class TestShellCauchyIdentity:
@@ -130,7 +130,7 @@ class TestShellCauchyIdentity:
             s = shell_beurling_series(params)
             lac = lacunary_vector_field(d, 6)
             scale = -(2.0 * d / (d - 1.0)) * params.delta
-            v_prime = lac.v.derivative()
+            v_prime = derivative(lac.v)
             assert set(s.coeffs) == set(v_prime.coeffs)
             for k in s.coeffs:
                 assert s.coeffs[k] == pytest.approx(scale * v_prime.coeffs[k],
@@ -153,7 +153,7 @@ class TestLacunaryField:
     def test_derivative_variance_formula(self):
         # sigma^2(v') = (d-1)^2 / (d^2 log d)
         for d in (2, 3, 5):
-            v_prime = lacunary_vector_field(d, 12).v.derivative()
+            v_prime = derivative(lacunary_vector_field(d, 12).v)
             for n in range(12):
                 freq = (d - 1) * d**n
                 # (freq - 1) times the coefficient 1/d^(n+1) of v, as the derivative forms it
@@ -168,7 +168,7 @@ class TestLacunaryField:
 
     def test_empty(self):
         lac = lacunary_vector_field(2, 0)
-        assert lac.v.coeffs == {} and lac.v.derivative().coeffs == {}
+        assert lac.v.coeffs == {} and derivative(lac.v).coeffs == {}
 
 
 class TestTruncation:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bvlab.errors import ValidationError
 from bvlab.manifest import csv_text, json_text
+from bvlab.variance import VarianceEstimate
 
 # every code point but the surrogates, the controls U+0000-U+001F included
 TEXT = st.text(st.characters(exclude_categories=["Cs"]))
@@ -33,6 +34,16 @@ def test_json_text_is_deterministic():
 def test_json_text_rejects_what_json_cannot_hold(value):
     with pytest.raises(ValidationError):
         json_text(value)
+
+
+def test_json_text_rejects_a_record():
+    # a record is a tuple subclass: it is written as its document, never as a bare array
+    est = VarianceEstimate(0.5, None, "lacunary_exact", ((0, 0.5),), False)
+    with pytest.raises(ValidationError, match="cannot serialize VarianceEstimate"):
+        json_text({"estimate": est})
+    assert json_text(est._asdict()) == ('{"converged": false, "diagnostics": [[0, 0.5]], '
+                                        '"error": null, "method": "lacunary_exact", '
+                                        '"value": 0.5}\n')
 
 
 def test_csv_text():

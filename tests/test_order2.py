@@ -1,6 +1,5 @@
 """Second-order term: route independence, convergence, bounds and search."""
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -143,7 +142,7 @@ class TestOrder2Bound:
         # doubling clips back to the capacity there, so J is compared with J - 1; at
         # d = 2 and 16 both limits agree to the last bit, so the calls show the comparison
         params = ShellParams(d=d, rho0=optimal_rho0(d))
-        params = replace(params, shells=params.capacity)
+        params = params._replace(shells=params.capacity)
         shells = []
 
         def second_order(p):
@@ -153,14 +152,21 @@ class TestOrder2Bound:
         monkeypatch.setattr("bvlab.order2._second_order", second_order)
         report = order2_bound(params, refine=True)
         assert shells == [params.capacity, params.capacity - 1]
-        lower = order2_bound(replace(params, shells=params.capacity - 1))
+        lower = order2_bound(params._replace(shells=params.capacity - 1))
         assert report.shells_used == params.capacity
         assert report.stability == abs(report.total - lower.total) / abs(report.total)
+
+    def test_second_order_at_capacity_is_converged(self):
+        # at d = 3 the last block masses differ by rounding only (up to 10 eps |value|),
+        # which the rounding floor of the limit rule supports
+        params = ShellParams(d=3, rho0=optimal_rho0(3), shells=10**6)
+        est = order2_bound(params).second_order_estimate
+        assert est.converged and est.error <= 1e-15 * est.value
 
     def test_refine_below_capacity_doubles(self):
         params = ShellParams(d=16, rho0=optimal_rho0(16), n0=15, shells=4)
         report = order2_bound(params, refine=True)
-        doubled = order2_bound(replace(params, shells=8))
+        doubled = order2_bound(params._replace(shells=8))
         assert report.stability == abs(doubled.total - report.total) / abs(report.total)
 
     def test_refine_checks_the_refined_field(self, monkeypatch):
@@ -169,7 +175,7 @@ class TestOrder2Bound:
 
         def second_flagged(mu, max_freq):
             calls.append(max_freq)
-            return replace(order2_field(mu, max_freq), flagged=len(calls) == 2)
+            return order2_field(mu, max_freq)._replace(flagged=len(calls) == 2)
 
         monkeypatch.setattr("bvlab.order2.order2_field", second_flagged)
         params = ShellParams(d=16, rho0=optimal_rho0(16), n0=15, shells=4)
@@ -180,7 +186,7 @@ class TestOrder2Bound:
     def test_refine_at_a_capacity_of_two_shells(self):
         # max_freq 480 keeps n_0 = 15 and n_1 = 240, and so does its double
         params = ShellParams(d=16, rho0=0.3, n0=15, shells=2, max_freq=480)
-        assert params.capacity == 2 == replace(params, max_freq=960).capacity
+        assert params.capacity == 2 == params._replace(max_freq=960).capacity
         assert order2_bound(params).shells_used == 2
         with pytest.raises(ValidationError, match="at least three shells"):
             order2_bound(params, refine=True)
@@ -206,7 +212,7 @@ class TestParameterSearch:
         # the limiting second-order mass does not depend on the first shell
         # frequency; finite truncations differ only in their diagnostics
         base = ShellParams(d=16, rho0=optimal_rho0(16), n0=15, shells=7)
-        other = replace(base, n0=31)
+        other = base._replace(n0=31)
         r1 = order2_bound(base)
         r2 = order2_bound(other)
         assert r1.second_order == pytest.approx(r2.second_order, rel=5e-3)

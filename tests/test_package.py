@@ -35,6 +35,7 @@ HOMES = {
                 "smirnov_dim_k smirnov_dim_t table2",
     "laurent": "ExteriorLaurent SelfSimilarity complex_fsum derivative_coefficients",
     "order2": "Order2Report order2_bound order2_field parameter_search",
+    "records": "record",
     "variance": "VarianceEstimate cesaro_sigma4 growth_slope integral_means variance_block "
                 "variance_block_mass variance_lacunary",
 }
@@ -72,7 +73,7 @@ with open(out + "/loaded_modules.json", "w", encoding="utf-8") as fh:
 
 CLOSED_FORM = ["cli", "errors", "formulas", "manifest"]
 EVERY_MODULE = sorted(["annular", "cli", "constructions", "dynamics", "errors", "formulas",
-                       "laurent", "manifest", "order2", "selfcheck", "variance"])
+                       "laurent", "manifest", "order2", "records", "selfcheck", "variance"])
 
 
 def _env() -> dict:
@@ -93,12 +94,11 @@ def test_each_command_runs_only_the_modules_it_uses(tmp_path):
         "table2": CLOSED_FORM,
         "optimize": CLOSED_FORM,
         "dimension --d 20 --k 0.1": CLOSED_FORM,
-        "dynamics coboundary --d 2 --n 20": sorted([*CLOSED_FORM, "dynamics"]),
+        "dynamics coboundary --d 2 --n 20": sorted([*CLOSED_FORM, "dynamics", "records"]),
         "selfcheck --full": EVERY_MODULE,
     }
-    # dataclasses pulls in inspect, about 6 ms per process that these commands do not need
-    closed_form_steps = ["import bvlab", "table2", "optimize", "dimension --d 20 --k 0.1"]
-    assert [loaded["dataclasses"][step] for step in closed_form_steps] == [False] * 4
+    # dataclasses pulls in inspect, about 9 ms per process; no command needs it
+    assert loaded["dataclasses"] == dict.fromkeys(loaded["modules"], False)
 
 
 def test_names_are_the_served_names():
@@ -174,3 +174,17 @@ def test_no_unused_imports():
     paths = [*sorted((SRC / "bvlab").glob("*.py")), *SCRIPTS]
     unused = {path.name: _unused_imports(path) for path in paths}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_no_dataclasses():
+    """Records are namedtuples: no module or script imports dataclasses or writes
+    round a frozen record."""
+    for path in [*sorted((SRC / "bvlab").glob("*.py")), *SCRIPTS]:
+        text = path.read_text(encoding="utf-8")
+        imported = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                imported.update(a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+        assert "dataclasses" not in imported and "object.__setattr__" not in text, path.name

@@ -5,7 +5,6 @@ mutation table shows that each entry can fail: every row patches a package
 function that the entry's quantity is computed from, never the helper that
 returns the residual itself, and the entry must then report FAIL.
 """
-from dataclasses import replace
 from pkgutil import resolve_name
 
 import pytest
@@ -60,7 +59,7 @@ MUTATIONS = [
     _row("projection_reflection_relation", "bvlab.annular.PiecewiseField.reflect_conjugate",
          field_times(1.001), "reflection"),
     _row("lacunary_unit_variance", "bvlab.selfcheck.variance_lacunary",
-         then(lambda est: replace(est, value=est.value * (1 + 1e-9))), "estimator"),
+         then(lambda est: est._replace(value=est.value * (1 + 1e-9))), "estimator"),
     _row("shell_mass_vs_closed_form_d2", "bvlab.constructions.beurling_exterior",
          series_times(1.05), "shell-series"),
     _row("table_display_values", "bvlab.selfcheck.lambda_lemma_coeff", times(1.001),
@@ -70,7 +69,7 @@ MUTATIONS = [
     _row("truncation_worked_example", "bvlab.annular.PiecewiseField.max_r_out", times(1.05),
          "support-radius"),
     _row("lacunary_functional_equation", "bvlab.selfcheck.lacunary_vector_field",
-         then(lambda lac: replace(lac, v=scaled(lac.v, 1.001))), "field"),
+         then(lambda lac: lac._replace(v=scaled(lac.v, 1.001))), "field"),
     _row("shell_cauchy_identity", "bvlab.constructions.shell_cauchy_series", series_times(1.001),
          "shell-series"),
     *(_row(f"coboundary_exact_d{d}", "bvlab.dynamics.birkhoff_variance_exact",

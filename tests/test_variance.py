@@ -14,11 +14,11 @@ from bvlab.constructions import (ShellParams, random_unit_shell_field,
 from bvlab.errors import UnresolvedScaleError, ValidationError
 from bvlab.formulas import optimal_rho0, sigma2_optimal, sigma2_shell
 from bvlab.laurent import ExteriorLaurent, SelfSimilarity
-from bvlab.variance import (CESARO_R0_MAX, TOLERANCE, _limit_estimate,
+from bvlab.variance import (CESARO_R0_MAX, ROUNDING_FLOOR, TOLERANCE, _limit_estimate,
                             _radial_fourth_order_integral, cesaro_sigma4, growth_slope,
-                            integral_means, integral_means_log, linspace, variance_block,
-                            variance_block_mass, variance_lacunary)
-from oracles import angular_mean_square, bloch_seminorm, mp_radial_fourth_order
+                            integral_means, integral_means_log, linspace, resolving_freq,
+                            variance_block, variance_block_mass, variance_lacunary)
+from oracles import angular_mean_square, bloch_seminorm, derivative, mp_radial_fourth_order
 
 LOG2 = math.log(2.0)
 
@@ -141,6 +141,16 @@ class TestLimitEstimate:
         est = _limit_estimate(values, 0.5, "geometric")
         assert est.error <= TOLERANCE * est.value  # small, but not supported
         assert not est.converged
+
+    def test_rounding_noise_is_supported(self):
+        # differences of a few ulps have no ratio to test; at the floor they count as
+        # converged, just past it they must show the ratio
+        eps = sys.float_info.epsilon
+        noise = [1.0, 1.0 + 10 * eps, 1.0 - 10 * eps]
+        assert _limit_estimate(noise, 1 / 3, "rounding").converged
+        for factor, converged in ((ROUNDING_FLOOR, True), (2 * ROUNDING_FLOOR, False)):
+            values = [1.0, 1.0 + 10 * eps, 1.0 + 10 * eps + factor]
+            assert _limit_estimate(values, 1 / 3, "floor").converged == converged
 
     def test_one_or_two_values_are_not_converged(self):
         one = _limit_estimate([1.0], 0.5, "short")
@@ -266,12 +276,29 @@ class TestCesaro:
         with pytest.raises(UnresolvedScaleError):
             cesaro_sigma4(v, 1.5, 2)
 
+    def test_deepest_annulus_is_resolved_for_the_third_derivative(self):
+        # at 10/(R - 1) the deepest annulus of the d = 2 sweep series was under-resolved
+        # for |v'''|^2: its raw error jumped from 2.2e-10 to -6.2e-9
+        params = ShellParams(d=2, rho0=optimal_rho0(2), shells=22)
+        est = cesaro_sigma4(shell_cauchy_series(params), 1.5, 2)
+        assert est.converged and abs(est.value - sigma2_optimal(2)) <= est.error
+
+
+@pytest.mark.parametrize("order", [0, 3])
+def test_resolving_freq_is_where_the_weight_falls_to_e_minus_20(order):
+    # the weight m^(2n) R^(-2m), in y = 2m(R - 1), against its peak at y = 2n
+    y = 2 * resolving_freq(0.01, order) * 0.01
+    assert y > 2 * order
+    log_share = 2 * order * math.log(y / (2 * order)) - (y - 2 * order) if order else -y
+    assert log_share == pytest.approx(-20.0, abs=1e-12)
+    assert resolving_freq(0.01) == 10.0 / 0.01
+
 
 def _resolved_annuli(v: ExteriorLaurent, R0: float, d: int) -> list[tuple[float, float]]:
     """(log r_lo, log r_hi) of every annulus that cesaro_sigma4 resolves."""
     out = []
     log_hi = math.log(R0)
-    while 10.0 / math.expm1(log_hi / d) <= v.max_freq:
+    while resolving_freq(math.expm1(log_hi / d), 3) <= v.max_freq:
         out.append((log_hi / d, log_hi))
         log_hi /= d
     return out
@@ -283,7 +310,7 @@ class TestRadialClosedForm:
     @staticmethod
     def check_shallowest_and_deepest_annulus(v: ExteriorLaurent, d: int,
                                              R0: float = 1.5) -> None:
-        mass = {k: abs(c) ** 2 for k, c in v.derivative(3).coeffs.items()}
+        mass = {k: abs(c) ** 2 for k, c in derivative(v, 3).coeffs.items()}
         annuli = _resolved_annuli(v, R0, d)
         assert len(annuli) == len(cesaro_sigma4(v, R0, d).diagnostics)
         for log_lo, log_hi in (annuli[0], annuli[-1]):
@@ -325,7 +352,7 @@ class TestThirdDerivative:
     def test_hyperbolic_ratio_bound_for_shell_fields(self):
         # |v'''| (|z|^2-1)^2 / 4 <= 3/2 for transforms of unit coefficients
         params = ShellParams(d=4, rho0=optimal_rho0(4), shells=12)
-        v3 = shell_cauchy_series(params).derivative(3)
+        v3 = derivative(shell_cauchy_series(params), 3)
         worst = 0.0
         for i in range(10):
             R = 1.0 + 10.0 ** (-0.4 * i)
