@@ -38,7 +38,7 @@ class DivergentMomentError(BVLabError):
 
 
 class UnresolvedScaleError(BVLabError):
-    """A variance estimate was requested below the resolved frequency cutoff."""
+    """A variance estimate below its frequency cutoff, or a circle mean of log|B'| unresolved."""
 
 
 class UnresolvedTruncationError(BVLabError):

@@ -20,9 +20,8 @@ from .errors import FREQ_CAP, UnresolvedTruncationError, ValidationError
 from .formulas import sigma2_shell
 from .laurent import ExteriorLaurent, convolve
 from .records import record
-from .variance import VarianceEstimate, variance_block_mass
+from .variance import variance_block_mass
 
-COEFF_FLOOR = 1e-14  # coefficients of w below this modulus go to the tail mass
 FLAG_TOL = 1e-9  # tail mass above this share of the kept mass leaves w unresolved
 # parameter_search costs 6-8 us per unit of (J + 5)^2 at each point, J its effective
 # shell count (0.3 ms at J = 2, 35 ms at d = 2 with 61 shells); the bound admits about
@@ -31,7 +30,7 @@ MAX_GRID_WORK = 3 * 10**4
 
 
 class Order2Field(record("Order2Field", "w tail_mass flagged")):
-    """w as an exterior series plus the l2 mass dropped beyond the cutoff."""
+    """w cut at a frequency, the l2 mass of w beyond the cut, and the FLAG_TOL test."""
 
     __slots__ = ()
 
@@ -66,8 +65,9 @@ def order2_field(mu: PiecewiseField, max_freq: int) -> Order2Field:
     """Compute w = S(mu*S(mu)) - (1/2)(S(mu))^2 truncated at ``max_freq``.
 
     w is formed in full and cut once: the kept coefficients are those with
-    k <= max_freq and modulus at least COEFF_FLOOR, and the tail mass is the
-    l2 mass of all the others.
+    k <= max_freq, and the tail mass is the l2 mass of the others.  The w of
+    J shells has every coefficient at k <= 2 n_(J-1); more shells add only
+    coefficients above it, so it is their w cut there, coefficient for coefficient.
     """
     if max_freq < 1:
         raise ValidationError("max_freq must be >= 1")
@@ -76,29 +76,10 @@ def order2_field(mu: PiecewiseField, max_freq: int) -> Order2Field:
     square, _ = convolve(s_ext, s_ext, FREQ_CAP)
     for k, c in square.coeffs.items():
         w[k] = w.get(k, 0) - 0.5 * c
-    kept, dropped = {}, []
-    for k, c in w.items():
-        if k <= max_freq and abs(c) >= COEFF_FLOOR:
-            kept[k] = c
-        else:
-            dropped.append(abs(c) ** 2)
-    tail = fsum(dropped)
-    total_mass = fsum(abs(c) ** 2 for c in kept.values())
-    flagged = tail > FLAG_TOL * max(total_mass, 1e-300)
+    kept = {k: c for k, c in w.items() if k <= max_freq}
+    tail = fsum(abs(c) ** 2 for k, c in w.items() if k > max_freq)
+    flagged = tail > FLAG_TOL * max(fsum(abs(c) ** 2 for c in kept.values()), 1e-300)
     return Order2Field(ExteriorLaurent(kept, max_freq), tail, flagged)
-
-
-def _second_order(params: ShellParams) -> tuple[VarianceEstimate, Order2Field, ShellParams]:
-    eff = params.clipped_to_max_freq()
-    if eff.shells < 2:
-        raise ValidationError("need at least two shells below the frequency cutoff")
-    # clipped_to_max_freq keeps 2 n_j <= max_freq for every shell, so w fits in full
-    field = order2_field(build_shell(eff), 2 * eff.frequency(eff.shells - 1))
-    if field.flagged:
-        raise UnresolvedTruncationError(
-            f"dropped tail mass {field.tail_mass:.3e} above tolerance")
-    w = field.w.with_self_similarity(eff.degree, eff.first_frequency)
-    return variance_block_mass(w), field, eff
 
 
 def order2_bound(params: ShellParams, refine: bool = False) -> Order2Report:
@@ -107,24 +88,34 @@ def order2_bound(params: ShellParams, refine: bool = False) -> Order2Report:
     ``refine`` doubles the shell count and frequency cutoff and reports the
     relative change of the total, the stability diagnostic of the truncation.
     At shell capacity, where the doubled parameters clip back to the same
-    shells, it compares with one shell fewer instead.
+    shells, it compares with one shell fewer instead.  w is computed once, for
+    the larger count, and each count reads its own w as a prefix of it.
     """
-    est, field, eff = _second_order(params)
-    first = sigma2_shell(eff.d, eff.rho0)
-    total = first + est.value
-    stability = None
+    eff = params.clipped_to_max_freq()
+    if eff.shells < 2:
+        raise ValidationError("need at least two shells below the frequency cutoff")
+    counts = [eff.shells]  # then the shell count the refinement compares with
     if refine:
-        other = params._replace(shells=2 * eff.shells,
-                                max_freq=min(2 * params.max_freq, FREQ_CAP))
-        if other.clipped_to_max_freq().shells == eff.shells:
+        wider = params._replace(shells=2 * eff.shells, max_freq=min(2 * params.max_freq, FREQ_CAP))
+        counts.append(wider.clipped_to_max_freq().shells)
+        if counts[1] == eff.shells:
             if eff.shells < 3:
                 raise ValidationError("refining at shell capacity needs at least three shells")
-            other = eff._replace(shells=eff.shells - 1)
-        est2, _, _ = _second_order(other)
-        total2 = first + est2.value
-        stability = abs(total2 - total) / max(abs(total), 1e-300)
+            counts[1] -= 1
+    # each count J reads its whole w as the prefix up to 2 n_(J-1) (order2_field)
+    cuts = [2 * eff.frequency(j - 1) for j in counts]
+    field = order2_field(build_shell(eff._replace(shells=max(counts))), max(cuts))
+    if field.flagged:
+        raise UnresolvedTruncationError(f"dropped tail mass {field.tail_mass:.3e} above tolerance")
+    w = field.w.with_self_similarity(eff.degree, eff.first_frequency)
+    est, *compared = [variance_block_mass(w if cut == w.max_freq else w.truncated(cut))
+                      for cut in cuts]
+    first = sigma2_shell(eff.d, eff.rho0)
+    total = first + est.value
+    stability = (abs(first + compared[0].value - total) / max(abs(total), 1e-300)
+                 if compared else None)
     return Order2Report(first, est.value, total, params, eff.shells,
-                        field.w.max_freq, field.tail_mass, est, stability)
+                        cuts[0], field.tail_mass, est, stability)
 
 
 def parameter_search(grid) -> tuple[Order2Report, list[Order2Report]]:

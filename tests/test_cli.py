@@ -364,20 +364,38 @@ class TestConfigAndErrors:
         assert json.loads(captured.err)["error"] == "UnresolvedTruncationError"
 
     def test_unresolved_refinement_exit_code(self, tmp_path, capsys, monkeypatch):
-        # only the refinement's field is flagged; the stability must not be read from it
+        # the refinement's one field, of eight shells, is flagged: no stability is read from it
         calls = []
 
-        def second_flagged(mu, max_freq):
-            calls.append(max_freq)
-            return order2_field(mu, max_freq)._replace(flagged=len(calls) == 2)
+        def flagged(mu, max_freq):
+            calls.append(len(mu.terms))
+            return order2_field(mu, max_freq)._replace(flagged=True)
 
-        monkeypatch.setattr("bvlab.order2.order2_field", second_flagged)
+        monkeypatch.setattr("bvlab.order2.order2_field", flagged)
         code = main(["order2", "--d", "16", "--n0", "15", "--shells", "4", "--refine",
                      "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
-        assert code == 3 and len(calls) == 2
+        assert code == 3 and calls == [8]
         assert captured.out == "" and not (tmp_path / "out").exists()
         assert json.loads(captured.err)["error"] == "UnresolvedTruncationError"
+
+    @pytest.mark.parametrize("rho0", ["1e-12", "1e-30"])
+    def test_order2_at_a_small_radius(self, rho0, tmp_path, capsys):
+        # some (1e-12) or all (1e-30) of the 36 coefficients of w lie below 1e-14; all are kept
+        code, out, _ = run_cli(["order2", "--d", "2", "--rho0", rho0, "--shells", "8"],
+                               tmp_path, capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["tail_mass"] == 0
+        assert abs(doc["second_order"] - sigma2_second_order(2, float(rho0))) <= 1e-13
+
+    @pytest.mark.parametrize("zeros", ["0.99999+0j,0+0.99999j", "0.999+0j,-0.999+0j"])
+    def test_unresolved_log_derivative_exit_code(self, zeros, tmp_path, capsys):
+        (tmp_path / "phi.json").write_text('{"coeffs": [[1, 1, 0]]}')
+        code = main(["dynamics", "var", "--blaschke", zeros, "--phi", str(tmp_path / "phi.json"),
+                     "--n", "5", "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and not (tmp_path / "out").exists()
+        assert json.loads(captured.err)["error"] == "UnresolvedScaleError"
 
     def test_output_dir_under_a_regular_file(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")

@@ -9,7 +9,7 @@ from bvlab.dynamics import (MAX_EXACT_WORK, MAX_SAMPLES, MAX_WORK, MIN_BATCH, MI
                             BlaschkeMap, CirclePotential, birkhoff_variance,
                             birkhoff_variance_exact, birkhoff_variance_mc, check_exact_work,
                             check_mc_work, coboundary_check, log_deriv_mean)
-from bvlab.errors import ValidationError
+from bvlab.errors import UnresolvedScaleError, ValidationError
 from oracles import (apply_circle, ks_uniform_statistic, log_abs_derivative, orbit_angles,
                      quad_log_deriv_mean)
 
@@ -187,10 +187,18 @@ class TestLogDerivative:
         assert abs(log_deriv_mean(b) - quad_log_deriv_mean(b)) <= 1e-13
 
     @pytest.mark.parametrize("zeros", [(0.5 + 0.2j, -0.4j), (0j, 0.6j),
-                                       (0.4 + 0.2j, -0.1 + 0.6j, 0.95)])
+                                       (0.4 + 0.2j, -0.1 + 0.6j, 0.95),
+                                       (0.99, 0.99j), (0.99, -0.99), (0.993, 0.993j)])
     def test_midpoint_rule_matches_quadrature(self, zeros):
+        # near the circle too: the rules differ by 1.4e-15 relative at radius 0.993
         b = BlaschkeMap(zeros)
         assert abs(log_deriv_mean(b) - quad_log_deriv_mean(b)) <= 1e-13
+
+    @pytest.mark.parametrize("zeros", [(0.99999, 0.99999j), (0.999, -0.999), (0.995, 0.995j)])
+    def test_unresolved_near_the_circle(self, zeros):
+        # the 2048- and 4096-point rules differ by 0.37, 2.9e-3 and 3.6e-7 (relative)
+        with pytest.raises(UnresolvedScaleError, match="from half the points"):
+            log_deriv_mean(BlaschkeMap(zeros))
 
     def test_blaschke_positive_and_matches_orbit_average(self):
         b = BlaschkeMap((0.5 + 0j,))

@@ -7,12 +7,27 @@ from hypothesis import strategies as st
 
 from bvlab.annular import (MonomialTerm, PiecewiseField, beurling, multiply)
 from bvlab.constructions import ShellParams, build_shell
-from bvlab.errors import UnresolvedTruncationError, ValidationError
+from bvlab.errors import FREQ_CAP, UnresolvedTruncationError, ValidationError
 from bvlab.formulas import optimal_rho0, sigma2_second_order, sigma2_shell
-from bvlab.order2 import (_second_order, order2_bound, order2_field, parameter_search,
-                          shell_grid)
+from bvlab.order2 import order2_bound, order2_field, parameter_search, shell_grid
 from conftest import circle
 from oracles import quad_beurling_at, quad_beurling_exterior
+
+
+def spy_fields(monkeypatch) -> list[int]:
+    """Record the shell count of every field order2_bound hands to order2_field."""
+    shells = []
+
+    def spy(mu, max_freq):
+        shells.append(len(mu.terms))
+        return order2_field(mu, max_freq)
+
+    monkeypatch.setattr("bvlab.order2.order2_field", spy)
+    return shells
+
+
+def bits(coeffs: dict) -> dict:
+    return {k: (c.real.hex(), c.imag.hex()) for k, c in coeffs.items()}
 
 
 class TestOrder2Field:
@@ -89,6 +104,20 @@ class TestOrder2Field:
         assert cut.tail_mass == pytest.approx(math.fsum([*rest, full.tail_mass]),
                                               rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_fewer_shells_give_a_prefix_of_w(self, d):
+        # the w of J shells is whole below 2 n_(J-1) and is the w of more shells cut
+        # there, bit for bit: J against 2J, and the capacity against one shell fewer
+        params = ShellParams(d=d, rho0=optimal_rho0(d))
+        cap = params.capacity
+        for shells, more in ((3, 6), (cap // 2, 2 * (cap // 2)), (cap - 1, cap)):
+            fewer = params._replace(shells=shells)
+            cut = 2 * fewer.frequency(shells - 1)
+            own = order2_field(build_shell(fewer), cut)
+            wider = order2_field(build_shell(params._replace(shells=more)), cut)
+            assert own.tail_mass == 0.0 and not own.flagged
+            assert own.w.coeffs and bits(own.w.coeffs) == bits(wider.w.coeffs)
+
 
 class TestOrder2Bound:
     def test_degree16_bound(self):
@@ -139,19 +168,13 @@ class TestOrder2Bound:
 
     @pytest.mark.parametrize("d", [2, 3, 16])
     def test_refine_at_capacity_compares_one_shell_fewer(self, d, monkeypatch):
-        # doubling clips back to the capacity there, so J is compared with J - 1; at
-        # d = 2 and 16 both limits agree to the last bit, so the calls show the comparison
+        # doubling clips back to the capacity there, so J is compared with J - 1, read
+        # from the one w of J shells; at d = 2 and 16 both limits agree to the last bit
         params = ShellParams(d=d, rho0=optimal_rho0(d))
         params = params._replace(shells=params.capacity)
-        shells = []
-
-        def second_order(p):
-            shells.append(p.shells)
-            return _second_order(p)
-
-        monkeypatch.setattr("bvlab.order2._second_order", second_order)
+        shells = spy_fields(monkeypatch)
         report = order2_bound(params, refine=True)
-        assert shells == [params.capacity, params.capacity - 1]
+        assert shells == [params.capacity]
         lower = order2_bound(params._replace(shells=params.capacity - 1))
         assert report.shells_used == params.capacity
         assert report.stability == abs(report.total - lower.total) / abs(report.total)
@@ -170,18 +193,47 @@ class TestOrder2Bound:
         assert report.stability == abs(doubled.total - report.total) / abs(report.total)
 
     def test_refine_checks_the_refined_field(self, monkeypatch):
-        # a flagged refinement raises as a flagged first field does
+        # the one field, of the doubled shell count, is checked as an unrefined field is
         calls = []
 
-        def second_flagged(mu, max_freq):
-            calls.append(max_freq)
-            return order2_field(mu, max_freq)._replace(flagged=len(calls) == 2)
+        def flagged(mu, max_freq):
+            calls.append((len(mu.terms), max_freq))
+            return order2_field(mu, max_freq)._replace(flagged=True)
 
-        monkeypatch.setattr("bvlab.order2.order2_field", second_flagged)
+        monkeypatch.setattr("bvlab.order2.order2_field", flagged)
         params = ShellParams(d=16, rho0=optimal_rho0(16), n0=15, shells=4)
         with pytest.raises(UnresolvedTruncationError, match="dropped tail mass"):
             order2_bound(params, refine=True)
-        assert len(calls) == 2
+        assert calls == [(8, 2 * params.frequency(7))]
+
+    @pytest.mark.parametrize("d, rho0, shells", [(16, "optimal", 4), (3, 0.05, 5),
+                                                 (2, 0.6, 10**6), (20, "optimal", 10**6)])
+    def test_refined_report_keeps_the_unrefined_fields(self, d, rho0, shells):
+        # below capacity the comparison doubles, at capacity it drops one shell
+        params = ShellParams(d=d, rho0=rho0, shells=shells)
+        plain, refined = order2_bound(params), order2_bound(params, refine=True)
+        assert refined._replace(stability=None) == plain
+        eff = params.clipped_to_max_freq()
+        other = params._replace(shells=2 * eff.shells, max_freq=min(2 * params.max_freq, FREQ_CAP))
+        if other.clipped_to_max_freq().shells == eff.shells:
+            other = eff._replace(shells=eff.shells - 1)
+        assert refined.stability == abs(order2_bound(other).total - plain.total) / plain.total
+
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("shells", [4, 10**6])
+    def test_one_field_per_call(self, shells, refine, monkeypatch):
+        params = ShellParams(d=16, rho0=optimal_rho0(16), n0=15, shells=shells)
+        calls = spy_fields(monkeypatch)
+        order2_bound(params, refine=refine)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("rho0", [1e-12, 1e-30])
+    def test_small_radius_is_resolved(self, rho0):
+        # 2 (1e-12) or all 36 (1e-30) coefficients of w lie below 1e-14, and none is dropped
+        report = order2_bound(ShellParams(d=2, rho0=rho0, shells=8), refine=True)
+        miss = abs(report.second_order - sigma2_second_order(2, rho0))
+        assert report.tail_mass == 0.0
+        assert miss <= min(1e-13, report.second_order_estimate.error)
 
     def test_refine_at_a_capacity_of_two_shells(self):
         # max_freq 480 keeps n_0 = 15 and n_1 = 240, and so does its double

@@ -156,6 +156,14 @@ def test_benchmark_tracer_finds_every_binding(tmp_path):
     assert set(tracer_module.HOOKS) <= {name for name, *_ in doc["spans"]}
 
 
+def test_benchmark_self_test():
+    """perfbench's correctness checks pass on the real results and fail on perturbed ones."""
+    script = SRC.parent / "perfbench" / "test_checks.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          cwd=SRC.parent, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names a module imports but never reads (an attribute's base counts as read)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
