@@ -1,9 +1,9 @@
 """Command-line front end: computations in, CSV/JSON artifacts + manifest out.
 
-Exit codes: 0 success, 2 validation error, 3 capacity or unresolved-scale /
-unresolved-truncation error.  Errors are reported as one JSON object on
-stderr.  Identical configurations (including the seed) produce byte-identical
-artifacts; nothing time-dependent is written.
+Exit codes: 0 success, 1 a failing selfcheck, 2 validation error, 3 capacity
+or unresolved-scale error (each error class carries its code).  Errors are
+reported as one JSON object on stderr.  Identical configurations (including
+the seed) produce byte-identical artifacts; nothing time-dependent is written.
 """
 from __future__ import annotations
 
@@ -18,8 +18,7 @@ from pathlib import Path
 
 from . import (__version__, annular, constructions, dynamics, formulas, laurent, order2,
                selfcheck, variance)
-from .errors import (FREQ_CAP, BVLabError, CapacityError, UnresolvedScaleError,
-                     UnresolvedTruncationError, ValidationError, parse_float, parse_int)
+from .errors import FREQ_CAP, BVLabError, ValidationError, parse_float, parse_int
 from .manifest import csv_text, json_text, write_text
 
 _MAX_POINTS = 10**4  # 100x the default means-curve grid
@@ -177,8 +176,9 @@ def cmd_dimension(opts: dict, emit) -> int:
 
 def cmd_means_curve(opts: dict, emit) -> int:
     lo, hi, n = opts["r_min"], opts["r_max"], opts["points"]
-    if not (0.0 < lo < hi < 1.0 and 2 <= n <= _MAX_POINTS):
-        raise ValidationError(f"need 0 < r_min < r_max < 1 and 2 <= points <= {_MAX_POINTS}")
+    if not (1.0 < 1.0 + lo and lo < hi < 1.0 and 2 <= n <= _MAX_POINTS):
+        raise ValidationError(f"need 1 + r_min > 1 (r_min above about 1.1e-16), r_min < r_max "
+                              f"< 1 and 2 <= points <= {_MAX_POINTS}")
     if opts["series"]:
         g = laurent.ExteriorLaurent.from_doc(_read_json(opts["series"], "series"))
     else:
@@ -229,13 +229,13 @@ def cmd_dynamics(opts: dict, emit) -> int:
     phi = dynamics.CirclePotential.from_doc(_read_json(_need(opts, "phi"), "potential"))
     zeros = opts["blaschke"]
     b = dynamics.BlaschkeMap(zeros) if zeros else dynamics.BlaschkeMap.power(opts["d"])
+    payload = {"log_deriv_mean": dynamics.log_deriv_mean(b)}  # unresolved: exit 3 before the work
     # both routes bound their work before they build a series or sample an orbit
     if opts["method"] == "mc":
         est, err = dynamics.birkhoff_variance_mc(phi, b, n, samples, seed)
-        payload = {"estimate": est, "stderr": err, "seed": seed}
+        payload.update(estimate=est, stderr=err, seed=seed)
     else:
-        payload = dynamics.birkhoff_variance(phi, b, n).to_doc()
-    payload["log_deriv_mean"] = dynamics.log_deriv_mean(b)
+        payload.update(dynamics.birkhoff_variance(phi, b, n).to_doc())
     emit("dynamics_var", payload)
     return 0
 
@@ -419,12 +419,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         return run(argv)
-    except (CapacityError, UnresolvedScaleError, UnresolvedTruncationError) as exc:
-        sys.stderr.write(json_text({"error": type(exc).__name__, "message": str(exc)}))
-        return 3
     except BVLabError as exc:
         sys.stderr.write(json_text({"error": type(exc).__name__, "message": str(exc)}))
-        return 2
+        return exc.exit_code
     except OSError as exc:
         sys.stderr.write(json_text({"error": "OSError", "message": str(exc)}))
         return 2

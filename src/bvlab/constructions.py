@@ -281,8 +281,8 @@ def truncate_to_polynomial(mu: PiecewiseField, r1: float, eps: float,
     if not 0.0 < eps < inf:
         raise ValidationError("eps must be positive and finite")
     q = rho1 / r1
-    # smallest N with q^(N+1) / (1-q) <= eps
-    n_cut = max(0, math.ceil(math.log(eps * (1.0 - q)) / math.log(q)) - 1)
+    # smallest N with q^(N+1) / (1-q) <= eps; the log of a sum, as eps (1-q) may underflow
+    n_cut = max(0, math.ceil((math.log(eps) + math.log1p(-q)) / math.log(q)) - 1)
     while q ** (n_cut + 1) / (1.0 - q) > eps:
         n_cut += 1
     while n_cut > 0 and q ** n_cut / (1.0 - q) <= eps:

@@ -1,7 +1,7 @@
 """Error types shared across the package, and the number readers that raise them.
 
-Exit-code mapping used by the CLI: validation problems exit 2, capacity and
-unresolved-scale/truncation problems exit 3.
+Each error class carries the exit code the CLI returns for it: 2 for invalid
+input (the default), 3 for a capacity or unresolved-scale error.
 """
 import math
 import re
@@ -9,10 +9,13 @@ import re
 # Frequencies are kept as checked 64-bit-range integers.  Constructions that
 # would exceed this raise CapacityError instead of silently losing precision.
 FREQ_CAP = 2**63 - 1
+COEFF_CAP = 1e100  # a document coefficient's parts: their squares, summed 1e100 times, stay finite
 
 
 class BVLabError(Exception):
     """Base class for package errors."""
+
+    exit_code = 2
 
 
 class ValidationError(BVLabError):
@@ -20,7 +23,9 @@ class ValidationError(BVLabError):
 
 
 class CapacityError(BVLabError):
-    """A requested construction exceeds the 64-bit frequency range."""
+    """A construction past the 64-bit frequency range, or a document coefficient past COEFF_CAP."""
+
+    exit_code = 3
 
 
 class UnsupportedTermError(BVLabError):
@@ -40,9 +45,7 @@ class DivergentMomentError(BVLabError):
 class UnresolvedScaleError(BVLabError):
     """A variance estimate below its frequency cutoff, or a circle mean of log|B'| unresolved."""
 
-
-class UnresolvedTruncationError(BVLabError):
-    """Truncation tail mass exceeds the requested tolerance."""
+    exit_code = 3
 
 
 # decimal literal with optional fraction and exponent, e.g. 12, 1e12, 1.5e3
@@ -84,5 +87,8 @@ def parse_float(value, key: str = "value") -> float:
 
 
 def parse_complex(re, im) -> complex:
-    """Finite complex coefficient from its real and imaginary parts."""
-    return complex(parse_float(re, "coefficient"), parse_float(im, "coefficient"))
+    """Complex coefficient from its parts, each finite and at most COEFF_CAP in modulus."""
+    c = complex(parse_float(re, "coefficient"), parse_float(im, "coefficient"))
+    if max(abs(c.real), abs(c.imag)) > COEFF_CAP:
+        raise CapacityError(f"coefficient {c} exceeds {COEFF_CAP:g} in a part")
+    return c

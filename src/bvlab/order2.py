@@ -16,21 +16,20 @@ from math import fsum
 
 from .annular import PiecewiseField, beurling, beurling_exterior, product_beurling_exterior
 from .constructions import ShellParams, build_shell
-from .errors import FREQ_CAP, UnresolvedTruncationError, ValidationError
+from .errors import FREQ_CAP, ValidationError
 from .formulas import sigma2_shell
 from .laurent import ExteriorLaurent, convolve
 from .records import record
 from .variance import variance_block_mass
 
-FLAG_TOL = 1e-9  # tail mass above this share of the kept mass leaves w unresolved
 # parameter_search costs 6-8 us per unit of (J + 5)^2 at each point, J its effective
 # shell count (0.3 ms at J = 2, 35 ms at d = 2 with 61 shells); the bound admits about
 # a quarter of a second, 80 times the README grid (three points of six shells)
 MAX_GRID_WORK = 3 * 10**4
 
 
-class Order2Field(record("Order2Field", "w tail_mass flagged")):
-    """w cut at a frequency, the l2 mass of w beyond the cut, and the FLAG_TOL test."""
+class Order2Field(record("Order2Field", "w tail_mass")):
+    """w cut at a frequency, and the l2 mass of w beyond it (0.0 at 2 n_(J-1) for J shells)."""
 
     __slots__ = ()
 
@@ -78,8 +77,7 @@ def order2_field(mu: PiecewiseField, max_freq: int) -> Order2Field:
         w[k] = w.get(k, 0) - 0.5 * c
     kept = {k: c for k, c in w.items() if k <= max_freq}
     tail = fsum(abs(c) ** 2 for k, c in w.items() if k > max_freq)
-    flagged = tail > FLAG_TOL * max(fsum(abs(c) ** 2 for c in kept.values()), 1e-300)
-    return Order2Field(ExteriorLaurent(kept, max_freq), tail, flagged)
+    return Order2Field(ExteriorLaurent(kept, max_freq), tail)
 
 
 def order2_bound(params: ShellParams, refine: bool = False) -> Order2Report:
@@ -105,8 +103,6 @@ def order2_bound(params: ShellParams, refine: bool = False) -> Order2Report:
     # each count J reads its whole w as the prefix up to 2 n_(J-1) (order2_field)
     cuts = [2 * eff.frequency(j - 1) for j in counts]
     field = order2_field(build_shell(eff._replace(shells=max(counts))), max(cuts))
-    if field.flagged:
-        raise UnresolvedTruncationError(f"dropped tail mass {field.tail_mass:.3e} above tolerance")
     w = field.w.with_self_similarity(eff.degree, eff.first_frequency)
     est, *compared = [variance_block_mass(w if cut == w.max_freq else w.truncated(cut))
                       for cut in cuts]

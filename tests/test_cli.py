@@ -5,18 +5,22 @@ import os
 import shlex
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import bvlab
+from bvlab import cli, errors
 from bvlab.annular import PiecewiseField
 from bvlab.cli import build_parser, main
-from bvlab.dynamics import BlaschkeMap, CirclePotential, birkhoff_variance
-from bvlab.errors import FREQ_CAP, ValidationError, parse_int
+from bvlab.constructions import ShellParams, build_shell
+from bvlab.dynamics import (BlaschkeMap, CirclePotential, birkhoff_variance, check_exact_work,
+                            check_mc_work)
+from bvlab.errors import (COEFF_CAP, FREQ_CAP, CapacityError, ValidationError,
+                          parse_complex, parse_int)
 from bvlab.formulas import sigma2_optimal, sigma2_second_order
 from bvlab.manifest import json_text
-from bvlab.order2 import order2_field
 from bvlab.variance import TOLERANCE
 
 
@@ -222,6 +226,13 @@ class TestMeansCurve:
         lines = (tmp_path / "means_curve.csv").read_text().strip().splitlines()
         assert any(line.endswith("false") for line in lines[1:])
 
+    def test_r_min_below_the_float_step_of_one(self, tmp_path, capsys):
+        # 1 + 1e-17 == 1, so R_min would not lie above 1: the check names r_min
+        code, out, err = run_cli(["means-curve", "--d", "2", "--r-min", "1e-17"],
+                                 tmp_path / "out", capsys)
+        assert code == 2 and out == "" and not (tmp_path / "out").exists()
+        assert "r_min" in json.loads(err)["message"]
+
 
 class TestTruncate:
     def test_field_reaching_the_origin(self, tmp_path, capsys):
@@ -236,6 +247,15 @@ class TestTruncate:
         field = PiecewiseField.from_doc(json.loads(text))
         assert json_text(field.to_doc()) == text
         assert min(t.log_r_in for t in field.terms) == -math.inf
+
+    def test_smallest_eps(self, tmp_path, capsys):
+        # eps (1 - q) underflows at the least subnormal; the cutoff is the smallest passing N
+        code, out, err = run_cli(["truncate", "--d", "3", "--rho0", "0.05", "--shells", "1",
+                                  "--r1", "0.7", "--eps", "5e-324"], tmp_path, capsys)
+        assert code == 0, err
+        q = build_shell(ShellParams(d=3, rho0=0.05, shells=1)).max_r_out() / 0.7
+        n = json.loads(out)["cutoff"]
+        assert q ** (n + 1) / (1.0 - q) <= 5e-324 < q ** n / (1.0 - q)
 
 
 class TestDynamics:
@@ -354,30 +374,22 @@ class TestConfigAndErrors:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
 
-    def test_unresolved_truncation_exit_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("bvlab.order2.order2_field",
-                            lambda mu, max_freq: order2_field(mu, max_freq)._replace(flagged=True))
-        code = main(["order2", "--d", "16", "--n0", "15", "--out", str(tmp_path / "out")])
+    @pytest.mark.parametrize("error", [c for c in vars(errors).values() if isinstance(c, type)
+                                       and issubclass(c, errors.BVLabError)],
+                             ids=lambda c: c.__name__)
+    def test_each_error_class_exits_with_its_code(self, error, tmp_path, capsys, monkeypatch):
+        # a handler that raises the class: one JSON object on stderr and the class's code
+        def handler(opts, emit):
+            raise error("raised by the handler")
+
+        monkeypatch.setitem(cli._COMMANDS, "table2", (handler, *cli._COMMANDS["table2"][1:]))
+        code = main(["table2", "--out", str(tmp_path / "out")])
         captured = capsys.readouterr()
-        assert code == 3
+        expected = 3 if error.__name__ in ("CapacityError", "UnresolvedScaleError") else 2
+        assert code == error.exit_code == expected
         assert captured.out == "" and not (tmp_path / "out").exists()
-        assert json.loads(captured.err)["error"] == "UnresolvedTruncationError"
-
-    def test_unresolved_refinement_exit_code(self, tmp_path, capsys, monkeypatch):
-        # the refinement's one field, of eight shells, is flagged: no stability is read from it
-        calls = []
-
-        def flagged(mu, max_freq):
-            calls.append(len(mu.terms))
-            return order2_field(mu, max_freq)._replace(flagged=True)
-
-        monkeypatch.setattr("bvlab.order2.order2_field", flagged)
-        code = main(["order2", "--d", "16", "--n0", "15", "--shells", "4", "--refine",
-                     "--out", str(tmp_path / "out")])
-        captured = capsys.readouterr()
-        assert code == 3 and calls == [8]
-        assert captured.out == "" and not (tmp_path / "out").exists()
-        assert json.loads(captured.err)["error"] == "UnresolvedTruncationError"
+        assert json.loads(captured.err) == {"error": error.__name__,
+                                            "message": "raised by the handler"}
 
     @pytest.mark.parametrize("rho0", ["1e-12", "1e-30"])
     def test_order2_at_a_small_radius(self, rho0, tmp_path, capsys):
@@ -396,6 +408,47 @@ class TestConfigAndErrors:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == "" and not (tmp_path / "out").exists()
         assert json.loads(captured.err)["error"] == "UnresolvedScaleError"
+
+    @pytest.mark.parametrize("method, n, bounded", [("exact", 3000, True),
+                                                    ("exact", 10**5, False), ("mc", 3000, False)])
+    def test_unresolved_log_derivative_before_the_variance(self, method, n, bounded, tmp_path,
+                                                           capsys, monkeypatch):
+        # the mean is computed first, so the run exits 3 without a variance, also where
+        # the work bound of the route would exit 2
+        doc = {"coeffs": [[16, 1, 0], [-3, 0.5, 0]]}
+        phi = CirclePotential.from_doc(doc)
+        check = (partial(check_exact_work, n, phi, 2) if method == "exact"
+                 else partial(check_mc_work, n, 100000, 2, 2))
+        if bounded:
+            check()
+        else:
+            pytest.raises(ValidationError, check)
+
+        def never(*args):
+            raise AssertionError("the variance was computed")
+
+        monkeypatch.setattr("bvlab.dynamics.birkhoff_variance", never)
+        monkeypatch.setattr("bvlab.dynamics.birkhoff_variance_mc", never)
+        (tmp_path / "phi.json").write_text(json.dumps(doc))
+        code = main(["dynamics", "var", "--blaschke", "0.999+0j,-0.999+0j", "--phi",
+                     str(tmp_path / "phi.json"), "--n", str(n), "--method", method,
+                     "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and not (tmp_path / "out").exists()
+        assert json.loads(captured.err)["error"] == "UnresolvedScaleError"
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["means-curve", "--points", "4", "--series"],
+         {"coeffs": [[1, 2**63, 1.7976931348623157e308]], "max_freq": 8}),
+        (["dynamics", "var", "--n", "8", "--samples", "64", "--method", "mc", "--phi"],
+         {"coeffs": [[-2, 1.7976931348623157e308, 0.0], [1, 1.0, 0.0]]})])
+    def test_document_coefficient_beyond_the_cap(self, argv, doc, tmp_path, capsys):
+        # its square overflows the float range: a capacity error, not an OverflowError
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        code = main([*argv, str(tmp_path / "doc.json"), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == "" and not (tmp_path / "out").exists()
+        assert json.loads(captured.err)["error"] == "CapacityError"
 
     def test_output_dir_under_a_regular_file(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")
@@ -572,6 +625,14 @@ def test_readme_command_lines_parse():
         assert args["command"] == argv[0]
         flags = [arg[2:].replace("-", "_") for arg in argv if arg.startswith("--")]
         assert all(args[key] is not None for key in flags), argv
+
+
+def test_parse_complex_caps_each_part():
+    assert parse_complex(COEFF_CAP, -COEFF_CAP) == complex(COEFF_CAP, -COEFF_CAP)
+    assert parse_complex("5e-324", 0) == 5e-324
+    for re, im in ((math.nextafter(COEFF_CAP, math.inf), 0), (0, -1.7976931348623157e308)):
+        with pytest.raises(CapacityError):
+            parse_complex(re, im)
 
 
 class TestParseInt:

@@ -2,14 +2,14 @@
 
 For every command of ``cli._COMMANDS`` hypothesis draws a command line and a
 config file from the kinds the table declares: valid values, boundary values
-(0, 1, 2^63 - 1, 2^63, inf, nan, 1e400, negatives), strings that are not
-numbers (a control character among them), wrong JSON types and, one draw in
-ten, a stray argument.  The document keys point at documents shaped
-after the three ``from_doc`` schemas (potential, Laurent series, field),
-NaN and Infinity literals included.  Each example first draws its faults:
-none, in the values, in the documents, or a few in both, so that runs with
-one bad value reach the code behind the checks before it.  Each run goes
-through ``cli.main`` in-process and must
+(0, 1, 2^63 - 1, 2^63, inf, nan, 1e400, negatives, the least subnormal and
+the largest float), strings that are not numbers (a control character among
+them), wrong JSON types and, one draw in ten, a stray argument.  The document
+keys point at documents shaped after the three ``from_doc`` schemas
+(potential, Laurent series, field), NaN and Infinity literals included.  Each
+example first draws its faults: none, in the values, in the documents, or a
+few in both, so that runs with one bad value reach the code behind the checks
+before it.  Each run goes through ``cli.main`` in-process and must
 
 * exit 0, 2 or 3,
 * write nothing to stderr on success, and exactly one JSON object (and
@@ -48,7 +48,8 @@ from bvlab.selfcheck import CheckResult
 
 # the slowest run the drawn values admit (an order2 grid at its work bound) takes 0.2 s
 WALL_S = 3.0
-BIG = [0, 1, -1, 2**63 - 1, 2**63, -(2**63), math.inf, -math.inf, math.nan, "1e400", -2.5]
+BIG = [0, 1, -1, 2**63 - 1, 2**63, -(2**63), math.inf, -math.inf, math.nan, "1e400", -2.5,
+       5e-324, 1.7976931348623157e308]
 NOT_NUMBERS = ["abc", "", "1e", "0x10", "1,2", "None", "1\x01"]
 WRONG_TYPES = [True, False, [], [1], {}, {"a": 1}]
 # (values, documents): how many draws in ten are faulty

@@ -222,6 +222,14 @@ class TestTruncation:
         with pytest.raises(ValidationError):
             truncate_to_polynomial(self.annulus_field(), 0.4, 0.01)
 
+    @pytest.mark.parametrize("r1", [0.51, 0.7, 0.99])
+    def test_smallest_eps_gives_the_smallest_passing_cutoff(self, r1):
+        # eps (1 - q) underflows to 0 at the least subnormal; the cutoff stays the
+        # smallest N whose float test q^(N+1) / (1 - q) <= eps passes
+        eps, q = 5e-324, 0.5 / r1
+        n = truncate_to_polynomial(self.annulus_field(), r1, eps).cutoff
+        assert q ** (n + 1) / (1.0 - q) <= eps < q ** n / (1.0 - q)
+
 
 class TestPeriodise:
     def test_shell_equals_periodised_first_shell(self):

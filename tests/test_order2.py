@@ -7,19 +7,19 @@ from hypothesis import strategies as st
 
 from bvlab.annular import (MonomialTerm, PiecewiseField, beurling, multiply)
 from bvlab.constructions import ShellParams, build_shell
-from bvlab.errors import FREQ_CAP, UnresolvedTruncationError, ValidationError
+from bvlab.errors import FREQ_CAP, ValidationError
 from bvlab.formulas import optimal_rho0, sigma2_second_order, sigma2_shell
 from bvlab.order2 import order2_bound, order2_field, parameter_search, shell_grid
 from conftest import circle
 from oracles import quad_beurling_at, quad_beurling_exterior
 
 
-def spy_fields(monkeypatch) -> list[int]:
-    """Record the shell count of every field order2_bound hands to order2_field."""
+def spy_fields(monkeypatch) -> list[tuple[int, int]]:
+    """Record the shell count and cut of every field order2_bound hands to order2_field."""
     shells = []
 
     def spy(mu, max_freq):
-        shells.append(len(mu.terms))
+        shells.append((len(mu.terms), max_freq))
         return order2_field(mu, max_freq)
 
     monkeypatch.setattr("bvlab.order2.order2_field", spy)
@@ -75,7 +75,6 @@ class TestOrder2Field:
         full = order2_field(mu, max_freq=10**6)
         assert clipped.tail_mass > 0
         assert full.tail_mass <= 1e-25
-        assert clipped.flagged
 
     @pytest.mark.parametrize("mu, max_freq, mass", [
         (build_shell(ShellParams(d=3, rho0=0.3, shells=3)), 20, 0.21536),
@@ -115,7 +114,7 @@ class TestOrder2Field:
             cut = 2 * fewer.frequency(shells - 1)
             own = order2_field(build_shell(fewer), cut)
             wider = order2_field(build_shell(params._replace(shells=more)), cut)
-            assert own.tail_mass == 0.0 and not own.flagged
+            assert own.tail_mass == 0.0
             assert own.w.coeffs and bits(own.w.coeffs) == bits(wider.w.coeffs)
 
 
@@ -174,7 +173,7 @@ class TestOrder2Bound:
         params = params._replace(shells=params.capacity)
         shells = spy_fields(monkeypatch)
         report = order2_bound(params, refine=True)
-        assert shells == [params.capacity]
+        assert shells == [(params.capacity, 2 * params.frequency(params.capacity - 1))]
         lower = order2_bound(params._replace(shells=params.capacity - 1))
         assert report.shells_used == params.capacity
         assert report.stability == abs(report.total - lower.total) / abs(report.total)
@@ -192,20 +191,6 @@ class TestOrder2Bound:
         doubled = order2_bound(params._replace(shells=8))
         assert report.stability == abs(doubled.total - report.total) / abs(report.total)
 
-    def test_refine_checks_the_refined_field(self, monkeypatch):
-        # the one field, of the doubled shell count, is checked as an unrefined field is
-        calls = []
-
-        def flagged(mu, max_freq):
-            calls.append((len(mu.terms), max_freq))
-            return order2_field(mu, max_freq)._replace(flagged=True)
-
-        monkeypatch.setattr("bvlab.order2.order2_field", flagged)
-        params = ShellParams(d=16, rho0=optimal_rho0(16), n0=15, shells=4)
-        with pytest.raises(UnresolvedTruncationError, match="dropped tail mass"):
-            order2_bound(params, refine=True)
-        assert calls == [(8, 2 * params.frequency(7))]
-
     @pytest.mark.parametrize("d, rho0, shells", [(16, "optimal", 4), (3, 0.05, 5),
                                                  (2, 0.6, 10**6), (20, "optimal", 10**6)])
     def test_refined_report_keeps_the_unrefined_fields(self, d, rho0, shells):
@@ -222,10 +207,13 @@ class TestOrder2Bound:
     @pytest.mark.parametrize("refine", [False, True])
     @pytest.mark.parametrize("shells", [4, 10**6])
     def test_one_field_per_call(self, shells, refine, monkeypatch):
+        # the field of the larger shell count, cut where its w is whole: 8 shells at
+        # 2 n_7 for a refined run of 4, the capacity at its own cut with or without refine
         params = ShellParams(d=16, rho0=optimal_rho0(16), n0=15, shells=shells)
         calls = spy_fields(monkeypatch)
         order2_bound(params, refine=refine)
-        assert len(calls) == 1
+        used = 8 if (shells, refine) == (4, True) else params.clipped_to_max_freq().shells
+        assert calls == [(used, 2 * params.frequency(used - 1))]
 
     @pytest.mark.parametrize("rho0", [1e-12, 1e-30])
     def test_small_radius_is_resolved(self, rho0):

@@ -28,7 +28,7 @@ HOMES = {
     "dynamics": "BirkhoffVariance BlaschkeMap CirclePotential birkhoff_variance "
                 "birkhoff_variance_exact birkhoff_variance_mc coboundary_check log_deriv_mean",
     "errors": "BVLabError CapacityError DivergentMomentError UnresolvedScaleError "
-              "UnresolvedTruncationError UnsupportedTermError ValidationError",
+              "UnsupportedTermError ValidationError",
     "formulas": "best_integer_degree best_real_degree distortion_constant julia_dim_k "
                 "julia_dim_t optimal_rho0 pointwise_sigma_bound sigma2_optimal "
                 "sigma2_second_order sigma2_shell "
