@@ -183,18 +183,12 @@ def cmd_means_curve(opts: dict, emit) -> int:
         g = laurent.ExteriorLaurent.from_doc(_read_json(opts["series"], "series"))
     else:
         g = constructions.shell_beurling_series(_shell_params(opts))
-    rows = []
-    for i in range(n):
-        t = i / (n - 1)
-        x = math.exp((1 - t) * math.log(hi) + t * math.log(lo))  # R - 1, descending
-        log_R = math.log1p(x)
-        means = variance.integral_means_log(g, log_R)
-        ratio = means / math.log(1.0 / x)
-        resolved = g.max_freq >= variance.resolving_freq(x)
-        rows.append([1.0 + x, means, ratio, "true" if resolved else "false"])
-    slope = variance.growth_slope(g, 1.0 + lo, 1.0 + hi, n)
+    curve = variance.means_curve(g, lo, hi, n)
+    rows = [[1.0 + x, means, means / math.log(1.0 / x),
+             "true" if g.max_freq >= variance.resolving_freq(x) else "false"]
+            for x, means in curve]
     emit("means_curve", csv_text(["R", "integral_means", "ratio", "resolved"], rows),
-         {"growth_slope": slope}, ext="csv")
+         {"growth_slope": variance.curve_slope(curve)}, ext="csv")
     return 0
 
 

@@ -27,7 +27,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import (CapacityError, FREQ_CAP, UnresolvedScaleError, ValidationError,
-                     parse_complex, parse_int)
+                     parse_coeffs)
 from .records import record
 
 if TYPE_CHECKING:
@@ -99,9 +99,9 @@ class CirclePotential(record("CirclePotential", "coeffs")):
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CirclePotential":
+        """Read {"coeffs": [[m, re, im], ...]} by errors.parse_coeffs: each m at most once."""
         try:
-            return cls.from_map({parse_int(m, "frequency"): parse_complex(re, im)
-                                 for m, re, im in doc["coeffs"]})
+            return cls.from_map(parse_coeffs(doc["coeffs"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed potential document: {exc}") from exc
 

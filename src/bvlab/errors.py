@@ -92,3 +92,15 @@ def parse_complex(re, im) -> complex:
     if max(abs(c.real), abs(c.imag)) > COEFF_CAP:
         raise CapacityError(f"coefficient {c} exceeds {COEFF_CAP:g} in a part")
     return c
+
+
+def parse_coeffs(entries) -> dict[int, complex]:
+    """The coefficients of a document's [k, re, im] entries by frequency; a frequency
+    listed twice is invalid, as it would leave the document two meanings."""
+    coeffs = {}
+    for k, re, im in entries:
+        k = parse_int(k, "frequency")
+        if k in coeffs:
+            raise ValidationError(f"frequency {k} is listed twice")
+        coeffs[k] = parse_complex(re, im)
+    return coeffs

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import fsum, prod
 
-from .errors import FREQ_CAP, CapacityError, ValidationError, parse_complex, parse_int
+from .errors import FREQ_CAP, CapacityError, ValidationError, parse_coeffs, parse_int
 from .records import record
 
 
@@ -123,9 +123,9 @@ class ExteriorLaurent(record("ExteriorLaurent", "coeffs max_freq self_similarity
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ExteriorLaurent":
+        """Read to_doc's form by errors.parse_coeffs: each frequency at most once."""
         try:
-            coeffs = {parse_int(k, "frequency"): parse_complex(re, im)
-                      for k, re, im in doc["coeffs"]}
+            coeffs = parse_coeffs(doc["coeffs"])
             max_freq = parse_int(doc["max_freq"], "max_freq")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed Laurent document: {exc}") from exc

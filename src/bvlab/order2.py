@@ -18,9 +18,9 @@ from .annular import PiecewiseField, beurling, beurling_exterior, product_beurli
 from .constructions import ShellParams, build_shell
 from .errors import FREQ_CAP, ValidationError
 from .formulas import sigma2_shell
-from .laurent import ExteriorLaurent, convolve
+from .laurent import ExteriorLaurent, SelfSimilarity, convolve
 from .records import record
-from .variance import variance_block_mass
+from .variance import block_masses, limit_estimate
 
 # parameter_search costs 6-8 us per unit of (J + 5)^2 at each point, J its effective
 # shell count (0.3 ms at J = 2, 35 ms at d = 2 with 61 shells); the bound admits about
@@ -86,8 +86,8 @@ def order2_bound(params: ShellParams, refine: bool = False) -> Order2Report:
     ``refine`` doubles the shell count and frequency cutoff and reports the
     relative change of the total, the stability diagnostic of the truncation.
     At shell capacity, where the doubled parameters clip back to the same
-    shells, it compares with one shell fewer instead.  w is computed once, for
-    the larger count, and each count reads its own w as a prefix of it.
+    shells, it compares with one shell fewer instead.  w and its block masses are
+    computed once; each count's estimate is the limit of their prefix below its cut.
     """
     eff = params.clipped_to_max_freq()
     if eff.shells < 2:
@@ -100,12 +100,12 @@ def order2_bound(params: ShellParams, refine: bool = False) -> Order2Report:
             if eff.shells < 3:
                 raise ValidationError("refining at shell capacity needs at least three shells")
             counts[1] -= 1
-    # each count J reads its whole w as the prefix up to 2 n_(J-1) (order2_field)
+    # each count J reads its whole w, and the masses of its blocks, below 2 n_(J-1)
     cuts = [2 * eff.frequency(j - 1) for j in counts]
     field = order2_field(build_shell(eff._replace(shells=max(counts))), max(cuts))
-    w = field.w.with_self_similarity(eff.degree, eff.first_frequency)
-    est, *compared = [variance_block_mass(w if cut == w.max_freq else w.truncated(cut))
-                      for cut in cuts]
+    masses = block_masses(field.w, SelfSimilarity(eff.degree, eff.first_frequency))
+    est, *compared = [limit_estimate(masses[:eff.shells_below(cut + 1) - 1], 1.0 / eff.degree,
+                                     "block_mass") for cut in cuts]
     first = sigma2_shell(eff.d, eff.rho0)
     total = first + est.value
     stability = (abs(first + compared[0].value - total) / max(abs(total), 1e-300)

@@ -14,7 +14,7 @@ estimators here are coefficient sums:
 
 Each builds a per-scale sequence whose error shrinks by a known ratio (1/d
 per self-similar scale, 1/2 between the Cesaro checkpoints N/2 and N), and
-one rule, _limit_estimate, reports its limit and a-posteriori error; a last
+one rule, limit_estimate, reports its limit and a-posteriori error; a last
 difference at rounding level (ROUNDING_FLOOR) counts as converged.
 
 Scales that the cutoff of the input does not resolve raise
@@ -30,7 +30,7 @@ from bisect import bisect_right
 from math import expm1, fsum, log1p
 
 from .errors import FREQ_CAP, UnresolvedScaleError, ValidationError
-from .laurent import ExteriorLaurent, derivative_coefficients
+from .laurent import ExteriorLaurent, SelfSimilarity, derivative_coefficients
 from .records import record
 
 TOLERANCE = 1e-3  # a-posteriori error, relative to the value, that counts as converged
@@ -57,8 +57,8 @@ class VarianceEstimate(record("VarianceEstimate", "value error method diagnostic
         return {**self._asdict(), "tolerance": TOLERANCE}
 
 
-def _limit_estimate(values: list[float], ratio: float, method: str,
-                    scales=None) -> VarianceEstimate:
+def limit_estimate(values: list[float], ratio: float, method: str,
+                   scales=None) -> VarianceEstimate:
     """The limit of values whose error shrinks by ``ratio`` = r from one scale to the next.
 
     The value (v_l - r v_(l-1))/(1 - r) is v_l plus the Richardson step
@@ -138,8 +138,8 @@ def variance_lacunary(moduli, d: float) -> VarianceEstimate:
     checkpoints = [len(squares)]
     while checkpoints[0] > 1:
         checkpoints.insert(0, -(-checkpoints[0] // 2))
-    return _limit_estimate([fsum(squares[:n]) / n / math.log(d) for n in checkpoints], 0.5,
-                           "lacunary_exact", checkpoints)
+    return limit_estimate([fsum(squares[:n]) / n / math.log(d) for n in checkpoints], 0.5,
+                          "lacunary_exact", checkpoints)
 
 
 def block_log_scales(R0: float, d: int, n_blocks: int) -> list[float]:
@@ -173,31 +173,32 @@ def variance_block(g: ExteriorLaurent, d: int, R0: float, n_blocks: int) -> Vari
     scales = [math.log(1.0 / x) for x in r_minus_1]
     increments = [(means[k + 1] - means[k]) / (scales[k + 1] - scales[k])
                   for k in range(n_blocks)]
-    return _limit_estimate(increments, 1.0 / d, "block_increment")
+    return limit_estimate(increments, 1.0 / d, "block_increment")
 
 
-def variance_block_mass(g: ExteriorLaurent) -> VarianceEstimate:
-    """Per-block l2 coefficient mass over log(base).
-
-    Requires self-similarity metadata on ``g``; block l covers frequencies in
-    [n_l, n_(l+1)).  Only blocks fully below the resolution cutoff count.
-    Exact for eventually self-similar series since I(R) has no cross terms.
-    """
-    ss = g.self_similarity
-    if ss is None:
-        raise ValidationError("block-mass estimator needs self-similarity metadata")
-    # block [n_l, n_(l+1)) is complete when n_(l+1) <= max_freq + 1
-    edges = ss.block_edges(g.max_freq + 1)
+def block_masses(g: ExteriorLaurent, blocks: SelfSimilarity) -> list[float]:
+    """Per-block l2 coefficient mass over log(base) of the blocks [n_l, n_(l+1)) of
+    ``blocks`` complete below the cutoff of g, n_(l+1) <= max_freq + 1, so that the
+    masses below a smaller cutoff are a prefix of these."""
+    edges = blocks.block_edges(g.max_freq + 1)
     complete = len(edges) - 1
     if complete < 1:
         raise UnresolvedScaleError("no complete self-similar block below the cutoff")
-    log_d = math.log(ss.base)
     buckets: list[list[float]] = [[] for _ in range(complete)]
     for k, c in g.coeffs.items():
         idx = bisect_right(edges, k) - 1  # -1 below the first edge
         if 0 <= idx < complete:
             buckets[idx].append(abs(c) ** 2)
-    return _limit_estimate([fsum(b) / log_d for b in buckets], 1.0 / ss.base, "block_mass")
+    return [fsum(b) / math.log(blocks.base) for b in buckets]
+
+
+def variance_block_mass(g: ExteriorLaurent) -> VarianceEstimate:
+    """The limit of the block_masses of g by the ratio 1/base, exact for eventually
+    self-similar series since I(R) has no cross terms; needs g's self-similarity."""
+    ss = g.self_similarity
+    if ss is None:
+        raise ValidationError("block-mass estimator needs self-similarity metadata")
+    return limit_estimate(block_masses(g, ss), 1.0 / ss.base, "block_mass")
 
 
 def cesaro_sigma4(v: ExteriorLaurent, R0: float, d: int) -> VarianceEstimate:
@@ -226,7 +227,7 @@ def cesaro_sigma4(v: ExteriorLaurent, R0: float, d: int) -> VarianceEstimate:
         values.append((8.0 / 3.0) * num / den)
     if not values:
         raise UnresolvedScaleError("series cutoff cannot resolve one fundamental annulus")
-    return _limit_estimate(values, 1.0 / d, "cesaro4")
+    return limit_estimate(values, 1.0 / d, "cesaro4")
 
 
 def _radial_fourth_order_integral(mass: dict[int, float], log_lo: float,
@@ -282,23 +283,28 @@ def _beta_tail(m: int, log_u: float) -> float:
     return math.exp((4 - m) * log_u) * (((c0 * t + c1) * t + c2) * t + c3)
 
 
-def growth_slope(g: ExteriorLaurent, R_lo: float, R_hi: float, n_pts: int = 40) -> float:
-    """Least-squares slope of I(R) against log(1/(R-1)) on a geometric grid.
-
-    For g arising as a transform of a Beltrami coefficient bounded by one,
-    the slope cannot exceed 1 up to finite-window effects.
-    """
-    if not 1.0 < R_lo < R_hi or n_pts < 2:
-        raise ValidationError("need 1 < R_lo < R_hi and at least two points")
-    xs, ys = [], []
+def means_curve(g: ExteriorLaurent, r_lo: float, r_hi: float, n_pts: int) -> list:
+    """(R - 1, I(R)) on the geometric grid of R - 1 from r_hi down to r_lo, given as R - 1
+    so that ends below the float step of 1 keep their value."""
+    if not 0.0 < r_lo < r_hi or n_pts < 2:
+        raise ValidationError("need 0 < r_lo < r_hi (R - 1) and at least two points")
+    curve = []
     for i in range(n_pts):
         t = i / (n_pts - 1)
-        r_minus_1 = math.exp((1 - t) * math.log(R_lo - 1.0) + t * math.log(R_hi - 1.0))
-        xs.append(math.log(1.0 / r_minus_1))
-        ys.append(integral_means_log(g, log1p(r_minus_1)))
-    x_mean = fsum(xs) / n_pts
-    y_mean = fsum(ys) / n_pts
-    cov = fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-    var = fsum((x - x_mean) ** 2 for x in xs)
-    return cov / var
+        x = math.exp((1 - t) * math.log(r_hi) + t * math.log(r_lo))
+        curve.append((x, integral_means_log(g, log1p(x))))
+    return curve
 
+
+def curve_slope(curve) -> float:
+    """Least-squares slope of I(R) against log(1/(R-1)) over (R - 1, I(R)) points."""
+    xs, ys = [math.log(1.0 / x) for x, _ in curve], [y for _, y in curve]
+    x_mean, y_mean = fsum(xs) / len(xs), fsum(ys) / len(ys)
+    cov = fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    return cov / fsum((x - x_mean) ** 2 for x in xs)
+
+
+def growth_slope(g: ExteriorLaurent, R_lo: float, R_hi: float, n_pts: int = 40) -> float:
+    """curve_slope of the means_curve of g from R_lo to R_hi; at most 1, up to window
+    effects, for the transform of a Beltrami coefficient bounded by one."""
+    return curve_slope(means_curve(g, R_lo - 1.0, R_hi - 1.0, n_pts))

@@ -1,7 +1,7 @@
 """Independent numerical oracles for the transform pipeline.
 
-Every oracle evaluates a defining integral by quadrature, never by the
-closed-form antiderivatives used in the package:
+Every oracle evaluates a defining integral by quadrature or at 50 digits,
+never by the closed-form code of the package:
 
   * band tensor rules in (log r, theta) for non-singular kernels
     (spectrally accurate in the periodic angle, O(h^2) radially);
@@ -13,6 +13,8 @@ closed-form antiderivatives used in the package:
     holomorphic functions;
   * 40-digit mpmath quadrature of the radial fourth-order integral on
     log-spaced pieces;
+  * a 50-digit mpmath rebuild of the second-order term w of a shell field,
+    and of its block masses, from the definitions (mp_order2_w);
   * numpy orbits of Blaschke maps on the circle and the 4096-point midpoint
     rule for the circle mean of log |B'|, from the logarithmic derivative.
 
@@ -329,6 +331,68 @@ def mp_radial_fourth_order(mass: dict[int, float], log_lo: float, log_hi: float,
             mid = (a + b) / 2
             del pieces[(a, b)]
             pieces.update({(a, mid): piece(a, mid), (mid, b): piece(mid, b)})
+
+
+def mp_order2_w(params, dps: int = 50) -> dict:
+    """w = S(mu S(mu)) - (1/2) S(mu)^2 of the shell field of ``params`` on |z| > 1, by
+    frequency, at ``dps`` digits from the definitions, without the package's term algebra.
+
+    A piece c z^m |z|^s on log r in [la, lb) is c r^(m+s) e^(i m theta), so the shell
+    block (conj(z)/|z|)^(n-2) is (1, 2 - n, n - 2).  Splitting 1/(z - zeta) at
+    |zeta| = |z| and integrating over angles, the Cauchy transform
+    C f(z) = (1/pi) int f(zeta)/(z - zeta) dA of a piece with m <= 0 is, with E = s + 2
+    and K = 2c/E, K z^(m-1) (|z|^E - a^E) on [a, b), the constant K (b^E - a^E) z^(m-1)
+    beyond b and 0 inside a.  As conj(z) = |z|^2/z, d/dz of z^m |z|^s is
+    (m + s/2) z^(m-1) |z|^s, so S = dC/dz keeps one piece per piece.  Products add
+    exponents on the overlap of the supports, and every piece here has m <= 0.  On
+    |z| > 1, C of a piece is K (b^E - a^E) z^(m-1), and S maps b_k z^-k to -k b_k z^-(k+1).
+    """
+    import mpmath as mp
+
+    def cauchy(pieces):  # on the whole plane
+        out = []
+        for c, m, s, la, lb in pieces:
+            assert m <= 0  # a piece with m >= 1 has its constant inside a, not beyond b
+            E = s + 2
+            K, lo, hi = 2 * c / E, mp.exp(E * la), mp.exp(E * lb)
+            out += [(K, m - 1, E, la, lb), (-K * lo, m - 1, 0, la, lb),
+                    (K * (hi - lo), m - 1, 0, lb, mp.inf)]
+        return out
+
+    def exterior_beurling(pieces):  # the coefficient of z^-(k+1) of S on |z| > 1, k = 1 - m
+        out = {}
+        for c, m, s, la, lb in pieces:
+            E, k = s + 2, 1 - m
+            out[k + 1] = out.get(k + 1, 0) - k * 2 * c * (mp.exp(E * lb) - mp.exp(E * la)) / E
+        return out
+
+    with mp.workdps(dps):
+        freqs = [params.frequency(j) for j in range(params.shells)]
+        logs = [mp.log(mp.mpf(params.rho0)) / n for n in [*freqs, freqs[-1] * params.degree]]
+        mu = [(mp.mpf(1), 2 - n, n - 2, logs[j], logs[j + 1]) for j, n in enumerate(freqs)]
+        s_mu = [(c * (m + mp.mpf(s) / 2), m - 1, s, la, lb) for c, m, s, la, lb in cauchy(mu)]
+        product = [(c1 * c2, m1 + m2, s1 + s2, max(a1, a2), min(b1, b2))
+                   for c1, m1, s1, a1, b1 in mu for c2, m2, s2, a2, b2 in s_mu
+                   if max(a1, a2) < min(b1, b2)]
+        w = exterior_beurling(product)
+        s_ext = exterior_beurling(mu)  # S(mu) on |z| > 1, squared below
+        for i, a in s_ext.items():
+            for j, b in s_ext.items():
+                w[i + j] = w.get(i + j, 0) - a * b / 2
+        return w
+
+
+def mp_order2_block_masses(params, dps: int = 50) -> list:
+    """The mass sum |w_k|^2 / log d of each block [n_l, n_(l+1)) of mp_order2_w complete
+    below the cut 2 n_(J-1), that is with n_(l+1) <= 2 n_(J-1) + 1, at ``dps`` digits."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        w = mp_order2_w(params, dps)
+        cut = 2 * params.frequency(params.shells - 1)
+        edges = [params.first_frequency * params.degree**l for l in range(params.shells + 2)]
+        return [mp.fsum(abs(c) ** 2 for k, c in w.items() if lo <= k < hi)
+                / mp.log(params.degree) for lo, hi in zip(edges, edges[1:]) if hi <= cut + 1]
 
 
 def apply_circle(b: BlaschkeMap, z: np.ndarray) -> np.ndarray:

@@ -226,6 +226,24 @@ class TestMeansCurve:
         lines = (tmp_path / "means_curve.csv").read_text().strip().splitlines()
         assert any(line.endswith("false") for line in lines[1:])
 
+    @pytest.mark.parametrize("argv", [["--r-min", "1e-8", "--r-max", "1e-3"],
+                                      ["--r-min", "1e-15"]])
+    def test_growth_slope_is_fitted_on_the_rows(self, argv, tmp_path, capsys):
+        # the least-squares slope of I(R) against log(1/(R-1)) = I(R)/ratio over the
+        # printed rows; at r_min 1e-15, R - 1 cannot be read back from R itself
+        code, _, _ = run_cli(["means-curve", "--d", "2", "--rho0", "0.25", "--shells", "30",
+                              *argv], tmp_path, capsys)
+        assert code == 0
+        rows = [line.split(",") for line in
+                (tmp_path / "means_curve.csv").read_text().strip().splitlines()[1:]]
+        ys = [float(row[1]) for row in rows]
+        xs = [float(row[1]) / float(row[2]) for row in rows]
+        x_mean, y_mean = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+        fit = (math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+               / math.fsum((x - x_mean) ** 2 for x in xs))
+        slope = json.loads((tmp_path / "means_curve_manifest.json").read_text())
+        assert slope["resolved"]["growth_slope"] == pytest.approx(fit, rel=1e-14, abs=0)
+
     def test_r_min_below_the_float_step_of_one(self, tmp_path, capsys):
         # 1 + 1e-17 == 1, so R_min would not lie above 1: the check names r_min
         code, out, err = run_cli(["means-curve", "--d", "2", "--r-min", "1e-17"],
@@ -449,6 +467,20 @@ class TestConfigAndErrors:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == "" and not (tmp_path / "out").exists()
         assert json.loads(captured.err)["error"] == "CapacityError"
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["means-curve", "--series"], {"coeffs": [[1, 1, 0], [1, 2, 0]], "max_freq": 8}),
+        (["dynamics", "var", "--d", "2", "--phi"],
+         {"coeffs": [[16, 0.1, 0], [-3, 0.5, 0], ["16", 0.2, 0]]})])
+    def test_repeated_frequency_in_a_document(self, argv, doc, tmp_path, capsys):
+        # the document would mean either coefficient, so it is invalid, not read as the last
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        code = main([*argv, str(tmp_path / "doc.json"), "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not (tmp_path / "out").exists()
+        assert json.loads(captured.err) == {"error": "ValidationError",
+                                            "message": f"frequency {doc['coeffs'][0][0]} "
+                                                       "is listed twice"}
 
     def test_output_dir_under_a_regular_file(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")

@@ -99,6 +99,11 @@ class TestMonteCarlo:
         with pytest.raises(ValidationError):
             CirclePotential.from_doc({"coeffs": [[1.5, 1.0, 0.0]]})
 
+    def test_potential_document_repeated_frequency_rejected(self):
+        with pytest.raises(ValidationError, match="frequency -1 is listed twice"):
+            CirclePotential.from_doc({"coeffs": [[-1, 1.0, 0.0], [1, 0.5, 0.0],
+                                                 [-1.0, 2.0, 0.0]]})
+
     def test_nontrivial_blaschke_stable_under_depth(self):
         phi = CirclePotential.from_map({-1: 0.5, 1: 0.5})   # Re z
         b = BlaschkeMap((0.3 + 0j,))

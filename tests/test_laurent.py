@@ -176,6 +176,13 @@ class TestMetadataAndSerialization:
         with pytest.raises(ValidationError):
             ExteriorLaurent.from_doc(doc)
 
+    @pytest.mark.parametrize("entries", [[[1, 1.0, 0.0], [1, 2.0, 0.0]],
+                                         [[2, 1.0, 0.0], [3, 0.0, 1.0], ["2", 1.0, 0.0]]])
+    def test_repeated_frequency_rejected(self, entries):
+        # a frequency listed twice, even with the same coefficient, is not read as either
+        with pytest.raises(ValidationError, match="listed twice"):
+            ExteriorLaurent.from_doc({"coeffs": entries, "max_freq": 8})
+
     def test_integral_numbers_kept_exactly(self):
         g = ExteriorLaurent.from_doc({"coeffs": [[2.0, 1.0, 0.0], ["3", 0.5, 0.0]],
                                       "max_freq": "9223372036854775807"})

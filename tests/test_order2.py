@@ -1,6 +1,7 @@
 """Second-order term: route independence, convergence, bounds and search."""
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +10,11 @@ from bvlab.annular import (MonomialTerm, PiecewiseField, beurling, multiply)
 from bvlab.constructions import ShellParams, build_shell
 from bvlab.errors import FREQ_CAP, ValidationError
 from bvlab.formulas import optimal_rho0, sigma2_second_order, sigma2_shell
+from bvlab.laurent import ExteriorLaurent
 from bvlab.order2 import order2_bound, order2_field, parameter_search, shell_grid
+from bvlab.variance import block_masses, limit_estimate, variance_block_mass
 from conftest import circle
-from oracles import quad_beurling_at, quad_beurling_exterior
+from oracles import mp_order2_block_masses, quad_beurling_at, quad_beurling_exterior
 
 
 def spy_fields(monkeypatch) -> list[tuple[int, int]]:
@@ -215,6 +218,45 @@ class TestOrder2Bound:
         used = 8 if (shells, refine) == (4, True) else params.clipped_to_max_freq().shells
         assert calls == [(used, 2 * params.frequency(used - 1))]
 
+    @pytest.mark.parametrize("refine", [False, True])
+    @pytest.mark.parametrize("d, shells", [(2, 5), (16, 4), (16, 10**6)])
+    def test_w_built_and_bucketed_once(self, d, shells, refine, monkeypatch):
+        # three series, S(mu), its square and w at the larger cut, and one pass of block
+        # masses, whose prefixes give the estimates of both shell counts
+        params = ShellParams(d=d, rho0=optimal_rho0(d), shells=shells)
+        buckets, built = [], []
+        monkeypatch.setattr("bvlab.order2.block_masses",
+                            lambda g, blocks: buckets.append(g) or block_masses(g, blocks))
+        new = ExteriorLaurent.__new__
+        monkeypatch.setattr(ExteriorLaurent, "__new__", staticmethod(
+            lambda cls, coeffs, max_freq, ss=None: built.append(max_freq) or new(
+                cls, coeffs, max_freq, ss)))
+        report = order2_bound(params, refine=refine)
+        assert len(buckets) == 1 and buckets[0].self_similarity is None
+        assert len(built) == 3 and built.count(buckets[0].max_freq) == 1
+        # a refined run below capacity reads its own w at a smaller cut, not rebuilt there
+        assert built.count(report.max_freq_used) == (report.max_freq_used == buckets[0].max_freq)
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    @pytest.mark.parametrize("at_capacity", [False, True])
+    def test_compared_estimate_is_the_block_mass_of_the_cut_w(self, d, at_capacity,
+                                                              monkeypatch):
+        # bit for bit the estimate of the smaller w, cut and given its block structure
+        params = ShellParams(d=d, rho0=optimal_rho0(d))
+        params = params._replace(shells=params.capacity if at_capacity else 5)
+        estimates = []
+        monkeypatch.setattr("bvlab.order2.limit_estimate",
+                            lambda *args: estimates.append(limit_estimate(*args)) or estimates[-1])
+        report = order2_bound(params, refine=True)
+        counts = [params.capacity, params.capacity - 1] if at_capacity else [5, 10]
+        cuts = [2 * params.frequency(j - 1) for j in counts]
+        w = order2_field(build_shell(params._replace(shells=max(counts))), max(cuts)).w
+        w = w.with_self_similarity(d, params.first_frequency)
+        expected = [variance_block_mass(w if cut == max(cuts) else w.truncated(cut))
+                    for cut in cuts]
+        assert [repr(e.to_doc()) for e in estimates] == [repr(e.to_doc()) for e in expected]
+        assert report.second_order_estimate == estimates[0]
+
     @pytest.mark.parametrize("rho0", [1e-12, 1e-30])
     def test_small_radius_is_resolved(self, rho0):
         # 2 (1e-12) or all 36 (1e-30) coefficients of w lie below 1e-14, and none is dropped
@@ -230,6 +272,36 @@ class TestOrder2Bound:
         assert order2_bound(params).shells_used == 2
         with pytest.raises(ValidationError, match="at least three shells"):
             order2_bound(params, refine=True)
+
+
+class TestReferee:
+    """The block masses and their limit against a 50-digit rebuild of w from its
+    definitions (oracles.mp_order2_w), near shell capacity (d = 16, 20) and at it (d = 2)."""
+
+    CASES = [(d, shells, rho0) for d, shells in ((16, 14), (20, 13), (2, 61))
+             for rho0 in ("optimal", 0.05, 0.6)]
+
+    @pytest.mark.parametrize("d, shells, rho0", CASES)
+    def test_block_masses(self, d, shells, rho0):
+        # measured worst 6.3e-15 (d = 16 at 0.05); the first block of d = 2 is empty
+        params = ShellParams(d=d, rho0=rho0, shells=shells)
+        report = order2_bound(params)
+        assert report.shells_used == shells
+        masses = [v for _, v in report.second_order_estimate.diagnostics]
+        reference = mp_order2_block_masses(params)
+        assert len(masses) == len(reference) == (shells if d == 2 else shells - 1)
+        assert all(abs(m - r) <= 1e-14 * r for m, r in zip(masses, reference))
+
+    @pytest.mark.parametrize("d, shells, rho0", CASES)
+    def test_limit_is_the_closed_form(self, d, shells, rho0):
+        # the Richardson limit of the referee's masses at 50 digits; measured worst
+        # 1.1e-15 (d = 2 at 0.6), the rounding of the float closed form
+        params = ShellParams(d=d, rho0=rho0, shells=shells)
+        reference = mp_order2_block_masses(params)
+        with mpmath.workdps(50):
+            limit = reference[-1] + (reference[-1] - reference[-2]) / (d - 1)
+            miss = abs(limit - sigma2_second_order(d, params.rho0)) / limit
+        assert miss <= 2e-15
 
 
 class TestParameterSearch:

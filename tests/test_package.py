@@ -28,7 +28,7 @@ HOMES = {
     "dynamics": "BirkhoffVariance BlaschkeMap CirclePotential birkhoff_variance "
                 "birkhoff_variance_exact birkhoff_variance_mc coboundary_check log_deriv_mean",
     "errors": "BVLabError CapacityError DivergentMomentError UnresolvedScaleError "
-              "UnsupportedTermError ValidationError",
+              "UnsupportedTermError ValidationError parse_coeffs",
     "formulas": "best_integer_degree best_real_degree distortion_constant julia_dim_k "
                 "julia_dim_t optimal_rho0 pointwise_sigma_bound sigma2_optimal "
                 "sigma2_second_order sigma2_shell "
@@ -36,7 +36,8 @@ HOMES = {
     "laurent": "ExteriorLaurent SelfSimilarity complex_fsum derivative_coefficients",
     "order2": "Order2Report order2_bound order2_field parameter_search",
     "records": "record",
-    "variance": "VarianceEstimate cesaro_sigma4 growth_slope integral_means variance_block "
+    "variance": "VarianceEstimate block_masses cesaro_sigma4 curve_slope growth_slope "
+                "integral_means limit_estimate means_curve variance_block "
                 "variance_block_mass variance_lacunary",
 }
 HOME = {name: module for module, names in HOMES.items() for name in names.split()}

@@ -14,9 +14,10 @@ from bvlab.constructions import (ShellParams, random_unit_shell_field,
 from bvlab.errors import UnresolvedScaleError, ValidationError
 from bvlab.formulas import optimal_rho0, sigma2_optimal, sigma2_shell
 from bvlab.laurent import ExteriorLaurent, SelfSimilarity
-from bvlab.variance import (CESARO_R0_MAX, ROUNDING_FLOOR, TOLERANCE, _limit_estimate,
-                            _radial_fourth_order_integral, cesaro_sigma4, growth_slope,
-                            integral_means, integral_means_log, linspace, resolving_freq,
+from bvlab.variance import (CESARO_R0_MAX, ROUNDING_FLOOR, TOLERANCE,
+                            _radial_fourth_order_integral, block_masses, cesaro_sigma4,
+                            curve_slope, growth_slope, integral_means, integral_means_log,
+                            limit_estimate, linspace, means_curve, resolving_freq,
                             variance_block, variance_block_mass, variance_lacunary)
 from oracles import angular_mean_square, bloch_seminorm, derivative, mp_radial_fourth_order
 
@@ -122,14 +123,14 @@ class TestLimitEstimate:
     def test_recovers_the_limit_of_a_geometric_sequence(self, limit, c, d, n):
         r = 1.0 / d
         values = [limit + c * r**l for l in range(n)]
-        est = _limit_estimate(values, r, "geometric")
+        est = limit_estimate(values, r, "geometric")
         # the rounding of the last two values, at most twice amplified, and of the sum
         assert abs(est.value - limit) <= 4 * sys.float_info.epsilon * (
             abs(limit) + abs(c) * r ** (n - 2))
         assert est.diagnostics == tuple(enumerate(values))
 
     def test_supported_ratio_converges(self):
-        est = _limit_estimate([1.0 + 1e-6 * 0.5**l for l in range(6)], 0.5, "geometric")
+        est = limit_estimate([1.0 + 1e-6 * 0.5**l for l in range(6)], 0.5, "geometric")
         assert est.converged and est.error == pytest.approx(1e-6 * 0.5**5)
 
     @pytest.mark.parametrize("values", [
@@ -138,7 +139,7 @@ class TestLimitEstimate:
         [1.0 + 4.3e-10, 1.0 + 2.2e-10, 1.0 - 6.2e-9],  # the last value breaks the pattern
     ])
     def test_disagreeing_ratio_is_not_converged(self, values):
-        est = _limit_estimate(values, 0.5, "geometric")
+        est = limit_estimate(values, 0.5, "geometric")
         assert est.error <= TOLERANCE * est.value  # small, but not supported
         assert not est.converged
 
@@ -147,15 +148,15 @@ class TestLimitEstimate:
         # converged, just past it they must show the ratio
         eps = sys.float_info.epsilon
         noise = [1.0, 1.0 + 10 * eps, 1.0 - 10 * eps]
-        assert _limit_estimate(noise, 1 / 3, "rounding").converged
+        assert limit_estimate(noise, 1 / 3, "rounding").converged
         for factor, converged in ((ROUNDING_FLOOR, True), (2 * ROUNDING_FLOOR, False)):
             values = [1.0, 1.0 + 10 * eps, 1.0 + 10 * eps + factor]
-            assert _limit_estimate(values, 1 / 3, "floor").converged == converged
+            assert limit_estimate(values, 1 / 3, "floor").converged == converged
 
     def test_one_or_two_values_are_not_converged(self):
-        one = _limit_estimate([1.0], 0.5, "short")
+        one = limit_estimate([1.0], 0.5, "short")
         assert (one.value, one.error, one.converged) == (1.0, None, False)
-        two = _limit_estimate([1.0, 1.0], 0.5, "short")
+        two = limit_estimate([1.0, 1.0], 0.5, "short")
         assert (two.value, two.error, two.converged) == (1.0, 0.0, False)
 
 
@@ -235,6 +236,23 @@ class TestBlockMass:
         # [8, 16) is complete when its upper edge 16 is at most max_freq + 1
         g = ExteriorLaurent({2: 1.0, 4: 1.0, 8: 1.0}, max_freq, SelfSimilarity(2, 2))
         assert len(variance_block_mass(g).diagnostics) == blocks
+
+    @given(st.dictionaries(st.integers(1, 3000), st.complex_numbers(
+               max_magnitude=1e3, allow_nan=False, allow_infinity=False), max_size=60),
+           st.integers(2, 5), st.integers(1, 4), st.integers(1, 3000))
+    @settings(max_examples=60, deadline=None)
+    def test_masses_below_a_smaller_cutoff_are_a_prefix(self, coeffs, base, first, cut):
+        # order2_bound reads the estimate of each shell count from one list of masses
+        blocks = SelfSimilarity(base, first)
+        g = ExteriorLaurent(coeffs, 3000)
+        complete = len(blocks.block_edges(cut + 1)) - 1
+        if complete < 1:
+            with pytest.raises(UnresolvedScaleError):
+                block_masses(g.truncated(cut), blocks)
+            return
+        assert block_masses(g.truncated(cut), blocks) == block_masses(g, blocks)[:complete]
+        own = variance_block_mass(g.truncated(cut).with_self_similarity(base, first))
+        assert own == limit_estimate(block_masses(g, blocks)[:complete], 1 / base, "block_mass")
 
 
 class TestCoefficientOrder:
@@ -380,6 +398,26 @@ class TestGrowthSlope:
         g = ExteriorLaurent({2**n: 1.0 for n in range(26)}, 2**26)
         slope = growth_slope(g, 1 + 1e-5, 1 + 1e-2, 40)
         assert slope == pytest.approx(1.0 / LOG2, abs=0.05)
+
+
+    @pytest.mark.parametrize("r_lo, r_hi, n_pts", [(0.0, 1e-3, 10), (1e-3, 1e-3, 10),
+                                                   (1e-3, 1e-8, 10), (1e-8, 1e-3, 1)])
+    def test_grid_needs_ordered_positive_ends(self, r_lo, r_hi, n_pts):
+        g = ExteriorLaurent({2: 1.0}, 10**9)
+        with pytest.raises(ValidationError):
+            means_curve(g, r_lo, r_hi, n_pts)
+        with pytest.raises(ValidationError):
+            growth_slope(g, 1.0 + r_lo, 1.0 + r_hi, n_pts)
+
+    def test_slope_of_the_curve(self):
+        # the curve runs from r_hi down to r_lo, and growth_slope is the fit over it
+        g = shell_beurling_series(ShellParams(d=2, rho0=0.25, shells=30))
+        curve = means_curve(g, 1e-8, 1e-3, 40)
+        assert curve[0][0] == pytest.approx(1e-3, rel=1e-15)
+        assert curve[-1][0] == pytest.approx(1e-8, rel=1e-15)
+        assert all(m == integral_means_log(g, math.log1p(x)) for x, m in curve)
+        assert growth_slope(g, 1 + 1e-8, 1 + 1e-3, 40) == curve_slope(
+            means_curve(g, (1 + 1e-8) - 1, (1 + 1e-3) - 1, 40))
 
 
 class TestLinspace:
