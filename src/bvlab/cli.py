@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import (__version__, annular, constructions, dynamics, formulas, laurent, order2,
                selfcheck, variance)
-from .errors import FREQ_CAP, BVLabError, ValidationError, parse_float, parse_int
+from .errors import BVLabError, ValidationError, parse_float, parse_int
 from .manifest import csv_text, json_text, write_text
 
 _MAX_POINTS = 10**4  # 100x the default means-curve grid
@@ -78,7 +78,13 @@ def _emit(manifest: dict, out_dir: Path, name: str, payload, resolved: dict | No
 
 def _shell_params(opts: dict) -> constructions.ShellParams:
     return constructions.ShellParams(d=_need(opts, "d"), rho0=opts["rho0"], n0=opts["n0"],
-                                     shells=opts["shells"], max_freq=opts["max_freq"])
+                                     shells=opts["shells"])
+
+
+def _series_resolved(opts: dict, g) -> dict:
+    """The first frequency of shell series g if the run took the default, and its cutoff."""
+    n0 = {} if opts["n0"] is not None else {"n0": g.self_similarity.first_index}
+    return {**n0, "series_cutoff": g.max_freq}
 
 
 # ---------------------------------------------------------------------------
@@ -104,18 +110,18 @@ def cmd_variance(opts: dict, emit) -> int:
     if method == "exact":
         est = variance.variance_lacunary(constructions.shell_moduli(params, opts["terms"]),
                                          params.d)
-    elif method == "block":  # the fewest shells, at least --shells, that reach the finest scale
-        need = variance.resolving_freq(
-            math.expm1(variance.block_log_scales(r0, params.degree, blocks)[-1]))
-        shells = resolved["shells"] = max(params.shells,
-                                          params.shells_below(math.ceil(need) - 1) + 1)
-        g = constructions.shell_beurling_series(_shell_params({**opts, "shells": shells}))
-        est = variance.variance_block(g, params.degree, r0, blocks)
-    elif method == "mass":
-        est = variance.variance_block_mass(constructions.shell_beurling_series(params))
-    else:  # cesaro
-        est = variance.cesaro_sigma4(constructions.shell_cauchy_series(params), r0,
-                                     params.degree)
+    else:
+        if method == "block":  # the fewest shells, at least --shells, that reach the finest scale
+            need = variance.resolving_freq(
+                math.expm1(variance.block_log_scales(r0, params.degree, blocks)[-1]))
+            resolved["shells"] = max(params.shells, params.shells_below(math.ceil(need) - 1) + 1)
+            params = params._replace(shells=resolved["shells"])
+        g = (constructions.shell_cauchy_series if method == "cesaro"
+             else constructions.shell_beurling_series)(params)
+        resolved.update(_series_resolved(opts, g))
+        est = (variance.variance_block(g, params.degree, r0, blocks) if method == "block"
+               else variance.variance_block_mass(g) if method == "mass"
+               else variance.cesaro_sigma4(g, r0, params.degree))
     payload = est.to_doc()
     payload["d"] = params.d
     payload["rho0"] = params.rho0
@@ -140,7 +146,7 @@ def cmd_optimize(opts: dict, emit) -> int:
 def cmd_order2(opts: dict, emit) -> int:
     if opts["grid_d"]:
         grid = order2.shell_grid(opts["grid_d"], opts["grid_rho0"], opts["grid_n0"],
-                                 6 if opts["shells"] is None else opts["shells"], opts["max_freq"])
+                                 6 if opts["shells"] is None else opts["shells"])
         best, board = order2.parameter_search(grid)
         header = ["d", "rho0", "n0", "shells", "first_order", "second_order",
                   "total", "tail_mass"]
@@ -181,14 +187,16 @@ def cmd_means_curve(opts: dict, emit) -> int:
                               f"< 1 and 2 <= points <= {_MAX_POINTS}")
     if opts["series"]:
         g = laurent.ExteriorLaurent.from_doc(_read_json(opts["series"], "series"))
+        resolved = {}
     else:
         g = constructions.shell_beurling_series(_shell_params(opts))
+        resolved = _series_resolved(opts, g)
     curve = variance.means_curve(g, lo, hi, n)
     rows = [[1.0 + x, means, means / math.log(1.0 / x),
              "true" if g.max_freq >= variance.resolving_freq(x) else "false"]
             for x, means in curve]
     emit("means_curve", csv_text(["R", "integral_means", "ratio", "resolved"], rows),
-         {"growth_slope": variance.curve_slope(curve)}, ext="csv")
+         {**resolved, "growth_slope": variance.curve_slope(curve)}, ext="csv")
     return 0
 
 
@@ -218,8 +226,8 @@ def cmd_dynamics(opts: dict, emit) -> int:
         emit("dynamics_coboundary", payload)
         return 0
     n, samples, seed = 50 if opts["n"] is None else opts["n"], opts["samples"], opts["seed"]
-    if seed < 0 or not 2 <= samples <= dynamics.MAX_SAMPLES:  # checked on every route
-        raise ValidationError(f"need seed >= 0 and 2 <= samples <= {dynamics.MAX_SAMPLES}")
+    if not 2 <= samples <= dynamics.MAX_SAMPLES:  # checked on every route
+        raise ValidationError(f"need 2 <= samples <= {dynamics.MAX_SAMPLES}")
     phi = dynamics.CirclePotential.from_doc(_read_json(_need(opts, "phi"), "potential"))
     zeros = opts["blaschke"]
     b = dynamics.BlaschkeMap(zeros) if zeros else dynamics.BlaschkeMap.power(opts["d"])
@@ -296,7 +304,7 @@ def _zeros(value, key: str) -> tuple[complex, ...]:
 # manifest echoes flags as parsed and config values as written.
 _READERS = {"int": parse_int, "float": parse_float, "text": _text, "switch": _switch}
 _SHELL = {"d": (parse_float, None), "rho0": (_rho0, "optimal"), "n0": ("int", None),
-          "shells": ("int", 10), "max_freq": (parse_int, FREQ_CAP)}
+          "shells": ("int", 10)}
 _GLOBAL = {"seed": ("int", 0), "output_dir": ("text", None)}
 _ECHOED = ("rho0", "method")  # defaults echoed in manifests, below the config
 _POSITIONAL = ("kind", "subcommand")
@@ -403,6 +411,8 @@ def run(argv: list[str]) -> int:
               **_load_config(args.pop("config"), keys),
               **{k: v for k, v in args.items() if v is not None}}
     opts = _read(keys, values)
+    if opts["seed"] < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {opts['seed']}")
     manifest = {"tool": "bvlab", "version": __version__, "command": command, "config": values}
     # the environment variable wins, then the flag or the config, then ./bvlab_out
     out_dir = Path(os.environ.get(OUTPUT_ENV) or opts["output_dir"] or "bvlab_out")

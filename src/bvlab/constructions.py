@@ -44,19 +44,19 @@ def default_first_frequency(d: int) -> int:
     return 2 if d == 2 else d - 1
 
 
-class ShellParams(record("ShellParams", "d rho0 n0 shells max_freq")):
-    """Parameters of the shell coefficient and its Laurent truncation.
+class ShellParams(record("ShellParams", "d rho0 n0 shells")):
+    """Parameters of the shell coefficient.
 
     ``d`` may be a real number > 1 for formula-only paths; materializing a
     field requires an integer degree.  ``rho0="optimal"`` resolves to
-    ``optimal_rho0(d)``.  ``shells`` is the number of annuli and ``max_freq``
-    the Laurent resolution cutoff carried by derived series.
+    ``optimal_rho0(d)``.  ``shells`` is the number of annuli J, and n_J - 1
+    the cutoff of the shell series (``series_cutoff``).
     """
 
     __slots__ = ()
 
-    def __new__(cls, d: float, rho0: float | str, n0: int | None = None, shells: int = 10,
-                max_freq: int = FREQ_CAP) -> "ShellParams":
+    def __new__(cls, d: float, rho0: float | str, n0: int | None = None,
+                shells: int = 10) -> "ShellParams":
         check_degree(d)
         if rho0 == "optimal":
             rho0 = optimal_rho0(d)
@@ -64,11 +64,9 @@ class ShellParams(record("ShellParams", "d rho0 n0 shells max_freq")):
             raise ValidationError("rho0 must lie in (0, 1)")
         if shells < 0:
             raise ValidationError("shell count must be >= 0")
-        if max_freq < 1:
-            raise ValidationError("max_freq must be >= 1")
         if n0 is not None and n0 < 2:
             raise ValidationError("first shell frequency n0 must be >= 2")
-        return super().__new__(cls, d, rho0, n0, shells, max_freq)
+        return super().__new__(cls, d, rho0, n0, shells)
 
     @property
     def degree(self) -> int:
@@ -96,9 +94,9 @@ class ShellParams(record("ShellParams", "d rho0 n0 shells max_freq")):
         return math.log(self.rho0) / float(n)
 
     def series_cutoff(self) -> int:
-        """Largest frequency at which shell-derived series are exact."""
-        n = self.first_frequency * self.degree**self.shells
-        return max(1, min(self.max_freq, n - 1, FREQ_CAP))
+        """min(n_J - 1, FREQ_CAP): the shell series are exact up to it and hold nothing
+        above n_(J-1), since shell j has its coefficients at n_j - 1 and n_j."""
+        return min(self.first_frequency * self.degree**self.shells - 1, FREQ_CAP)
 
     @property
     def delta(self) -> float:
@@ -111,11 +109,11 @@ class ShellParams(record("ShellParams", "d rho0 n0 shells max_freq")):
 
     @property
     def capacity(self) -> int:
-        """Largest shell count whose full product spectrum fits under max_freq."""
-        return self.shells_below(min(self.max_freq // 2, FREQ_CAP))
+        """Largest shell count J whose product spectrum, up to 2 n_(J-1), fits in 64 bits."""
+        return self.shells_below(FREQ_CAP // 2)
 
     def clipped_to_max_freq(self) -> "ShellParams":
-        """These parameters with at most ``capacity`` shells."""
+        """At most ``capacity`` shells; the name stays because perfbench calls it."""
         shells = min(self.shells, self.capacity)
         return self if shells == self.shells else self._replace(shells=shells)
 
@@ -134,20 +132,21 @@ def build_shell(params: ShellParams) -> PiecewiseField:
 
 
 def shell_cauchy_series(params: ShellParams) -> ExteriorLaurent:
-    """Exterior Cauchy series of the shell field, with block metadata attached."""
-    field = build_shell(params)
-    return cauchy_exterior(field).truncated(params.series_cutoff()).with_self_similarity(
-        params.degree, params.first_frequency)
+    """Exterior Cauchy series of the shell field, whole below its cutoff, with block
+    metadata attached."""
+    return ExteriorLaurent(cauchy_exterior(build_shell(params)).coeffs, params.series_cutoff(),
+                           SelfSimilarity(params.degree, params.first_frequency))
 
 
 def shell_beurling_series(params: ShellParams) -> ExteriorLaurent:
-    """Exterior series of the transform of the shell field.
+    """Exterior series of the transform of the shell field, whole below its cutoff.
 
     Coefficient moduli are 2 (1 - 1/n_j) (rho0^(1/d) - rho0) at the
     frequencies n_j; the series is exact below the first missing shell.
     """
-    return beurling_exterior(build_shell(params)).truncated(
-        params.series_cutoff()).with_self_similarity(params.degree, params.first_frequency)
+    return ExteriorLaurent(beurling_exterior(build_shell(params)).coeffs,
+                           params.series_cutoff(),
+                           SelfSimilarity(params.degree, params.first_frequency))
 
 
 def shell_cauchy_identity_check(params: ShellParams, samples) -> tuple[float, float]:

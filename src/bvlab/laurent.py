@@ -103,16 +103,6 @@ class ExteriorLaurent(record("ExteriorLaurent", "coeffs max_freq self_similarity
         w = 1.0 / z
         return complex_fsum(c * w**k for k, c in self.coeffs.items())
 
-    # -- algebra -----------------------------------------------------------
-
-    def with_self_similarity(self, base: int, first_index: int) -> "ExteriorLaurent":
-        return ExteriorLaurent(self.coeffs, self.max_freq, SelfSimilarity(base, first_index))
-
-    def truncated(self, max_freq: int) -> "ExteriorLaurent":
-        """The coefficients with k <= max_freq, exact up to the new cutoff."""
-        return ExteriorLaurent({k: c for k, c in self.coeffs.items() if k <= max_freq},
-                               max_freq, self.self_similarity)
-
     # -- serialization -----------------------------------------------------
 
     def to_doc(self) -> dict:

@@ -83,23 +83,21 @@ def order2_field(mu: PiecewiseField, max_freq: int) -> Order2Field:
 def order2_bound(params: ShellParams, refine: bool = False) -> Order2Report:
     """First- plus second-order lower bound for the shell coefficient.
 
-    ``refine`` doubles the shell count and frequency cutoff and reports the
-    relative change of the total, the stability diagnostic of the truncation.
-    At shell capacity, where the doubled parameters clip back to the same
-    shells, it compares with one shell fewer instead.  w and its block masses are
-    computed once; each count's estimate is the limit of their prefix below its cut.
+    ``refine`` compares with min(2J, capacity) shells and reports the relative
+    change of the total, the stability diagnostic of the truncation.  At shell
+    capacity, where that is J itself, it compares with J - 1 shells instead.  w
+    and its block masses are computed once; each count's estimate is the limit
+    of their prefix below its cut.
     """
     eff = params.clipped_to_max_freq()
     if eff.shells < 2:
-        raise ValidationError("need at least two shells below the frequency cutoff")
+        raise ValidationError("need at least two shells within the 64-bit capacity")
     counts = [eff.shells]  # then the shell count the refinement compares with
     if refine:
-        wider = params._replace(shells=2 * eff.shells, max_freq=min(2 * params.max_freq, FREQ_CAP))
-        counts.append(wider.clipped_to_max_freq().shells)
-        if counts[1] == eff.shells:
-            if eff.shells < 3:
-                raise ValidationError("refining at shell capacity needs at least three shells")
-            counts[1] -= 1
+        if eff.shells == eff.capacity < 3:
+            raise ValidationError("refining at shell capacity needs at least three shells")
+        counts.append(min(2 * eff.shells, eff.capacity) if eff.shells < eff.capacity
+                      else eff.shells - 1)
     # each count J reads its whole w, and the masses of its blocks, below 2 n_(J-1)
     cuts = [2 * eff.frequency(j - 1) for j in counts]
     field = order2_field(build_shell(eff._replace(shells=max(counts))), max(cuts))
@@ -127,7 +125,7 @@ def parameter_search(grid) -> tuple[Order2Report, list[Order2Report]]:
         if work > MAX_GRID_WORK:
             raise ValidationError(f"the grid needs sum over its points of (shells + 5)^2 "
                                   f"<= {MAX_GRID_WORK}, with the shells each point keeps "
-                                  f"below max_freq")
+                                  f"below the 64-bit capacity")
         points.append(p)
     reports = [order2_bound(p) for p in points]
     if not reports:
@@ -137,7 +135,7 @@ def parameter_search(grid) -> tuple[Order2Report, list[Order2Report]]:
     return board[0], board
 
 
-def shell_grid(degrees, rho0_values, n0_values, shells: int, max_freq: int):
+def shell_grid(degrees, rho0_values, n0_values, shells: int):
     """Cartesian parameter grid in deterministic order, built lazily.
 
     ``rho0_values`` entries may be the string "optimal", resolved per degree;
@@ -146,4 +144,4 @@ def shell_grid(degrees, rho0_values, n0_values, shells: int, max_freq: int):
     for d in degrees:
         for rho in rho0_values:
             for n0 in n0_values:
-                yield ShellParams(d=d, rho0=rho, n0=n0, shells=shells, max_freq=max_freq)
+                yield ShellParams(d=d, rho0=rho, n0=n0, shells=shells)

@@ -22,7 +22,8 @@ Sampled sup norms and field equality use a probe grid placed off the radial
 breakpoints; the Bloch seminorm is a grid lower bound from the series itself.
 ``moment`` is no oracle: it poses the package's closed-form moment at any
 frequency j, for the tests of that closed form.  Nor is ``derivative``: it
-applies the package's derivative rule to a whole series.
+applies the package's derivative rule to a whole series.  ``truncated`` cuts a
+series at a frequency, for tests that compare series at different cutoffs.
 """
 from __future__ import annotations
 
@@ -91,6 +92,12 @@ def fields_allclose(f: PiecewiseField, g: PiecewiseField, tol: float) -> bool:
 def derivative(g: ExteriorLaurent, order: int = 1) -> ExteriorLaurent:
     """Termwise d^n/dz^n, exact up to max_freq + n (which must not pass FREQ_CAP)."""
     return ExteriorLaurent(derivative_coefficients(g.coeffs, order), g.max_freq + order,
+                           g.self_similarity)
+
+
+def truncated(g: ExteriorLaurent, max_freq: int) -> ExteriorLaurent:
+    """The coefficients of g with k <= max_freq, exact up to that cutoff, with its blocks."""
+    return ExteriorLaurent({k: c for k, c in g.coeffs.items() if k <= max_freq}, max_freq,
                            g.self_similarity)
 
 

@@ -83,7 +83,7 @@ class TestVariance:
     def test_block_method_grows_to_the_fewest_resolving_shells(self, tmp_path, capsys):
         # 19 shells are the fewest whose last frequency 2^19 reaches 10/(1.5^(1/2^14) - 1);
         # 18 give 0.3606023779490682 and 17 raise UnresolvedScaleError.  The manifest
-        # records the grown count
+        # records the grown count, the default n0 and the cutoff n_19 - 1 it sets
         code, out, _ = run_cli(["variance", "shell", "--d", "2", "--rho0", "0.25", "--method",
                                 "block", "--blocks", "14", "--shells", "1"], tmp_path, capsys)
         assert code == 0
@@ -93,7 +93,30 @@ class TestVariance:
         tail_average = 0.3612863906840157
         assert abs(doc["value"] - doc["closed_form"]) < abs(tail_average - doc["closed_form"])
         manifest = json.loads((tmp_path / "variance_manifest.json").read_text())
-        assert manifest["resolved"] == {"rho0": 0.25, "shells": 19}
+        assert manifest["resolved"] == {"rho0": 0.25, "shells": 19, "n0": 2,
+                                        "series_cutoff": 2**20 - 1}
+
+    @pytest.mark.parametrize("n0", [None, 4])
+    @pytest.mark.parametrize("argv", [["variance", "shell", "--method", "mass"],
+                                      ["variance", "shell", "--method", "cesaro"],
+                                      ["variance", "shell", "--method", "block"],
+                                      ["means-curve"]], ids=lambda argv: argv[-1])
+    def test_resolved_series_cutoff(self, argv, n0, tmp_path, capsys):
+        # the cutoff n_J - 1 of the series the run built, and n0 when it took the default
+        shells = 12 if argv[-1] == "block" else 5
+        argv = [*argv, "--d", "3", "--rho0", "0.2", "--shells", str(shells)]
+        code, _, _ = run_cli(argv if n0 is None else [*argv, "--n0", str(n0)], tmp_path, capsys)
+        assert code == 0
+        name = "means_curve" if argv[0] == "means-curve" else "variance"
+        resolved = json.loads((tmp_path / f"{name}_manifest.json").read_text())["resolved"]
+        first = 2 if n0 is None else n0
+        assert resolved["series_cutoff"] == first * 3**resolved.get("shells", shells) - 1
+        assert resolved.get("n0") == (2 if n0 is None else None)
+
+    def test_exact_method_builds_no_series(self, tmp_path, capsys):
+        code, _, _ = run_cli(["variance", "shell", "--d", "3"], tmp_path, capsys)
+        manifest = json.loads((tmp_path / "variance_manifest.json").read_text())
+        assert code == 0 and list(manifest["resolved"]) == ["rho0"]
 
 
 # The documented estimator runs, each with the tail average it reported before its
@@ -173,12 +196,11 @@ class TestOrder2:
 
     def test_shell_count_clipped_to_frequency_cutoff(self, tmp_path, capsys):
         code, out, _ = run_cli(["order2", "--d", "16", "--rho0", "optimal",
-                                "--shells", "24", "--max-freq", "1e12",
-                                "--refine"], tmp_path, capsys)
+                                "--shells", "24", "--refine"], tmp_path, capsys)
         assert code == 0
         doc = json.loads(out)
-        # shells whose product spectrum exceeds the cutoff are not materialized
-        assert doc["shells"] == 9
+        # shells whose product spectrum exceeds the 64-bit capacity are not materialized
+        assert doc["shells"] == 15 == ShellParams(d=16, rho0="optimal").capacity
         assert 0.891 <= doc["total"] <= 0.90
 
 
@@ -386,11 +408,47 @@ class TestConfigAndErrors:
         assert json.loads(err)["error"] == "CapacityError"
 
     def test_refine_without_a_shell_to_drop(self, tmp_path, capsys):
-        # a capacity of two shells, at max_freq 480 and at its double
-        code = main(["order2", "--d", "16", "--n0", "15", "--max-freq", "480", "--refine",
-                     "--out", str(tmp_path)])
-        assert code == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "ValidationError"
+        # a capacity of two shells: n_0 = 2^31 - 1 and n_1 = 2^62 - 2^31
+        argv = ["order2", "--d", str(2**31), "--n0", str(2**31 - 1), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["shells"] == 2
+        assert main([*argv, "--refine"]) == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValidationError",
+            "message": "refining at shell capacity needs at least three shells"}
+
+    @pytest.mark.parametrize("via_config", [False, True])
+    @pytest.mark.parametrize("argv", [
+        ["variance", "shell", "--d", "3", "--method", "mass"],
+        ["order2", "--d", "16", "--shells", "3"],
+        ["means-curve", "--d", "2", "--points", "4"],
+        ["truncate", "--d", "3", "--rho0", "0.05", "--shells", "1", "--r1", "0.7",
+         "--eps", "0.01"]], ids=lambda argv: argv[0])
+    def test_max_freq_is_not_a_key(self, argv, via_config, tmp_path, capsys):
+        # the shell count sets the series cutoff: the flag and the config key are unknown
+        assert main([*argv, "--out", str(tmp_path / "ok")]) == 0
+        capsys.readouterr()
+        if via_config:
+            (tmp_path / "cfg.json").write_text(json.dumps({"max_freq": 100}))
+            extra = ["--config", str(tmp_path / "cfg.json")]
+        else:
+            extra = ["--max-freq", "100"]
+        code = main([*argv, *extra, "--out", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not (tmp_path / "out").exists()
+        error = json.loads(captured.err)
+        assert error["error"] == "ValidationError" and "max" in error["message"]
+
+    def test_series_document_keeps_its_cutoff(self, tmp_path, capsys):
+        # a series document still carries max_freq: 8 resolves none of the default rows
+        (tmp_path / "series.json").write_text(json.dumps({"coeffs": [[2, 1.0, 0.0]],
+                                                          "max_freq": 8}))
+        code, _, _ = run_cli(["means-curve", "--series", str(tmp_path / "series.json")],
+                             tmp_path, capsys)
+        lines = (tmp_path / "means_curve.csv").read_text().strip().splitlines()
+        assert code == 0 and all(line.endswith("false") for line in lines[1:])
+        manifest = json.loads((tmp_path / "means_curve_manifest.json").read_text())
+        assert list(manifest["resolved"]) == ["growth_slope"]
 
     @pytest.mark.parametrize("error", [c for c in vars(errors).values() if isinstance(c, type)
                                        and issubclass(c, errors.BVLabError)],
@@ -528,6 +586,8 @@ class TestConfigAndErrors:
         (["table2", "--precision", "4"], None),
         (["dimension", "--k", "0.1"], None),
         (["dynamics", "var", "--phi", "{phi}", "--seed", "-1"], None),
+        (["dynamics", "coboundary", "--d", "2", "--n", "20", "--seed", "-3"], None),
+        (["table2", "--seed", "-3"], None),
         (["order2", "--d", "16"], {"refine": "false"}),
         (["means-curve", "--series", "{fractional}"], None),
         (["means-curve", "--d", "2", "--points", "1e15"], None),
@@ -566,7 +626,8 @@ class TestConfigAndErrors:
         (["dynamics", "var", "--phi", "{tmp}/missing.json"], None),
     ], ids=["blaschke_zero", "config_shells", "huge_degree", "huge_r0", "binary_config",
             "missing_degree", "bad_int_flag", "bad_choice",
-            "unknown_flag", "missing_dimension_degree", "negative_seed", "string_switch",
+            "unknown_flag", "missing_dimension_degree", "negative_seed",
+            "negative_seed_coboundary", "negative_seed_table2", "string_switch",
             "fractional_frequency", "huge_points", "infinite_r_max", "no_terms",
             "huge_terms", "huge_samples", "config_choice", "config_path_number",
             "infinite_degree", "overflowing_degree", "infinite_r0", "unit_r0", "huge_blocks",

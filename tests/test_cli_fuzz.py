@@ -64,7 +64,6 @@ FLOAT_KEY_VALUES = {"r_min": [1e-8, 1e-6, 1e-4], "r_max": [1e-3, 0.1, 0.5],
 READER_VALUES = {
     "d": ["2", "3", "4", "16", "20", "2.5"],
     "rho0": ["optimal", "0.05", "0.25", "0.5"],
-    "max_freq": ["1e12", "100", "5000", "9223372036854775807"],
     "blaschke": ["0.3+0j", "0.1-0.2j,0.5j", "", "0.999+0j", "0j"],
     "grid_d": ["2", "3", "4", "16", "20"],
     "grid_rho0": ["optimal", "0.1", "0.25"],

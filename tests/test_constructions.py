@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from bvlab.annular import (MonomialTerm, PiecewiseField, cauchy_exterior,
+from bvlab.annular import (MonomialTerm, PiecewiseField, beurling_exterior, cauchy_exterior,
                            cauchy_full, pullback_power)
 from bvlab.constructions import (ShellParams, build_shell, lacunary_vector_field,
                                  shell_beurling_series,
@@ -11,9 +11,10 @@ from bvlab.constructions import (ShellParams, build_shell, lacunary_vector_field
                                  truncate_to_polynomial)
 from bvlab.errors import FREQ_CAP, BVLabError, CapacityError, ValidationError
 from bvlab.formulas import optimal_rho0
+from bvlab.laurent import SelfSimilarity
 from bvlab.variance import variance_lacunary
 from conftest import circle
-from oracles import derivative, fields_allclose, sup_norm_sampled
+from oracles import derivative, fields_allclose, sup_norm_sampled, truncated
 
 
 class TestShellParams:
@@ -85,17 +86,34 @@ def _outcome(build):
 class TestShellSeries:
     @pytest.mark.parametrize("d", [2, 3, 16, 20])
     def test_transform_series_is_the_cut_derivative_of_the_cauchy_series(self, d):
-        # shell counts up to one past the capacity; cutoffs from 1 to FREQ_CAP.  The
-        # Cauchy series is cut one below the cutoff first, since a series cut at
-        # FREQ_CAP has no derivative within the capacity
+        # shell counts up to one past the last that builds.  The Cauchy series is cut
+        # one below the cutoff first, since a series cut at FREQ_CAP has no derivative
+        # within the capacity
         cap = ShellParams(d=d, rho0=0.3).shells_below(FREQ_CAP)
         for rho0 in (0.3, optimal_rho0(d)):
             for shells in (0, 1, 3, cap - 1, cap, cap + 1):
-                for max_freq in (1, 2, 10, 1000, 10**12, FREQ_CAP):
-                    p = ShellParams(d=d, rho0=rho0, shells=shells, max_freq=max_freq)
-                    assert _outcome(lambda: shell_beurling_series(p)) == _outcome(
-                        lambda: derivative(shell_cauchy_series(p).truncated(
-                            p.series_cutoff() - 1)))
+                p = ShellParams(d=d, rho0=rho0, shells=shells)
+                assert _outcome(lambda: shell_beurling_series(p)) == _outcome(
+                    lambda: derivative(truncated(shell_cauchy_series(p), p.series_cutoff() - 1)))
+
+    @pytest.mark.parametrize("n0", [None, 5])
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 20, 64])
+    def test_series_hold_every_coefficient_of_the_transforms(self, d, n0):
+        # the shells put nothing above n_(J-1), so the cutoff min(n_J - 1, FREQ_CAP)
+        # removes nothing and each series is the whole transform with its blocks;
+        # every shell count that builds, the capacity and past it included
+        for rho0 in (1e-12, 0.05, "optimal", 0.6):
+            params = ShellParams(d=d, rho0=rho0, n0=n0)
+            blocks = SelfSimilarity(d, params.first_frequency)
+            for shells in range(params.shells_below(FREQ_CAP) + 1):
+                p = params._replace(shells=shells)
+                cutoff = min(p.first_frequency * d**shells - 1, FREQ_CAP)
+                mu = build_shell(p)
+                for series, whole in ((shell_cauchy_series(p), cauchy_exterior(mu)),
+                                      (shell_beurling_series(p), beurling_exterior(mu))):
+                    assert len(series.coeffs) == shells
+                    assert series.coeffs == whole.coeffs
+                    assert (series.max_freq, series.self_similarity) == (cutoff, blocks)
 
 
 class TestShellCauchyIdentity:

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from bvlab.annular import (MonomialTerm, PiecewiseField, beurling, multiply)
 from bvlab.constructions import ShellParams, build_shell
-from bvlab.errors import FREQ_CAP, ValidationError
+from bvlab.errors import ValidationError
 from bvlab.formulas import optimal_rho0, sigma2_second_order, sigma2_shell
-from bvlab.laurent import ExteriorLaurent
+from bvlab.laurent import ExteriorLaurent, SelfSimilarity
 from bvlab.order2 import order2_bound, order2_field, parameter_search, shell_grid
 from bvlab.variance import block_masses, limit_estimate, variance_block_mass
 from conftest import circle
-from oracles import mp_order2_block_masses, quad_beurling_at, quad_beurling_exterior
+from oracles import mp_order2_block_masses, quad_beurling_at, quad_beurling_exterior, truncated
 
 
 def spy_fields(monkeypatch) -> list[tuple[int, int]]:
@@ -202,7 +202,7 @@ class TestOrder2Bound:
         plain, refined = order2_bound(params), order2_bound(params, refine=True)
         assert refined._replace(stability=None) == plain
         eff = params.clipped_to_max_freq()
-        other = params._replace(shells=2 * eff.shells, max_freq=min(2 * params.max_freq, FREQ_CAP))
+        other = params._replace(shells=2 * eff.shells)
         if other.clipped_to_max_freq().shells == eff.shells:
             other = eff._replace(shells=eff.shells - 1)
         assert refined.stability == abs(order2_bound(other).total - plain.total) / plain.total
@@ -251,8 +251,8 @@ class TestOrder2Bound:
         counts = [params.capacity, params.capacity - 1] if at_capacity else [5, 10]
         cuts = [2 * params.frequency(j - 1) for j in counts]
         w = order2_field(build_shell(params._replace(shells=max(counts))), max(cuts)).w
-        w = w.with_self_similarity(d, params.first_frequency)
-        expected = [variance_block_mass(w if cut == max(cuts) else w.truncated(cut))
+        w = w._replace(self_similarity=SelfSimilarity(d, params.first_frequency))
+        expected = [variance_block_mass(w if cut == max(cuts) else truncated(w, cut))
                     for cut in cuts]
         assert [repr(e.to_doc()) for e in estimates] == [repr(e.to_doc()) for e in expected]
         assert report.second_order_estimate == estimates[0]
@@ -266,10 +266,11 @@ class TestOrder2Bound:
         assert miss <= min(1e-13, report.second_order_estimate.error)
 
     def test_refine_at_a_capacity_of_two_shells(self):
-        # max_freq 480 keeps n_0 = 15 and n_1 = 240, and so does its double
-        params = ShellParams(d=16, rho0=0.3, n0=15, shells=2, max_freq=480)
-        assert params.capacity == 2 == params._replace(max_freq=960).capacity
+        # n_0 = 2^31 - 1 and n_1 = 2^62 - 2^31 fit under 2^62, and n_2 does not
+        params = ShellParams(d=2**31, rho0=0.3, n0=2**31 - 1, shells=2)
+        assert params.capacity == 2
         assert order2_bound(params).shells_used == 2
+        assert order2_bound(params._replace(shells=10)).shells_used == 2
         with pytest.raises(ValidationError, match="at least three shells"):
             order2_bound(params, refine=True)
 
@@ -306,8 +307,7 @@ class TestReferee:
 
 class TestParameterSearch:
     def test_leaderboard_sorted_and_contains_reference_point(self):
-        grid = shell_grid([12, 16, 20], ["optimal"], [None], shells=6,
-                          max_freq=2**63 - 1)
+        grid = shell_grid([12, 16, 20], ["optimal"], [None], shells=6)
         best, board = parameter_search(grid)
         totals = [r.total for r in board]
         assert totals == sorted(totals, reverse=True)
@@ -315,7 +315,7 @@ class TestParameterSearch:
         assert best.total >= 0.893 - 0.002
 
     def test_single_point_grid(self):
-        grid = shell_grid([4], [0.3], [None], shells=6, max_freq=2**63 - 1)
+        grid = shell_grid([4], [0.3], [None], shells=6)
         best, board = parameter_search(grid)
         assert len(board) == 1 and best is board[0]
         assert best.params.d == 4 and best.params.rho0 == 0.3

@@ -108,7 +108,7 @@ def test_equality_is_by_value():
     lambda: ShellParams(d=1, rho0=0.2),
     lambda: ShellParams(d=3, rho0=1.0),
     lambda: ShellParams(d=3, rho0=0.2, shells=-1),
-    lambda: ShellParams(d=3, rho0=0.2, max_freq=0),
+    lambda: ShellParams(d=3, rho0=0.0),
     lambda: ShellParams(d=3, rho0=0.2, n0=1),
     lambda: MonomialTerm(1.0, -1, 0, 0.0, -1.0, 0.0),
     lambda: MonomialTerm(1.0, 0, 0, 0.0, 0.0, 0.0),

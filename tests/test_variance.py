@@ -19,7 +19,8 @@ from bvlab.variance import (CESARO_R0_MAX, ROUNDING_FLOOR, TOLERANCE,
                             curve_slope, growth_slope, integral_means, integral_means_log,
                             limit_estimate, linspace, means_curve, resolving_freq,
                             variance_block, variance_block_mass, variance_lacunary)
-from oracles import angular_mean_square, bloch_seminorm, derivative, mp_radial_fourth_order
+from oracles import (angular_mean_square, bloch_seminorm, derivative, mp_radial_fourth_order,
+                     truncated)
 
 LOG2 = math.log(2.0)
 
@@ -248,10 +249,10 @@ class TestBlockMass:
         complete = len(blocks.block_edges(cut + 1)) - 1
         if complete < 1:
             with pytest.raises(UnresolvedScaleError):
-                block_masses(g.truncated(cut), blocks)
+                block_masses(truncated(g, cut), blocks)
             return
-        assert block_masses(g.truncated(cut), blocks) == block_masses(g, blocks)[:complete]
-        own = variance_block_mass(g.truncated(cut).with_self_similarity(base, first))
+        assert block_masses(truncated(g, cut), blocks) == block_masses(g, blocks)[:complete]
+        own = variance_block_mass(truncated(g, cut)._replace(self_similarity=blocks))
         assert own == limit_estimate(block_masses(g, blocks)[:complete], 1 / base, "block_mass")
 
 
@@ -449,7 +450,7 @@ class TestSeminormAndBounds:
         series = [lacunary]
         for _ in range(3):
             mu = random_unit_shell_field(rng)
-            series.append(beurling_exterior(mu).truncated(10**7))
+            series.append(truncated(beurling_exterior(mu), 10**7))
         for g in series:
             s = bloch_seminorm(g)
             var = variance_block(g, 2, 1.2, 8).value
@@ -459,7 +460,7 @@ class TestSeminormAndBounds:
         # no transform of a unit-bounded coefficient has variance above 6
         for _ in range(8):
             mu = random_unit_shell_field(rng)
-            g = beurling_exterior(mu).truncated(10**7)
+            g = truncated(beurling_exterior(mu), 10**7)
             ss = SelfSimilarity(2, max(min(g.frequencies(), default=2), 1))
             est = variance_block_mass(ExteriorLaurent(g.coeffs, g.max_freq, ss))
             assert est.value <= 6.0
