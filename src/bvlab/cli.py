@@ -148,10 +148,8 @@ def cmd_order2(opts: dict, emit) -> int:
         grid = order2.shell_grid(opts["grid_d"], opts["grid_rho0"], opts["grid_n0"],
                                  6 if opts["shells"] is None else opts["shells"])
         best, board = order2.parameter_search(grid)
-        header = ["d", "rho0", "n0", "shells", "first_order", "second_order",
-                  "total", "tail_mass"]
-        rows = [[r.params.d, r.params.rho0, r.params.first_frequency, r.shells_used,
-                 r.first_order, r.second_order, r.total, r.tail_mass] for r in board]
+        header = ["d", "rho0", "n0", "shells", "first_order", "second_order", "total"]
+        rows = [[doc[key] for key in header] for doc in (r.to_doc() for r in board)]
         emit("order2", best.to_doc(), files={"order2_leaderboard.csv": csv_text(header, rows)})
         return 0
     if opts["shells"] is None:  # half the capacity, leaving room for the refinement doubling

@@ -12,12 +12,10 @@ coefficient computation, and the self-product is a sparse convolution.
 """
 from __future__ import annotations
 
-from math import fsum
-
 from .annular import PiecewiseField, beurling, beurling_exterior, product_beurling_exterior
 from .constructions import ShellParams, build_shell
 from .errors import FREQ_CAP, ValidationError
-from .formulas import sigma2_shell
+from .formulas import sigma2_second_order, sigma2_shell
 from .laurent import ExteriorLaurent, SelfSimilarity, convolve
 from .records import record
 from .variance import block_masses, limit_estimate
@@ -28,8 +26,8 @@ from .variance import block_masses, limit_estimate
 MAX_GRID_WORK = 3 * 10**4
 
 
-class Order2Field(record("Order2Field", "w tail_mass")):
-    """w cut at a frequency, and the l2 mass of w beyond it (0.0 at 2 n_(J-1) for J shells)."""
+class Order2Field(record("Order2Field", "w")):
+    """w whole; a record, as the benchmark's tracer hook reads ``result.w.coeffs``."""
 
     __slots__ = ()
 
@@ -37,9 +35,12 @@ class Order2Field(record("Order2Field", "w tail_mass")):
 class Order2Report(record("Order2Report", [
         "first_order", "second_order", "total",
         "params",                 # the ShellParams asked for
-        "shells_used", "max_freq_used", "tail_mass",
+        "shells_used", "max_freq_used",  # J, and 2 n_(J-1), the top frequency of its w
         "second_order_estimate",  # the VarianceEstimate of w
         "stability"])):
+    """The J-shell bound; to_doc adds the closed form of its J -> oo limit as
+    ``second_order_limit``."""
+
     __slots__ = ()
 
     def to_doc(self) -> dict:
@@ -52,7 +53,7 @@ class Order2Report(record("Order2Report", [
             "first_order": self.first_order,
             "second_order": self.second_order,
             "total": self.total,
-            "tail_mass": self.tail_mass,
+            "second_order_limit": sigma2_second_order(self.params.d, self.params.rho0),
             "second_order_diagnostics": self.second_order_estimate.to_doc(),
         }
         if self.stability is not None:
@@ -61,23 +62,19 @@ class Order2Report(record("Order2Report", [
 
 
 def order2_field(mu: PiecewiseField, max_freq: int) -> Order2Field:
-    """Compute w = S(mu*S(mu)) - (1/2)(S(mu))^2 truncated at ``max_freq``.
+    """Compute w = S(mu*S(mu)) - (1/2)(S(mu))^2 whole, declared exact up to ``max_freq``.
 
-    w is formed in full and cut once: the kept coefficients are those with
-    k <= max_freq, and the tail mass is the l2 mass of the others.  The w of
-    J shells has every coefficient at k <= 2 n_(J-1); more shells add only
-    coefficients above it, so it is their w cut there, coefficient for coefficient.
+    w is a finite series and nothing is cut: a ``max_freq`` below its top
+    frequency is a ValidationError (ExteriorLaurent's check).  The w of J shells
+    has every coefficient at k <= 2 n_(J-1); more shells add only coefficients
+    above it, so it is their w cut there, coefficient for coefficient.
     """
-    if max_freq < 1:
-        raise ValidationError("max_freq must be >= 1")
     w = product_beurling_exterior(mu, beurling(mu))  # exact finite series
     s_ext = beurling_exterior(mu)
     square, _ = convolve(s_ext, s_ext, FREQ_CAP)
     for k, c in square.coeffs.items():
         w[k] = w.get(k, 0) - 0.5 * c
-    kept = {k: c for k, c in w.items() if k <= max_freq}
-    tail = fsum(abs(c) ** 2 for k, c in w.items() if k > max_freq)
-    return Order2Field(ExteriorLaurent(kept, max_freq), tail)
+    return Order2Field(ExteriorLaurent(w, max_freq))
 
 
 def order2_bound(params: ShellParams, refine: bool = False) -> Order2Report:
@@ -109,7 +106,7 @@ def order2_bound(params: ShellParams, refine: bool = False) -> Order2Report:
     stability = (abs(first + compared[0].value - total) / max(abs(total), 1e-300)
                  if compared else None)
     return Order2Report(first, est.value, total, params, eff.shells,
-                        cuts[0], field.tail_mass, est, stability)
+                        cuts[0], est, stability)
 
 
 def parameter_search(grid) -> tuple[Order2Report, list[Order2Report]]:

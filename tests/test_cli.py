@@ -21,6 +21,7 @@ from bvlab.errors import (COEFF_CAP, FREQ_CAP, CapacityError, ValidationError,
                           parse_complex, parse_int)
 from bvlab.formulas import sigma2_optimal, sigma2_second_order
 from bvlab.manifest import json_text
+from bvlab.order2 import parameter_search, shell_grid
 from bvlab.variance import TOLERANCE
 
 
@@ -193,6 +194,32 @@ class TestOrder2:
         assert len(lines) == 3
         totals = [float(line.split(",")[6]) for line in lines[1:]]
         assert totals == sorted(totals, reverse=True)
+
+    def test_documented_runs_report_the_closed_form_limit(self, tmp_path, capsys):
+        # the README's order2 lines and a config run of the same command
+        config = tmp_path / "order2.json"
+        config.write_text(json.dumps({"d": 8, "rho0": "optimal", "shells": 6, "refine": True}))
+        runs = [argv for argv in _readme_command_lines() if argv[0] == "order2"]
+        assert len(runs) == 2
+        for i, argv in enumerate([*runs, ["order2", "--config", str(config)]]):
+            code, out, _ = run_cli(argv, tmp_path / str(i), capsys)
+            doc = json.loads((tmp_path / str(i) / "order2.json").read_text())
+            assert code == 0 and json.loads(out) == doc and "tail_mass" not in doc
+            assert doc["second_order_limit"] == sigma2_second_order(doc["d"], doc["rho0"])
+
+    @pytest.mark.parametrize("n0", [[], ["--grid-n0", "default,5"]], ids=["readme", "two_n0"])
+    def test_leaderboard_rows_are_the_report_documents(self, n0, tmp_path, capsys):
+        code, _, _ = run_cli(["order2", "--grid-d", "12,16,20", "--grid-rho0", "optimal", *n0],
+                             tmp_path, capsys)
+        _, board = parameter_search(shell_grid([12, 16, 20], ["optimal"],
+                                               [None, 5] if n0 else [None], 6))
+        header, *rows = (tmp_path / "order2_leaderboard.csv").read_text().splitlines()
+        assert code == 0 and header == "d,rho0,n0,shells,first_order,second_order,total"
+        assert len(rows) == len(board) == (6 if n0 else 3)
+        for row, report in zip(rows, board):
+            doc = report.to_doc()
+            assert [json.loads(cell) for cell in row.split(",")] == \
+                [doc[key] for key in header.split(",")]
 
     def test_shell_count_clipped_to_frequency_cutoff(self, tmp_path, capsys):
         code, out, _ = run_cli(["order2", "--d", "16", "--rho0", "optimal",
@@ -473,7 +500,7 @@ class TestConfigAndErrors:
         code, out, _ = run_cli(["order2", "--d", "2", "--rho0", rho0, "--shells", "8"],
                                tmp_path, capsys)
         doc = json.loads(out)
-        assert code == 0 and doc["tail_mass"] == 0
+        assert code == 0 and "tail_mass" not in doc
         assert abs(doc["second_order"] - sigma2_second_order(2, float(rho0))) <= 1e-13
 
     @pytest.mark.parametrize("zeros", ["0.99999+0j,0+0.99999j", "0.999+0j,-0.999+0j"])

@@ -48,7 +48,7 @@ class TestOrder2Field:
 
     def test_zero_field(self):
         out = order2_field(PiecewiseField(()), max_freq=10)
-        assert out.w.coeffs == {} and out.tail_mass == 0.0
+        assert out.w == ExteriorLaurent({}, 10)
 
     def test_route_independence_small_instance(self):
         # stage 1: certify the on-support transform against the principal-value
@@ -72,39 +72,23 @@ class TestOrder2Field:
             w_quad = sp - 0.5 * sm**2
             assert abs(out.w.eval(z) - w_quad) <= 1e-3 * max(1e-12, abs(w_quad))
 
-    def test_tail_mass_reported(self):
-        mu = build_shell(ShellParams(d=3, rho0=0.3, shells=3))
-        clipped = order2_field(mu, max_freq=20)
-        full = order2_field(mu, max_freq=10**6)
-        assert clipped.tail_mass > 0
-        assert full.tail_mass <= 1e-25
-
-    @pytest.mark.parametrize("mu, max_freq, mass", [
-        (build_shell(ShellParams(d=3, rho0=0.3, shells=3)), 20, 0.21536),
-        (PiecewiseField.of(MonomialTerm.make(1.0, 3, 0, -1.0, 0.2, 0.5),
-                           MonomialTerm.make(0.5, 1, 0, 0.0, 0.5, 0.7)), 5, 1.2230e-4)])
-    def test_tail_mass_is_the_mass_of_w_beyond_the_cut(self, mu, max_freq, mass):
-        # the square's dropped coefficients enter w at -1/2 and net against S(mu S(mu))
-        full = order2_field(mu, max_freq=10**6)
-        beyond = [abs(c) ** 2 for k, c in full.w.coeffs.items() if k > max_freq]
-        tail = order2_field(mu, max_freq).tail_mass
-        assert tail == pytest.approx(math.fsum(beyond), rel=1e-12, abs=0)
-        assert tail == pytest.approx(mass, rel=1e-4)
-
     @given(st.lists(st.tuples(st.floats(-2, 2), st.integers(1, 12), st.sampled_from([0.0, -1.0]),
                               st.floats(0.05, 0.9), st.floats(0.02, 0.5)),
                     min_size=2, max_size=4),
            st.integers(1, 48))
     @settings(max_examples=50, deadline=None)
     def test_single_cut(self, terms, cutoff):
-        # cutting at c keeps exactly the uncut w below c and counts the rest as tail
+        # w is never cut: a cutoff at or above its top frequency declares the whole w
+        # exact up to it, bit for bit, and one below it is refused
         mu = PiecewiseField(tuple(MonomialTerm.make(c, p, 0, gamma, r, min(r + width, 0.99))
                                   for c, p, gamma, r, width in terms))
-        full, cut = order2_field(mu, 10**6), order2_field(mu, cutoff)
-        assert cut.w.coeffs == {k: c for k, c in full.w.coeffs.items() if k <= cutoff}
-        rest = [abs(c) ** 2 for k, c in full.w.coeffs.items() if k > cutoff]
-        assert cut.tail_mass == pytest.approx(math.fsum([*rest, full.tail_mass]),
-                                              rel=1e-12, abs=0)
+        full = order2_field(mu, 10**6).w
+        if full.coeffs and cutoff < max(full.coeffs):
+            with pytest.raises(ValidationError, match="stored frequency exceeds max_freq"):
+                order2_field(mu, cutoff)
+        else:
+            cut = order2_field(mu, cutoff).w
+            assert cut.max_freq == cutoff and bits(cut.coeffs) == bits(full.coeffs)
 
     @pytest.mark.parametrize("d", [2, 3, 16])
     def test_fewer_shells_give_a_prefix_of_w(self, d):
@@ -113,12 +97,11 @@ class TestOrder2Field:
         params = ShellParams(d=d, rho0=optimal_rho0(d))
         cap = params.capacity
         for shells, more in ((3, 6), (cap // 2, 2 * (cap // 2)), (cap - 1, cap)):
-            fewer = params._replace(shells=shells)
+            fewer, wider = params._replace(shells=shells), params._replace(shells=more)
             cut = 2 * fewer.frequency(shells - 1)
-            own = order2_field(build_shell(fewer), cut)
-            wider = order2_field(build_shell(params._replace(shells=more)), cut)
-            assert own.tail_mass == 0.0
-            assert own.w.coeffs and bits(own.w.coeffs) == bits(wider.w.coeffs)
+            own = order2_field(build_shell(fewer), cut).w
+            wide = order2_field(build_shell(wider), 2 * wider.frequency(more - 1)).w
+            assert own.coeffs and bits(own.coeffs) == bits(truncated(wide, cut).coeffs)
 
 
 class TestOrder2Bound:
@@ -259,10 +242,14 @@ class TestOrder2Bound:
 
     @pytest.mark.parametrize("rho0", [1e-12, 1e-30])
     def test_small_radius_is_resolved(self, rho0):
-        # 2 (1e-12) or all 36 (1e-30) coefficients of w lie below 1e-14, and none is dropped
-        report = order2_bound(ShellParams(d=2, rho0=rho0, shells=8), refine=True)
+        # 2 (1e-12) or all 36 (1e-30) coefficients of w lie below 1e-14, and none is dropped:
+        # w keeps all J (J + 1) / 2 = 36, the smallest 3.9e-15 (1e-12) and 3.9e-33 (1e-30)
+        params = ShellParams(d=2, rho0=rho0, shells=8)
+        report = order2_bound(params, refine=True)
         miss = abs(report.second_order - sigma2_second_order(2, rho0))
-        assert report.tail_mass == 0.0
+        w = order2_field(build_shell(params), report.max_freq_used).w
+        small = sum(abs(c) < 1e-14 for c in w.coeffs.values())
+        assert len(w.coeffs) == 36 and small == (2 if rho0 == 1e-12 else 36)
         assert miss <= min(1e-13, report.second_order_estimate.error)
 
     def test_refine_at_a_capacity_of_two_shells(self):

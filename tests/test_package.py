@@ -6,6 +6,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -197,3 +198,32 @@ def test_no_dataclasses():
             elif isinstance(node, ast.ImportFrom):
                 imported.add(node.module)
         assert "dataclasses" not in imported and "object.__setattr__" not in text, path.name
+
+
+def _public_names(path: Path) -> list[str]:
+    """The public top-level functions and classes of a module, and their public methods."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body if isinstance(item, ast.FunctionDef)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_every_library_name_is_reached():
+    """Each public name in the package is named by a command, selfcheck, a script or
+    perfbench: somewhere in the package, the scripts or perfbench besides its definition."""
+    texts = [path.read_text(encoding="utf-8") for path in
+             [*sorted((SRC / "bvlab").glob("*.py")), *SCRIPTS,
+              *sorted((SRC.parent / "perfbench").glob("*.py"))]]
+    corpus = "\n".join(texts)
+    unreached = []
+    for path in sorted((SRC / "bvlab").glob("*.py")):
+        for name in dict.fromkeys(_public_names(path)):
+            uses = len(re.findall(rf"\b{name}\b", corpus))
+            definitions = len(re.findall(rf"\b(?:def|class) {name}\b", corpus))
+            if uses <= definitions:
+                unreached.append(f"{path.stem}.{name}")
+    assert unreached == []

@@ -32,7 +32,7 @@ def _records() -> dict:
         term, field, SelfSimilarity(2, 1), series,
         ShellParams(d=3, rho0=0.2, shells=2), lacunary_vector_field(2, 3),
         truncate_to_polynomial(field, 0.9, 0.01), variance_lacunary([1.0] * 4, 2),
-        Order2Field(series, 0.0),
+        Order2Field(series),
         order2_bound(ShellParams(d=16, rho0=0.3, n0=15, shells=3)),
         phi, BlaschkeMap.power(2), birkhoff_variance(phi, BlaschkeMap.power(2), 5),
         coboundary_check(2, 5), CheckResult("name", True, "detail"),
