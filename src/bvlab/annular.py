@@ -112,24 +112,32 @@ class MonomialTerm(record("MonomialTerm", "coeff p q gamma log_r_in log_r_out"))
         def num(key: str) -> float:
             return parse_float(doc[key], key)
 
+        def radius(key: str) -> float:
+            # r_out null (or inf) is the radius infinity
+            return inf if key == "r_out" and doc[key] in (None, inf) else num(key)
+
         def log_bound(key: str, edge: float) -> float:
             # the log key when present, else the radius key: r_in 0 is the log -inf,
-            # r_out null (or inf) the log +inf; an infinite log of the same side is read too
+            # r_out infinity the log +inf; an infinite log of the same side is read too
             log_key = "log_" + key
             if log_key in doc:
                 return edge if doc[log_key] == edge else num(log_key)
-            if edge == inf and doc[key] in (None, inf):
-                return inf
-            r = num(key)
+            r = radius(key)
             if r < 0:
                 raise ValidationError("radial support needs 0 <= r_in < r_out")
             return -inf if r == 0 else math.log(r)
 
         try:
-            return cls(complex(num("re"), num("im")), parse_int(doc["p"], "p"),
+            term = cls(complex(num("re"), num("im")), parse_int(doc["p"], "p"),
                        parse_int(doc["q"], "q"), num("gamma"), log_bound("r_in", -inf),
                        log_bound("r_out", inf))
-        except (KeyError, TypeError, ValueError) as exc:
+            for key in ("r_in", "r_out"):
+                # a bound spelled both ways must be one radius; to_doc writes exp(log)
+                if "log_" + key in doc and key in doc and not math.isclose(
+                        radius(key), getattr(term, key), rel_tol=1e-15):
+                    raise ValidationError(f"{key} and log_{key} give two different radii")
+            return term
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed term document: {exc}") from exc
 
 

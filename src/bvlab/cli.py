@@ -113,15 +113,15 @@ def cmd_variance(opts: dict, emit) -> int:
     else:
         if method == "block":  # the fewest shells, at least --shells, that reach the finest scale
             need = variance.resolving_freq(
-                math.expm1(variance.block_log_scales(r0, params.degree, blocks)[-1]))
+                math.expm1(variance.block_log_scales(r0, params.d, blocks)[-1]))
             resolved["shells"] = max(params.shells, params.shells_below(math.ceil(need) - 1) + 1)
             params = params._replace(shells=resolved["shells"])
         g = (constructions.shell_cauchy_series if method == "cesaro"
              else constructions.shell_beurling_series)(params)
         resolved.update(_series_resolved(opts, g))
-        est = (variance.variance_block(g, params.degree, r0, blocks) if method == "block"
+        est = (variance.variance_block(g, params.d, r0, blocks) if method == "block"
                else variance.variance_block_mass(g) if method == "mass"
-               else variance.cesaro_sigma4(g, r0, params.degree))
+               else variance.cesaro_sigma4(g, r0, params.d))
     payload = est.to_doc()
     payload["d"] = params.d
     payload["rho0"] = params.rho0
@@ -301,7 +301,8 @@ def _zeros(value, key: str) -> tuple[complex, ...]:
 # the default (None: the handler needs the key or does without it).  The
 # manifest echoes flags as parsed and config values as written.
 _READERS = {"int": parse_int, "float": parse_float, "text": _text, "switch": _switch}
-_SHELL = {"d": (parse_float, None), "rho0": (_rho0, "optimal"), "n0": ("int", None),
+# d is a reader, not "int", so that the manifest echoes --d as its text
+_SHELL = {"d": (parse_int, None), "rho0": (_rho0, "optimal"), "n0": ("int", None),
           "shells": ("int", 10)}
 _GLOBAL = {"seed": ("int", 0), "output_dir": ("text", None)}
 _ECHOED = ("rho0", "method")  # defaults echoed in manifests, below the config

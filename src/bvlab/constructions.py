@@ -31,72 +31,58 @@ if TYPE_CHECKING:
 MAX_TERMS = 10**6  # shell_moduli builds a list of this many floats
 
 
-def default_first_frequency(d: int) -> int:
-    """First shell frequency n0: d - 1, except 2 for degree 2.
-
-    For d = 2 the base choice d - 1 = 1 would require a negative conjugate
-    power; doubling frequencies n_j = 2^(j+1) keep every identity except that
-    the Cauchy-transform comparison with the lacunary field acquires an
-    additive constant.  The variance formulas are unaffected.
-    """
-    if d < 2:
-        raise ValidationError("degree must be >= 2")
-    return 2 if d == 2 else d - 1
-
-
 class ShellParams(record("ShellParams", "d rho0 n0 shells")):
-    """Parameters of the shell coefficient.
+    """Parameters of the shell coefficient, resolved when built.
 
-    ``d`` may be a real number > 1 for formula-only paths; materializing a
-    field requires an integer degree.  ``rho0="optimal"`` resolves to
-    ``optimal_rho0(d)``.  ``shells`` is the number of annuli J, and n_J - 1
-    the cutoff of the shell series (``series_cutoff``).
+    ``d`` is an integer degree >= 2, since the shell blocks sit at the integer
+    frequencies n_j = n0 * d^j; a real degree belongs to the closed forms of
+    ``formulas`` alone.  ``rho0="optimal"`` resolves to ``optimal_rho0(d)``.
+    ``n0=None`` resolves to d - 1, except 2 for degree 2: there d - 1 = 1 would
+    require a negative conjugate power, and doubling frequencies n_j = 2^(j+1)
+    keep every identity except that the Cauchy-transform comparison with the
+    lacunary field acquires an additive constant; the variance formulas are
+    unaffected.  ``shells`` is the number of annuli J, and n_J - 1 the cutoff of
+    the shell series (``series_cutoff``).
     """
 
     __slots__ = ()
 
-    def __new__(cls, d: float, rho0: float | str, n0: int | None = None,
+    def __new__(cls, d: int, rho0: float | str, n0: int | None = None,
                 shells: int = 10) -> "ShellParams":
         check_degree(d)
+        if d != int(d):
+            raise ValidationError("the shell degree must be an integer")
+        d = int(d)
         if rho0 == "optimal":
             rho0 = optimal_rho0(d)
         if not 0.0 < rho0 < 1.0:
             raise ValidationError("rho0 must lie in (0, 1)")
         if shells < 0:
             raise ValidationError("shell count must be >= 0")
-        if n0 is not None and n0 < 2:
+        if n0 is None:
+            n0 = 2 if d == 2 else d - 1
+        if n0 < 2:
             raise ValidationError("first shell frequency n0 must be >= 2")
         return super().__new__(cls, d, rho0, n0, shells)
 
-    @property
-    def degree(self) -> int:
-        if self.d != int(self.d):
-            raise ValidationError("field construction requires an integer degree")
-        return int(self.d)
-
-    @property
-    def first_frequency(self) -> int:
-        return self.n0 if self.n0 is not None else default_first_frequency(self.degree)
-
     def frequency(self, j: int) -> int:
-        n = self.first_frequency * self.degree**j
+        n = self.n0 * self.d**j
         if n > FREQ_CAP:
             raise CapacityError(
-                f"shell frequency n_{j} = {self.first_frequency}*{self.degree}^{j} "
-                "exceeds 64-bit capacity")
+                f"shell frequency n_{j} = {self.n0}*{self.d}^{j} exceeds 64-bit capacity")
         return n
 
     def log_radius(self, j: int) -> float:
         # exact integer frequency keeps log r_j = log(rho0)/n_j to full precision;
         # the outer radius of the last shell may exceed the frequency capacity,
         # which is fine since no Laurent frequency is created for it
-        n = self.first_frequency * self.degree**j
+        n = self.n0 * self.d**j
         return math.log(self.rho0) / float(n)
 
     def series_cutoff(self) -> int:
         """min(n_J - 1, FREQ_CAP): the shell series are exact up to it and hold nothing
         above n_(J-1), since shell j has its coefficients at n_j - 1 and n_j."""
-        return min(self.first_frequency * self.degree**self.shells - 1, FREQ_CAP)
+        return min(self.n0 * self.d**self.shells - 1, FREQ_CAP)
 
     @property
     def delta(self) -> float:
@@ -105,7 +91,7 @@ class ShellParams(record("ShellParams", "d rho0 n0 shells")):
 
     def shells_below(self, freq: int) -> int:
         """The number of shell frequencies n_j <= freq."""
-        return len(SelfSimilarity(self.degree, self.first_frequency).block_edges(freq))
+        return len(SelfSimilarity(self.d, self.n0).block_edges(freq))
 
     @property
     def capacity(self) -> int:
@@ -135,7 +121,7 @@ def shell_cauchy_series(params: ShellParams) -> ExteriorLaurent:
     """Exterior Cauchy series of the shell field, whole below its cutoff, with block
     metadata attached."""
     return ExteriorLaurent(cauchy_exterior(build_shell(params)).coeffs, params.series_cutoff(),
-                           SelfSimilarity(params.degree, params.first_frequency))
+                           SelfSimilarity(params.d, params.n0))
 
 
 def shell_beurling_series(params: ShellParams) -> ExteriorLaurent:
@@ -146,7 +132,7 @@ def shell_beurling_series(params: ShellParams) -> ExteriorLaurent:
     """
     return ExteriorLaurent(beurling_exterior(build_shell(params)).coeffs,
                            params.series_cutoff(),
-                           SelfSimilarity(params.degree, params.first_frequency))
+                           SelfSimilarity(params.d, params.n0))
 
 
 def shell_cauchy_identity_check(params: ShellParams, samples) -> tuple[float, float]:
@@ -158,8 +144,8 @@ def shell_cauchy_identity_check(params: ShellParams, samples) -> tuple[float, fl
     where the identity holds exactly; for degree 2 the comparison carries an
     additive constant and is not offered here.
     """
-    d = params.degree
-    if d < 3 or params.first_frequency != d - 1:
+    d = params.d
+    if d < 3 or params.n0 != d - 1:
         raise ValidationError("identity check needs degree >= 3 with n0 = d - 1")
     series = shell_cauchy_series(params)
     lac = lacunary_vector_field(d, params.shells)
@@ -180,19 +166,16 @@ def shell_cauchy_identity_check(params: ShellParams, samples) -> tuple[float, fl
 def shell_moduli(params: ShellParams, n_terms: int) -> list[float]:
     """Transform coefficient moduli 2 (1 - 1/n_j) delta, formula-only.
 
-    Works for real d > 1 and arbitrarily many terms; no frequencies are
-    materialized.  Frequencies beyond the float range contribute the limiting
-    modulus 2*delta.
+    Works for arbitrarily many terms, as no frequency n_j = n0 * d^j is
+    materialized: n_j is read through its log, and frequencies beyond the float
+    range contribute the limiting modulus 2*delta.
     """
     if not 1 <= n_terms <= MAX_TERMS:
         raise ValidationError(f"need 1 <= n_terms <= {MAX_TERMS}")
-    n0 = params.n0 if params.n0 is not None else (
-        default_first_frequency(int(round(params.d))) if params.d == int(params.d)
-        else params.d - 1.0)
     out = []
     log_d = math.log(params.d)
     for j in range(n_terms):
-        log_n = math.log(n0) + j * log_d
+        log_n = math.log(params.n0) + j * log_d
         inv_n = 0.0 if log_n > 700.0 else math.exp(-log_n)
         out.append(2.0 * (1.0 - inv_n) * params.delta)
     return out
@@ -271,14 +254,14 @@ def truncate_to_polynomial(mu: PiecewiseField, r1: float, eps: float,
     field has exterior Cauchy coefficients supported on frequencies <= N and
     unchanged transform value at the origin.
     """
-    if not mu.terms:
-        return TruncationResult(mu, 0, 0.0, 0.0, False)
-    rho0 = mu.min_r_in()
-    rho1 = mu.max_r_out()
+    rho1 = mu.max_r_out()  # 0.0 for a field with no terms
     if not rho1 < r1 < 1.0:
         raise ValidationError("need support radius rho1 < r1 < 1")
     if not 0.0 < eps < inf:
         raise ValidationError("eps must be positive and finite")
+    if not mu.terms:
+        return TruncationResult(mu, 0, 0.0, 0.0, False)
+    rho0 = mu.min_r_in()
     q = rho1 / r1
     # smallest N with q^(N+1) / (1-q) <= eps; the log of a sum, as eps (1-q) may underflow
     n_cut = max(0, math.ceil((math.log(eps) + math.log1p(-q)) / math.log(q)) - 1)

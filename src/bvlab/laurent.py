@@ -85,6 +85,8 @@ class ExteriorLaurent(record("ExteriorLaurent", "coeffs max_freq self_similarity
             if c != 0:
                 cleaned[k] = c
         max_freq = int(max_freq)
+        if max_freq < 1:
+            raise ValidationError(f"max_freq must be >= 1, got {max_freq}")
         if max_freq > FREQ_CAP:
             raise CapacityError(f"max_freq {max_freq} exceeds 64-bit capacity")
         if cleaned and max_freq < max(cleaned):

@@ -47,7 +47,7 @@ class Order2Report(record("Order2Report", [
         doc = {
             "d": self.params.d,
             "rho0": self.params.rho0,
-            "n0": self.params.first_frequency,
+            "n0": self.params.n0,
             "shells": self.shells_used,
             "max_freq": self.max_freq_used,
             "first_order": self.first_order,
@@ -98,8 +98,8 @@ def order2_bound(params: ShellParams, refine: bool = False) -> Order2Report:
     # each count J reads its whole w, and the masses of its blocks, below 2 n_(J-1)
     cuts = [2 * eff.frequency(j - 1) for j in counts]
     field = order2_field(build_shell(eff._replace(shells=max(counts))), max(cuts))
-    masses = block_masses(field.w, SelfSimilarity(eff.degree, eff.first_frequency))
-    est, *compared = [limit_estimate(masses[:eff.shells_below(cut + 1) - 1], 1.0 / eff.degree,
+    masses = block_masses(field.w, SelfSimilarity(eff.d, eff.n0))
+    est, *compared = [limit_estimate(masses[:eff.shells_below(cut + 1) - 1], 1.0 / eff.d,
                                      "block_mass") for cut in cuts]
     first = sigma2_shell(eff.d, eff.rho0)
     total = first + est.value
@@ -127,8 +127,7 @@ def parameter_search(grid) -> tuple[Order2Report, list[Order2Report]]:
     reports = [order2_bound(p) for p in points]
     if not reports:
         raise ValidationError("empty parameter grid")
-    board = sorted(reports, key=lambda r: (-r.total, r.params.d, r.params.rho0,
-                                           r.params.first_frequency))
+    board = sorted(reports, key=lambda r: (-r.total, r.params.d, r.params.rho0, r.params.n0))
     return board[0], board
 
 

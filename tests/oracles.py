@@ -375,7 +375,7 @@ def mp_order2_w(params, dps: int = 50) -> dict:
 
     with mp.workdps(dps):
         freqs = [params.frequency(j) for j in range(params.shells)]
-        logs = [mp.log(mp.mpf(params.rho0)) / n for n in [*freqs, freqs[-1] * params.degree]]
+        logs = [mp.log(mp.mpf(params.rho0)) / n for n in [*freqs, freqs[-1] * params.d]]
         mu = [(mp.mpf(1), 2 - n, n - 2, logs[j], logs[j + 1]) for j, n in enumerate(freqs)]
         s_mu = [(c * (m + mp.mpf(s) / 2), m - 1, s, la, lb) for c, m, s, la, lb in cauchy(mu)]
         product = [(c1 * c2, m1 + m2, s1 + s2, max(a1, a2), min(b1, b2))
@@ -397,9 +397,9 @@ def mp_order2_block_masses(params, dps: int = 50) -> list:
     with mp.workdps(dps):
         w = mp_order2_w(params, dps)
         cut = 2 * params.frequency(params.shells - 1)
-        edges = [params.first_frequency * params.degree**l for l in range(params.shells + 2)]
+        edges = [params.n0 * params.d**l for l in range(params.shells + 2)]
         return [mp.fsum(abs(c) ** 2 for k, c in w.items() if lo <= k < hi)
-                / mp.log(params.degree) for lo, hi in zip(edges, edges[1:]) if hi <= cut + 1]
+                / mp.log(params.d) for lo, hi in zip(edges, edges[1:]) if hi <= cut + 1]
 
 
 def apply_circle(b: BlaschkeMap, z: np.ndarray) -> np.ndarray:

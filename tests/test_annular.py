@@ -505,11 +505,42 @@ class TestSerialization:
     def test_each_bound_read_from_its_log_key_else_its_radius(self):
         term = {"re": 1.0, "im": 0.0, "p": 0, "q": 2, "gamma": 0.0, "r_in": 0.2, "r_out": 0.5}
         both = MonomialTerm.from_doc(term)
-        assert MonomialTerm.from_doc({**term, "log_r_in": -1.0}).log_r_in == -1.0
-        assert MonomialTerm.from_doc({**term, "log_r_out": -0.25}).log_r_in == both.log_r_in
+        no_r_in = {k: v for k, v in term.items() if k != "r_in"}
+        assert MonomialTerm.from_doc({**no_r_in, "log_r_in": -1.0}).log_r_in == -1.0
+        # a radius an ulp from exp(log) agrees with it, and the log is what is read
+        r_out = math.nextafter(math.exp(-0.25), 0.0)
+        assert math.log(r_out) != -0.25
+        read = MonomialTerm.from_doc({**term, "r_out": r_out, "log_r_out": -0.25})
+        assert read.log_r_out == -0.25 and read.log_r_in == both.log_r_in
         assert MonomialTerm.from_doc({**term, "r_out": inf}).log_r_out == inf
         with pytest.raises(ValidationError):
             MonomialTerm.from_doc({**term, "r_in": -0.1})
+
+    @pytest.mark.parametrize("spelled", [
+        {"r_in": 0.2, "log_r_in": -3.0}, {"r_in": 0.0, "log_r_in": -1.6},
+        {"r_in": 0.2, "log_r_in": -math.inf}, {"r_out": None, "log_r_out": -0.7},
+        {"r_out": math.inf, "log_r_out": -0.7}, {"r_out": 0.5, "log_r_out": math.inf},
+        {"r_out": 0.5, "log_r_out": math.log(0.5) * (1 + 1e-14)}])
+    def test_two_spellings_of_a_bound_must_agree(self, spelled):
+        # the document would mean either radius, so it is invalid, not read as its log
+        term = {"re": 1.0, "im": 0.0, "p": 0, "q": 2, "gamma": 0.0, "r_in": 0.2, "r_out": 0.5,
+                **spelled}
+        key = next(k for k in spelled if not k.startswith("log"))
+        with pytest.raises(ValidationError, match=f"{key} and log_{key} give two different"):
+            MonomialTerm.from_doc(term)
+
+    @pytest.mark.parametrize("spelled", [
+        {"r_in": 0.0, "log_r_in": -math.inf}, {"r_out": None, "log_r_out": math.inf},
+        {"r_in": math.exp(-800.0), "log_r_in": -800.0}])
+    def test_agreeing_spellings_are_read(self, spelled):
+        # an infinite log and its radius, and a log whose radius underflows to 0 as
+        # to_doc writes it
+        term = {"re": 1.0, "im": 0.0, "p": 0, "q": 2, "gamma": 0.0, "r_in": 0.2, "r_out": 0.5,
+                **spelled}
+        read = MonomialTerm.from_doc(term)
+        log_key = next(k for k in spelled if k.startswith("log"))
+        assert getattr(read, log_key) == spelled[log_key]
+        assert MonomialTerm.from_doc(read.to_doc()) == read
 
     def test_finite_bounds_keep_their_bytes(self):
         f = PiecewiseField.of(MonomialTerm.make(0.5 - 1j, 3, 1, -2.5, 0.25, 0.75))

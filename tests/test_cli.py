@@ -60,6 +60,28 @@ class TestVariance:
         assert doc["value"] == pytest.approx(0.8791, abs=2e-4)
         assert doc["closed_form"] == pytest.approx(0.87913117, abs=1e-7)
 
+    @pytest.mark.parametrize("argv, config", [(["--d", "2.5"], None), ([], {"d": 2.5})])
+    def test_real_degree_rejected(self, argv, config, tmp_path, capsys):
+        # shells exist only for an integer degree; the real optimum is optimize's
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+        code, out, err = run_cli(["variance", "shell", *argv, "--method", "exact"],
+                                 tmp_path / "out", capsys)
+        assert code == 2 and out == "" and not (tmp_path / "out").exists()
+        value = 2.5 if config else "2.5"  # the config's JSON number, or the flag's text
+        assert json.loads(err) == {"error": "ValidationError",
+                                   "message": f"d must be an integer, got {value!r}"}
+
+    def test_degree_read_exactly(self, tmp_path, capsys):
+        # 2^53 + 1 has no float; the manifest echoes the flag as text
+        code, out, _ = run_cli(["variance", "shell", "--d", "9007199254740993", "--rho0", "0.5",
+                                "--method", "exact"], tmp_path, capsys)
+        assert code == 0
+        assert '"d": 9007199254740993,' in out and json.loads(out)["d"] == 2**53 + 1
+        manifest = json.loads((tmp_path / "variance_manifest.json").read_text())
+        assert manifest["config"]["d"] == "9007199254740993"
+
     def test_mass_method(self, tmp_path, capsys):
         code, out, _ = run_cli(["variance", "shell", "--d", "3", "--rho0", "0.2",
                                 "--method", "mass", "--shells", "12"], tmp_path, capsys)
@@ -293,6 +315,17 @@ class TestMeansCurve:
         slope = json.loads((tmp_path / "means_curve_manifest.json").read_text())
         assert slope["resolved"]["growth_slope"] == pytest.approx(fit, rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("max_freq", [-3, 0])
+    def test_series_cutoff_below_one(self, max_freq, tmp_path, capsys):
+        # an empty series is still a series exact up to its cutoff, which must be >= 1
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps({"coeffs": [], "max_freq": max_freq}))
+        code, out, err = run_cli(["means-curve", "--series", str(series)], tmp_path / "out",
+                                 capsys)
+        assert code == 2 and out == "" and not (tmp_path / "out").exists()
+        assert json.loads(err) == {"error": "ValidationError",
+                                   "message": f"max_freq must be >= 1, got {max_freq}"}
+
     def test_r_min_below_the_float_step_of_one(self, tmp_path, capsys):
         # 1 + 1e-17 == 1, so R_min would not lie above 1: the check names r_min
         code, out, err = run_cli(["means-curve", "--d", "2", "--r-min", "1e-17"],
@@ -314,6 +347,43 @@ class TestTruncate:
         field = PiecewiseField.from_doc(json.loads(text))
         assert json_text(field.to_doc()) == text
         assert min(t.log_r_in for t in field.terms) == -math.inf
+
+    @pytest.mark.parametrize("source", [["--mu", "{empty}"],
+                                        ["--d", "3", "--rho0", "0.05", "--shells", "0"]])
+    @pytest.mark.parametrize("r1, eps, message", [
+        ("7", "0.01", "need support radius rho1 < r1 < 1"),
+        ("0.7", "-3", "eps must be positive and finite")])
+    def test_empty_field_checks_r1_and_eps(self, source, r1, eps, message, tmp_path, capsys):
+        # a field with no terms has rho1 = 0 and nothing to cancel, but the same checks
+        (tmp_path / "empty.json").write_text(json.dumps({"terms": []}))
+        argv = ["truncate", *[a.format(empty=tmp_path / "empty.json") for a in source]]
+        code, out, err = run_cli([*argv, "--r1", r1, "--eps", eps], tmp_path / "out", capsys)
+        assert code == 2 and out == "" and not (tmp_path / "out").exists()
+        assert json.loads(err) == {"error": "ValidationError", "message": message}
+        code, out, _ = run_cli([*argv, "--r1", "0.7", "--eps", "0.01"], tmp_path, capsys)
+        assert code == 0
+        assert out == ('{"correction_bound": 0, "cutoff": 0, "rescaled": false, '
+                       '"tail_bound": 0, "terms": 0}\n')
+        assert (tmp_path / "truncated_field.json").read_text() == '{"terms": []}\n'
+
+    def test_bound_spelled_two_ways_must_agree(self, tmp_path, capsys):
+        # r_in 0.2 next to log_r_in -3 would mean either radius
+        term = {"re": 1, "im": 0, "p": 0, "q": 2, "gamma": 0, "r_in": 0.2, "log_r_in": -3.0,
+                "r_out": 0.5}
+        (tmp_path / "mu.json").write_text(json.dumps({"terms": [term]}))
+        code, out, err = run_cli(["truncate", "--mu", str(tmp_path / "mu.json"), "--r1", "0.7",
+                                  "--eps", "0.01"], tmp_path / "out", capsys)
+        assert code == 2 and out == "" and not (tmp_path / "out").exists()
+        assert json.loads(err) == {"error": "ValidationError",
+                                   "message": "r_in and log_r_in give two different radii"}
+        # the field truncate writes spells both and reads back
+        code, _, _ = run_cli(["truncate", "--d", "3", "--rho0", "0.05", "--shells", "1",
+                              "--r1", "0.7", "--eps", "0.01"], tmp_path, capsys)
+        written = tmp_path / "truncated_field.json"
+        assert code == 0 and '"log_r_in"' in written.read_text()
+        code, _, err = run_cli(["truncate", "--mu", str(written), "--r1", "0.9", "--eps", "0.01"],
+                               tmp_path / "again", capsys)
+        assert code == 0, err
 
     def test_smallest_eps(self, tmp_path, capsys):
         # eps (1 - q) underflows at the least subnormal; the cutoff is the smallest passing N

@@ -62,14 +62,14 @@ FLOAT_KEY_VALUES = {"r_min": [1e-8, 1e-6, 1e-4], "r_max": [1e-3, 0.1, 0.5],
                     "r0": [1.1, 1.5, 2.0], "r1": [0.7, 0.9], "eps": [1e-3, 0.01, 0.1]}
 # valid values of the keys whose flags argparse keeps as text
 READER_VALUES = {
-    "d": ["2", "3", "4", "16", "20", "2.5"],
+    "d": ["2", "3", "4", "16", "20"],
     "rho0": ["optimal", "0.05", "0.25", "0.5"],
     "blaschke": ["0.3+0j", "0.1-0.2j,0.5j", "", "0.999+0j", "0j"],
     "grid_d": ["2", "3", "4", "16", "20"],
     "grid_rho0": ["optimal", "0.1", "0.25"],
     "grid_n0": ["default", "3", "6", "15"],
 }
-BAD_READER_VALUES = ["1+0j", "nan+0j", "1e400j", "x", "", "2**63", "1.5"]
+BAD_READER_VALUES = ["1+0j", "nan+0j", "1e400j", "x", "", "2**63", "1.5", "2.5"]
 DOC_KEYS = {"series": "series", "mu": "field", "phi": "potential"}
 # keys drawn on every run: at its default of 100000 samples a Monte Carlo run
 # takes up to 2 s, so the fuzzer always draws the sample count (20 at most)

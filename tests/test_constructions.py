@@ -11,10 +11,10 @@ from bvlab.constructions import (ShellParams, build_shell, lacunary_vector_field
                                  truncate_to_polynomial)
 from bvlab.errors import FREQ_CAP, BVLabError, CapacityError, ValidationError
 from bvlab.formulas import optimal_rho0
-from bvlab.laurent import SelfSimilarity
+from bvlab.laurent import ExteriorLaurent, SelfSimilarity, derivative_coefficients
 from bvlab.variance import variance_lacunary
 from conftest import circle
-from oracles import derivative, fields_allclose, sup_norm_sampled, truncated
+from oracles import derivative, fields_allclose, sup_norm_sampled
 
 
 class TestShellParams:
@@ -28,19 +28,28 @@ class TestShellParams:
         assert radii == sorted(radii)
 
     def test_default_first_frequency(self):
-        assert ShellParams(d=2, rho0=0.25).first_frequency == 2
-        assert ShellParams(d=7, rho0=0.2).first_frequency == 6
+        assert ShellParams(d=2, rho0=0.25).n0 == 2
+        assert ShellParams(d=7, rho0=0.2).n0 == 6
 
     def test_capacity(self):
         p = ShellParams(d=16, rho0=0.05, shells=40)
         with pytest.raises(CapacityError):
             [p.frequency(j) for j in range(p.shells)]
 
-    def test_real_degree_formula_only(self):
-        p = ShellParams(d=2.5, rho0=0.3)
-        assert p.delta == pytest.approx(0.3 ** (1 / 2.5) - 0.3)
-        with pytest.raises(ValidationError):
-            p.degree
+    def test_real_degree_rejected(self):
+        # shells sit at integer frequencies; a real degree is for formulas alone
+        with pytest.raises(ValidationError, match="the shell degree must be an integer"):
+            ShellParams(d=2.5, rho0=0.3)
+
+    def test_integral_degree_stored_as_int(self):
+        d = ShellParams(d=16.0, rho0=0.3).d
+        assert d == 16 and type(d) is int
+
+    def test_first_frequency_resolved_as_int(self):
+        for p, n0 in ((ShellParams(d=2, rho0=0.25), 2), (ShellParams(d=7, rho0=0.2), 6),
+                      (ShellParams(d=16, rho0=0.3, n0=15), 15)):
+            for q in (p, p._replace(shells=3), p._replace(rho0=0.5)):
+                assert q.n0 == n0 and type(q.n0) is int
 
     def test_deep_shell_log_radii_keep_accuracy(self):
         # near the circle the plain radius is useless: 1 - r is below an ulp,
@@ -83,6 +92,15 @@ def _outcome(build):
             g.self_similarity)
 
 
+def _cut_derivative(g):
+    """The termwise derivative of the coefficients of g below its cutoff c, exact up to c:
+    the derivative of g cut at c - 1, without the series cut at c - 1, which for no
+    shells and n0 = 2 would have the cutoff 0 that no series has."""
+    c = g.max_freq
+    return ExteriorLaurent(derivative_coefficients({k: b for k, b in g.coeffs.items() if k < c}),
+                           c, g.self_similarity)
+
+
 class TestShellSeries:
     @pytest.mark.parametrize("d", [2, 3, 16, 20])
     def test_transform_series_is_the_cut_derivative_of_the_cauchy_series(self, d):
@@ -94,7 +112,7 @@ class TestShellSeries:
             for shells in (0, 1, 3, cap - 1, cap, cap + 1):
                 p = ShellParams(d=d, rho0=rho0, shells=shells)
                 assert _outcome(lambda: shell_beurling_series(p)) == _outcome(
-                    lambda: derivative(truncated(shell_cauchy_series(p), p.series_cutoff() - 1)))
+                    lambda: _cut_derivative(shell_cauchy_series(p)))
 
     @pytest.mark.parametrize("n0", [None, 5])
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16, 20, 64])
@@ -104,10 +122,10 @@ class TestShellSeries:
         # every shell count that builds, the capacity and past it included
         for rho0 in (1e-12, 0.05, "optimal", 0.6):
             params = ShellParams(d=d, rho0=rho0, n0=n0)
-            blocks = SelfSimilarity(d, params.first_frequency)
+            blocks = SelfSimilarity(d, params.n0)
             for shells in range(params.shells_below(FREQ_CAP) + 1):
                 p = params._replace(shells=shells)
-                cutoff = min(p.first_frequency * d**shells - 1, FREQ_CAP)
+                cutoff = min(p.n0 * d**shells - 1, FREQ_CAP)
                 mu = build_shell(p)
                 for series, whole in ((shell_cauchy_series(p), cauchy_exterior(mu)),
                                       (shell_beurling_series(p), beurling_exterior(mu))):

@@ -16,6 +16,13 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             ExteriorLaurent({5: 1.0}, 3)
 
+    @pytest.mark.parametrize("max_freq", [-3, 0])
+    @pytest.mark.parametrize("coeffs", [{}, {1: 0.0}])
+    def test_cutoff_below_one_rejected(self, coeffs, max_freq):
+        # no series is exact up to a frequency below 1, whether or not it stores a term
+        with pytest.raises(ValidationError, match=f"max_freq must be >= 1, got {max_freq}"):
+            ExteriorLaurent(coeffs, max_freq)
+
     def test_zero_coefficients_dropped(self):
         g = ExteriorLaurent({1: 0.0, 2: 1.0}, 10)
         assert g.frequencies() == [2]

@@ -234,7 +234,7 @@ class TestOrder2Bound:
         counts = [params.capacity, params.capacity - 1] if at_capacity else [5, 10]
         cuts = [2 * params.frequency(j - 1) for j in counts]
         w = order2_field(build_shell(params._replace(shells=max(counts))), max(cuts)).w
-        w = w._replace(self_similarity=SelfSimilarity(d, params.first_frequency))
+        w = w._replace(self_similarity=SelfSimilarity(d, params.n0))
         expected = [variance_block_mass(w if cut == max(cuts) else truncated(w, cut))
                     for cut in cuts]
         assert [repr(e.to_doc()) for e in estimates] == [repr(e.to_doc()) for e in expected]
