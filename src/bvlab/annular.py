@@ -17,6 +17,7 @@ radius would round to 1.0 and destroy the moment integrals r^e with huge e.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from math import inf, isfinite
 from operator import itemgetter
@@ -42,6 +43,9 @@ def _pow_log(e: float, log_r: float) -> float:
     return math.exp(e * log_r)
 
 
+_MAX_LOG_RADIUS = math.log(sys.float_info.max)  # the largest log radius whose radius is a float
+
+
 class MonomialTerm(record("MonomialTerm", "coeff p q gamma log_r_in log_r_out")):
     """One monomial piece c * conj(z)^p z^q |z|^gamma on [r_in, r_out)."""
 
@@ -53,6 +57,8 @@ class MonomialTerm(record("MonomialTerm", "coeff p q gamma log_r_in log_r_out"))
             raise ValidationError("conjugate power p must be >= 0")
         if not log_r_in < log_r_out:
             raise ValidationError("term needs r_in < r_out")
+        if _MAX_LOG_RADIUS < log_r_in or _MAX_LOG_RADIUS < log_r_out < inf:
+            raise ValidationError(f"a finite log radius must be at most {_MAX_LOG_RADIUS!r}")
         return super().__new__(cls, complex(coeff), p, q, float(gamma), log_r_in, log_r_out)
 
     @classmethod

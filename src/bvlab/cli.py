@@ -145,6 +145,8 @@ def cmd_optimize(opts: dict, emit) -> int:
 
 def cmd_order2(opts: dict, emit) -> int:
     if opts["grid_d"]:
+        if opts["refine"]:
+            raise ValidationError("refine applies to one order2 bound, not to a grid_d search")
         grid = order2.shell_grid(opts["grid_d"], opts["grid_rho0"], opts["grid_n0"],
                                  6 if opts["shells"] is None else opts["shells"])
         best, board = order2.parameter_search(grid)
@@ -217,13 +219,16 @@ def cmd_truncate(opts: dict, emit) -> int:
 
 
 def cmd_dynamics(opts: dict, emit) -> int:
+    seed = opts["seed"]
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     if opts["subcommand"] == "coboundary":
         n = 20 if opts["n"] is None else opts["n"]
         payload = dynamics.coboundary_check(opts["d"], n)._asdict()
-        payload["seed"] = opts["seed"]
+        payload["seed"] = seed
         emit("dynamics_coboundary", payload)
         return 0
-    n, samples, seed = 50 if opts["n"] is None else opts["n"], opts["samples"], opts["seed"]
+    n, samples = 50 if opts["n"] is None else opts["n"], opts["samples"]
     if not 2 <= samples <= dynamics.MAX_SAMPLES:  # checked on every route
         raise ValidationError(f"need 2 <= samples <= {dynamics.MAX_SAMPLES}")
     phi = dynamics.CirclePotential.from_doc(_read_json(_need(opts, "phi"), "potential"))
@@ -304,7 +309,7 @@ _READERS = {"int": parse_int, "float": parse_float, "text": _text, "switch": _sw
 # d is a reader, not "int", so that the manifest echoes --d as its text
 _SHELL = {"d": (parse_int, None), "rho0": (_rho0, "optimal"), "n0": ("int", None),
           "shells": ("int", 10)}
-_GLOBAL = {"seed": ("int", 0), "output_dir": ("text", None)}
+_GLOBAL = {"output_dir": ("text", None)}
 _ECHOED = ("rho0", "method")  # defaults echoed in manifests, below the config
 _POSITIONAL = ("kind", "subcommand")
 _HELP = {"config": "JSON config file; flags override its values",
@@ -341,7 +346,8 @@ _COMMANDS = {
     "dynamics": (cmd_dynamics, "dynamical variance checks on the circle",
                  {"subcommand": (("coboundary", "var"), None), "d": ("int", 2),
                   "n": ("int", None), "blaschke": (_zeros, ()), "phi": ("text", None),
-                  "method": (("exact", "mc"), "exact"), "samples": ("int", 100000)}),
+                  "method": (("exact", "mc"), "exact"), "samples": ("int", 100000),
+                  "seed": ("int", 0)}),
     "selfcheck": (cmd_selfcheck, "run the built-in oracle comparisons",
                   {"full": ("switch", False)}),
 }
@@ -410,8 +416,6 @@ def run(argv: list[str]) -> int:
               **_load_config(args.pop("config"), keys),
               **{k: v for k, v in args.items() if v is not None}}
     opts = _read(keys, values)
-    if opts["seed"] < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {opts['seed']}")
     manifest = {"tool": "bvlab", "version": __version__, "command": command, "config": values}
     # the environment variable wins, then the flag or the config, then ./bvlab_out
     out_dir = Path(os.environ.get(OUTPUT_ENV) or opts["output_dir"] or "bvlab_out")

@@ -9,11 +9,13 @@ C(k) = int conj(phi_0) phi_0(B^k) dm:
 
     (1/n) int |S_n phi_0|^2 dm = C(0) + 2 Re sum_{0<k<n} (1 - k/n) C(k).
 
-C(k) reads Taylor coefficients of the powers of the iterate B^k up to the
-order M = max |m| of phi, so B^k is carried as a power series truncated at M
-(``birkhoff_variance``).  Under z -> z^d the iterates are monomials and the
-sum is exact frequency bookkeeping (``birkhoff_variance_exact``).  Monte Carlo
-over sampled orbits (``birkhoff_variance_mc``) is the independent route.
+Composition with B maps polynomials of degree at most M = max |m| of phi to
+themselves by a lower-triangular matrix T with diagonal B'(0)^m, |B'(0)| < 1,
+so C(k) reads T^k and the n -> infinity limit is one forward substitution
+with I - T (``birkhoff_variance``).  Under z -> z^d the iterates are monomials
+and the sum is exact frequency bookkeeping (``birkhoff_variance_exact``).
+Monte Carlo over sampled orbits (``birkhoff_variance_mc``) is the independent
+route.
 
 The virtual-coboundary cross-check: h(z) = z^-(d-1) equals g(z) - g(z^d) for
 the unit lacunary series g, and var(h) / int log|B'| dm reproduces the
@@ -42,17 +44,16 @@ MAX_SAMPLES = 10**7  # 100x the documented run; a sample costs about 100 bytes o
 # documented run with a three-term potential (50 x (2 + 3) x 10^5) is 2.5 x 10^7
 MIN_BATCH = 256
 MAX_WORK = 10**8
-# Series work is n x M^2 x (M + degree) with M = max(max |m| of phi, MIN_ORDER): a step
-# multiplies M powers of M + 1 coefficients and runs one recurrence of M + 1 sums per
-# zero; below M = 16 the interpreter overhead of those sums dominates.  The worst
-# admitted runs (M = 16 with 1024 zeros and n = 56, or with two zeros and n = 3083)
-# take about 3.8 s and 1.3 s end to end on a 2-core machine
+# Series work is at most n x M^2 x (M + degree) with M = max(max |m| of phi, MIN_ORDER): T
+# costs M^2 x (M + zeros) (M products of series), each of the n steps M^2; below M = 16 the
+# interpreter overhead of those sums dominates.  The worst admitted runs (M = 16 with 1024
+# zeros and n = 56, or with two zeros and n = 3083; zeros at radius 0.99) take about 0.4 s
+# (mostly the circle mean of log |B'|) and 0.1 s end to end on a 2-core machine
 MIN_ORDER = 16
 MAX_EXACT_WORK = 15 * 10**6
 # the circle mean of log |B'| costs _QUAD_POINTS kernel evaluations per zero off the
 # origin (about 1 s for MAX_ZEROS); a power map stores none
 MAX_ZEROS = 1024
-LIMIT_RTOL = 1e-12  # the limit is converged when its tail estimate is below this x C(0)
 
 
 class CirclePotential(record("CirclePotential", "coeffs")):
@@ -124,12 +125,12 @@ class BlaschkeMap(record("BlaschkeMap", "zeros order")):
                                   f"off the origin")
         if order < 1:
             raise ValidationError("the order of the zero at the origin must be >= 1")
+        if order + len(zeros) < 2:
+            raise ValidationError("degree must be >= 2")
         return super().__new__(cls, nonzero, order + len(zeros) - len(nonzero))
 
     @classmethod
     def power(cls, d: int) -> "BlaschkeMap":
-        if d < 2:
-            raise ValidationError("degree must be >= 2")
         return cls((), d)
 
     @property
@@ -172,7 +173,7 @@ def birkhoff_variance_exact(phi: CirclePotential, d: int, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact correlations by series composition
+# exact correlations by the composition matrix
 # ---------------------------------------------------------------------------
 
 def _valuation(f: list[complex]) -> int:
@@ -189,29 +190,59 @@ def _product(f: list[complex], g: list[complex]) -> list[complex]:
     return out
 
 
-def _blaschke_factor(g: list[complex], f: list[complex], a: complex) -> list[complex]:
-    """g (f - a) / (1 - conj(a) f) for a series f with f(0) = 0.
-
-    With h the result and u = g + conj(a) h, h = f u - a g term by term.
-    """
-    ca = a.conjugate()
-    v = _valuation(f)
+def _blaschke_factor(g: list[complex], a: complex) -> list[complex]:
+    """g (z - a) / (1 - conj(a) z): with h the result and u = g + conj(a) h,
+    h = z u - a g term by term."""
     h: list[complex] = []
-    u: list[complex] = []
-    for k, gk in enumerate(g):
-        hk = sum(map(mul, f[v:k + 1], reversed(u[:k - v + 1]))) - a * gk
-        h.append(hk)
-        u.append(gk + ca * hk)
+    u = 0j
+    for gk in g:
+        h.append(u - a * gk)
+        u = gk + a.conjugate() * h[-1]
     return h
 
 
-def _compose(b: BlaschkeMap, powers: list[list[complex]]) -> list[complex]:
-    """B(f) truncated, from the powers f^j (powers[j], j >= 1) of a series f."""
-    f = powers[1]
-    out = powers[b.order] if b.order < len(powers) else [0j] * len(f)
+def _composition_rows(b: BlaschkeMap, size: int) -> list[list[complex]]:
+    """T, the matrix of f -> f(B) on z, ..., z^size, by rows: row p - 1 holds [z^p] B^m
+    for m = 1..p (column m is B^m, which starts at z^m)."""
+    series = [1 + 0j if k == b.order else 0j for k in range(size + 1)]
     for a in b.zeros:
-        out = _blaschke_factor(out, f, a)
-    return out
+        series = _blaschke_factor(series, a)
+    powers = [series]
+    for _ in range(size - 1):
+        powers.append(_product(powers[-1], series))
+    return [[column[p] for column in powers[:p]] for p in range(1, size + 1)]
+
+
+def _correlations(phi0: CirclePotential, b: BlaschkeMap, n: int) -> tuple[list[complex], complex]:
+    """C(k) for k < n, up to the step where T^k x and T^k y vanish, and sum_{k>=0} C(k).
+
+    C(k) = <T^k x, x> + conj <T^k y, y> with x = (c_p), y = (conj c_-p), p = 1..M, and
+    <u, x> = sum conj(x_p) u_p; the sum is the same form in R = (I - T)^-1.
+    """
+    rows = _composition_rows(b, phi0.max_frequency)
+    x, y = [0j] * len(rows), [0j] * len(rows)
+    for m, c in phi0.coeffs:
+        if m > 0:
+            x[m - 1] = c
+        else:
+            y[-m - 1] = c.conjugate()
+
+    def form(u: list[complex], v: list[complex]) -> complex:  # summed exactly
+        terms = [*(c.conjugate() * w for c, w in zip(x, u)),
+                 *(c * w.conjugate() for c, w in zip(y, v))]
+        return complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
+
+    corr, u, v = [], x, y
+    for _ in range(n):
+        corr.append(form(u, v))
+        u, v = ([sum(map(mul, row, w)) for row in rows] for w in (u, v))
+        if not (any(u) or any(v)):
+            break
+    resolved = ([], [])
+    for w, r in zip((x, y), resolved):  # forward substitution; row[-1] is T's diagonal
+        for row, wp in zip(rows, w):
+            r.append((wp + sum(map(mul, row, r))) / (1 - row[-1]))
+    return corr, form(*resolved)
 
 
 def check_exact_work(n: int, phi: CirclePotential, degree: int) -> None:
@@ -225,82 +256,35 @@ def check_exact_work(n: int, phi: CirclePotential, degree: int) -> None:
             f"(Monte Carlo) for longer orbits or higher frequencies")
 
 
-class BirkhoffVariance(record("BirkhoffVariance", "value limit limit_tail converged tolerance")):
-    """Finite-n variance, its n -> infinity limit and the limit's tail estimate.
-
-    ``limit_tail`` is 0 when the truncated iterate B^n vanished (every later
-    correlation is then 0), a geometric continuation of the last correlations
-    when they decay, and None when they do not.
-    """
+class BirkhoffVariance(record("BirkhoffVariance", "value limit")):
+    """Finite-n variance and its exact n -> infinity limit."""
 
     __slots__ = ()
 
     def to_doc(self) -> dict:
-        return {"variance": self.value, "limit": self.limit, "limit_tail": self.limit_tail,
-                "converged": self.converged, "tolerance": self.tolerance}
-
-
-def _limit_tail(corr: list[complex], vanished: bool) -> float | None:
-    """Omitted sum 2 sum_{k>=n} |C(k)|, continued geometrically from the last two
-    windows of a quarter of the correlations each (None unless they decay)."""
-    if vanished:
-        return 0.0
-    w = max(1, len(corr) // 4)
-    if len(corr) < 2 * w:
-        return None
-    prev = fsum(abs(c) for c in corr[-2 * w:-w])
-    last = fsum(abs(c) for c in corr[-w:])
-    if not 0.0 < last < prev:
-        return None
-    ratio = last / prev
-    return 2.0 * last * ratio / (1.0 - ratio)
+        return {"variance": self.value, "limit": self.limit}
 
 
 def birkhoff_variance(phi: CirclePotential, b: BlaschkeMap, n: int) -> BirkhoffVariance:
-    """(1/n) int |S_n phi_0|^2 dm for any Blaschke map, from exact correlations.
+    """(1/n) int |S_n phi_0|^2 dm for any Blaschke map, and its limit, from exact correlations.
 
-    The iterate B^k is a power series truncated at M = max |m|; its powers
-    (B^k)^j, j <= M, give C(k), negative frequencies through the conjugate:
-    C(k) = sum over p >= m > 0 of conj(c_p) c_m [z^p](B^k)^m
-         + conj(c_-p) c_-m conj([z^p](B^k)^m).
-    Only coefficients up to order M enter, so nothing is truncated beyond
-    float rounding.  For z^d with d > M the iterate vanishes after one step.
+    Column m of T is B^m cut at order M = max |m|, and (B^k)^m = T^k z^m, so
+    C(k) = sum over p >= m > 0 of conj(c_p) c_m [T^k]_pm + conj(c_-p) c_-m conj([T^k]_pm).
+    The steps stop once T^k x and T^k y vanish (for z^d with d > M after one).  T is
+    triangular with diagonal B'(0)^m, |B'(0)| < 1, so the limit
+    C(0) + 2 Re sum_{k>0} C(k) = 2 Re sum_{k>=0} C(k) - C(0) is exact: nothing is
+    truncated beyond float rounding.
     """
     if n < 1:
         raise ValidationError("need n >= 1")
     phi0 = phi.without_mean()
     if not phi0.coeffs:
-        return BirkhoffVariance(0.0, 0.0, 0.0, True, LIMIT_RTOL)
+        return BirkhoffVariance(0.0, 0.0)
     check_exact_work(n, phi0, b.degree)
-    size = phi0.max_frequency
-    # conj(c_p) and c_-p by p = 1..M: C(k) pairs them with row m of the powers
-    conj_pos, neg = [0j] * (size + 1), [0j] * (size + 1)
-    for m, c in phi0.coeffs:
-        if m > 0:
-            conj_pos[m] = c.conjugate()
-        else:
-            neg[-m] = c
-    f = [0j] * (size + 1)
-    f[1] = 1 + 0j  # B^0 = z
-    corr: list[complex] = []
-    for _ in range(n):
-        powers = [[], f]
-        for _ in range(size - 1):
-            powers.append(_product(powers[-1], f))
-        terms = [c.conjugate() * sum(map(mul, conj_pos[m:], powers[m][m:]))
-                 for m, c in enumerate(conj_pos) if c]
-        terms += [c * sum(map(mul, neg[m:], powers[m][m:])).conjugate()
-                  for m, c in enumerate(neg) if c]
-        corr.append(complex(fsum(t.real for t in terms), fsum(t.imag for t in terms)))
-        f = _compose(b, powers)
-        if not any(f):
-            break
+    corr, total = _correlations(phi0, b, n)
     c0 = corr[0].real
     value = fsum([c0, *(2.0 * (n - k) / n * c.real for k, c in enumerate(corr) if k)])
-    limit = fsum([c0, *(2.0 * c.real for c in corr[1:])])
-    tail = _limit_tail(corr, not any(f))
-    converged = tail is not None and tail <= LIMIT_RTOL * c0
-    return BirkhoffVariance(value, limit, tail, converged, LIMIT_RTOL)
+    return BirkhoffVariance(value, 2.0 * total.real - c0)
 
 
 # ---------------------------------------------------------------------------

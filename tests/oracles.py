@@ -16,7 +16,9 @@ never by the closed-form code of the package:
   * a 50-digit mpmath rebuild of the second-order term w of a shell field,
     and of its block masses, from the definitions (mp_order2_w);
   * numpy orbits of Blaschke maps on the circle and the 4096-point midpoint
-    rule for the circle mean of log |B'|, from the logarithmic derivative.
+    rule for the circle mean of log |B'|, from the logarithmic derivative;
+  * the Birkhoff correlations of a Blaschke map by composing the iterate B^k
+    with B at every step, as a power series, and re-expanding all its powers.
 
 Sampled sup norms and field equality use a probe grid placed off the radial
 breakpoints; the Bloch seminorm is a grid lower bound from the series itself.
@@ -28,11 +30,12 @@ series at a frequency, for tests that compare series at different cutoffs.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 import numpy as np
 
 from bvlab.annular import MonomialTerm, PiecewiseField, _radial_moment
-from bvlab.dynamics import BlaschkeMap
+from bvlab.dynamics import BlaschkeMap, CirclePotential
 from bvlab.laurent import ExteriorLaurent, derivative_coefficients
 
 
@@ -438,3 +441,57 @@ def ks_uniform_statistic(values: np.ndarray) -> float:
     up = np.max(np.arange(1, n + 1) / n - x)
     down = np.max(x - np.arange(0, n) / n)
     return float(max(up, down))
+
+
+def _series_product(f: list[complex], g: list[complex]) -> list[complex]:
+    """f g truncated to the length of f."""
+    return [sum(map(mul, f[:k + 1], reversed(g[:k + 1]))) for k in range(len(f))]
+
+
+def _series_blaschke_factor(g: list[complex], f: list[complex], a: complex) -> list[complex]:
+    """g (f - a) / (1 - conj(a) f) for a series f with f(0) = 0: with h the result
+    and u = g + conj(a) h, h = f u - a g term by term."""
+    h: list[complex] = []
+    u: list[complex] = []
+    for k, gk in enumerate(g):
+        hk = sum(map(mul, f[1:k + 1], reversed(u[:k]))) - a * gk
+        h.append(hk)
+        u.append(gk + a.conjugate() * hk)
+    return h
+
+
+def composed_correlations(phi: CirclePotential, b: BlaschkeMap,
+                          n: int) -> tuple[list[complex], float | None]:
+    """C(k) = int conj(phi_0) phi_0(B^k) dm for k < n, with B^k carried as a power
+    series cut at M = max |m| and composed with B at every step, and a geometric
+    guess of the omitted 2 sum_{k>=n} |C(k)| (0 once B^k vanishes, None unless the
+    last two quarters of the correlations decay).
+
+    C(k) = sum over p >= m > 0 of conj(c_p) c_m [z^p](B^k)^m
+         + conj(c_-p) c_-m conj([z^p](B^k)^m).
+    """
+    coeffs = dict(phi.without_mean().coeffs)
+    size = max(map(abs, coeffs))
+    f = [0j] * (size + 1)
+    f[1] = 1 + 0j  # B^0 = z
+    corr: list[complex] = []
+    for _ in range(n):
+        powers = [None, f]
+        for _ in range(size - 1):
+            powers.append(_series_product(powers[-1], f))
+        terms = [coeffs.get(p, 0j).conjugate() * coeffs.get(m, 0j) * powers[m][p]
+                 + coeffs.get(-p, 0j).conjugate() * coeffs.get(-m, 0j) * powers[m][p].conjugate()
+                 for m in range(1, size + 1) for p in range(m, size + 1)]
+        corr.append(complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)))
+        f = powers[b.order] if b.order <= size else [0j] * (size + 1)
+        for a in b.zeros:
+            f = _series_blaschke_factor(f, powers[1], a)
+        if not any(f):
+            return corr, 0.0
+    w = max(1, len(corr) // 4)
+    prev = math.fsum(abs(c) for c in corr[-2 * w:-w])
+    last = math.fsum(abs(c) for c in corr[-w:])
+    if len(corr) < 2 * w or not 0.0 < last < prev:
+        return corr, None
+    ratio = last / prev
+    return corr, 2.0 * last * ratio / (1.0 - ratio)

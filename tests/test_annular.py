@@ -560,6 +560,16 @@ class TestSerialization:
         with pytest.raises(ValidationError, match=f"{key} must be a finite number"):
             PiecewiseField.from_doc({"terms": [term]})
 
+    @pytest.mark.parametrize("log_r_in, log_r_out", [
+        (-1.0, 800.0), (800.0, inf), (800.0, 900.0),
+        (-1.0, math.nextafter(math.log(1.7976931348623157e308), inf))])
+    def test_finite_log_radius_past_the_float_range_rejected(self, log_r_in, log_r_out):
+        # exp of the bound would overflow in r_in, r_out and every radial moment
+        with pytest.raises(ValidationError, match="log radius must be at most"):
+            MonomialTerm(1.0, 0, 2, 0.0, log_r_in, log_r_out)
+        top = math.log(1.7976931348623157e308)
+        assert MonomialTerm(1.0, 0, 2, 0.0, top, inf).r_in == math.exp(top)
+
     def test_malformed_document(self):
         with pytest.raises(ValidationError):
             PiecewiseField.from_doc({"terms": [{"re": 1.0}]})

@@ -422,12 +422,10 @@ class TestDynamics:
                                 str(phi_path), "--n", "50"], tmp_path, capsys)
         assert code == 0
         doc = json.loads(out)
-        assert sorted(doc) == ["converged", "limit", "limit_tail", "log_deriv_mean",
-                               "tolerance", "variance"]
+        assert sorted(doc) == ["limit", "log_deriv_mean", "variance"]
         phi = CirclePotential.from_doc(json.loads(phi_path.read_text()))
         expect = birkhoff_variance(phi, BlaschkeMap((0.3,)), 50)
         assert (doc["variance"], doc["limit"]) == (expect.value, expect.limit)
-        assert doc["converged"] is True
         assert doc["log_deriv_mean"] == pytest.approx(math.log1p(math.sqrt(0.91)), rel=1e-15)
         manifest = json.loads((tmp_path / "dynamics_var_manifest.json").read_text())
         assert manifest["config"]["method"] == "exact"
@@ -686,6 +684,9 @@ class TestConfigAndErrors:
         (["dynamics", "coboundary", "--d", "2", "--n", "20", "--seed", "-3"], None),
         (["table2", "--seed", "-3"], None),
         (["order2", "--d", "16"], {"refine": "false"}),
+        (["order2", "--grid-d", "12,16", "--refine"], None),
+        (["order2", "--grid-d", "12,16"], {"refine": True}),
+        (["truncate", "--mu", "{big}", "--r1", "0.7", "--eps", "0.01"], None),
         (["means-curve", "--series", "{fractional}"], None),
         (["means-curve", "--d", "2", "--points", "1e15"], None),
         (["means-curve", "--d", "2", "--r-max", "inf"], None),
@@ -725,6 +726,7 @@ class TestConfigAndErrors:
             "missing_degree", "bad_int_flag", "bad_choice",
             "unknown_flag", "missing_dimension_degree", "negative_seed",
             "negative_seed_coboundary", "negative_seed_table2", "string_switch",
+            "grid_refine_flag", "grid_refine_config", "log_radius_past_floats",
             "fractional_frequency", "huge_points", "infinite_r_max", "no_terms",
             "huge_terms", "huge_samples", "config_choice", "config_path_number",
             "infinite_degree", "overflowing_degree", "infinite_r0", "unit_r0", "huge_blocks",
@@ -739,7 +741,9 @@ class TestConfigAndErrors:
                 "fractional": {"coeffs": [[2.7, 1.0, 0.0]], "max_freq": 8.9},
                 "long": {"coeffs": [[m, 1.0, 0.0] for m in range(1, 3001)]},
                 "nan_phi": {"coeffs": [[1, math.nan, 0.0]]},
-                "inf_phi": {"coeffs": [[-1, 1.0, 0.0], [2, math.inf, 0.0]]}}
+                "inf_phi": {"coeffs": [[-1, 1.0, 0.0], [2, math.inf, 0.0]]},
+                "big": {"terms": [{"re": 1, "im": 0, "p": 0, "q": 2, "gamma": 0, "r_in": 0.2,
+                                   "log_r_out": 800}]}}
         for name, doc in docs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
         argv = [arg.format(tmp=tmp_path, **{name: tmp_path / f"{name}.json" for name in docs})

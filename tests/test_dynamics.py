@@ -1,17 +1,18 @@
-"""Dynamical variance on the circle: exact bookkeeping, series composition,
+"""Dynamical variance on the circle: exact bookkeeping, the composition matrix,
 sampling, coboundaries."""
 import math
+import random
 
 import numpy as np
 import pytest
 
 from bvlab.dynamics import (MAX_EXACT_WORK, MAX_SAMPLES, MAX_WORK, MIN_BATCH, MIN_ORDER,
-                            BlaschkeMap, CirclePotential, birkhoff_variance,
+                            BlaschkeMap, CirclePotential, _correlations, birkhoff_variance,
                             birkhoff_variance_exact, birkhoff_variance_mc, check_exact_work,
                             check_mc_work, coboundary_check, log_deriv_mean)
 from bvlab.errors import UnresolvedScaleError, ValidationError
-from oracles import (apply_circle, ks_uniform_statistic, log_abs_derivative, orbit_angles,
-                     quad_log_deriv_mean)
+from oracles import (apply_circle, composed_correlations, ks_uniform_statistic,
+                     log_abs_derivative, orbit_angles, quad_log_deriv_mean)
 
 
 class TestExactVariance:
@@ -148,21 +149,66 @@ class TestSeriesVariance:
         value = 1 + 2 * math.fsum((1 - k / n) * (-a) ** k for k in range(1, n))
         assert result.value == pytest.approx(value, rel=1e-14)
         assert result.limit == pytest.approx((1 - a) / (1 + a), rel=1e-14)
-        assert result.converged and result.limit_tail <= 1e-12
+
+    @pytest.mark.parametrize("a, rel", [(0.3, 1e-15), (0.9, 3e-15), (0.999, 1e-12)])
+    def test_limit_of_phi_z_is_closed_form(self, a, rel):
+        # the miss is 2e-16, 9e-16 and 2.9e-13: the diagonal 1 - a^p nears 0 as a -> 1
+        result = birkhoff_variance(CirclePotential.from_map({1: 1.0}), BlaschkeMap((a,)), 10)
+        assert result.limit == pytest.approx((1 - a) / (1 + a), rel=rel)
+
+    def test_slow_decay_limit_is_exact(self):
+        # phi = Re z under one zero at 0.9: C(k) = (-0.9)^k C(0) has not decayed after 10
+        # steps (0.9^10 = 0.35), yet the limit is the closed form (1 - a)/(2 (1 + a))
+        phi = CirclePotential.from_map({-1: 0.5, 1: 0.5})
+        result = birkhoff_variance(phi, BlaschkeMap((0.9,)), 10)
+        assert result.limit == pytest.approx(0.1 / 3.8, rel=1e-14)
 
     def test_pure_power_limit_is_exact(self):
-        # z^2 pushes frequency 5 past M after three steps: the iterate vanishes
-        result = birkhoff_variance(_potential(3, (-3, 2, 5)), BlaschkeMap.power(2), 10)
-        assert result.converged and result.limit_tail == 0.0
+        # z^2 sends frequency 2 to 4 and then, with -3 and 5, past M = 5: the iterates
+        # vanish after two steps, and C(1) pairs 4 with no coefficient
+        phi = _potential(3, (-3, 2, 5))
+        corr, _ = _correlations(phi, BlaschkeMap.power(2), 10)
+        assert corr[1:] == [0j]
+        result = birkhoff_variance(phi, BlaschkeMap.power(2), 10)
+        assert result.limit == pytest.approx(
+            corr[0].real + 2 * sum(c.real for c in corr[1:]), rel=1e-15)
 
-    def test_slow_decay_is_not_converged(self):
-        result = birkhoff_variance(_potential(2, (-1, 1)), BlaschkeMap((0.9,)), 10)
-        assert not result.converged
+    def test_matches_per_step_composition(self):
+        # the reference composes B^k with B at every step; the limit is compared only
+        # where the reference's geometric tail guess is below 1e-12
+        rng = random.Random(25)
+        limits = 0
+        for _ in range(60):
+            zeros = [rng.uniform(0, 0.95) * complex(math.cos(t), math.sin(t))
+                     for t in (rng.uniform(0, 2 * math.pi) for _ in range(rng.randint(1, 3)))]
+            b = BlaschkeMap(zeros, rng.randint(1, 3))
+            phi = CirclePotential.from_map(
+                {m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                 for m in rng.sample([m for m in range(-8, 9) if m], rng.randint(1, 4))})
+            ref, tail = composed_correlations(phi, b, 400)
+            corr, _ = _correlations(phi, b, 400)
+            corr += [0j] * (len(ref) - len(corr))
+            assert max(abs(c - r) for c, r in zip(corr, ref)) <= 1e-14 * abs(ref[0])
+            n = rng.randint(1, len(ref))
+            value = math.fsum([ref[0].real,
+                               *(2 * (n - k) / n * c.real for k, c in enumerate(ref[:n]) if k)])
+            result = birkhoff_variance(phi, b, n)
+            assert result.value == pytest.approx(value, rel=1e-14)
+            if tail is not None and tail < 1e-12:
+                limits += 1
+                summed = math.fsum([ref[0].real, *(2 * c.real for c in ref[1:])])
+                assert result.limit == pytest.approx(summed, rel=1e-14)
+        assert limits >= 50
 
     def test_zero_potential_does_not_loop(self):
         phi = CirclePotential.from_map({0: 2.0})
         result = birkhoff_variance(phi, BlaschkeMap((0.3,)), 10**12)
-        assert (result.value, result.limit, result.converged) == (0.0, 0.0, True)
+        assert (result.value, result.limit) == (0.0, 0.0)
+
+    def test_fields_are_value_and_limit(self):
+        result = birkhoff_variance(_potential(2, (-1, 1)), BlaschkeMap((0.3,)), 5)
+        assert result._fields == ("value", "limit")
+        assert result.to_doc() == {"variance": result.value, "limit": result.limit}
 
     def test_work_bound(self):
         phi = _potential(40, range(-40, 41))
@@ -230,6 +276,13 @@ class TestLogDerivative:
     def test_zero_validation(self):
         with pytest.raises(ValidationError):
             BlaschkeMap((1.2 + 0j,))
+
+    def test_identity_map_rejected(self):
+        # the identity z would make I - T singular
+        with pytest.raises(ValidationError, match="degree must be >= 2"):
+            BlaschkeMap(())
+        with pytest.raises(ValidationError, match="degree must be >= 2"):
+            BlaschkeMap.power(1)
 
 
 class TestCoboundary:

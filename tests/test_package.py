@@ -45,8 +45,8 @@ HOME = {name: module for module, names in HOMES.items() for name in names.split(
 
 # Runs each command line of argv[2] in turn and records, after the package
 # import and after each command, the submodules whose body has run and whether
-# dataclasses is loaded.  The type test does not trigger a lazy load; a loaded
-# module is a plain module again.
+# dataclasses and numpy are loaded.  The type test does not trigger a lazy load;
+# a loaded module is a plain module again.
 _LOAD_PROBE = """
 import json
 import sys
@@ -61,16 +61,17 @@ def ran():
 import bvlab
 
 steps = {"import bvlab": ran()}
-dataclasses = {"import bvlab": "dataclasses" in sys.modules}
+loaded = {name: {"import bvlab": name in sys.modules} for name in ("dataclasses", "numpy")}
 import bvlab.cli
 
 out = sys.argv[1]
 for argv in json.loads(sys.argv[2]):
     assert bvlab.cli.main([*argv, "--out", out]) == 0, argv
     steps[" ".join(argv)] = ran()
-    dataclasses[" ".join(argv)] = "dataclasses" in sys.modules
+    for name, seen in loaded.items():
+        seen[" ".join(argv)] = name in sys.modules
 with open(out + "/loaded_modules.json", "w", encoding="utf-8") as fh:
-    json.dump({"modules": steps, "dataclasses": dataclasses}, fh)
+    json.dump({"modules": steps, **loaded}, fh)
 """
 
 CLOSED_FORM = ["cli", "errors", "formulas", "manifest"]
@@ -84,14 +85,23 @@ def _env() -> dict:
     return env
 
 
+def _probe(out: Path, steps: list[list[str]]) -> dict:
+    """The modules, dataclasses and numpy loaded after each step, in one interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _LOAD_PROBE, str(out), json.dumps(steps)],
+                          env=_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads((out / "loaded_modules.json").read_text(encoding="utf-8"))
+    # dataclasses pulls in inspect, about 9 ms per process, and only --method mc needs
+    # numpy; no step here needs either
+    assert loaded["dataclasses"] == dict.fromkeys(loaded["modules"], False)
+    assert loaded["numpy"] == dict.fromkeys(loaded["modules"], False)
+    return loaded["modules"]
+
+
 def test_each_command_runs_only_the_modules_it_uses(tmp_path):
     steps = [["table2"], ["optimize"], ["dimension", "--d", "20", "--k", "0.1"],
              ["dynamics", "coboundary", "--d", "2", "--n", "20"], ["selfcheck", "--full"]]
-    proc = subprocess.run([sys.executable, "-c", _LOAD_PROBE, str(tmp_path), json.dumps(steps)],
-                          env=_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads((tmp_path / "loaded_modules.json").read_text(encoding="utf-8"))
-    assert loaded["modules"] == {
+    assert _probe(tmp_path, steps) == {
         "import bvlab": [],
         "table2": CLOSED_FORM,
         "optimize": CLOSED_FORM,
@@ -99,8 +109,14 @@ def test_each_command_runs_only_the_modules_it_uses(tmp_path):
         "dynamics coboundary --d 2 --n 20": sorted([*CLOSED_FORM, "dynamics", "records"]),
         "selfcheck --full": EVERY_MODULE,
     }
-    # dataclasses pulls in inspect, about 9 ms per process; no command needs it
-    assert loaded["dataclasses"] == dict.fromkeys(loaded["modules"], False)
+    # the exact route of dynamics var, in a fresh interpreter of its own
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"coeffs": [[-2, 0.3, -0.1], [1, 0.5, 0.2]]}), encoding="utf-8")
+    var = ["dynamics", "var", "--blaschke", "0.3+0j", "--phi", str(phi)]
+    assert _probe(tmp_path, [var]) == {
+        "import bvlab": [],
+        " ".join(var): ["cli", "dynamics", "errors", "manifest", "records"],
+    }
 
 
 def test_names_are_the_served_names():
