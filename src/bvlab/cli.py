@@ -145,8 +145,6 @@ def cmd_optimize(opts: dict, emit) -> int:
 
 def cmd_order2(opts: dict, emit) -> int:
     if opts["grid_d"]:
-        if opts["refine"]:
-            raise ValidationError("refine applies to one order2 bound, not to a grid_d search")
         grid = order2.shell_grid(opts["grid_d"], opts["grid_rho0"], opts["grid_n0"],
                                  6 if opts["shells"] is None else opts["shells"])
         best, board = order2.parameter_search(grid)
@@ -319,7 +317,7 @@ _HELP = {"config": "JSON config file; flags override its values",
          "mu": "JSON field file; otherwise shell parameters are used",
          "blaschke": "comma-separated complex zeros, e.g. 0.3+0j",
          "phi": "JSON potential file",
-         "samples": "Monte Carlo orbits (--method mc only)"}
+         "samples": "Monte Carlo orbits for --method mc (range-checked on both var methods)"}
 _COMMANDS = {
     "table2": (cmd_table2, "comparison table of quadratic dimension coefficients",
                {"format": (("csv", "json"), "csv")}),
@@ -350,6 +348,23 @@ _COMMANDS = {
                   "seed": ("int", 0)}),
     "selfcheck": (cmd_selfcheck, "run the built-in oracle comparisons",
                   {"full": ("switch", False)}),
+}
+# Where a key acts when not in every run of its command: a test on the coerced options and
+# its wording.  A key given where it cannot act (a flag, or a config value not null) exits 2.
+_IN_VAR = (lambda o: o["subcommand"] == "var", "in dynamics var")
+_SCOPES = {
+    "variance": {key: (lambda o, ms=ms: o["method"] in ms, f"with --method {' or '.join(ms)}")
+                 for key, ms in (("terms", ("exact",)), ("shells", ("block", "mass", "cesaro")),
+                                 ("r0", ("block", "cesaro")), ("blocks", ("block",)))},
+    "order2": {**dict.fromkeys(("d", "rho0", "n0", "refine"),
+                               (lambda o: not o["grid_d"], "without --grid-d")),
+               **dict.fromkeys(("grid_rho0", "grid_n0"),
+                               (lambda o: bool(o["grid_d"]), "with --grid-d"))},
+    "means-curve": dict.fromkeys(_SHELL, (lambda o: not o["series"], "without --series")),
+    "truncate": dict.fromkeys(_SHELL, (lambda o: not o["mu"], "without --mu")),
+    "dynamics": {**dict.fromkeys(("blaschke", "phi", "method", "samples"), _IN_VAR),
+                 "d": (lambda o: o["subcommand"] == "coboundary" or not o["blaschke"],
+                       "in dynamics coboundary, or in dynamics var without a --blaschke zero")},
 }
 
 
@@ -411,11 +426,14 @@ def run(argv: list[str]) -> int:
     command = args.pop("command")
     handler, _, keys = _COMMANDS[command]
     keys = {**keys, **_GLOBAL}
+    config = _load_config(args.pop("config"), keys)
+    given = {k: v for k, v in [*config.items(), *args.items()] if v is not None}
     # the echoed defaults, below the config values as written, below the flags as parsed
-    values = {**{k: keys[k][1] for k in _ECHOED if k in keys},
-              **_load_config(args.pop("config"), keys),
-              **{k: v for k, v in args.items() if v is not None}}
+    values = {**{k: keys[k][1] for k in _ECHOED if k in keys}, **config, **given}
     opts = _read(keys, values)
+    for key, (acts, where) in _SCOPES.get(command, {}).items():
+        if key in given and not acts(opts):
+            raise ValidationError(f"{_flag(key)} does not act in this run: it acts only {where}")
     manifest = {"tool": "bvlab", "version": __version__, "command": command, "config": values}
     # the environment variable wins, then the flag or the config, then ./bvlab_out
     out_dir = Path(os.environ.get(OUTPUT_ENV) or opts["output_dir"] or "bvlab_out")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from math import fsum
-from operator import mul
+from operator import add, mul
 from typing import TYPE_CHECKING
 
 from .errors import (CapacityError, FREQ_CAP, UnresolvedScaleError, ValidationError,
@@ -214,10 +214,10 @@ def _composition_rows(b: BlaschkeMap, size: int) -> list[list[complex]]:
 
 
 def _correlations(phi0: CirclePotential, b: BlaschkeMap, n: int) -> tuple[list[complex], complex]:
-    """C(k) for k < n, up to the step where T^k x and T^k y vanish, and sum_{k>=0} C(k).
+    """C(k) for k < n, up to the step where T^k x and T^k y vanish, and the limit form.
 
     C(k) = <T^k x, x> + conj <T^k y, y> with x = (c_p), y = (conj c_-p), p = 1..M, and
-    <u, x> = sum conj(x_p) u_p; the sum is the same form in R = (I - T)^-1.
+    <u, x> = sum conj(x_p) u_p; the limit form is the same in (I - T)^-1 (I + T).
     """
     rows = _composition_rows(b, phi0.max_frequency)
     x, y = [0j] * len(rows), [0j] * len(rows)
@@ -239,9 +239,10 @@ def _correlations(phi0: CirclePotential, b: BlaschkeMap, n: int) -> tuple[list[c
         if not (any(u) or any(v)):
             break
     resolved = ([], [])
-    for w, r in zip((x, y), resolved):  # forward substitution; row[-1] is T's diagonal
+    for w, r in zip((x, y), resolved):  # (I - T) r = (I + T) w; row[-1] is T's diagonal
         for row, wp in zip(rows, w):
-            r.append((wp + sum(map(mul, row, r))) / (1 - row[-1]))
+            left = sum(map(mul, row, map(add, w, r)))  # the entries left of the diagonal
+            r.append((wp * (1 + row[-1]) + left) / (1 - row[-1]))
     return corr, form(*resolved)
 
 
@@ -271,9 +272,9 @@ def birkhoff_variance(phi: CirclePotential, b: BlaschkeMap, n: int) -> BirkhoffV
     Column m of T is B^m cut at order M = max |m|, and (B^k)^m = T^k z^m, so
     C(k) = sum over p >= m > 0 of conj(c_p) c_m [T^k]_pm + conj(c_-p) c_-m conj([T^k]_pm).
     The steps stop once T^k x and T^k y vanish (for z^d with d > M after one).  T is
-    triangular with diagonal B'(0)^m, |B'(0)| < 1, so the limit
-    C(0) + 2 Re sum_{k>0} C(k) = 2 Re sum_{k>=0} C(k) - C(0) is exact: nothing is
-    truncated beyond float rounding.
+    triangular with diagonal B'(0)^m, |B'(0)| < 1, so the limit C(0) + 2 Re sum_{k>0} C(k)
+    is exact: the real part of the form in 2 (I - T)^-1 - I = (I - T)^-1 (I + T), with no
+    subtraction of C(0), which cancels where the limit is small against it.
     """
     if n < 1:
         raise ValidationError("need n >= 1")
@@ -281,10 +282,9 @@ def birkhoff_variance(phi: CirclePotential, b: BlaschkeMap, n: int) -> BirkhoffV
     if not phi0.coeffs:
         return BirkhoffVariance(0.0, 0.0)
     check_exact_work(n, phi0, b.degree)
-    corr, total = _correlations(phi0, b, n)
-    c0 = corr[0].real
-    value = fsum([c0, *(2.0 * (n - k) / n * c.real for k, c in enumerate(corr) if k)])
-    return BirkhoffVariance(value, 2.0 * total.real - c0)
+    corr, limit = _correlations(phi0, b, n)
+    value = fsum([corr[0].real, *(2.0 * (n - k) / n * c.real for k, c in enumerate(corr) if k)])
+    return BirkhoffVariance(value, limit.real)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,10 @@ never by the closed-form code of the package:
   * numpy orbits of Blaschke maps on the circle and the 4096-point midpoint
     rule for the circle mean of log |B'|, from the logarithmic derivative;
   * the Birkhoff correlations of a Blaschke map by composing the iterate B^k
-    with B at every step, as a power series, and re-expanding all its powers.
+    with B at every step, as a power series, and re-expanding all its powers;
+  * a 50-digit forward substitution with I - T for the Birkhoff variance limit
+    of a given composition matrix T, summed as 2 Re sum_{k>=0} C(k) - C(0),
+    which cancels in floats but not at 50 digits (mp_birkhoff_limit).
 
 Sampled sup norms and field equality use a probe grid placed off the radial
 breakpoints; the Bloch seminorm is a grid lower bound from the series itself.
@@ -495,3 +498,31 @@ def composed_correlations(phi: CirclePotential, b: BlaschkeMap,
         return corr, None
     ratio = last / prev
     return corr, 2.0 * last * ratio / (1.0 - ratio)
+
+
+def mp_birkhoff_limit(rows: list[list[complex]], phi: CirclePotential, dps: int = 50) -> float:
+    """C(0) + 2 Re sum_{k>0} C(k) at ``dps`` digits for the composition matrix T given by
+    its rows (row p - 1 holds [z^p] B^m for m = 1..p), as 2 Re sum_{k>=0} C(k) - C(0) with
+    sum_{k>=0} T^k = (I - T)^-1 applied by forward substitution.
+
+    C(k) = <T^k x, x> + conj <T^k y, y> with x = (c_p), y = (conj c_-p), p = 1..M.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        coeffs = {m: mp.mpc(c) for m, c in phi.without_mean().coeffs}
+        x = [coeffs.get(p, mp.mpc(0)) for p in range(1, len(rows) + 1)]
+        y = [mp.conj(coeffs.get(-p, mp.mpc(0))) for p in range(1, len(rows) + 1)]
+        matrix = [[mp.mpc(t) for t in row] for row in rows]
+
+        def resolvent(w):
+            r = []
+            for row, wp in zip(matrix, w):
+                r.append((wp + mp.fsum(t * rm for t, rm in zip(row, r))) / (1 - row[-1]))
+            return r
+
+        def form(u, v):
+            return (mp.fsum(mp.conj(xp) * up for xp, up in zip(x, u))
+                    + mp.fsum(yp * mp.conj(vp) for yp, vp in zip(y, v)))
+
+        return float(mp.re(2 * form(resolvent(x), resolvent(y)) - form(x, y)))

@@ -456,6 +456,96 @@ class TestDynamics:
         assert "--method mc" in json.loads(err)["message"]
 
 
+_VARIANCE = ["variance", "shell", "--d", "3"]
+_ORDER2 = ["order2", "--d", "4", "--shells", "3"]
+_GRID = ["order2", "--grid-d", "3", "--shells", "3"]
+_MEANS, _MEANS_SERIES = ["means-curve", "--d", "2", "--points", "4"], \
+    ["means-curve", "--series", "{series}", "--points", "4"]
+_TRUNCATE = ["truncate", "--d", "3", "--rho0", "0.05", "--shells", "1", "--r1", "0.7",
+             "--eps", "0.01"]
+_TRUNCATE_MU = ["truncate", "--mu", "{mu}", "--r1", "0.7", "--eps", "0.01"]
+_VAR, _COBOUNDARY = ["dynamics", "var", "--phi", "{phi}", "--n", "5"], \
+    ["dynamics", "coboundary", "--n", "5"]
+# (key, value, a run where the key acts, a run where it cannot); a value True is a switch
+SCOPED = [
+    ("terms", 7, _VARIANCE, [*_VARIANCE, "--method", "mass"]),
+    ("shells", 3, [*_VARIANCE, "--method", "mass"], _VARIANCE),
+    ("r0", 2.0, [*_VARIANCE, "--method", "cesaro"], [*_VARIANCE, "--method", "mass"]),
+    ("r0", 2.0, [*_VARIANCE, "--method", "block"], _VARIANCE),
+    ("blocks", 3, [*_VARIANCE, "--method", "block"], [*_VARIANCE, "--method", "cesaro"]),
+    ("d", 3, ["order2", "--shells", "3"], _GRID),
+    ("rho0", 0.25, _ORDER2, _GRID),
+    ("n0", 5, _ORDER2, _GRID),
+    ("refine", True, _ORDER2, _GRID),
+    ("grid_rho0", "optimal,0.25", _GRID, _ORDER2),
+    ("grid_n0", "default,5", _GRID, _ORDER2),
+    ("d", 3, ["means-curve", "--points", "4"], _MEANS_SERIES),
+    ("rho0", 0.25, _MEANS, _MEANS_SERIES),
+    ("n0", 5, _MEANS, _MEANS_SERIES),
+    ("shells", 3, _MEANS, _MEANS_SERIES),
+    ("d", 3, _TRUNCATE[:1] + _TRUNCATE[3:], _TRUNCATE_MU),
+    ("rho0", 0.05, _TRUNCATE[:3] + _TRUNCATE[5:], _TRUNCATE_MU),
+    ("n0", 2, _TRUNCATE, _TRUNCATE_MU),
+    ("shells", 1, _TRUNCATE[:5] + _TRUNCATE[7:], _TRUNCATE_MU),
+    ("blaschke", "0.3+0j", _VAR, _COBOUNDARY),
+    ("phi", "{phi}", ["dynamics", "var", "--n", "5"], _COBOUNDARY),
+    ("method", "mc", [*_VAR, "--samples", "64"], _COBOUNDARY),
+    ("samples", 64, _VAR, _COBOUNDARY),
+    ("samples", 64, [*_VAR, "--method", "mc"], _COBOUNDARY),
+    ("d", 3, _COBOUNDARY, [*_VAR, "--blaschke", "0.3+0j"]),
+    ("d", 3, _VAR, [*_VAR, "--blaschke", "0.3+0j,0.5j"]),
+    ("d", 3, [*_VAR, "--blaschke", ""], [*_VAR, "--blaschke", "0j"]),
+]
+
+
+class TestScopes:
+    """Each key acts where it is accepted: given where it cannot act, a key (a flag, or a
+    config value that is not null) ends the run with exit 2 and a message naming its flag."""
+
+    @staticmethod
+    def _run(argv, key, value, source, tmp_path, capsys):
+        docs = {"phi": {"coeffs": [[-1, 1.0, 0.0], [2, 0.5, 0.0]]},
+                "series": {"coeffs": [[1, 1.0, 0.0], [3, 0.5, 0.0]], "max_freq": 8},
+                "mu": build_shell(ShellParams(d=3, rho0=0.05, shells=1)).to_doc()}
+        tmp_path.mkdir(exist_ok=True)
+        paths = {name: tmp_path / f"{name}.json" for name in docs}
+        for name, doc in docs.items():
+            paths[name].write_text(json.dumps(doc))
+        argv = [arg.format(**paths) for arg in argv]
+        value = value.format(**paths) if isinstance(value, str) else value
+        if source == "flag":
+            argv += ["--" + key.replace("_", "-")] + ([] if value is True else [str(value)])
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        return run_cli(argv, tmp_path / "out", capsys)
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("key, value, acts, inert", SCOPED,
+                             ids=[f"{case[0]}-{i}" for i, case in enumerate(SCOPED)])
+    def test_key_acts_only_where_accepted(self, key, value, acts, inert, source, tmp_path,
+                                          capsys):
+        code, _, err = self._run(acts, key, value, source, tmp_path, capsys)
+        assert code == 0, err
+        code, out, err = self._run(inert, key, value, source, tmp_path / "inert", capsys)
+        assert code == 2 and out == "" and not (tmp_path / "inert" / "out").exists()
+        error = json.loads(err)
+        assert error["error"] == "ValidationError"
+        assert error["message"].split()[0] == "--" + key.replace("_", "-"), error
+        # a null config value is not given: the run takes the default
+        code, _, err = self._run(inert, key, None, "config", tmp_path / "null", capsys)
+        assert code == 0, err
+
+    def test_seed_and_n_act_in_both_subcommands(self, tmp_path, capsys):
+        for argv in (_COBOUNDARY, _VAR, [*_VAR, "--method", "mc", "--samples", "64"]):
+            code, _, err = self._run([*argv, "--seed", "3"], "n", 4, "config", tmp_path, capsys)
+            assert code == 0, err
+
+    def test_refine_false_in_the_config_is_given(self, tmp_path, capsys):
+        code, _, err = self._run(_GRID, "refine", False, "config", tmp_path, capsys)
+        assert code == 2 and json.loads(err)["message"].startswith("--refine ")
+
+
 class TestConfigAndErrors:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -811,7 +901,10 @@ def _readme_command_lines() -> list[list[str]]:
     return [shlex.split(line)[1:] for line in lines]
 
 
-def test_readme_command_lines_parse():
+def test_readme_command_lines_parse(tmp_path, capsys, monkeypatch):
+    # every documented line runs, and no key of it is rejected as one that cannot act
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "phi.json").write_text(json.dumps({"coeffs": [[-2, 0.3, -0.1], [1, 0.5, 0.2]]}))
     lines = _readme_command_lines()
     assert len(lines) >= 12
     for argv in lines:
@@ -819,6 +912,8 @@ def test_readme_command_lines_parse():
         assert args["command"] == argv[0]
         flags = [arg[2:].replace("-", "_") for arg in argv if arg.startswith("--")]
         assert all(args[key] is not None for key in flags), argv
+        code, _, err = run_cli(argv, tmp_path / "out", capsys)
+        assert code == 0, (argv, err)
 
 
 def test_parse_complex_caps_each_part():

@@ -12,6 +12,9 @@ few in both, so that runs with one bad value reach the code behind the checks
 before it.  Each run goes through ``cli.main`` in-process and must
 
 * exit 0, 2 or 3,
+* exit 2 with a message that names a flag given where it cannot act, when
+  every value is valid and such a key was drawn (half the runs drop those
+  keys, so that the run behind the check is reached too),
 * write nothing to stderr on success, and exactly one JSON object (and
   nothing on stdout) on failure,
 * on success, write JSON artifacts that parse, although the name of the
@@ -71,9 +74,38 @@ READER_VALUES = {
 }
 BAD_READER_VALUES = ["1+0j", "nan+0j", "1e400j", "x", "", "2**63", "1.5", "2.5"]
 DOC_KEYS = {"series": "series", "mu": "field", "phi": "potential"}
-# keys drawn on every run: at its default of 100000 samples a Monte Carlo run
-# takes up to 2 s, so the fuzzer always draws the sample count (20 at most)
+# keys drawn on every run of dynamics var: at its default of 100000 samples a Monte Carlo
+# run takes up to 2 s, so the fuzzer always draws the sample count (20 at most)
 ALWAYS = {"samples"}
+SHELL_KEYS = {"d", "rho0", "n0", "shells"}
+# the keys that act only in some runs of their command, as README lists them
+SCOPED_KEYS = {"variance": {"terms", "shells", "r0", "blocks"},
+               "order2": {"d", "rho0", "n0", "refine", "grid_rho0", "grid_n0"},
+               "means-curve": SHELL_KEYS, "truncate": SHELL_KEYS,
+               "dynamics": {"blaschke", "phi", "method", "samples", "d"}}
+
+
+def _inert(command, given) -> set:
+    """The keys of ``given`` (a run's values, flags over config values that are not null)
+    that cannot act in the run, read from the values as written."""
+    if command == "variance":
+        method = given.get("method", "exact")
+        inert = {"shells"} if method == "exact" else {"terms"}
+        inert |= {"r0"} if method not in ("block", "cesaro") else set()
+        inert |= {"blocks"} if method != "block" else set()
+    elif command == "order2":
+        inert = {"d", "rho0", "n0", "refine"} if given.get("grid_d") else \
+            {"grid_rho0", "grid_n0"}
+    elif command in ("means-curve", "truncate"):
+        inert = SHELL_KEYS if given.get("series" if command == "means-curve" else "mu") \
+            else set()
+    elif command == "dynamics" and given.get("subcommand") == "coboundary":
+        inert = {"blaschke", "phi", "method", "samples"}
+    elif command == "dynamics":  # var: the map is --d's power unless a zero is given
+        inert = {"d"} if any(str(given.get("blaschke", "")).split(",")) else set()
+    else:
+        inert = set()
+    return inert & set(given)
 
 
 def _pick(valid, bad, rate):
@@ -143,36 +175,47 @@ def _value(key, kind, as_json, rates):
     return _pick(READER_VALUES[key], [*BIG, *NOT_NUMBERS, *BAD_READER_VALUES, *wrong], rate)
 
 
-def _some(draw, keys):
-    """Each key three times in five, and each ``ALWAYS`` key every time."""
-    return [key for key in keys if key in ALWAYS or draw(st.integers(0, 4)) >= 2]
+def _some(draw, keys, always=()):
+    """Each key three times in five, and each key of ``always`` every time."""
+    return [key for key in keys if key in always or draw(st.integers(0, 4)) >= 2]
 
 
 @st.composite
 def _invocation(draw, command):
-    """(argv with document placeholders, config or None) for one run of ``command``."""
+    """(argv with document placeholders, config or None, the flags that cannot act) for
+    one run of ``command``; the flags are None where a faulty value may fail first."""
     rates = draw(st.sampled_from(FAULTS))
     rate = rates[0]
     keys = {**cli._COMMANDS[command][2], **cli._GLOBAL}
-    argv = [command]
-    for key in cli._POSITIONAL:
-        if key in keys:
-            argv.append(draw(_pick(list(keys[key][0]), ["bogus"], rate)))
+    positional = {key: draw(_pick(list(keys[key][0]), ["bogus"], rate))
+                  for key in cli._POSITIONAL if key in keys}
+    argv = [command, *positional.values()]
     flag_keys = [k for k in keys if k not in cli._POSITIONAL and k != "output_dir"]
-    for key in _some(draw, flag_keys):
-        kind = keys[key][0]
-        value = draw(_value(key, kind, False, rates))
-        argv += [cli._flag(key)] if kind == "switch" else [cli._flag(key), value]
-    if draw(st.integers(0, 9)) == 0:  # a stray argument: argparse echoes it unquoted
-        argv.append(draw(st.sampled_from([*NOT_NUMBERS, *BAD_READER_VALUES])))
+    always = ALWAYS if positional.get("subcommand") == "var" else ()
+    flags = {key: draw(_value(key, keys[key][0], False, rates))
+             for key in _some(draw, flag_keys, always)}
     config = None
     if draw(st.booleans()):
         config_keys = _some(draw, [*flag_keys, "output_dir"]) + draw(
             _pick([[]], [["bogus"]], rate))
         config = {key: draw(_value(key, keys.get(key, ("text", None))[0], True, rates))
                   for key in config_keys}
+    given = {**{k: v for k, v in (config or {}).items() if v is not None}, **positional,
+             **flags}
+    inert = _inert(command, given)
+    if draw(st.booleans()):
+        flags = {k: v for k, v in flags.items() if k not in inert}
+        config = config and {k: v for k, v in config.items() if k not in inert}
+        inert = set()
+    for key, value in flags.items():
+        argv += [cli._flag(key)] if keys[key][0] == "switch" else [cli._flag(key), value]
+    stray = draw(st.integers(0, 9)) == 0
+    if stray:  # a stray argument: argparse echoes it unquoted
+        argv.append(draw(st.sampled_from([*NOT_NUMBERS, *BAD_READER_VALUES])))
+    if config is not None:
         config = draw(_pick([config], [[], "x", b"\xc0\x80"], rate // 2))
-    return argv, config
+    clean = rate == 0 and not stray
+    return argv, config, {cli._flag(key) for key in inert} if clean else None
 
 
 class _WallBound(Exception):
@@ -252,9 +295,16 @@ def _one_passing_check(full=False):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(data=st.data())
 def test_every_input_keeps_the_exit_contract(command, data):
-    argv, config = data.draw(_invocation(command))
+    argv, config, inert = data.draw(_invocation(command))
     with mock.patch("bvlab.selfcheck.run_selfcheck", _one_passing_check):  # cli calls it there
-        _check_contract(*_run(argv, config))
+        argv, code, out, err, caught = _run(argv, config)
+    _check_contract(argv, code, out, err, caught)
+    if inert:  # every value is valid, so the first key that cannot act ends the run
+        assert code == 2 and json.loads(err)["message"].split()[0] in inert, (argv, err)
+
+
+def test_scoped_keys_are_the_cli_table():
+    assert SCOPED_KEYS == {command: set(scopes) for command, scopes in cli._SCOPES.items()}
 
 
 def _check_contract(argv, code, out, err, caught):

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from bvlab.dynamics import (MAX_EXACT_WORK, MAX_SAMPLES, MAX_WORK, MIN_BATCH, MIN_ORDER,
-                            BlaschkeMap, CirclePotential, _correlations, birkhoff_variance,
+                            BlaschkeMap, CirclePotential, _composition_rows, _correlations,
+                            birkhoff_variance,
                             birkhoff_variance_exact, birkhoff_variance_mc, check_exact_work,
                             check_mc_work, coboundary_check, log_deriv_mean)
 from bvlab.errors import UnresolvedScaleError, ValidationError
 from oracles import (apply_circle, composed_correlations, ks_uniform_statistic,
-                     log_abs_derivative, orbit_angles, quad_log_deriv_mean)
+                     log_abs_derivative, mp_birkhoff_limit, orbit_angles, quad_log_deriv_mean)
 
 
 class TestExactVariance:
@@ -150,11 +151,27 @@ class TestSeriesVariance:
         assert result.value == pytest.approx(value, rel=1e-14)
         assert result.limit == pytest.approx((1 - a) / (1 + a), rel=1e-14)
 
-    @pytest.mark.parametrize("a, rel", [(0.3, 1e-15), (0.9, 3e-15), (0.999, 1e-12)])
-    def test_limit_of_phi_z_is_closed_form(self, a, rel):
-        # the miss is 2e-16, 9e-16 and 2.9e-13: the diagonal 1 - a^p nears 0 as a -> 1
+    @pytest.mark.parametrize("a", [0.3, 0.9, 0.999, 0.999999, 1 - 1e-9, 1 - 1e-13])
+    def test_limit_of_phi_z_is_closed_form(self, a):
+        # T = (-a), and the limit is (1 + T) / (1 - T) with 1 - a exact in floats;
+        # 2 Re sum C(k) - C(0) missed by 2.9e-13 at a = 0.999 and 1.1e-3 at 1 - 1e-13
         result = birkhoff_variance(CirclePotential.from_map({1: 1.0}), BlaschkeMap((a,)), 10)
-        assert result.limit == pytest.approx((1 - a) / (1 + a), rel=rel)
+        assert result.limit == pytest.approx((1 - a) / (1 + a), rel=2.2e-16, abs=0)
+
+    def test_limit_near_the_circle_matches_50_digits(self):
+        # real zeros within 1e-12 of +-1 and real potentials: the limit is far below C(0)
+        # or far above it, and the 50-digit substitution on the same T is the reference
+        rng = random.Random(26)
+        for _ in range(60):
+            zeros = [rng.choice((-1, 1)) * (1 - 10 ** -rng.uniform(1, 12))
+                     for _ in range(rng.randint(1, 3))]
+            b = BlaschkeMap(zeros, rng.randint(1, 2))
+            phi = CirclePotential.from_map(
+                {m: rng.uniform(-1, 1)
+                 for m in rng.sample([m for m in range(-6, 7) if m], rng.randint(1, 3))})
+            reference = mp_birkhoff_limit(_composition_rows(b, phi.max_frequency), phi)
+            limit = birkhoff_variance(phi, b, 5).limit
+            assert limit == pytest.approx(reference, rel=1e-14, abs=0)
 
     def test_slow_decay_limit_is_exact(self):
         # phi = Re z under one zero at 0.9: C(k) = (-0.9)^k C(0) has not decayed after 10
