@@ -111,10 +111,11 @@ def cmd_variance(opts: dict, emit) -> int:
         est = variance.variance_lacunary(constructions.shell_moduli(params, opts["terms"]),
                                          params.d)
     else:
-        if method == "block":  # the fewest shells, at least --shells, that reach the finest scale
+        if method == "block":  # at least --shells, and the fewest J whose cutoff n_J - 1
+            # resolves the finest scale: n_J > ceil(need), so J counts the n_j <= ceil(need)
             need = variance.resolving_freq(
                 math.expm1(variance.block_log_scales(r0, params.d, blocks)[-1]))
-            resolved["shells"] = max(params.shells, params.shells_below(math.ceil(need) - 1) + 1)
+            resolved["shells"] = max(params.shells, params.shells_below(math.ceil(need)))
             params = params._replace(shells=resolved["shells"])
         g = (constructions.shell_cauchy_series if method == "cesaro"
              else constructions.shell_beurling_series)(params)
@@ -125,8 +126,7 @@ def cmd_variance(opts: dict, emit) -> int:
     payload = est.to_doc()
     payload["d"] = params.d
     payload["rho0"] = params.rho0
-    payload["closed_form"] = formulas.sigma2_optimal(params.d) if \
-        abs(params.rho0 - formulas.optimal_rho0(params.d)) < 1e-12 else None
+    payload["closed_form"] = formulas.sigma2_shell(params.d, params.rho0)
     diagnostics = csv_text(["scale_index", "scale_value"], [[i, v] for i, v in est.diagnostics])
     emit("variance", payload, resolved, files={"variance_diagnostics.csv": diagnostics})
     return 0

@@ -2,16 +2,15 @@
 
 Every formula here is cross-validated elsewhere by an independent numeric
 path: the shell variance against the block estimators, the optimal radius
-against grid maximization, and the two dimension parametrizations against
-each other through the distortion constant.
+and the best real degree against 50-digit maximization, and the two
+dimension parametrizations against each other through the distortion
+constant.
 """
 from __future__ import annotations
 
 import math
 
 from .errors import FREQ_CAP, ValidationError
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def check_degree(d: float) -> None:
@@ -55,13 +54,18 @@ def sigma2_optimal(d: float) -> float:
 
 
 _FLOAT_CAP = math.nextafter(float(FREQ_CAP), 0.0)  # 2^63 - 1024
+# The real maximizer of sigma2_optimal.  d/dd log sigma2_optimal = 2 log d/(d-1)^2 -
+# 1/(d log d) is positive below the root of 2 d (log d)^2 = (d-1)^2 and negative above
+# it; the tests check this float against the 50-digit root of that equation and the
+# 50-digit maximizer of sigma2_optimal itself, and selfcheck its relative residual.
+D_STAR = 19.744345286533104
 
 
 def best_integer_degree(d_min: int = 2, d_max: int = 64) -> tuple[int, float]:
     """Integer degree maximizing the optimal shell variance (argmax is 20).
 
-    The objective rises up to its real maximizer (about 19.74) and falls beyond
-    it, so the argmax is the floor or ceiling of the maximizer on the range.
+    The objective rises up to its real maximizer D_STAR and falls beyond it,
+    so the argmax is the floor or ceiling of the best real degree on the range.
     """
     if d_min < 2 or d_max < d_min:
         raise ValidationError("need 2 <= d_min <= d_max")
@@ -70,38 +74,18 @@ def best_integer_degree(d_min: int = 2, d_max: int = 64) -> tuple[int, float]:
     return max(((d, sigma2_optimal(d)) for d in candidates), key=lambda dv: dv[1])
 
 
-def golden_section_maximize(f, a: float, b: float, xtol: float = 1e-8) -> tuple[float, float]:
-    """Derivative-free maximization of a unimodal function on [a, b]."""
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        width = b - a
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        if not b - a < width:  # far from 0, xtol may lie below the float spacing
-            break
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def best_real_degree(lo: float = 2.0, hi: float = 64.0) -> tuple[float, float]:
-    """Real degree maximizing the optimal shell variance; the value is ~0.87914.
+    """Real degree maximizing the optimal shell variance on [lo, hi], and its value.
 
-    Integer bounds are compared exactly; the search runs in floats clamped to
-    the largest float below 2^63 - 1, which itself rounds up to 2^63.  A range
-    of one point (lo == hi) returns that point.
+    That is D_STAR (value ~0.87914) clamped to the range: a range that excludes
+    it reports its nearer end.  Integer bounds are compared exactly, and the
+    degree is clamped to the largest float below 2^63 - 1, which itself rounds
+    up to 2^63.
     """
     if not 1.0 < lo <= hi:
         raise ValidationError("need 1 < lo <= hi")
-    return golden_section_maximize(sigma2_optimal, float(min(lo, _FLOAT_CAP)),
-                                   float(min(hi, _FLOAT_CAP)))
+    d = float(min(max(D_STAR, lo), hi, _FLOAT_CAP))
+    return d, sigma2_optimal(d)
 
 
 def julia_dim_t(d: int, t: complex) -> float:

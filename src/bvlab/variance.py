@@ -145,11 +145,14 @@ def variance_lacunary(moduli, d: float) -> VarianceEstimate:
 def block_log_scales(R0: float, d: int, n_blocks: int) -> list[float]:
     """The scales log R_k = log(R0) / d^k, k <= n_blocks, that variance_block probes.
 
-    Past d^n_blocks = FREQ_CAP log R0 the finest one needs frequencies above 10 FREQ_CAP.
+    A block count is rejected exactly when its finest scale needs a cutoff
+    (resolving_freq) above FREQ_CAP.
     """
     if d < 2 or not 1.0 < R0 < math.inf or n_blocks < 1:
         raise ValidationError("need d >= 2, 1 < R0 < inf and at least one block")
-    if n_blocks * math.log(d) > math.log(FREQ_CAP * math.log(R0)):
+    # past d^n_blocks = e^100 the finest scale, below 710 e^-100, needs a cutoff above 10^41
+    if n_blocks * math.log(d) > 100.0 or \
+            resolving_freq(expm1(math.log(R0) / d**n_blocks)) > FREQ_CAP:
         raise ValidationError(f"{n_blocks} blocks of degree {d} probe scales that no series "
                               "below frequency 2^63 - 1 resolves")
     return [math.log(R0) / d**k for k in range(n_blocks + 1)]

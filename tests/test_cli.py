@@ -19,7 +19,7 @@ from bvlab.dynamics import (BlaschkeMap, CirclePotential, birkhoff_variance, che
                             check_mc_work)
 from bvlab.errors import (COEFF_CAP, FREQ_CAP, CapacityError, ValidationError,
                           parse_complex, parse_int)
-from bvlab.formulas import sigma2_optimal, sigma2_second_order
+from bvlab.formulas import sigma2_optimal, sigma2_second_order, sigma2_shell
 from bvlab.manifest import json_text
 from bvlab.order2 import parameter_search, shell_grid
 from bvlab.variance import TOLERANCE
@@ -88,6 +88,8 @@ class TestVariance:
         assert code == 0
         doc = json.loads(out)
         assert doc["method"] == "block_mass"
+        # the closed form at every radius, not only at the optimal one
+        assert doc["closed_form"] == sigma2_shell(3, 0.2)
         assert doc["value"] == pytest.approx(4 * (0.2 ** (1 / 3) - 0.2) ** 2 / math.log(3),
                                              rel=1e-3)
 
@@ -104,20 +106,32 @@ class TestVariance:
         assert len(diag) > 2
 
     def test_block_method_grows_to_the_fewest_resolving_shells(self, tmp_path, capsys):
-        # 19 shells are the fewest whose last frequency 2^19 reaches 10/(1.5^(1/2^14) - 1);
-        # 18 give 0.3606023779490682 and 17 raise UnresolvedScaleError.  The manifest
-        # records the grown count, the default n0 and the cutoff n_19 - 1 it sets
+        # 18 shells are the fewest whose cutoff n_18 - 1 = 2^19 - 1 reaches
+        # 10/(1.5^(1/2^14) - 1) = 4.04e5; 19 give 0.360602377952943 and 17 raise
+        # UnresolvedScaleError.  The manifest records the grown count, the default n0 and
+        # the cutoff it sets
         code, out, _ = run_cli(["variance", "shell", "--d", "2", "--rho0", "0.25", "--method",
                                 "block", "--blocks", "14", "--shells", "1"], tmp_path, capsys)
         assert code == 0
         doc = json.loads(out)
-        assert doc["value"] == 0.360602377952943
+        assert doc["value"] == 0.3606023779490682
         # the limit of the increments is closer to the closed form than their tail average
         tail_average = 0.3612863906840157
         assert abs(doc["value"] - doc["closed_form"]) < abs(tail_average - doc["closed_form"])
         manifest = json.loads((tmp_path / "variance_manifest.json").read_text())
-        assert manifest["resolved"] == {"rho0": 0.25, "shells": 19, "n0": 2,
-                                        "series_cutoff": 2**20 - 1}
+        assert manifest["resolved"] == {"rho0": 0.25, "shells": 18, "n0": 2,
+                                        "series_cutoff": 2**19 - 1}
+
+    def test_block_count_at_the_resolution_edge(self, tmp_path, capsys):
+        # 1.5^(1/2^58) needs a cutoff of 7.1e18, which 62 shells (n_62 - 1 = 2^63 - 1)
+        # reach; 59 blocks need 1.4e19, above every 64-bit cutoff
+        argv = ["variance", "shell", "--d", "2", "--method", "block", "--blocks"]
+        code, out, _ = run_cli([*argv, "58"], tmp_path, capsys)
+        assert code == 0 and json.loads(out)["value"] == 0.36067376021837244
+        manifest = json.loads((tmp_path / "variance_manifest.json").read_text())
+        assert manifest["resolved"]["shells"] == 62
+        code, out, err = run_cli([*argv, "59", "--shells", "62"], tmp_path, capsys)
+        assert code == 2 and "59 blocks" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("n0", [None, 4])
     @pytest.mark.parametrize("argv", [["variance", "shell", "--method", "mass"],
@@ -187,6 +201,13 @@ class TestOptimize:
         assert code == 0
         doc = json.loads(out)
         assert doc["best_integer"]["d"] == 5 and doc["best_real"]["d"] == 5.0
+
+    def test_range_below_the_maximizer_reports_its_end(self, tmp_path, capsys):
+        code, out, _ = run_cli(["optimize", "--d-min", "2", "--d-max", "3"], tmp_path, capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["best_real"] == {"d": 3, "value": sigma2_optimal(3)}
+        assert doc["best_integer"]["d"] == 3
 
     def test_range_at_degree_capacity(self, tmp_path, capsys):
         # 2^63 - 1 rounds up to 2^63 as a float; the search must stay at or below it

@@ -24,7 +24,8 @@ before it.  Each run goes through ``cli.main`` in-process and must
 
 One command line per command also runs as ``python -m bvlab.cli`` in a fresh
 interpreter, which covers start-up, the module bodies a command runs and the
-encoding of the streams.
+encoding of the streams.  Each single-key bound (``EDGES``) runs at its edge,
+where it exits 0 or 3, and one step past it, where it exits 2.
 
 Each command gets a quarter of the hypothesis profile's examples, so a
 longer profile (``--hypothesis-profile``) runs the same properties for longer.
@@ -47,7 +48,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bvlab import cli
+from bvlab.constructions import MAX_TERMS
+from bvlab.dynamics import MAX_SAMPLES
+from bvlab.order2 import MAX_GRID_WORK
 from bvlab.selfcheck import CheckResult
+from bvlab.variance import CESARO_R0_MAX
 
 # the slowest run the drawn values admit (an order2 grid at its work bound) takes 0.2 s
 WALL_S = 3.0
@@ -328,6 +333,41 @@ def test_every_document_keeps_the_exit_contract(key, data):
     doc = data.draw(_document(schema, 5))
     extra = data.draw(st.sampled_from([[], ["--method", "mc"]])) if key == "phi" else []
     _check_contract(*_run([*DOC_RUNS[key], *extra, cli._flag(key), ("doc", schema, doc)], None))
+
+
+# Each single-key bound: (a command line that ends in the key's flag, the value at the
+# bound, the value one step past it).  At 58 blocks of degree 2 the finest scale
+# 1.5^(1/2^58) needs a cutoff of 7.1e18, and at 59 one of 1.4e19, past 2^63 - 1.  An order2
+# grid of five-shell points costs (5 + 5)^2 per point, so 300 of them reach the work
+# bound.  The sample count is drawn on the exact route only, which range-checks it; 10^7
+# Monte Carlo samples would allocate 1 GB.
+_POTENTIAL = ("doc", "potential", {"coeffs": [[1, 1.0, 0.0]]})
+_GRID_POINTS = MAX_GRID_WORK // (5 + 5) ** 2
+EDGES = {
+    "terms": (["variance", "shell", "--d", "20", "--method", "exact", "--terms"],
+              MAX_TERMS, MAX_TERMS + 1),
+    "points": (["means-curve", "--d", "2", "--points"], cli._MAX_POINTS, cli._MAX_POINTS + 1),
+    "samples-low": (["dynamics", "var", "--phi", _POTENTIAL, "--n", "8", "--samples"], 2, 1),
+    "samples-high": (["dynamics", "var", "--phi", _POTENTIAL, "--n", "8", "--samples"],
+                     MAX_SAMPLES, MAX_SAMPLES + 1),
+    "r0": (["variance", "shell", "--d", "3", "--method", "cesaro", "--r0"],
+           CESARO_R0_MAX, math.nextafter(CESARO_R0_MAX, math.inf)),
+    "blocks": (["variance", "shell", "--d", "2", "--method", "block", "--r0", "1.5",
+                "--blocks"], 58, 59),
+    "grid": (["order2", "--shells", "5", "--grid-d"], ",".join(["16"] * _GRID_POINTS),
+             ",".join(["16"] * (_GRID_POINTS + 1))),
+}
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["edge", "past"])
+@pytest.mark.parametrize("key", list(EDGES))
+def test_single_key_bound_at_its_edge(key, past):
+    argv, *values = EDGES[key]
+    value = values[past]
+    argv, code, out, err, caught = _run(
+        [*argv, value if isinstance(value, str) else repr(value)], None)
+    _check_contract(argv, code, out, err, caught)
+    assert code == 2 if past else code in (0, 3), (argv, code, err)
 
 
 def test_every_reader_key_has_valid_values():

@@ -1,12 +1,13 @@
 """Closed-form bounds and dimension formulas, cross-validated numerically."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from bvlab import formulas
 from bvlab.errors import FREQ_CAP, ValidationError
-from bvlab.formulas import (best_integer_degree, best_real_degree,
-                            distortion_constant, golden_section_maximize,
+from bvlab.formulas import (best_integer_degree, best_real_degree, distortion_constant,
                             julia_dim_k, julia_dim_t, lambda_lemma_coeff,
                             optimal_rho0, pointwise_sigma_bound, sigma2_optimal,
                             sigma2_shell, smirnov_dim_k, smirnov_dim_t, table2,
@@ -37,14 +38,17 @@ class TestShellVariance:
         expected = 4 * 16 ** (-2 / 15) * 225 / (256 * math.log(16))
         assert sigma2_shell(d, optimal_rho0(d)) == pytest.approx(expected, rel=1e-14)
 
-    def test_optimal_radius_against_grid_maximization(self):
-        # the maximum is flat, so the argmax is only sqrt(eps)-determined in
-        # doubles; the optimal value agrees to 1e-10 and far beyond
-        for d in (2.0, 3.0, 7.5, 20.0):
-            x, fx = golden_section_maximize(lambda r: sigma2_shell(d, r),
-                                            1e-6, 1 - 1e-6, xtol=1e-12)
-            assert x == pytest.approx(optimal_rho0(d), abs=1e-7)
-            assert abs(fx - sigma2_shell(d, optimal_rho0(d))) <= 1e-10
+    def test_optimal_radius_against_50_digit_maximization(self):
+        # the root of the numerical derivative of the shell variance in rho0, bracketed
+        # away from the zeros of the variance at 0 and 1
+        for d in (2, 3, 7.5, 20):
+            with mpmath.workdps(50):
+                f = lambda r: 4 * (r ** (1 / mpmath.mpf(d)) - r) ** 2 / mpmath.log(d)
+                x = mpmath.findroot(lambda r: mpmath.diff(f, r), (1e-3, 0.9),
+                                    solver="illinois")
+                fx = f(x)
+            assert optimal_rho0(d) == pytest.approx(float(x), rel=1e-15, abs=0)
+            assert sigma2_shell(d, optimal_rho0(d)) == pytest.approx(float(fx), rel=1e-15)
 
     def test_argmax_property(self, rng):
         d = 11
@@ -84,9 +88,35 @@ class TestDegreeOptimizers:
         assert value >= sigma2_optimal(20)
 
     def test_real_argmax_far_from_zero_terminates(self):
-        # an absolute xtol of 1e-8 is below the float spacing near 1e17
-        d, value = best_real_degree(1e17, 2e17)
-        assert 1e17 <= d < 1e17 + 1e3 and value == pytest.approx(sigma2_optimal(1e17))
+        # a range above the maximizer reports its lower end, exactly
+        assert best_real_degree(1e17, 2e17) == (1e17, sigma2_optimal(1e17))
+
+    def test_stationary_degree_is_the_50_digit_root(self):
+        # d/dd log sigma2_optimal = 2 log d/(d-1)^2 - 1/(d log d) vanishes where
+        # 2 d (log d)^2 = (d-1)^2; the maximizer of sigma2_optimal itself agrees
+        with mpmath.workdps(50):
+            root = mpmath.findroot(lambda d: 2 * d * mpmath.log(d) ** 2 - (d - 1) ** 2, 19)
+            objective = lambda d: (4 * d ** (2 / (1 - d)) * (d - 1) ** 2
+                                   / (d * d * mpmath.log(d)))
+            argmax = mpmath.findroot(lambda d: mpmath.diff(objective, d), 19)
+        assert formulas.D_STAR == float(root) == float(argmax)
+
+    def test_real_range_reports_the_clamped_stationary_degree(self):
+        for a in range(2, 81):
+            for b in range(a, 81):
+                d, value = best_real_degree(a, b)
+                assert a <= d <= b
+                if a > formulas.D_STAR:
+                    assert d == a
+                if b < formulas.D_STAR:
+                    assert d == b
+                assert value >= best_integer_degree(a, b)[1]
+
+    @pytest.mark.parametrize("lo, hi", [(2, 64), (2, FREQ_CAP), (19, 20), (19.7, 19.8),
+                                        (1.0000001, 1e300), (formulas.D_STAR, 64),
+                                        (2, formulas.D_STAR)])
+    def test_every_range_holding_the_maximizer_reports_it(self, lo, hi):
+        assert best_real_degree(lo, hi) == (formulas.D_STAR, sigma2_optimal(formulas.D_STAR))
 
 
 class TestDimensionFormulas:

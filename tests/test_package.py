@@ -149,6 +149,17 @@ def test_script_imports(path, monkeypatch, capsys):
     assert capsys.readouterr().out
 
 
+def test_lower_bounds_script_prints_the_paper_values(monkeypatch, capsys):
+    """The headline lines: the integer and real degree optima and the degree-16 total."""
+    path = SRC.parent / "scripts" / "reproduce_lower_bounds.py"
+    monkeypatch.setattr(sys, "argv", [str(path)])
+    runpy.run_path(str(path), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    assert "best integer degree: 20  value 0.879131" in lines
+    assert "best real degree:    19.7443  value 0.879142" in lines
+    assert any(line.startswith("  total        0.893933  (") for line in lines)
+
+
 def test_benchmark_tracer_finds_every_binding(tmp_path):
     """perfbench/tracer.py wraps functions by name: each must exist, and each size hook
     must read the arguments and result it is given."""

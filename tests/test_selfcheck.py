@@ -2,8 +2,8 @@
 
 Every entry of ``run_selfcheck(full=True)`` is one test case here, and the
 mutation table shows that each entry can fail: every row patches a package
-function that the entry's quantity is computed from, never the helper that
-returns the residual itself, and the entry must then report FAIL.
+function or constant that the entry's quantity is computed from, never the
+helper that returns the residual itself, and the entry must then report FAIL.
 """
 from pkgutil import resolve_name
 
@@ -66,6 +66,8 @@ MUTATIONS = [
          "coefficient"),
     _row("optimal_rho0_argmax", "bvlab.selfcheck.optimal_rho0", times(1.1), "radius"),
     _row("degree_optimizers", "bvlab.formulas.sigma2_optimal", times(0.999), "objective"),
+    _row("degree_optimizers", "bvlab.formulas.D_STAR", lambda d: d * (1 + 1e-9),
+         "stationary-degree"),
     _row("truncation_worked_example", "bvlab.annular.PiecewiseField.max_r_out", times(1.05),
          "support-radius"),
     _row("lacunary_functional_equation", "bvlab.selfcheck.lacunary_vector_field",
