@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import (__version__, annular, constructions, dynamics, formulas, laurent, order2,
                selfcheck, variance)
-from .errors import BVLabError, ValidationError, parse_float, parse_int
+from .errors import FREQ_CAP, BVLabError, ValidationError, parse_float, parse_int
 from .manifest import csv_text, json_text, write_text
 
 _MAX_POINTS = 10**4  # 100x the default means-curve grid
@@ -111,11 +111,14 @@ def cmd_variance(opts: dict, emit) -> int:
         est = variance.variance_lacunary(constructions.shell_moduli(params, opts["terms"]),
                                          params.d)
     else:
-        if method == "block":  # at least --shells, and the fewest J whose cutoff n_J - 1
-            # resolves the finest scale: n_J > ceil(need), so J counts the n_j <= ceil(need)
-            need = variance.resolving_freq(
-                math.expm1(variance.block_log_scales(r0, params.d, blocks)[-1]))
-            resolved["shells"] = max(params.shells, params.shells_below(math.ceil(need)))
+        if method == "block":  # the fewest shells, at least --shells, that reach the finest scale
+            need = math.ceil(variance.block_need(r0, params.d, blocks))
+            grown = params.shells_below(need - 1) + 1  # the last frequency n_(J-1) >= need
+            if grown > params.shells_below(FREQ_CAP):
+                raise ValidationError(
+                    f"{blocks} blocks of degree {params.d} need a shell frequency from {need} "
+                    f"to 2^63 - 1, and those of first frequency {params.n0} have none")
+            resolved["shells"] = max(params.shells, grown)
             params = params._replace(shells=resolved["shells"])
         g = (constructions.shell_cauchy_series if method == "cesaro"
              else constructions.shell_beurling_series)(params)

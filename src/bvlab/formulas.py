@@ -79,8 +79,8 @@ def best_real_degree(lo: float = 2.0, hi: float = 64.0) -> tuple[float, float]:
 
     That is D_STAR (value ~0.87914) clamped to the range: a range that excludes
     it reports its nearer end.  Integer bounds are compared exactly, and the
-    degree is clamped to the largest float below 2^63 - 1, which itself rounds
-    up to 2^63.
+    degree is also clamped to 2^63 - 1024, the largest float below 2^63 - 1
+    (which itself rounds up to 2^63), so a range above that float reports it.
     """
     if not 1.0 < lo <= hi:
         raise ValidationError("need 1 < lo <= hi")

@@ -142,32 +142,30 @@ def variance_lacunary(moduli, d: float) -> VarianceEstimate:
                           "lacunary_exact", checkpoints)
 
 
-def block_log_scales(R0: float, d: int, n_blocks: int) -> list[float]:
-    """The scales log R_k = log(R0) / d^k, k <= n_blocks, that variance_block probes.
-
-    A block count is rejected exactly when its finest scale needs a cutoff
-    (resolving_freq) above FREQ_CAP.
-    """
+def block_need(R0: float, d: int, n_blocks: int) -> float:
+    """The cutoff (resolving_freq) that the finest scale R0^(1/d^n_blocks) of
+    variance_block needs; a block count is rejected exactly when it lies above FREQ_CAP."""
     if d < 2 or not 1.0 < R0 < math.inf or n_blocks < 1:
         raise ValidationError("need d >= 2, 1 < R0 < inf and at least one block")
     # past d^n_blocks = e^100 the finest scale, below 710 e^-100, needs a cutoff above 10^41
-    if n_blocks * math.log(d) > 100.0 or \
-            resolving_freq(expm1(math.log(R0) / d**n_blocks)) > FREQ_CAP:
+    need = (resolving_freq(expm1(math.log(R0) / d**n_blocks))
+            if n_blocks * math.log(d) <= 100.0 else math.inf)
+    if need > FREQ_CAP:
         raise ValidationError(f"{n_blocks} blocks of degree {d} probe scales that no series "
                               "below frequency 2^63 - 1 resolves")
-    return [math.log(R0) / d**k for k in range(n_blocks + 1)]
+    return need
 
 
 def variance_block(g: ExteriorLaurent, d: int, R0: float, n_blocks: int) -> VarianceEstimate:
-    """Variance from increments of I(R) between the scales R0^(1/d^k).
+    """Variance from increments of I(R) between the scales R0^(1/d^k), k <= n_blocks.
 
     Each increment [I(R_(k+1)) - I(R_k)] / [log(1/(R_(k+1)-1)) - log(1/(R_k-1))]
     measures the coefficient mass of one self-similar block.  Their error
     shrinks by about 1/d per scale, and the reported value is their limit.
     """
-    log_R = block_log_scales(R0, d, n_blocks)
+    need = block_need(R0, d, n_blocks)
+    log_R = [math.log(R0) / d**k for k in range(n_blocks + 1)]
     r_minus_1 = [expm1(l) for l in log_R]
-    need = resolving_freq(r_minus_1[-1])
     if g.max_freq < need:
         raise UnresolvedScaleError(
             f"series cutoff {g.max_freq} cannot resolve R - 1 = {r_minus_1[-1]:.3e}; "

@@ -106,32 +106,35 @@ class TestVariance:
         assert len(diag) > 2
 
     def test_block_method_grows_to_the_fewest_resolving_shells(self, tmp_path, capsys):
-        # 18 shells are the fewest whose cutoff n_18 - 1 = 2^19 - 1 reaches
-        # 10/(1.5^(1/2^14) - 1) = 4.04e5; 19 give 0.360602377952943 and 17 raise
-        # UnresolvedScaleError.  The manifest records the grown count, the default n0 and
-        # the cutoff it sets
+        # 19 shells are the fewest whose last frequency 2^19 reaches 10/(1.5^(1/2^14) - 1);
+        # 18 give 0.3606023779490682 and 17 raise UnresolvedScaleError.  The manifest
+        # records the grown count, the default n0 and the cutoff n_19 - 1 it sets
         code, out, _ = run_cli(["variance", "shell", "--d", "2", "--rho0", "0.25", "--method",
                                 "block", "--blocks", "14", "--shells", "1"], tmp_path, capsys)
         assert code == 0
         doc = json.loads(out)
-        assert doc["value"] == 0.3606023779490682
+        assert doc["value"] == 0.360602377952943
         # the limit of the increments is closer to the closed form than their tail average
         tail_average = 0.3612863906840157
         assert abs(doc["value"] - doc["closed_form"]) < abs(tail_average - doc["closed_form"])
         manifest = json.loads((tmp_path / "variance_manifest.json").read_text())
-        assert manifest["resolved"] == {"rho0": 0.25, "shells": 18, "n0": 2,
-                                        "series_cutoff": 2**19 - 1}
+        assert manifest["resolved"] == {"rho0": 0.25, "shells": 19, "n0": 2,
+                                        "series_cutoff": 2**20 - 1}
 
     def test_block_count_at_the_resolution_edge(self, tmp_path, capsys):
-        # 1.5^(1/2^58) needs a cutoff of 7.1e18, which 62 shells (n_62 - 1 = 2^63 - 1)
-        # reach; 59 blocks need 1.4e19, above every 64-bit cutoff
+        # 1.5^(1/2^57) needs a cutoff of 3.6e18, which the last of 62 shells, n_61 = 2^62,
+        # reaches; 58 blocks need 7.1e18, and the next shell frequency, 2^63, passes the
+        # 64-bit capacity; 59 blocks need 1.4e19, above every 64-bit cutoff
         argv = ["variance", "shell", "--d", "2", "--method", "block", "--blocks"]
-        code, out, _ = run_cli([*argv, "58"], tmp_path, capsys)
-        assert code == 0 and json.loads(out)["value"] == 0.36067376021837244
+        code, out, _ = run_cli([*argv, "57"], tmp_path, capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["converged"]
+        assert doc["value"] == pytest.approx(doc["closed_form"], rel=1e-14)
         manifest = json.loads((tmp_path / "variance_manifest.json").read_text())
         assert manifest["resolved"]["shells"] == 62
-        code, out, err = run_cli([*argv, "59", "--shells", "62"], tmp_path, capsys)
-        assert code == 2 and "59 blocks" in json.loads(err)["message"]
+        for blocks in ("58", "59"):
+            code, out, err = run_cli([*argv, blocks, "--shells", "62"], tmp_path, capsys)
+            assert code == 2 and f"{blocks} blocks" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("n0", [None, 4])
     @pytest.mark.parametrize("argv", [["variance", "shell", "--method", "mass"],
@@ -210,12 +213,15 @@ class TestOptimize:
         assert doc["best_integer"]["d"] == 3
 
     def test_range_at_degree_capacity(self, tmp_path, capsys):
-        # 2^63 - 1 rounds up to 2^63 as a float; the search must stay at or below it
+        # 2^63 - 1 rounds up to 2^63 as a float, so the real degree stops at the float
+        # below it, 2^63 - 1024, under d_min
         d_min = 9223372036854775000
         code, out, _ = run_cli(["optimize", "--d-min", str(d_min),
                                 "--d-max", "9223372036854775807"], tmp_path, capsys)
         assert code == 0
-        assert json.loads(out)["best_integer"]["d"] == d_min
+        doc = json.loads(out)
+        assert doc["best_integer"]["d"] == d_min
+        assert doc["best_real"] == {"d": 2**63 - 1024, "value": sigma2_optimal(2**63 - 1024)}
 
 
 class TestOrder2:

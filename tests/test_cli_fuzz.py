@@ -336,8 +336,9 @@ def test_every_document_keeps_the_exit_contract(key, data):
 
 
 # Each single-key bound: (a command line that ends in the key's flag, the value at the
-# bound, the value one step past it).  At 58 blocks of degree 2 the finest scale
-# 1.5^(1/2^58) needs a cutoff of 7.1e18, and at 59 one of 1.4e19, past 2^63 - 1.  An order2
+# bound, the value one step past it).  At 57 blocks of degree 2 the finest scale
+# 1.5^(1/2^57) needs a cutoff of 3.6e18, which the shell frequency 2^62 reaches, and at
+# 58 one of 7.1e18, which only the next one, 2^63, past the capacity, reaches.  An order2
 # grid of five-shell points costs (5 + 5)^2 per point, so 300 of them reach the work
 # bound.  The sample count is drawn on the exact route only, which range-checks it; 10^7
 # Monte Carlo samples would allocate 1 GB.
@@ -353,7 +354,7 @@ EDGES = {
     "r0": (["variance", "shell", "--d", "3", "--method", "cesaro", "--r0"],
            CESARO_R0_MAX, math.nextafter(CESARO_R0_MAX, math.inf)),
     "blocks": (["variance", "shell", "--d", "2", "--method", "block", "--r0", "1.5",
-                "--blocks"], 58, 59),
+                "--blocks"], 57, 58),
     "grid": (["order2", "--shells", "5", "--grid-d"], ",".join(["16"] * _GRID_POINTS),
              ",".join(["16"] * (_GRID_POINTS + 1))),
 }

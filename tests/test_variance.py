@@ -11,14 +11,15 @@ from bvlab.annular import beurling_exterior
 from bvlab.constructions import (ShellParams, random_unit_shell_field,
                                  shell_beurling_series, shell_cauchy_series,
                                  shell_moduli)
-from bvlab.errors import UnresolvedScaleError, ValidationError
+from bvlab.errors import FREQ_CAP, UnresolvedScaleError, ValidationError
 from bvlab.formulas import optimal_rho0, sigma2_optimal, sigma2_shell
 from bvlab.laurent import ExteriorLaurent, SelfSimilarity
 from bvlab.variance import (CESARO_R0_MAX, ROUNDING_FLOOR, TOLERANCE,
-                            _radial_fourth_order_integral, block_masses, cesaro_sigma4,
-                            curve_slope, growth_slope, integral_means, integral_means_log,
-                            limit_estimate, linspace, means_curve, resolving_freq,
-                            variance_block, variance_block_mass, variance_lacunary)
+                            _radial_fourth_order_integral, block_masses, block_need,
+                            cesaro_sigma4, curve_slope, growth_slope, integral_means,
+                            integral_means_log, limit_estimate, linspace, means_curve,
+                            resolving_freq, variance_block, variance_block_mass,
+                            variance_lacunary)
 from oracles import (angular_mean_square, bloch_seminorm, derivative, mp_radial_fourth_order,
                      truncated)
 
@@ -311,6 +312,15 @@ def test_resolving_freq_is_where_the_weight_falls_to_e_minus_20(order):
     log_share = 2 * order * math.log(y / (2 * order)) - (y - 2 * order) if order else -y
     assert log_share == pytest.approx(-20.0, abs=1e-12)
     assert resolving_freq(0.01) == 10.0 / 0.01
+
+
+def test_block_need_rejects_exactly_the_counts_past_the_capacity():
+    # 1.5^(1/2^58) needs a cutoff of 7.1e18 and 1.5^(1/2^59) one of 1.4e19, past 2^63 - 1
+    assert block_need(1.5, 2, 58) == resolving_freq(math.expm1(math.log(1.5) / 2**58))
+    assert 2**62 < block_need(1.5, 2, 58) <= FREQ_CAP
+    for blocks in (59, 10**6):
+        with pytest.raises(ValidationError, match=f"{blocks} blocks"):
+            block_need(1.5, 2, blocks)
 
 
 def _resolved_annuli(v: ExteriorLaurent, R0: float, d: int) -> list[tuple[float, float]]:
