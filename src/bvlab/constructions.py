@@ -5,7 +5,8 @@ The shell coefficient places the unit-modulus block (conj(z)/|z|)^(n_j - 2)
 on the annulus r_j <= |z| < r_(j+1), with n_j = n0 * d^j and r_j = rho0^(1/n_j).
 Its Cauchy transform is, coefficient by coefficient, the d-lacunary series
 with moduli (2/n_j)(rho0^(1/d) - rho0), which is what makes every variance
-formula in this package explicit.
+formula in this package explicit.  The shell series are built from the shells'
+radial moments; the term algebra (``annular``) loads only when a field is built.
 
 Shell radii are handled in log form as log(rho0)/n_j; near the unit circle
 the plain radius differs from 1 by less than an ulp long before the 64-bit
@@ -17,16 +18,18 @@ import math
 from math import fsum, inf
 from typing import TYPE_CHECKING
 
-from .annular import MonomialTerm, PiecewiseField, beurling_exterior, cauchy_exterior
+from . import annular
 from .errors import CapacityError, FREQ_CAP, ValidationError
 from .formulas import check_degree, optimal_rho0
-from .laurent import ExteriorLaurent, SelfSimilarity
+from .laurent import ExteriorLaurent, SelfSimilarity, derivative_coefficients
 from .records import record
 
 if TYPE_CHECKING:
     import random
 
     import numpy as np
+
+    from .annular import PiecewiseField
 
 MAX_TERMS = 10**6  # shell_moduli builds a list of this many floats
 
@@ -112,15 +115,29 @@ def build_shell(params: ShellParams) -> PiecewiseField:
     terms = []
     for j in range(params.shells):
         n = params.frequency(j)
-        terms.append(MonomialTerm(1.0, n - 2, 0, float(2 - n),
-                                  params.log_radius(j), params.log_radius(j + 1)))
-    return PiecewiseField(tuple(terms))
+        terms.append(annular.MonomialTerm(1.0, n - 2, 0, float(2 - n),
+                                          params.log_radius(j), params.log_radius(j + 1)))
+    return annular.PiecewiseField(tuple(terms))
+
+
+def _shell_cauchy_coefficients(params: ShellParams) -> dict[int, float]:
+    """``cauchy_exterior(build_shell(params)).coeffs`` bit for bit, largest frequency
+    first: shell j's one moment 2 (r_(j+1)^e - r_j^e)/e at n_j - 1, with e rounded as
+    in ``annular._radial_moment``."""
+    frequencies = [params.frequency(j) for j in range(params.shells)]  # raises as build_shell
+    coeffs = {}
+    for j in reversed(range(params.shells)):
+        n = frequencies[j]
+        e = 2 * (n - 2) + float(2 - n) + 2.0  # 2p + gamma + 2; float(n) differs past 2^53
+        coeffs[n - 1] = 2.0 * (math.exp(e * params.log_radius(j + 1))
+                               - math.exp(e * params.log_radius(j))) / e
+    return coeffs
 
 
 def shell_cauchy_series(params: ShellParams) -> ExteriorLaurent:
     """Exterior Cauchy series of the shell field, whole below its cutoff, with block
     metadata attached."""
-    return ExteriorLaurent(cauchy_exterior(build_shell(params)).coeffs, params.series_cutoff(),
+    return ExteriorLaurent(_shell_cauchy_coefficients(params), params.series_cutoff(),
                            SelfSimilarity(params.d, params.n0))
 
 
@@ -128,9 +145,10 @@ def shell_beurling_series(params: ShellParams) -> ExteriorLaurent:
     """Exterior series of the transform of the shell field, whole below its cutoff.
 
     Coefficient moduli are 2 (1 - 1/n_j) (rho0^(1/d) - rho0) at the
-    frequencies n_j; the series is exact below the first missing shell.
+    frequencies n_j; the series is exact below the first missing shell.  It is the
+    z-derivative of the shell Cauchy series, by ``laurent.derivative_coefficients``.
     """
-    return ExteriorLaurent(beurling_exterior(build_shell(params)).coeffs,
+    return ExteriorLaurent(derivative_coefficients(_shell_cauchy_coefficients(params)),
                            params.series_cutoff(),
                            SelfSimilarity(params.d, params.n0))
 
@@ -147,7 +165,8 @@ def shell_cauchy_identity_check(params: ShellParams, samples) -> tuple[float, fl
     d = params.d
     if d < 3 or params.n0 != d - 1:
         raise ValidationError("identity check needs degree >= 3 with n0 = d - 1")
-    series = shell_cauchy_series(params)
+    # by the term algebra, not the shell moments, so that two routes are compared
+    series = annular.cauchy_exterior(build_shell(params))
     lac = lacunary_vector_field(d, params.shells)
     scale = -(2.0 * d / (d - 1.0)) * params.delta
     worst = 0.0
@@ -272,7 +291,7 @@ def truncate_to_polynomial(mu: PiecewiseField, r1: float, eps: float,
     if n_cut > FREQ_CAP:
         raise CapacityError("truncation cutoff exceeds frequency capacity")
 
-    series = cauchy_exterior(mu)
+    series = annular.cauchy_exterior(mu)
     log_rho0 = -inf if rho0 == 0.0 else math.log(rho0)
     log_r1 = math.log(r1)
     corrections = []
@@ -283,9 +302,9 @@ def truncate_to_polynomial(mu: PiecewiseField, r1: float, eps: float,
         denom = (2.0 / (j + 1)) * (math.exp((j + 1) * log_r1)
                                    - (0.0 if log_rho0 == -inf else math.exp((j + 1) * log_rho0)))
         amp = b / denom
-        corrections.append(MonomialTerm(-amp, j - 1, 0, float(1 - j), log_rho0, log_r1))
+        corrections.append(annular.MonomialTerm(-amp, j - 1, 0, float(1 - j), log_rho0, log_r1))
         bounds.append(abs(amp))
-    out = mu.add(PiecewiseField(tuple(corrections)))
+    out = mu.add(annular.PiecewiseField(tuple(corrections)))
     bound = fsum(bounds)
     rescaled = False
     if rescale and bound > 0:
@@ -309,8 +328,8 @@ def random_unit_shell_field(rng: np.random.Generator | random.Random,
         n = min(max(2, int(float(rng.uniform(0.5, 3.0)) / x) + 2), max_frequency)
         angle = float(rng.uniform(0.0, 2.0 * math.pi))
         phase = complex(math.cos(angle), math.sin(angle))
-        terms.append(MonomialTerm(phase, n - 2, 0, float(2 - n), -x, -x_next))
+        terms.append(annular.MonomialTerm(phase, n - 2, 0, float(2 - n), -x, -x_next))
         x = x_next
         if x < 1e-6:
             break
-    return PiecewiseField(tuple(terms))
+    return annular.PiecewiseField(tuple(terms))

@@ -20,10 +20,9 @@ from .formulas import (best_integer_degree, best_real_degree, lambda_lemma_coeff
                        optimal_rho0, pointwise_sigma_bound, sigma2_optimal,
                        sigma2_second_order, sigma2_shell, truncate_display)
 from .laurent import ExteriorLaurent
-from .order2 import order2_bound
 from .records import record
-from .variance import (cesaro_sigma4, growth_slope, linspace,
-                       variance_block, variance_block_mass, variance_lacunary)
+from .variance import (cesaro_sigma4, growth_slope, variance_block, variance_block_mass,
+                       variance_lacunary)
 
 
 class CheckResult(record("CheckResult", "name passed detail")):
@@ -108,12 +107,13 @@ def run_selfcheck(full: bool = False) -> list[CheckResult]:
     results.append(CheckResult("table_display_values", disp == table,
                                f"{disp} (expected {table})"))
 
-    # argmax of the shell variance in rho0 on a grid
+    # argmax of the shell variance in rho0: the derivative of rho^(1/d) - rho vanishes
+    # where rho^((1-d)/d)/d = 1; the relative residual reads 0.0 at d = 5 (8.0e-13 for a
+    # radius moved by 1e-12 relative)
     d = 5
     rho_star = optimal_rho0(d)
-    grid_best = max(sigma2_shell(d, r) for r in linspace(0.01, 0.99, 197))
     results.append(_check("optimal_rho0_argmax",
-                          grid_best - sigma2_shell(d, rho_star), 1e-12))
+                          abs(rho_star ** ((1.0 - d) / d) / d - 1.0), 1e-14))
 
     # degree optimizers: the best real degree is a root of 2 d (log d)^2 = (d - 1)^2, where
     # the relative residual reads 0.0 (4.4e-13 for a root moved by 1e-12 relative)
@@ -187,6 +187,8 @@ def run_selfcheck(full: bool = False) -> list[CheckResult]:
 
         # second-order bound at degree 16 against the closed form: residual and stability
         # both measure 7.8e-13, a margin of 12
+        from .order2 import order2_bound  # only --full compiles order2
+
         rho = optimal_rho0(16)
         rep = order2_bound(ShellParams(d=16, rho0=rho, n0=15, shells=7), refine=True)
         residual = abs(rep.total / (sigma2_shell(16, rho) + sigma2_second_order(16, rho)) - 1)

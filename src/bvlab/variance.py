@@ -99,12 +99,6 @@ def resolving_freq(r_minus_1: float, order: int = 0) -> float:
     return _DECAY_WIDTH[order] / 2.0 / r_minus_1
 
 
-def linspace(start: float, stop: float, num: int) -> list[float]:
-    """numpy.linspace(start, stop, num) bit for bit: start + i*step, last point stop."""
-    step = (stop - start) / (num - 1)
-    return [start + i * step for i in range(num - 1)] + [stop]
-
-
 def integral_means_log(g: ExteriorLaurent, log_R: float) -> float:
     """I(R) from log R; use this form for scales within an ulp of the circle."""
     if not log_R > 0.0:

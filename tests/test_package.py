@@ -75,6 +75,7 @@ with open(out + "/loaded_modules.json", "w", encoding="utf-8") as fh:
 """
 
 CLOSED_FORM = ["cli", "errors", "formulas", "manifest"]
+SHELL_SERIES = sorted([*CLOSED_FORM, "constructions", "laurent", "records", "variance"])
 EVERY_MODULE = sorted(["annular", "cli", "constructions", "dynamics", "errors", "formulas",
                        "laurent", "manifest", "order2", "records", "selfcheck", "variance"])
 
@@ -108,6 +109,23 @@ def test_each_command_runs_only_the_modules_it_uses(tmp_path):
         "dimension --d 20 --k 0.1": CLOSED_FORM,
         "dynamics coboundary --d 2 --n 20": sorted([*CLOSED_FORM, "dynamics", "records"]),
         "selfcheck --full": EVERY_MODULE,
+    }
+    # the shell series are built from the shell moments, so no variance method and no
+    # means curve of the shell field compiles the term algebra (annular), and selfcheck
+    # compiles order2 for --full only; each command in a fresh interpreter of its own
+    fresh = [["variance", "shell", "--d", "20", "--rho0", "optimal", "--method", "exact"],
+             ["variance", "shell", "--d", "2", "--rho0", "0.25", "--method", "block",
+              "--blocks", "14", "--shells", "22"],
+             ["variance", "shell", "--d", "16", "--rho0", "optimal", "--method", "mass",
+              "--shells", "12"],
+             ["variance", "shell", "--d", "20", "--rho0", "optimal", "--method", "cesaro",
+              "--shells", "12"],
+             ["means-curve", "--d", "2", "--rho0", "0.25", "--shells", "30"]]
+    for argv in fresh:
+        assert _probe(tmp_path, [argv]) == {"import bvlab": [], " ".join(argv): SHELL_SERIES}
+    assert _probe(tmp_path, [["selfcheck"]]) == {
+        "import bvlab": [],
+        "selfcheck": [name for name in EVERY_MODULE if name != "order2"],
     }
     # the exact route of dynamics var, in a fresh interpreter of its own
     phi = tmp_path / "phi.json"

@@ -60,11 +60,13 @@ MUTATIONS = [
          field_times(1.001), "reflection"),
     _row("lacunary_unit_variance", "bvlab.selfcheck.variance_lacunary",
          then(lambda est: est._replace(value=est.value * (1 + 1e-9))), "estimator"),
-    _row("shell_mass_vs_closed_form_d2", "bvlab.constructions.beurling_exterior",
-         series_times(1.05), "shell-series"),
+    _row("shell_mass_vs_closed_form_d2", "bvlab.constructions._shell_cauchy_coefficients",
+         then(lambda coeffs: {k: 1.05 * c for k, c in coeffs.items()}), "shell-series"),
     _row("table_display_values", "bvlab.selfcheck.lambda_lemma_coeff", times(1.001),
          "coefficient"),
     _row("optimal_rho0_argmax", "bvlab.selfcheck.optimal_rho0", times(1.1), "radius"),
+    _row("optimal_rho0_argmax", "bvlab.selfcheck.optimal_rho0", times(1 + 1e-12),
+         "radius-by-1e-12"),
     _row("degree_optimizers", "bvlab.formulas.sigma2_optimal", times(0.999), "objective"),
     _row("degree_optimizers", "bvlab.formulas.D_STAR", lambda d: d * (1 + 1e-9),
          "stationary-degree"),
@@ -72,7 +74,7 @@ MUTATIONS = [
          "support-radius"),
     _row("lacunary_functional_equation", "bvlab.selfcheck.lacunary_vector_field",
          then(lambda lac: lac._replace(v=scaled(lac.v, 1.001))), "field"),
-    _row("shell_cauchy_identity", "bvlab.constructions.shell_cauchy_series", series_times(1.001),
+    _row("shell_cauchy_identity", "bvlab.annular.cauchy_exterior", series_times(1.001),
          "shell-series"),
     *(_row(f"coboundary_exact_d{d}", "bvlab.dynamics.birkhoff_variance_exact",
            times(1 + 1e-9), "birkhoff-sum") for d in (2, 3, 20)),
@@ -90,7 +92,7 @@ MUTATIONS = [
          then(lambda out: (scaled(out[0], 2.0), out[1])), "square-term"),
     _row("order2_degree16", "bvlab.order2.product_beurling_exterior",
          then(lambda coeffs: {k: 2.0 * c for k, c in coeffs.items()}), "product-term"),
-    _row("order2_degree16", "bvlab.selfcheck.order2_bound",
+    _row("order2_degree16", "bvlab.order2.order2_bound",
          lambda orig: lambda params, refine=False: orig(params), "no-stability"),
 ]
 

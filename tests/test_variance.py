@@ -17,7 +17,7 @@ from bvlab.laurent import ExteriorLaurent, SelfSimilarity
 from bvlab.variance import (CESARO_R0_MAX, ROUNDING_FLOOR, TOLERANCE,
                             _radial_fourth_order_integral, block_masses, block_need,
                             cesaro_sigma4, curve_slope, growth_slope, integral_means,
-                            integral_means_log, limit_estimate, linspace, means_curve,
+                            integral_means_log, limit_estimate, means_curve,
                             resolving_freq, variance_block, variance_block_mass,
                             variance_lacunary)
 from oracles import (angular_mean_square, bloch_seminorm, derivative, mp_radial_fourth_order,
@@ -429,15 +429,6 @@ class TestGrowthSlope:
         assert all(m == integral_means_log(g, math.log1p(x)) for x, m in curve)
         assert growth_slope(g, 1 + 1e-8, 1 + 1e-3, 40) == curve_slope(
             means_curve(g, (1 + 1e-8) - 1, (1 + 1e-3) - 1, 40))
-
-
-class TestLinspace:
-    @pytest.mark.parametrize("start, stop, num", [
-        (math.log(1e-4), math.log(40.0), 60),   # the Bloch-seminorm oracle's radii
-        (0.01, 0.99, 197),                      # selfcheck's rho0 grid
-    ])
-    def test_bit_equal_to_numpy(self, start, stop, num):
-        assert linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
 
 
 class TestSeminormAndBounds:
