@@ -6,9 +6,9 @@ A field is a finite sum of terms
 
 closed under the Cauchy transform C (convolution with 1/(pi z)), its
 z-derivative S = dC/dz (the principal-value convolution with -1/(pi z^2)),
-pointwise products, and pullback under z -> z^d.  All transforms reduce to
-radial power integrals by angular orthogonality, so every operation here is
-closed-form; the quadrature cross-checks live in the test suite.
+pointwise products, and pullback under z -> z^d.  By angular orthogonality each
+transform coefficient is one radial moment of a term (``laurent.radial_moment``),
+so every operation here is closed-form; the quadrature checks live in the tests.
 
 Radial supports are kept in log form (log_r_in, log_r_out).  This preserves
 1 - r accuracy for shells accumulating at the unit circle, where the plain
@@ -22,25 +22,11 @@ from bisect import bisect_left
 from math import inf, isfinite
 from operator import itemgetter
 
-from .errors import (CapacityError, DivergentMomentError, FREQ_CAP,
-                     UnsupportedTermError, ValidationError, parse_float, parse_int)
-from .laurent import ExteriorLaurent, complex_fsum, derivative_coefficients
+from .errors import (CapacityError, FREQ_CAP, UnsupportedTermError, ValidationError,
+                     parse_float, parse_int)
+from .laurent import (ExteriorLaurent, complex_fsum, derivative_coefficients, radial_moment,
+                      radial_power)
 from .records import record
-
-
-def _pow_log(e: float, log_r: float) -> float:
-    """r**e computed from log r; exact at the conventions 0**pos = 0, r**0 = 1."""
-    if e == 0.0:
-        return 1.0
-    if log_r == -inf:
-        if e > 0:
-            return 0.0
-        raise DivergentMomentError("negative radial exponent with support reaching 0")
-    if log_r == inf:
-        if e < 0:
-            return 0.0
-        raise DivergentMomentError("non-negative radial exponent with unbounded support")
-    return math.exp(e * log_r)
 
 
 _MAX_LOG_RADIUS = math.log(sys.float_info.max)  # the largest log radius whose radius is a float
@@ -180,9 +166,6 @@ class PiecewiseField(record("PiecewiseField", "terms")):
     def max_r_out(self) -> float:
         return max((t.r_out for t in self.terms), default=0.0)
 
-    def min_r_in(self) -> float:
-        return min((t.r_in for t in self.terms), default=0.0)
-
     def add(self, other: "PiecewiseField") -> "PiecewiseField":
         return PiecewiseField(self.terms + other.terms)
 
@@ -217,30 +200,13 @@ class PiecewiseField(record("PiecewiseField", "terms")):
 # transforms
 # ---------------------------------------------------------------------------
 
-def _radial_moment(coeff: complex, p: int, gamma: float,
-                   log_r_in: float, log_r_out: float) -> complex:
-    """(1/pi) integral of a term times w^j over the plane, at its one frequency j = p - q.
-
-    Angular orthogonality kills every other j.  With e = 2p + gamma + 2 it is
-    2 c (r_out^e - r_in^e)/e, and 2 c log(r_out/r_in) when e = 0.
-    """
-    e = 2 * p + gamma + 2.0
-    if e == 0.0:
-        if not (isfinite(log_r_in) and isfinite(log_r_out)):
-            raise DivergentMomentError("logarithmic moment with unbounded support")
-        return 2.0 * coeff * (log_r_out - log_r_in)
-    hi = _pow_log(e, log_r_out)
-    lo = _pow_log(e, log_r_in)
-    return 2.0 * coeff * (hi - lo) / e
-
-
 def _cauchy_coefficients(pieces) -> dict[int, complex]:
     """Exterior Cauchy coefficients of terms, each a MonomialTerm or a plain tuple
     (coeff, p, q, gamma, log_r_in, log_r_out).
 
-    Each term with p >= q contributes its moment at the single frequency
-    k = p - q + 1; the moments of each frequency are summed in the canonical
-    term order, so the keys come largest first, the order in which
+    Each term with p >= q contributes its radial moment, e = 2p + gamma + 2, at
+    the single frequency k = p - q + 1; the moments of each frequency are summed
+    in the canonical term order, so the keys come largest first, the order in which
     derivative_coefficients checks capacity.  An unbounded piece is rejected
     before any moment is taken.
     """
@@ -253,7 +219,7 @@ def _cauchy_coefficients(pieces) -> dict[int, complex]:
     keyed.sort(key=itemgetter(0))
     coeffs: dict[int, complex] = {}
     for (m, lin, lout, p, gamma), c in keyed:
-        a = _radial_moment(c, p, gamma, lin, lout)
+        a = radial_moment(c, 2 * p + gamma + 2.0, lin, lout)
         if a != 0:
             k = 1 - m
             coeffs[k] = coeffs.get(k, 0) + a
@@ -289,8 +255,8 @@ def _cauchy_term_pieces(t: MonomialTerm) -> list[MonomialTerm]:
             "antiderivative is outside the monomial term class")
     c2e = 2.0 * t.coeff / e
     m = t.q - t.p - 1
-    hi = _pow_log(e, t.log_r_out)
-    lo = _pow_log(e, t.log_r_in)
+    hi = radial_power(e, t.log_r_out)
+    lo = radial_power(e, t.log_r_in)
     pieces = []
     if t.p >= t.q:
         pieces.append(MonomialTerm(c2e, 0, m, e, t.log_r_in, t.log_r_out))
@@ -351,8 +317,8 @@ def beurling_exterior(field: PiecewiseField) -> ExteriorLaurent:
 def bergman_coefficients(field: PiecewiseField) -> dict[int, complex]:
     """Interior Taylor coefficients c_k = (k+1)/pi * integral of field * conj(w)^k.
 
-    Requires support inside the closed unit disk.  A term contributes the
-    single index k = q - p (when q >= p), with radial exponent e = 2q + gamma + 2.
+    Requires support inside the closed unit disk.  A term contributes k + 1 times
+    its radial moment, e = 2q + gamma + 2, at the single index k = q - p >= 0.
     """
     for t in field.terms:
         if t.log_r_out > 1e-15:
@@ -362,12 +328,8 @@ def bergman_coefficients(field: PiecewiseField) -> dict[int, complex]:
         k = t.q - t.p
         if k < 0:
             continue
-        e = 2 * t.q + t.gamma + 2.0
-        if e == 0.0:
-            raise UnsupportedTermError("degenerate radial exponent in projection")
-        hi = _pow_log(e, t.log_r_out)
-        lo = _pow_log(e, t.log_r_in)
-        c = (k + 1) * 2.0 * t.coeff * (hi - lo) / e
+        c = (k + 1) * radial_moment(t.coeff, 2 * t.q + t.gamma + 2.0,
+                                    t.log_r_in, t.log_r_out)
         if c != 0:
             out[k] = out.get(k, 0) + c
     return out

@@ -6,7 +6,8 @@ on the annulus r_j <= |z| < r_(j+1), with n_j = n0 * d^j and r_j = rho0^(1/n_j).
 Its Cauchy transform is, coefficient by coefficient, the d-lacunary series
 with moduli (2/n_j)(rho0^(1/d) - rho0), which is what makes every variance
 formula in this package explicit.  The shell series are built from the shells'
-radial moments; the term algebra (``annular``) loads only when a field is built.
+radial moments (``laurent.radial_moment``, the rule the term algebra uses), so
+``annular`` loads only when a field is built.
 
 Shell radii are handled in log form as log(rho0)/n_j; near the unit circle
 the plain radius differs from 1 by less than an ulp long before the 64-bit
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING
 from . import annular
 from .errors import CapacityError, FREQ_CAP, ValidationError
 from .formulas import check_degree, optimal_rho0
-from .laurent import ExteriorLaurent, SelfSimilarity, derivative_coefficients
+from .laurent import ExteriorLaurent, SelfSimilarity, derivative_coefficients, radial_moment
 from .records import record
 
 if TYPE_CHECKING:
@@ -122,15 +123,14 @@ def build_shell(params: ShellParams) -> PiecewiseField:
 
 def _shell_cauchy_coefficients(params: ShellParams) -> dict[int, float]:
     """``cauchy_exterior(build_shell(params)).coeffs`` bit for bit, largest frequency
-    first: shell j's one moment 2 (r_(j+1)^e - r_j^e)/e at n_j - 1, with e rounded as
-    in ``annular._radial_moment``."""
+    first: shell j's one radial moment at n_j - 1."""
     frequencies = [params.frequency(j) for j in range(params.shells)]  # raises as build_shell
     coeffs = {}
     for j in reversed(range(params.shells)):
         n = frequencies[j]
-        e = 2 * (n - 2) + float(2 - n) + 2.0  # 2p + gamma + 2; float(n) differs past 2^53
-        coeffs[n - 1] = 2.0 * (math.exp(e * params.log_radius(j + 1))
-                               - math.exp(e * params.log_radius(j))) / e
+        p, gamma = n - 2, float(2 - n)  # the block of build_shell; float(n) differs past 2^53
+        coeffs[n - 1] = radial_moment(1.0, 2 * p + gamma + 2.0, params.log_radius(j),
+                                      params.log_radius(j + 1))
     return coeffs
 
 
@@ -265,13 +265,13 @@ def truncate_to_polynomial(mu: PiecewiseField, r1: float, eps: float,
                            rescale: bool = False) -> TruncationResult:
     """Cancel high Cauchy frequencies of ``mu`` by unit-modulus blocks on A(rho0, r1).
 
-    ``mu`` must be supported in an annulus A(rho0, rho1) with rho1 < r1 < 1.
-    The cutoff N is the smallest integer with
-    sum_(j >= N+1) (rho1/r1)^j <= eps; the correction added for each cancelled
-    frequency j has sup-norm |b_j| / ((2/(j+1)) (r1^(j+1) - rho0^(j+1))), so
-    the perturbation of mu stays below the geometric bound.  The returned
-    field has exterior Cauchy coefficients supported on frequencies <= N and
-    unchanged transform value at the origin.
+    ``mu`` must be supported in an annulus A(rho0, rho1) with rho1 < r1 < 1,
+    rho0 its smallest stored inner radius.  The cutoff N is the smallest integer
+    with sum_(j >= N+1) (rho1/r1)^j <= eps; the correction for each cancelled
+    frequency j has sup-norm |b_j| over a unit block's radial moment
+    (2/(j+1)) (r1^(j+1) - rho0^(j+1)), so the perturbation of mu stays below the
+    geometric bound.  The returned field has exterior Cauchy coefficients
+    supported on frequencies <= N and unchanged transform value at the origin.
     """
     rho1 = mu.max_r_out()  # 0.0 for a field with no terms
     if not rho1 < r1 < 1.0:
@@ -280,7 +280,6 @@ def truncate_to_polynomial(mu: PiecewiseField, r1: float, eps: float,
         raise ValidationError("eps must be positive and finite")
     if not mu.terms:
         return TruncationResult(mu, 0, 0.0, 0.0, False)
-    rho0 = mu.min_r_in()
     q = rho1 / r1
     # smallest N with q^(N+1) / (1-q) <= eps; the log of a sum, as eps (1-q) may underflow
     n_cut = max(0, math.ceil((math.log(eps) + math.log1p(-q)) / math.log(q)) - 1)
@@ -292,16 +291,14 @@ def truncate_to_polynomial(mu: PiecewiseField, r1: float, eps: float,
         raise CapacityError("truncation cutoff exceeds frequency capacity")
 
     series = annular.cauchy_exterior(mu)
-    log_rho0 = -inf if rho0 == 0.0 else math.log(rho0)
+    log_rho0 = min(t.log_r_in for t in mu.terms)
     log_r1 = math.log(r1)
     corrections = []
     bounds = []
     for j, b in series.coeffs.items():
         if j <= n_cut:
             continue
-        denom = (2.0 / (j + 1)) * (math.exp((j + 1) * log_r1)
-                                   - (0.0 if log_rho0 == -inf else math.exp((j + 1) * log_rho0)))
-        amp = b / denom
+        amp = b / radial_moment(1.0, j + 1, log_rho0, log_r1)  # a unit block's moment
         corrections.append(annular.MonomialTerm(-amp, j - 1, 0, float(1 - j), log_rho0, log_r1))
         bounds.append(abs(amp))
     out = mu.add(annular.PiecewiseField(tuple(corrections)))

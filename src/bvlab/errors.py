@@ -31,10 +31,10 @@ class CapacityError(BVLabError):
 class UnsupportedTermError(BVLabError):
     """A transform result leaves the monomial-annulus term class.
 
-    This happens only for the degenerate radial exponent e = 2p + gamma + 2 = 0,
-    whose antiderivative is logarithmic.  None of the shell, lacunary or
-    truncation constructions produce it (their exponents equal the positive
-    angular order n), so the error marks genuinely unsupported inputs.
+    Only ``annular.cauchy_full`` raises it, for a term whose radial exponent
+    e = 2p + gamma + 2 is 0 (a logarithmic antiderivative); a moment at e = 0 is
+    the finite log moment, so the exterior series and the projection take one.
+    The shell, lacunary and truncation constructions produce none (their e > 0).
     """
 
 

@@ -1,17 +1,20 @@
-"""Sparse Laurent series on the exterior disk |z| > 1.
+"""Sparse Laurent series on the exterior disk |z| > 1, and the one radial-moment rule.
 
 A series g(z) = sum_k b_k z^(-k) is stored as a map from the integer
 frequency k >= 1 to the complex coefficient b_k.  ``max_freq`` is the
 resolution cutoff: the stored coefficients are exact for k <= max_freq,
 nothing is claimed beyond it.  Optional self-similarity metadata records the
 lacunary block structure (base d, first block edge n0) used by the block-mass
-variance estimator; it is not part of the series document.
+variance estimator; it is not part of the series document.  A block
+c conj(z)^p z^q |z|^gamma on r_in <= |z| < r_out adds one ``radial_moment``,
+with e set by the transform, to one coefficient; radii are given by their logs.
 """
 from __future__ import annotations
 
-from math import fsum, prod
+from math import exp, fsum, inf, isfinite, prod
 
-from .errors import FREQ_CAP, CapacityError, ValidationError, parse_coeffs, parse_int
+from .errors import (FREQ_CAP, CapacityError, DivergentMomentError, ValidationError,
+                     parse_coeffs, parse_int)
 from .records import record
 
 
@@ -22,6 +25,31 @@ def complex_fsum(values) -> complex:
         re.append(v.real)
         im.append(v.imag)
     return complex(fsum(re), fsum(im))
+
+
+def radial_power(e: float, log_r: float) -> float:
+    """r**e computed from log r; exact at the conventions 0**pos = 0, r**0 = 1."""
+    if e == 0.0:
+        return 1.0
+    if log_r == -inf:
+        if e > 0:
+            return 0.0
+        raise DivergentMomentError("negative radial exponent with support reaching 0")
+    if log_r == inf:
+        if e < 0:
+            return 0.0
+        raise DivergentMomentError("non-negative radial exponent with unbounded support")
+    return exp(e * log_r)
+
+
+def radial_moment(coeff: complex, e: float, log_r_in: float, log_r_out: float) -> complex:
+    """(1/pi) integral of c |w|^(e - 2) over r_in <= |w| < r_out, a block's moment at its
+    one frequency: 2 c (r_out^e - r_in^e)/e, and 2 c log(r_out/r_in) when e = 0."""
+    if e == 0.0:
+        if not (isfinite(log_r_in) and isfinite(log_r_out)):
+            raise DivergentMomentError("logarithmic moment with unbounded support")
+        return 2.0 * coeff * (log_r_out - log_r_in)
+    return 2.0 * coeff * (radial_power(e, log_r_out) - radial_power(e, log_r_in)) / e
 
 
 def derivative_coefficients(coeffs: dict[int, complex], order: int = 1) -> dict[int, complex]:

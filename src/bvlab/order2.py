@@ -20,9 +20,9 @@ from .laurent import ExteriorLaurent, SelfSimilarity, convolve
 from .records import record
 from .variance import block_masses, limit_estimate
 
-# parameter_search costs 6-8 us per unit of (J + 5)^2 at each point, J its effective
-# shell count (0.3 ms at J = 2, 35 ms at d = 2 with 61 shells); the bound admits about
-# a quarter of a second, 80 times the README grid (three points of six shells)
+# parameter_search costs 1.7-1.9 us per unit of (J + 5)^2 at each point, J its effective
+# shell count (0.09 ms at J = 2, 7.9 ms at d = 2 with 61 shells; 2-core Xeon, Python
+# 3.11); the bound admits about 50 ms, 80 times the README grid (three points of six shells)
 MAX_GRID_WORK = 3 * 10**4
 
 

@@ -37,9 +37,9 @@ from operator import mul
 
 import numpy as np
 
-from bvlab.annular import MonomialTerm, PiecewiseField, _radial_moment
+from bvlab.annular import MonomialTerm, PiecewiseField
 from bvlab.dynamics import BlaschkeMap, CirclePotential
-from bvlab.laurent import ExteriorLaurent, derivative_coefficients
+from bvlab.laurent import ExteriorLaurent, derivative_coefficients, radial_moment
 
 
 def term_values(term: MonomialTerm, w: np.ndarray) -> np.ndarray:
@@ -71,7 +71,8 @@ def field_values(field: PiecewiseField, w: np.ndarray) -> np.ndarray:
 
 def probe_points(field: PiecewiseField, n_radial: int, n_angles: int) -> np.ndarray:
     """Deterministic probe grid over the support, placed off breakpoints."""
-    lo, hi = field.min_r_in(), field.max_r_out()
+    lo = min((t.r_in for t in field.terms), default=0.0)
+    hi = field.max_r_out()
     if hi <= 0:
         return np.zeros(0, dtype=complex)
     if not math.isfinite(hi):
@@ -124,7 +125,8 @@ def moment(term: MonomialTerm, j: int) -> complex:
     """(1/pi) integral of term(w) * w^j over the plane; zero unless j = p - q."""
     if j != term.p - term.q:
         return 0j
-    return _radial_moment(term.coeff, term.p, term.gamma, term.log_r_in, term.log_r_out)
+    return radial_moment(term.coeff, 2 * term.p + term.gamma + 2.0, term.log_r_in,
+                         term.log_r_out)
 
 
 def _band_grid(r_lo: float, r_hi: float, n_r: int, n_t: int):

@@ -299,6 +299,17 @@ class TestBergman:
         with pytest.raises(ValidationError):
             bergman_coefficients(f)
 
+    def test_logarithmic_moment(self):
+        # |z|^-2 has e = 2q + gamma + 2 = 0: its projection is the finite log moment
+        f = PiecewiseField.of(MonomialTerm.make(1.0, 0, 0, -2.0, 0.3, 0.6))
+        coeffs = bergman_coefficients(f)
+        assert set(coeffs) == {0}
+        assert coeffs[0] == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
+        assert abs(coeffs[0] - quad_bergman_coefficient(f, 0, n_r=1200)) <= 1e-6
+        reaching_zero = PiecewiseField.of(MonomialTerm.make(1.0, 0, 0, -2.0, 0.0, 0.6))
+        with pytest.raises(DivergentMomentError):
+            bergman_coefficients(reaching_zero)
+
 
 # ---------------------------------------------------------------------------
 # products and pullback

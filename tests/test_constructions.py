@@ -258,6 +258,20 @@ class TestTruncation:
         with pytest.raises(ValidationError):
             truncate_to_polynomial(self.annulus_field(), 0.4, 0.01)
 
+    def test_corrections_start_at_the_stored_inner_log_radius(self):
+        # a log bound that exp and log do not round-trip, as about half the logs in (-1, 0)
+        log_in = next(l for l in (-0.7 - k / 997 for k in range(200))
+                      if math.log(math.exp(l)) != l)
+        mu = PiecewiseField.of(MonomialTerm(1.0, 24, 0, -24.0, log_in, math.log(0.5)),
+                               MonomialTerm(0.5, 30, 0, -30.0, math.log(0.5), math.log(0.6)))
+        result = truncate_to_polynomial(mu, 0.95, 0.01)
+        corrections = [t for t in result.field.terms if t not in mu.terms]
+        assert result.cutoff < 25 and len(corrections) == 2
+        assert {t.log_r_in for t in corrections} == {log_in}
+        # so each correction block cancels its frequency to rounding
+        for k, c in cauchy_exterior(result.field).coeffs.items():
+            assert k <= result.cutoff or abs(c) <= 1e-15 * abs(cauchy_exterior(mu).coeffs[k])
+
     @pytest.mark.parametrize("r1", [0.51, 0.7, 0.99])
     def test_smallest_eps_gives_the_smallest_passing_cutoff(self, r1):
         # eps (1 - q) underflows to 0 at the least subnormal; the cutoff stays the

@@ -1,10 +1,16 @@
-"""Sparse exterior series: arithmetic, calculus, metadata and serialization."""
+"""Sparse exterior series: arithmetic, calculus, metadata and serialization, and the
+radial moment that makes each coefficient computed from a field."""
+import math
+from math import inf
+
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvlab.errors import FREQ_CAP, CapacityError, ValidationError
-from bvlab.laurent import ExteriorLaurent, SelfSimilarity, convolve, derivative_coefficients
+from bvlab.errors import FREQ_CAP, CapacityError, DivergentMomentError, ValidationError
+from bvlab.laurent import (ExteriorLaurent, SelfSimilarity, convolve, derivative_coefficients,
+                           radial_moment, radial_power)
 from conftest import circle
 from oracles import contour_derivative, derivative
 
@@ -194,3 +200,41 @@ class TestMetadataAndSerialization:
         g = ExteriorLaurent.from_doc({"coeffs": [[2.0, 1.0, 0.0], ["3", 0.5, 0.0]],
                                       "max_freq": "9223372036854775807"})
         assert sorted(g.coeffs) == [2, 3] and g.max_freq == 2**63 - 1
+
+
+class TestRadialMoment:
+    @pytest.mark.parametrize("e", [0.0, 0.5, 2.0, 17.0, 130.0, -0.5, -2.0, -9.0])
+    @pytest.mark.parametrize("r_in, r_out", [(0.3, 0.6), (0.05, 0.97), (1.5, 40.0)])
+    def test_against_a_50_digit_integral(self, e, r_in, r_out):
+        # (1/pi) integral of c |w|^(e - 2) over the annulus, 2c integral of r^(e - 1) dr
+        coeff = 0.7 - 1.3j
+        log_r_in, log_r_out = math.log(r_in), math.log(r_out)
+        with mpmath.workdps(50):
+            a, b = mpmath.exp(mpmath.mpf(log_r_in)), mpmath.exp(mpmath.mpf(log_r_out))
+            power = mpmath.mpf(e) - 1
+            exact = complex(2 * mpmath.mpc(coeff) * mpmath.quad(lambda r: r**power, [a, b]))
+        got = radial_moment(coeff, e, log_r_in, log_r_out)
+        # the float product e log r carries a rounding that exp scales by e log r
+        tol = 2**-52 * (2 + abs(e) * max(abs(log_r_in), abs(log_r_out)))
+        assert abs(got - exact) <= tol * abs(exact)
+
+    def test_power_conventions_at_zero_and_infinity(self):
+        # r**0 = 1 at every radius, 0**pos = 0 and inf**neg = 0; the other two diverge
+        assert [radial_power(0.0, l) for l in (-inf, 0.0, inf)] == [1.0, 1.0, 1.0]
+        assert radial_power(3.0, -inf) == 0.0 and radial_power(-3.0, inf) == 0.0
+        assert radial_power(2.0, math.log(0.5)) == pytest.approx(0.25, rel=1e-15)
+        with pytest.raises(DivergentMomentError, match="support reaching 0"):
+            radial_power(-1.0, -inf)
+        with pytest.raises(DivergentMomentError, match="unbounded support"):
+            radial_power(1.0, inf)
+
+    def test_moments_reaching_zero_or_infinity(self):
+        assert radial_moment(1.0, 2.0, -inf, math.log(0.5)) == pytest.approx(0.25, rel=1e-15)
+        assert radial_moment(1.0, -2.0, math.log(2.0), inf) == pytest.approx(0.25, rel=1e-15)
+        for bounds in ((-inf, 0.0), (0.0, inf)):
+            with pytest.raises(DivergentMomentError, match="logarithmic moment"):
+                radial_moment(1.0, 0.0, *bounds)
+        with pytest.raises(DivergentMomentError):
+            radial_moment(1.0, -2.0, -inf, 0.0)
+        with pytest.raises(DivergentMomentError):
+            radial_moment(1.0, 2.0, 0.0, inf)

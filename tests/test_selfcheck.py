@@ -45,7 +45,7 @@ def _row(name, target, mutate, why):
 
 
 MUTATIONS = [
-    _row("basic_cauchy_closed_form", "bvlab.annular._radial_moment", times(1 + 1e-9),
+    _row("basic_cauchy_closed_form", "bvlab.annular.radial_moment", times(1 + 1e-9),
          "moment"),
     _row("dbar_identity_fd", "bvlab.annular._cauchy_term_pieces",
          lambda orig: lambda t: [p.scaled(1.001) for p in orig(t)], "pieces-scaled"),
