@@ -15,7 +15,7 @@ so C(k) reads T^k and the n -> infinity limit is one forward substitution
 with I - T (``birkhoff_variance``).  Under z -> z^d the iterates are monomials
 and the sum is exact frequency bookkeeping (``birkhoff_variance_exact``).
 Monte Carlo over sampled orbits (``birkhoff_variance_mc``) is the independent
-route.
+route, and the only one that uses arrays: the records here are plain data.
 
 The virtual-coboundary cross-check: h(z) = z^-(d-1) equals g(z) - g(z^d) for
 the unit lacunary series g, and var(h) / int log|B'| dm reproduces the
@@ -26,14 +26,11 @@ from __future__ import annotations
 import math
 from math import fsum
 from operator import add, mul
-from typing import TYPE_CHECKING
 
 from .errors import (CapacityError, FREQ_CAP, UnresolvedScaleError, ValidationError,
                      parse_coeffs)
 from .records import record
 
-if TYPE_CHECKING:
-    import numpy as np
 _QUAD_POINTS = 4096
 # trapezoid error at N points ~ 45 delta^2, delta its relative change from N/2 points (zeros
 # at 0.993-0.999, 2^21-point reference): accepted means are exact to ~5e-15; tests reach 8.6e-12
@@ -44,11 +41,12 @@ MAX_SAMPLES = 10**7  # 100x the documented run; a sample costs about 100 bytes o
 # documented run with a three-term potential (50 x (2 + 3) x 10^5) is 2.5 x 10^7
 MIN_BATCH = 256
 MAX_WORK = 10**8
-# Series work is at most n x M^2 x (M + degree) with M = max(max |m| of phi, MIN_ORDER): T
-# costs M^2 x (M + zeros) (M products of series), each of the n steps M^2; below M = 16 the
-# interpreter overhead of those sums dominates.  The worst admitted runs (M = 16 with 1024
-# zeros and n = 56, or with two zeros and n = 3083; zeros at radius 0.99) take about 0.4 s
-# (mostly the circle mean of log |B'|) and 0.1 s end to end on a 2-core machine
+# Series work is at most n x M^2 x (M + zeros) with M = max(max |m| of phi, MIN_ORDER): T
+# costs M^2 x (M + zeros) (M products of series; the origin order costs nothing), each of
+# the n steps M^2; below M = 16 the interpreter overhead of those sums dominates.  The worst
+# admitted runs (M = 16 with 1024 zeros and n = 56, or with two zeros and n = 3255; zeros at
+# radius 0.99) take about 0.5 s (mostly the circle mean of log |B'|) and 0.15 s end to end
+# on a 2-core machine
 MIN_ORDER = 16
 MAX_EXACT_WORK = 15 * 10**6
 # the circle mean of log |B'| costs _QUAD_POINTS kernel evaluations per zero off the
@@ -87,16 +85,6 @@ class CirclePotential(record("CirclePotential", "coeffs")):
 
     def without_mean(self) -> "CirclePotential":
         return CirclePotential(tuple((m, c) for m, c in self.coeffs if m != 0))
-
-    def eval_array(self, z: np.ndarray) -> np.ndarray:
-        """Values at points of the unit circle as sum c_m e^(i m arg z): the power z^m
-        of a float z with |z| = 1 + ulp overflows for |m| near FREQ_CAP."""
-        import numpy as np
-        theta = np.angle(z)
-        out = np.zeros_like(z, dtype=complex)
-        for m, c in self.coeffs:
-            out += c * np.exp(1j * (m * theta))
-        return out
 
     @classmethod
     def from_doc(cls, doc: dict) -> "CirclePotential":
@@ -140,16 +128,6 @@ class BlaschkeMap(record("BlaschkeMap", "zeros order")):
     @property
     def is_pure_power(self) -> bool:
         return not self.zeros
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        import numpy as np
-        z = np.asarray(z, dtype=complex)
-        out = z.copy()
-        for _ in range(self.order - 1):
-            out = out * z
-        for a in self.zeros:
-            out = out * (z - a) / (1.0 - np.conj(a) * z)
-        return out
 
 
 def birkhoff_variance_exact(phi: CirclePotential, d: int, n: int) -> float:
@@ -246,13 +224,13 @@ def _correlations(phi0: CirclePotential, b: BlaschkeMap, n: int) -> tuple[list[c
     return corr, form(*resolved)
 
 
-def check_exact_work(n: int, phi: CirclePotential, degree: int) -> None:
+def check_exact_work(n: int, phi: CirclePotential, zeros: int) -> None:
     """Bound the series route by MAX_EXACT_WORK before any series or map is built."""
     size = phi.without_mean().max_frequency
     size = max(size, MIN_ORDER) if size else 0
-    if n < 1 or n * size * size * (size + degree) > MAX_EXACT_WORK:
+    if n < 1 or n * size * size * (size + zeros) > MAX_EXACT_WORK:
         raise ValidationError(
-            f"the exact route needs n >= 1 and n x M^2 x (M + degree) <= {MAX_EXACT_WORK} "
+            f"the exact route needs n >= 1 and n x M^2 x (M + zeros) <= {MAX_EXACT_WORK} "
             f"with M = max(max |frequency| of phi, {MIN_ORDER}); use --method mc "
             f"(Monte Carlo) for longer orbits or higher frequencies")
 
@@ -281,7 +259,7 @@ def birkhoff_variance(phi: CirclePotential, b: BlaschkeMap, n: int) -> BirkhoffV
     phi0 = phi.without_mean()
     if not phi0.coeffs:
         return BirkhoffVariance(0.0, 0.0)
-    check_exact_work(n, phi0, b.degree)
+    check_exact_work(n, phi0, len(b.zeros))
     corr, limit = _correlations(phi0, b, n)
     value = fsum([corr[0].real, *(2.0 * (n - k) / n * c.real for k, c in enumerate(corr) if k)])
     return BirkhoffVariance(value, limit.real)
@@ -305,7 +283,9 @@ def birkhoff_variance_mc(phi: CirclePotential, b: BlaschkeMap, n: int,
     """Monte Carlo estimate of the Birkhoff variance with its standard error.
 
     Starts are Lebesgue-uniform on the circle (the invariant measure); the
-    generator is counter-based, so a fixed seed reproduces outputs exactly.
+    generator is counter-based, so a fixed seed reproduces outputs exactly.  phi is
+    summed as c_m e^(i m arg z), since the power z^m of a float z with |z| = 1 + ulp
+    overflows for |m| near FREQ_CAP; each step of B is renormalized to the circle.
     """
     if seed < 0:
         raise ValidationError("seed must be >= 0")
@@ -320,9 +300,16 @@ def birkhoff_variance_mc(phi: CirclePotential, b: BlaschkeMap, n: int,
     z = np.exp(1j * theta)
     s = np.zeros(samples, dtype=complex)
     for _ in range(n):
-        s += phi0.eval_array(z)
-        z = b.apply(z)
-        z /= np.abs(z)
+        angle, values = np.angle(z), np.zeros(samples, dtype=complex)
+        for m, c in phi0.coeffs:
+            values += c * np.exp(1j * (m * angle))
+        s += values
+        w = z
+        for _ in range(b.order - 1):
+            w = w * z
+        for a in b.zeros:
+            w = w * (z - a) / (1.0 - np.conj(a) * z)
+        z = w / np.abs(w)
     x = np.abs(s) ** 2 / n
     est = float(np.mean(x))
     err = float(np.std(x, ddof=1) / math.sqrt(samples))

@@ -410,9 +410,17 @@ def mp_order2_block_masses(params, dps: int = 50) -> list:
                 / mp.log(params.d) for lo, hi in zip(edges, edges[1:]) if hi <= cut + 1]
 
 
+def blaschke_values(b: BlaschkeMap, z: np.ndarray) -> np.ndarray:
+    """B(z) = z^order prod (z - a) / (1 - conj(a) z), read from the record's fields."""
+    out = z**b.order
+    for a in b.zeros:
+        out = out * (z - a) / (1.0 - np.conj(a) * z)
+    return out
+
+
 def apply_circle(b: BlaschkeMap, z: np.ndarray) -> np.ndarray:
     """Apply B and renormalize to the circle (guards float drift on orbits)."""
-    w = b.apply(z)
+    w = blaschke_values(b, z)
     return w / abs(w)
 
 
@@ -421,7 +429,7 @@ def log_abs_derivative(b: BlaschkeMap, z: np.ndarray) -> np.ndarray:
     ratio = b.order / z
     for a in b.zeros:
         ratio = ratio + 1.0 / (z - a) + np.conj(a) / (1.0 - np.conj(a) * z)
-    return np.log(np.abs(b.apply(z) * ratio))
+    return np.log(np.abs(blaschke_values(b, z) * ratio))
 
 
 def quad_log_deriv_mean(b: BlaschkeMap, n: int = 4096) -> float:

@@ -475,6 +475,25 @@ class TestDynamics:
         assert code == 3 and out == ""
         assert json.loads(err)["error"] == "CapacityError"
 
+    @pytest.mark.parametrize("argv, coeffs", [
+        (["--d", "1e9", "--n", "1", "--samples", "2"], [[-1, 1.0, 0.0]]),
+        (["--d", "2000", "--n", "50"],
+         [[-4, 0.2, 0.0], [-1, 0.3, 0.1], [2, 0.0, -0.4], [4, 0.1, 0.3]]),
+        (["--blaschke", "0j," * 1999 + "0.3+0j", "--n", "50"], [[3, 0.5, 0.5], [-16, 0.1, 0.0]]),
+    ], ids=["huge_map_degree", "degree_2000", "origin_order_2000"])
+    def test_exact_route_admits_any_origin_order(self, argv, coeffs, tmp_path, capsys):
+        # the work bound charges the zeros off the origin: z^order sends every monomial of
+        # phi past M in one step, so the variance and its limit are both sum |c|^2
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps({"coeffs": coeffs}))
+        code, out, _ = run_cli(["dynamics", "var", "--phi", str(phi_path), *argv],
+                               tmp_path, capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["variance"] == doc["limit"]
+        assert doc["variance"] == pytest.approx(
+            math.fsum(re * re + im * im for _, re, im in coeffs), rel=1e-15)
+
     def test_var_exact_rejects_long_potential_naming_monte_carlo(self, tmp_path, capsys):
         phi_path = tmp_path / "phi.json"
         phi_path.write_text(json.dumps({"coeffs": [[m, 1.0, 0.0] for m in range(1, 3001)]}))
@@ -820,8 +839,6 @@ class TestConfigAndErrors:
         (["truncate", "--d", "3", "--rho0", "0.05", "--shells", "1", "--r1", "0.7",
           "--eps", "inf"], None),
         (["dynamics", "var", "--phi", "{phi}", "--n", "1e8", "--samples", "2"], None),
-        (["dynamics", "var", "--phi", "{phi}", "--d", "1e9", "--n", "1", "--samples", "2"],
-         None),
         (["dynamics", "var", "--phi", "{long}", "--method", "mc", "--n", "10000"], None),
         (["dynamics", "var", "--phi", "{long}"], None),
         (["dynamics", "var", "--blaschke", "nan", "--phi", "{phi}"], None),
@@ -847,7 +864,7 @@ class TestConfigAndErrors:
             "fractional_frequency", "huge_points", "infinite_r_max", "no_terms",
             "huge_terms", "huge_samples", "config_choice", "config_path_number",
             "infinite_degree", "overflowing_degree", "infinite_r0", "unit_r0", "huge_blocks",
-            "infinite_eps", "huge_orbit", "huge_map_degree", "long_potential_mc",
+            "infinite_eps", "huge_orbit", "long_potential_mc",
             "long_potential_exact", "nan_zero", "nan_potential", "infinite_potential_mc",
             "huge_grid", "overflowing_optimize_range", "overflowing_dimension_degree",
             "overflowing_t", "unit_r_max", "config_output_dir_number",

@@ -12,8 +12,9 @@ from bvlab.dynamics import (MAX_EXACT_WORK, MAX_SAMPLES, MAX_WORK, MIN_BATCH, MI
                             birkhoff_variance_exact, birkhoff_variance_mc, check_exact_work,
                             check_mc_work, coboundary_check, log_deriv_mean)
 from bvlab.errors import UnresolvedScaleError, ValidationError
-from oracles import (apply_circle, composed_correlations, ks_uniform_statistic,
-                     log_abs_derivative, mp_birkhoff_limit, orbit_angles, quad_log_deriv_mean)
+from oracles import (apply_circle, blaschke_values, composed_correlations,
+                     ks_uniform_statistic, log_abs_derivative, mp_birkhoff_limit, orbit_angles,
+                     quad_log_deriv_mean)
 
 
 class TestExactVariance:
@@ -151,6 +152,22 @@ class TestSeriesVariance:
         assert result.value == pytest.approx(value, rel=1e-14)
         assert result.limit == pytest.approx((1 - a) / (1 + a), rel=1e-14)
 
+    @pytest.mark.parametrize("n", [50, 3000])
+    @pytest.mark.parametrize("delta", [1e-6, 1e-9])
+    def test_finite_orbit_near_the_circle_is_the_fejer_sum(self, delta, n):
+        # a = -(1 - delta): C(k) = t^k with t = -a, so the value is the Fejer sum
+        # 1 + 2 sum_{0<k<n} (1 - k/n) t^k.  The closed form (1 + t)/(1 - t) minus
+        # (2/n) t (1 - t^n)/(1 - t)^2 cancels here: it misses by 4.0e-8 and 2.6e-12
+        # (delta 1e-6) and by 3.0e-3 and 3.9e-6 (delta 1e-9), relative, with t^n = t**n
+        import mpmath as mp
+        a = -(1 - delta)
+        result = birkhoff_variance(CirclePotential.from_map({1: 1.0}), BlaschkeMap((a,)), n)
+        with mp.workdps(50):
+            t = mp.mpf(-a)
+            fejer = 1 + 2 * mp.fsum((1 - mp.mpf(k) / n) * t**k for k in range(1, n))
+            assert abs(result.value - fejer) <= 2e-15 * fejer
+            assert abs(result.limit - (1 + t) / (1 - t)) <= 2**-52 * (1 + t) / (1 - t)
+
     @pytest.mark.parametrize("a", [0.3, 0.9, 0.999, 0.999999, 1 - 1e-9, 1 - 1e-13])
     def test_limit_of_phi_z_is_closed_form(self, a):
         # T = (-a), and the limit is (1 + T) / (1 - T) with 1 - a exact in floats;
@@ -285,9 +302,10 @@ class TestLogDerivative:
         assert abs(mc - quad) <= 3 * stderr
 
     def test_circle_preserved(self):
-        b = BlaschkeMap((0.4 + 0.2j, -0.1 + 0.6j))
+        # the oracle that drives the orbit referees maps the circle to itself
+        b = BlaschkeMap((0.4 + 0.2j, -0.1 + 0.6j), order=2)
         th = np.linspace(0, 2 * math.pi, 64, endpoint=False)
-        w = b.apply(np.exp(1j * th))
+        w = blaschke_values(b, np.exp(1j * th))
         assert np.max(np.abs(np.abs(w) - 1.0)) <= 1e-12
 
     def test_zero_validation(self):
