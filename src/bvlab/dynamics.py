@@ -12,8 +12,10 @@ C(k) = int conj(phi_0) phi_0(B^k) dm:
 Composition with B maps polynomials of degree at most M = max |m| of phi to
 themselves by a lower-triangular matrix T with diagonal B'(0)^m, |B'(0)| < 1,
 so C(k) reads T^k and the n -> infinity limit is one forward substitution
-with I - T (``birkhoff_variance``).  Under z -> z^d the iterates are monomials
-and the sum is exact frequency bookkeeping (``birkhoff_variance_exact``).
+with I - T (``birkhoff_variance``).  At origin order >= 2, T is nilpotent and the
+work is charged for the steps until T^s = 0 (``check_exact_work``); an order-1
+map stops only where T^k x underflows to exact zeros, which need not happen
+(|B'(0)| > 1/2 can run all n steps), so its work is charged for n steps.
 Monte Carlo over sampled orbits (``birkhoff_variance_mc``) is the independent
 route, and the only one that uses arrays: the records here are plain data.
 
@@ -41,12 +43,13 @@ MAX_SAMPLES = 10**7  # 100x the documented run; a sample costs about 100 bytes o
 # documented run with a three-term potential (50 x (2 + 3) x 10^5) is 2.5 x 10^7
 MIN_BATCH = 256
 MAX_WORK = 10**8
-# Series work is at most n x M^2 x (M + zeros) with M = max(max |m| of phi, MIN_ORDER): T
-# costs M^2 x (M + zeros) (M products of series; the origin order costs nothing), each of
-# the n steps M^2; below M = 16 the interpreter overhead of those sums dominates.  The worst
-# admitted runs (M = 16 with 1024 zeros and n = 56, or with two zeros and n = 3255; zeros at
-# radius 0.99) take about 0.5 s (mostly the circle mean of log |B'|) and 0.15 s end to end
-# on a 2-core machine
+# Series work is at most min(n, s) x M^2 x (M + zeros) with M = max(max |m| of phi,
+# MIN_ORDER) and s the steps until T^s = 0 (check_exact_work): T costs M^2 x (M + zeros)
+# (M products of series; the origin order costs nothing), each step M^2; below M = 16 the
+# interpreter overhead of those sums dominates.  The worst admitted runs (zeros at radius
+# 0.99) take about 0.6 s end to end on a 2-core machine, mostly the circle mean of log |B'|:
+# origin order 1 with 1024 zeros, M = 16 and n = 56, and origin order 2 with 1024 zeros,
+# M = 48 and any n (s = 6); two zeros at origin order 1, M = 16 and n = 3255 take 0.16 s
 MIN_ORDER = 16
 MAX_EXACT_WORK = 15 * 10**6
 # the circle mean of log |B'| costs _QUAD_POINTS kernel evaluations per zero off the
@@ -70,13 +73,6 @@ class CirclePotential(record("CirclePotential", "coeffs")):
             if c != 0:
                 items.append((int(m), c))
         return cls(tuple(sorted(items)))
-
-    @property
-    def mean(self) -> complex:
-        for m, c in self.coeffs:
-            if m == 0:
-                return c
-        return 0j
 
     @property
     def max_frequency(self) -> int:
@@ -128,26 +124,6 @@ class BlaschkeMap(record("BlaschkeMap", "zeros order")):
     @property
     def is_pure_power(self) -> bool:
         return not self.zeros
-
-
-def birkhoff_variance_exact(phi: CirclePotential, d: int, n: int) -> float:
-    """(1/n) int |S_n phi|^2 dm for B = z^d, by exact frequency bookkeeping."""
-    if d < 2 or n < 1:
-        raise ValidationError("need d >= 2 and n >= 1")
-    if phi.mean != 0:
-        raise ValidationError("potential must have mean zero")
-    if not phi.coeffs:
-        return 0.0
-    acc: dict[int, complex] = {}
-    scale = 1
-    for _ in range(n):
-        for m, c in phi.coeffs:
-            f = m * scale
-            if abs(f) > FREQ_CAP:
-                raise CapacityError("Birkhoff frequency exceeds capacity")
-            acc[f] = acc.get(f, 0) + c
-        scale *= d
-    return fsum(abs(c) ** 2 for c in acc.values()) / n
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +200,24 @@ def _correlations(phi0: CirclePotential, b: BlaschkeMap, n: int) -> tuple[list[c
     return corr, form(*resolved)
 
 
-def check_exact_work(n: int, phi: CirclePotential, zeros: int) -> None:
-    """Bound the series route by MAX_EXACT_WORK before any series or map is built."""
+def check_exact_work(n: int, phi: CirclePotential, b: BlaschkeMap) -> int:
+    """Bound the series route by MAX_EXACT_WORK before any series is built, and return
+    the steps it runs, min(n, s): column m of T starts at z^(order m), so at origin
+    order >= 2 T^s = 0 for the least s with order^s > M; order 1 is charged n steps."""
     size = phi.without_mean().max_frequency
     size = max(size, MIN_ORDER) if size else 0
-    if n < 1 or n * size * size * (size + zeros) > MAX_EXACT_WORK:
+    steps = n
+    if b.order > 1:
+        steps, reach = 1, b.order
+        while reach <= size and steps < n:
+            steps, reach = steps + 1, reach * b.order
+    if n < 1 or steps * size * size * (size + len(b.zeros)) > MAX_EXACT_WORK:
         raise ValidationError(
-            f"the exact route needs n >= 1 and n x M^2 x (M + zeros) <= {MAX_EXACT_WORK} "
-            f"with M = max(max |frequency| of phi, {MIN_ORDER}); use --method mc "
+            f"the exact route needs n >= 1 and min(n, s) x M^2 x (M + zeros) <= "
+            f"{MAX_EXACT_WORK} with M = max(max |frequency| of phi, {MIN_ORDER}) and s the "
+            f"least s with order^s > M (n at origin order 1); use --method mc "
             f"(Monte Carlo) for longer orbits or higher frequencies")
+    return steps
 
 
 class BirkhoffVariance(record("BirkhoffVariance", "value limit")):
@@ -249,18 +234,20 @@ def birkhoff_variance(phi: CirclePotential, b: BlaschkeMap, n: int) -> BirkhoffV
 
     Column m of T is B^m cut at order M = max |m|, and (B^k)^m = T^k z^m, so
     C(k) = sum over p >= m > 0 of conj(c_p) c_m [T^k]_pm + conj(c_-p) c_-m conj([T^k]_pm).
-    The steps stop once T^k x and T^k y vanish (for z^d with d > M after one).  T is
-    triangular with diagonal B'(0)^m, |B'(0)| < 1, so the limit C(0) + 2 Re sum_{k>0} C(k)
-    is exact: the real part of the form in 2 (I - T)^-1 - I = (I - T)^-1 (I + T), with no
-    subtraction of C(0), which cancels where the limit is small against it.
+    The steps stop once T^k x and T^k y vanish, after at most the steps that
+    check_exact_work charges.  With origin order above M, T = 0 and value = limit = C(0),
+    summed as the loop sums it, before any T is built.  T is triangular with diagonal
+    B'(0)^m, |B'(0)| < 1, so the limit C(0) + 2 Re sum_{k>0} C(k) is exact: the real part
+    of the form in 2 (I - T)^-1 - I = (I - T)^-1 (I + T), with no subtraction of C(0),
+    which cancels where the limit is small against it.
     """
     if n < 1:
         raise ValidationError("need n >= 1")
     phi0 = phi.without_mean()
-    if not phi0.coeffs:
-        return BirkhoffVariance(0.0, 0.0)
-    check_exact_work(n, phi0, len(b.zeros))
-    corr, limit = _correlations(phi0, b, n)
+    if b.order > phi0.max_frequency:  # the zero potential too: M = 0
+        c0 = fsum((c.conjugate() * c).real for _, c in phi0.coeffs)
+        return BirkhoffVariance(c0, c0)
+    corr, limit = _correlations(phi0, b, check_exact_work(n, phi0, b))
     value = fsum([corr[0].real, *(2.0 * (n - k) / n * c.real for k, c in enumerate(corr) if k)])
     return BirkhoffVariance(value, limit.real)
 
@@ -353,12 +340,13 @@ def coboundary_check(d: int, n: int) -> CoboundaryCheck:
 
     h is the continuous extension of g(z) - g(z^d) for the unit-coefficient
     d-lacunary series g; the Birkhoff frequencies (d-1) d^k are pairwise
-    distinct, so the dynamical variance is exactly 1 for every n.
+    distinct, so the dynamical variance is exactly 1 for every n: z^d sends
+    frequency d - 1 past M = d - 1 at once, so T = 0.
     """
     if d < 2:
         raise ValidationError("degree must be >= 2")
     h = CirclePotential.from_map({-(d - 1): 1.0})
     # int log|B'| dm = log d for B = z^d, as log_deriv_mean gives for the power map
-    lhs = birkhoff_variance_exact(h, d, n) / math.log(d)
+    lhs = birkhoff_variance(h, BlaschkeMap.power(d), n).value / math.log(d)
     rhs = 1.0 / math.log(d)
     return CoboundaryCheck(lhs, rhs, abs(lhs - rhs))

@@ -141,7 +141,7 @@ def run_selfcheck(full: bool = False) -> list[CheckResult]:
                                          [1.5 + 0.2j, -1.3 + 1.1j])
     results.append(_check("shell_cauchy_identity", res, 1e-10))
 
-    # dynamical coboundary identity (depth chosen within the frequency capacity)
+    # dynamical coboundary identity
     for d in (2, 3, 20):
         results.append(_check(f"coboundary_exact_d{d}", coboundary_check(d, 12).residual, 1e-12))
 

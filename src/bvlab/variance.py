@@ -41,6 +41,10 @@ TOLERANCE = 1e-3  # a-posteriori error, relative to the value, that counts as co
 # and 8.1 at d = 32) converges by its ratio too, and the estimates that do not
 # converge end in differences of 5e12 eps |value| and more.
 ROUNDING_FLOOR = 64 * sys.float_info.epsilon
+# means_curve sums n_pts x (stored coefficients) terms of I(R), about 0.2 us each; the
+# worst admitted curve, 10^5 coefficients at 40 points, takes about 1 s end to end on a
+# 2-core machine, and the shell series and growth slopes in use stay below 10^5
+MAX_MEANS_WORK = 4 * 10**6
 # cesaro_sigma4 needs R0^2 - 1 to be a finite double (R0 below about 1.3e154);
 # the tests check the closed form against a quadrature at this edge
 CESARO_R0_MAX = 1e154
@@ -283,6 +287,9 @@ def means_curve(g: ExteriorLaurent, r_lo: float, r_hi: float, n_pts: int) -> lis
     so that ends below the float step of 1 keep their value."""
     if not 0.0 < r_lo < r_hi or n_pts < 2:
         raise ValidationError("need 0 < r_lo < r_hi (R - 1) and at least two points")
+    if n_pts * len(g.coeffs) > MAX_MEANS_WORK:
+        raise ValidationError(f"points x coefficients of the series must be at most "
+                              f"{MAX_MEANS_WORK}, got {n_pts} x {len(g.coeffs)}")
     curve = []
     for i in range(n_pts):
         t = i / (n_pts - 1)

@@ -17,6 +17,8 @@ never by the closed-form code of the package:
     and of its block masses, from the definitions (mp_order2_w);
   * numpy orbits of Blaschke maps on the circle and the 4096-point midpoint
     rule for the circle mean of log |B'|, from the logarithmic derivative;
+  * the Birkhoff variance under z -> z^d by exact frequency bookkeeping: the
+    iterates are monomials, so S_n phi is a sparse sum (frequency_bookkeeping);
   * the Birkhoff correlations of a Blaschke map by composing the iterate B^k
     with B at every step, as a power series, and re-expanding all its powers;
   * a 50-digit forward substitution with I - T for the Birkhoff variance limit
@@ -39,6 +41,7 @@ import numpy as np
 
 from bvlab.annular import MonomialTerm, PiecewiseField
 from bvlab.dynamics import BlaschkeMap, CirclePotential
+from bvlab.errors import ValidationError
 from bvlab.laurent import ExteriorLaurent, derivative_coefficients, radial_moment
 
 
@@ -454,6 +457,24 @@ def ks_uniform_statistic(values: np.ndarray) -> float:
     up = np.max(np.arange(1, n + 1) / n - x)
     down = np.max(x - np.arange(0, n) / n)
     return float(max(up, down))
+
+
+def frequency_bookkeeping(phi: CirclePotential, d: int, n: int) -> float:
+    """(1/n) int |S_n phi|^2 dm for B = z^d: phi(z^(d^k)) moves c_m to m d^k, so S_n phi
+    is the sum of c_m at m d^k over k < n, colliding frequencies added."""
+    if d < 2 or n < 1:
+        raise ValidationError("need d >= 2 and n >= 1")
+    if any(m == 0 for m, _ in phi.coeffs):
+        raise ValidationError("potential must have mean zero")
+    if not phi.coeffs:
+        return 0.0
+    acc: dict[int, complex] = {}
+    scale = 1
+    for _ in range(n):
+        for m, c in phi.coeffs:
+            acc[m * scale] = acc.get(m * scale, 0) + c
+        scale *= d
+    return math.fsum(abs(c) ** 2 for c in acc.values()) / n
 
 
 def _series_product(f: list[complex], g: list[complex]) -> list[complex]:

@@ -22,7 +22,7 @@ from bvlab.errors import (COEFF_CAP, FREQ_CAP, CapacityError, ValidationError,
 from bvlab.formulas import sigma2_optimal, sigma2_second_order, sigma2_shell
 from bvlab.manifest import json_text
 from bvlab.order2 import parameter_search, shell_grid
-from bvlab.variance import TOLERANCE
+from bvlab.variance import MAX_MEANS_WORK, TOLERANCE
 
 
 def run_cli(args, out_dir: Path, capsys) -> tuple[int, str, str]:
@@ -353,6 +353,19 @@ class TestMeansCurve:
         assert json.loads(err) == {"error": "ValidationError",
                                    "message": f"max_freq must be >= 1, got {max_freq}"}
 
+    def test_series_work_bound(self, tmp_path, capsys):
+        # 10^5 coefficients at 41 points pass the bound (0.8 s of means at 40); the run
+        # exits 2 before the first mean, naming both keys
+        series = tmp_path / "series.json"
+        series.write_text(json.dumps({"coeffs": [[k, 1.0, 0.0] for k in range(1, 10**5 + 1)],
+                                      "max_freq": 10**5}))
+        code, out, err = run_cli(["means-curve", "--series", str(series), "--points", "41"],
+                                 tmp_path / "out", capsys)
+        assert code == 2 and out == "" and not (tmp_path / "out").exists()
+        assert json.loads(err)["message"] == (
+            f"points x coefficients of the series must be at most {MAX_MEANS_WORK}, "
+            f"got 41 x 100000")
+
     def test_r_min_below_the_float_step_of_one(self, tmp_path, capsys):
         # 1 + 1e-17 == 1, so R_min would not lie above 1: the check names r_min
         code, out, err = run_cli(["means-curve", "--d", "2", "--r-min", "1e-17"],
@@ -431,6 +444,21 @@ class TestDynamics:
         assert doc["residual"] <= 1e-12
         assert doc["lhs"] == pytest.approx(1.0 / math.log(2), rel=1e-15)
 
+    @pytest.mark.parametrize("d, n", [("2", "64"), ("1000", "7"), ("2", str(10**18))])
+    def test_coboundary_past_the_frequency_capacity(self, d, n, tmp_path, capsys):
+        # (d - 1) d^(n - 1) passes 2^63 - 1, where frequency bookkeeping exited 3
+        code, out, _ = run_cli(["dynamics", "coboundary", "--d", d, "--n", n], tmp_path, capsys)
+        doc = json.loads(out)
+        assert code == 0 and doc["residual"] == 0.0 and doc["lhs"] == 1.0 / math.log(int(d))
+
+    def test_nilpotent_map_is_charged_its_steps(self, tmp_path, capsys):
+        # phi = z^16 under z^2 is charged 5 x 16^3, not n x 16^3, and stops after one step
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps({"coeffs": [[16, 1.0, 0.0]]}))
+        code, out, _ = run_cli(["dynamics", "var", "--phi", str(phi_path), "--n", "3663"],
+                               tmp_path, capsys)
+        assert code == 0 and json.loads(out)["variance"] == json.loads(out)["limit"] == 1.0
+
     def test_var_with_potential_file(self, tmp_path, capsys):
         phi_path = tmp_path / "phi.json"
         phi_path.write_text(json.dumps({"coeffs": [[-1, 1.0, 0.0], [1, 1.0, 0.0]]}))
@@ -482,8 +510,8 @@ class TestDynamics:
         (["--blaschke", "0j," * 1999 + "0.3+0j", "--n", "50"], [[3, 0.5, 0.5], [-16, 0.1, 0.0]]),
     ], ids=["huge_map_degree", "degree_2000", "origin_order_2000"])
     def test_exact_route_admits_any_origin_order(self, argv, coeffs, tmp_path, capsys):
-        # the work bound charges the zeros off the origin: z^order sends every monomial of
-        # phi past M in one step, so the variance and its limit are both sum |c|^2
+        # origin order above M: z^order sends every monomial of phi past M at once, so
+        # T = 0 and the variance and its limit are both sum |c|^2, before any T is built
         phi_path = tmp_path / "phi.json"
         phi_path.write_text(json.dumps({"coeffs": coeffs}))
         code, out, _ = run_cli(["dynamics", "var", "--phi", str(phi_path), *argv],
@@ -723,8 +751,8 @@ class TestConfigAndErrors:
         # the mean is computed first, so the run exits 3 without a variance, also where
         # the work bound of the route would exit 2
         doc = {"coeffs": [[16, 1, 0], [-3, 0.5, 0]]}
-        phi = CirclePotential.from_doc(doc)
-        check = (partial(check_exact_work, n, phi, 2) if method == "exact"
+        phi, b = CirclePotential.from_doc(doc), BlaschkeMap((0.999, -0.999))
+        check = (partial(check_exact_work, n, phi, b) if method == "exact"
                  else partial(check_mc_work, n, 100000, 2, 2))
         if bounded:
             check()
@@ -838,7 +866,8 @@ class TestConfigAndErrors:
         (["variance", "shell", "--d", "3", "--method", "block", "--blocks", "700"], None),
         (["truncate", "--d", "3", "--rho0", "0.05", "--shells", "1", "--r1", "0.7",
           "--eps", "inf"], None),
-        (["dynamics", "var", "--phi", "{phi}", "--n", "1e8", "--samples", "2"], None),
+        (["dynamics", "var", "--blaschke", "0.3+0j", "--phi", "{phi}", "--n", "1e8",
+          "--samples", "2"], None),
         (["dynamics", "var", "--phi", "{long}", "--method", "mc", "--n", "10000"], None),
         (["dynamics", "var", "--phi", "{long}"], None),
         (["dynamics", "var", "--blaschke", "nan", "--phi", "{phi}"], None),

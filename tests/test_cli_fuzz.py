@@ -343,9 +343,10 @@ def test_every_document_keeps_the_exit_contract(key, data):
 # grid of five-shell points costs (5 + 5)^2 per point, so 300 of them reach the work
 # bound.  The sample count is drawn on the exact route only, which range-checks it; 10^7
 # Monte Carlo samples would allocate 1 GB.  The exact route's work is charged at
-# n x M^2 x (M + zeros): phi = z^16 under z^2 costs 16^3 a step and finishes in one.
+# min(n, s) x M^2 x (M + zeros), and a map of origin order 1 is charged all n steps:
+# phi = z^16 under one zero at 0.5 costs 16^2 x 17 a step.
 _POTENTIAL = ("doc", "potential", {"coeffs": [[1, 1.0, 0.0]]})
-_STEPS = MAX_EXACT_WORK // MIN_ORDER**3
+_STEPS = MAX_EXACT_WORK // (MIN_ORDER**2 * (MIN_ORDER + 1))
 _GRID_POINTS = MAX_GRID_WORK // (5 + 5) ** 2
 EDGES = {
     "terms": (["variance", "shell", "--d", "20", "--method", "exact", "--terms"],
@@ -354,8 +355,9 @@ EDGES = {
     "samples-low": (["dynamics", "var", "--phi", _POTENTIAL, "--n", "8", "--samples"], 2, 1),
     "samples-high": (["dynamics", "var", "--phi", _POTENTIAL, "--n", "8", "--samples"],
                      MAX_SAMPLES, MAX_SAMPLES + 1),
-    "exact-work": (["dynamics", "var", "--phi", ("doc", "potential", {"coeffs": [[16, 1.0, 0.0]]}),
-                    "--n"], _STEPS, _STEPS + 1),
+    "exact-work": (["dynamics", "var", "--blaschke", "0.5+0j", "--phi",
+                    ("doc", "potential", {"coeffs": [[16, 1.0, 0.0]]}), "--n"],
+                   _STEPS, _STEPS + 1),
     "r0": (["variance", "shell", "--d", "3", "--method", "cesaro", "--r0"],
            CESARO_R0_MAX, math.nextafter(CESARO_R0_MAX, math.inf)),
     "blocks": (["variance", "shell", "--d", "2", "--method", "block", "--r0", "1.5",

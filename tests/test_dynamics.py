@@ -1,5 +1,5 @@
-"""Dynamical variance on the circle: exact bookkeeping, the composition matrix,
-sampling, coboundaries."""
+"""Dynamical variance on the circle: the frequency bookkeeping oracle, the composition
+matrix, sampling, coboundaries."""
 import math
 import random
 
@@ -8,37 +8,38 @@ import pytest
 
 from bvlab.dynamics import (MAX_EXACT_WORK, MAX_SAMPLES, MAX_WORK, MIN_BATCH, MIN_ORDER,
                             BlaschkeMap, CirclePotential, _composition_rows, _correlations,
-                            birkhoff_variance,
-                            birkhoff_variance_exact, birkhoff_variance_mc, check_exact_work,
+                            birkhoff_variance, birkhoff_variance_mc, check_exact_work,
                             check_mc_work, coboundary_check, log_deriv_mean)
 from bvlab.errors import UnresolvedScaleError, ValidationError
 from oracles import (apply_circle, blaschke_values, composed_correlations,
-                     ks_uniform_statistic, log_abs_derivative, mp_birkhoff_limit, orbit_angles,
-                     quad_log_deriv_mean)
+                     frequency_bookkeeping, ks_uniform_statistic, log_abs_derivative,
+                     mp_birkhoff_limit, orbit_angles, quad_log_deriv_mean)
 
 
 class TestExactVariance:
+    """The frequency bookkeeping oracle that the exact route is compared with."""
+
     def test_single_negative_frequency_is_one(self):
         for d in (2, 3, 5):
             phi = CirclePotential.from_map({-(d - 1): 1.0})
             for n in (1, 4, 9):
-                assert birkhoff_variance_exact(phi, d, n) == pytest.approx(1.0, abs=1e-15)
+                assert frequency_bookkeeping(phi, d, n) == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_potential(self):
-        assert birkhoff_variance_exact(CirclePotential.from_map({}), 2, 5) == 0.0
+        assert frequency_bookkeeping(CirclePotential.from_map({}), 2, 5) == 0.0
 
     def test_zero_potential_does_not_loop(self):
-        assert birkhoff_variance_exact(CirclePotential.from_map({}), 2, 10**12) == 0.0
+        assert frequency_bookkeeping(CirclePotential.from_map({}), 2, 10**12) == 0.0
 
     def test_mean_zero_required(self):
         with pytest.raises(ValidationError):
-            birkhoff_variance_exact(CirclePotential.from_map({0: 1.0}), 2, 3)
+            frequency_bookkeeping(CirclePotential.from_map({0: 1.0}), 2, 3)
 
     def test_collision_bookkeeping(self):
         # phi = z + z^2 under doubling: frequency 2 collides at n >= 2
         phi = CirclePotential.from_map({1: 1.0, 2: 1.0})
         # S_2 phi has frequencies {1: 1, 2: 1+1, 4: 1}: integral = (1+4+1)/2
-        assert birkhoff_variance_exact(phi, 2, 2) == pytest.approx(3.0)
+        assert frequency_bookkeeping(phi, 2, 2) == pytest.approx(3.0)
 
     def test_variance_differences_decay(self):
         rng = np.random.Generator(np.random.Philox(99))
@@ -48,7 +49,7 @@ class TestExactVariance:
                 coeffs = {int(m): complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                           for m in freqs if m != 0}
                 phi = CirclePotential.from_map(coeffs)
-                var = [birkhoff_variance_exact(phi, d, n) for n in (2, 4, 8, 16, 32)]
+                var = [frequency_bookkeeping(phi, d, n) for n in (2, 4, 8, 16, 32)]
                 gaps = [abs(b - a) for a, b in zip(var, var[1:])]
                 assert all(x >= y - 1e-12 for x, y in zip(gaps, gaps[1:]))
 
@@ -56,7 +57,7 @@ class TestExactVariance:
 class TestMonteCarlo:
     def test_matches_exact_path(self):
         phi = CirclePotential.from_map({-1: 1.0, 1: 1.0})
-        exact = birkhoff_variance_exact(phi, 2, 10)
+        exact = frequency_bookkeeping(phi, 2, 10)
         est, err = birkhoff_variance_mc(phi, BlaschkeMap.power(2), 10, 40000, seed=11)
         assert abs(est - exact) <= 3 * err
 
@@ -130,7 +131,7 @@ class TestSeriesVariance:
     def test_matches_frequency_bookkeeping(self, d, freqs):
         phi = _potential(len(freqs), freqs)
         for n in (1, 4, 13):
-            exact = birkhoff_variance_exact(phi, d, n)
+            exact = frequency_bookkeeping(phi, d, n)
             value = birkhoff_variance(phi, BlaschkeMap.power(d), n).value
             assert abs(value - exact) <= 1e-15 * exact
 
@@ -246,14 +247,88 @@ class TestSeriesVariance:
 
     def test_work_bound(self):
         phi = _potential(40, range(-40, 41))
-        check_exact_work(50, phi, 3)
+        check_exact_work(50, phi, BlaschkeMap((0.1, 0.2, 0.3)))
         small = CirclePotential.from_map({1: 1.0})
+        two_zeros = BlaschkeMap((0.5, -0.5j))
         steps = MAX_EXACT_WORK // (MIN_ORDER**2 * (MIN_ORDER + 2))
-        check_exact_work(steps, small, 2)
+        assert check_exact_work(steps, small, two_zeros) == steps
         with pytest.raises(ValidationError):
-            check_exact_work(steps + 1, small, 2)
+            check_exact_work(steps + 1, small, two_zeros)
         with pytest.raises(ValidationError, match="--method mc"):
-            check_exact_work(1, _potential(5, range(-1500, 1501)), 2)
+            check_exact_work(1, _potential(5, range(-1500, 1501)), two_zeros)
+
+    @pytest.mark.parametrize("order, size, s", [(2, 16, 5), (2, 31, 5), (2, 32, 6), (3, 16, 3),
+                                                (16, 16, 2), (17, 16, 1), (2, 127, 7)])
+    def test_nilpotent_map_is_charged_its_steps(self, order, size, s):
+        # T^s = 0 for the least s with order^s > max(M, MIN_ORDER), whatever n is
+        phi = CirclePotential.from_map({size: 1.0})
+        for n in (1, s - 1, s, s + 1, 10**18):
+            if n >= 1:
+                assert check_exact_work(n, phi, BlaschkeMap((0.5,), order)) == min(n, s)
+
+    def test_nilpotent_work_bound_at_its_edge(self):
+        # phi = z^127 under z^2: s = 7, and 7 x 127^2 x (127 + zeros) passes 1.5e7 at 6 zeros
+        phi = CirclePotential.from_map({127: 1.0})
+        assert check_exact_work(10**18, phi, BlaschkeMap((0.5,) * 5, 2)) == 7
+        with pytest.raises(ValidationError, match="min\\(n, s\\)"):
+            check_exact_work(10**18, phi, BlaschkeMap((0.5,) * 6, 2))
+        # an order-1 map is charged all n steps: 3446 x 16^2 x 17 <= 1.5e7 < 3447 x ...
+        one_zero = BlaschkeMap((0.5,))
+        assert check_exact_work(3446, CirclePotential.from_map({16: 1.0}), one_zero) == 3446
+        with pytest.raises(ValidationError):
+            check_exact_work(3447, CirclePotential.from_map({16: 1.0}), one_zero)
+
+    def test_nilpotent_loop_takes_at_most_its_charged_steps(self):
+        # origin order >= 2 with zeros off the origin, so every column of T is dense below
+        # the diagonal: the loop stops where T^k x vanishes, within min(n, s) steps, and
+        # gives the values of the loop that is allowed all n steps, bit for bit
+        rng = random.Random(33)
+        for _ in range(60):
+            order = rng.choice((2, 3, 5))
+            zeros = [rng.uniform(0, 0.9) * complex(math.cos(t), math.sin(t))
+                     for t in (rng.uniform(0, 2 * math.pi) for _ in range(rng.randint(0, 2)))]
+            b = BlaschkeMap(zeros, order)
+            phi = _potential(rng.randrange(10**6), rng.sample(
+                [m for m in range(-20, 21) if m], rng.randint(1, 4)))
+            size = phi.max_frequency
+            if order > size:
+                continue
+            n = rng.choice((1, 2, 3, 50, 10**6))
+            s = next(s for s in range(1, 64) if order**s > max(size, MIN_ORDER))
+            steps = check_exact_work(n, phi, b)
+            assert steps == min(n, s)
+            corr, limit = _correlations(phi, b, steps)
+            assert len(corr) <= steps
+            low = min(abs(m) for m, _ in phi.coeffs)  # z^low is the last monomial to pass M
+            assert len(corr) == min(n, next(s for s in range(1, 64) if order**s * low > size))
+            assert (corr, limit) == _correlations(phi, b, min(n, 64))
+
+    def test_nilpotent_loop_stops_when_the_iterates_overflow(self):
+        # T x overflows, and 0 x inf = nan keeps T^k x from vanishing after the s = 4 steps
+        # that z^2 takes past M = 8: the loop stops at the charged min(n, 5) steps
+        phi = CirclePotential.from_map({1: 1.7e308, 2: -1.7e308, 4: 1.7e308, 6: 1e308,
+                                        8: 1e308})
+        b = BlaschkeMap((0.6880122675157494, -0.75993415580223), 2)
+        corr, _ = _correlations(phi, b, 200)
+        assert len(corr) == 200 and math.isnan(corr[-1].real)
+        assert math.isnan(birkhoff_variance(phi, b, 10**18).value)
+
+    def test_early_answer_is_the_loop_bit_for_bit(self):
+        # origin order above M: T = 0, so the loop takes one step and its limit form is
+        # C(0); the early answer builds no T and gives the same bits
+        rng = random.Random(34)
+        for _ in range(60):
+            zeros = [rng.uniform(0, 0.99) * complex(math.cos(t), math.sin(t))
+                     for t in (rng.uniform(0, 2 * math.pi) for _ in range(rng.randint(1, 3)))]
+            phi = CirclePotential.from_map(
+                {m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10 ** rng.uniform(-5, 5)
+                 for m in rng.sample([m for m in range(-12, 13) if m], rng.randint(1, 5))})
+            b = BlaschkeMap(zeros, phi.max_frequency + rng.randint(1, 3))
+            n = rng.choice((1, 7, 10**18))
+            corr, limit = _correlations(phi, b, n)
+            assert len(corr) == 1
+            result = birkhoff_variance(phi, b, n)
+            assert (result.value, result.limit) == (math.fsum([corr[0].real]), limit.real)
 
     def test_power_map_stores_no_zeros(self):
         b = BlaschkeMap.power(10**9)
@@ -329,6 +404,12 @@ class TestCoboundary:
     def test_depth_one_already_exact(self):
         check = coboundary_check(2, 1)
         assert check.residual <= 1e-15
+
+    @pytest.mark.parametrize("d, n", [(2, 64), (1000, 7), (2, 10**18), (3, 2**63 - 1)])
+    def test_past_the_frequency_capacity(self, d, n):
+        # the Birkhoff frequencies (d - 1) d^k pass 2^63 - 1, yet T = 0 under z^d
+        check = coboundary_check(d, n)
+        assert check.lhs == check.rhs == 1.0 / math.log(d) and check.residual == 0.0
 
     def test_huge_degree_builds_no_map(self):
         # a power map of degree 10^9 would store 10^9 - 1 zeros

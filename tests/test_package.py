@@ -28,7 +28,7 @@ HOMES = {
                      "shell_beurling_series shell_cauchy_identity_check shell_cauchy_series "
                      "truncate_to_polynomial",
     "dynamics": "BirkhoffVariance BlaschkeMap CirclePotential birkhoff_variance "
-                "birkhoff_variance_exact birkhoff_variance_mc coboundary_check log_deriv_mean",
+                "birkhoff_variance_mc coboundary_check log_deriv_mean",
     "errors": "BVLabError CapacityError DivergentMomentError UnresolvedScaleError "
               "UnsupportedTermError ValidationError parse_coeffs",
     "formulas": "best_integer_degree best_real_degree distortion_constant julia_dim_k "

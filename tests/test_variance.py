@@ -14,7 +14,7 @@ from bvlab.constructions import (ShellParams, random_unit_shell_field,
 from bvlab.errors import FREQ_CAP, UnresolvedScaleError, ValidationError
 from bvlab.formulas import optimal_rho0, sigma2_optimal, sigma2_shell
 from bvlab.laurent import ExteriorLaurent, SelfSimilarity
-from bvlab.variance import (CESARO_R0_MAX, ROUNDING_FLOOR, TOLERANCE,
+from bvlab.variance import (CESARO_R0_MAX, MAX_MEANS_WORK, ROUNDING_FLOOR, TOLERANCE,
                             _radial_fourth_order_integral, block_masses, block_need,
                             cesaro_sigma4, curve_slope, growth_slope, integral_means,
                             integral_means_log, limit_estimate, means_curve,
@@ -419,6 +419,22 @@ class TestGrowthSlope:
             means_curve(g, r_lo, r_hi, n_pts)
         with pytest.raises(ValidationError):
             growth_slope(g, 1.0 + r_lo, 1.0 + r_hi, n_pts)
+
+    @pytest.mark.parametrize("past", [False, True], ids=["edge", "past"])
+    def test_work_bound_at_its_edge(self, past, monkeypatch):
+        # points x stored coefficients is checked before the first mean; the means are
+        # stubbed, so the edge costs nothing
+        g = ExteriorLaurent({k: 1.0 for k in range(1, 1001)}, 1000)
+        n_pts = MAX_MEANS_WORK // 1000 + past
+        calls = []
+        monkeypatch.setattr("bvlab.variance.integral_means_log",
+                            lambda g, log_r: calls.append(log_r) or 1.0)
+        if past:
+            with pytest.raises(ValidationError, match="points x coefficients of the series"):
+                means_curve(g, 1e-6, 0.5, n_pts)
+            assert calls == []
+        else:
+            assert len(means_curve(g, 1e-6, 0.5, n_pts)) == len(calls) == n_pts
 
     def test_slope_of_the_curve(self):
         # the curve runs from r_hi down to r_lo, and growth_slope is the fit over it
