@@ -7,8 +7,9 @@ A field is a finite sum of terms
 closed under the Cauchy transform C (convolution with 1/(pi z)), its
 z-derivative S = dC/dz (the principal-value convolution with -1/(pi z^2)),
 pointwise products, and pullback under z -> z^d.  By angular orthogonality each
-transform coefficient is one radial moment of a term (``laurent.radial_moment``),
-so every operation here is closed-form; the quadrature checks live in the tests.
+transform coefficient is one radial moment of a term (``laurent.radial_moment``,
+and ``laurent.cauchy_coefficients`` for the exterior series), so every operation
+here is closed-form; the quadrature checks live in the tests.
 
 Radial supports are kept in log form (log_r_in, log_r_out).  This preserves
 1 - r accuracy for shells accumulating at the unit circle, where the plain
@@ -20,12 +21,11 @@ import math
 import sys
 from bisect import bisect_left
 from math import inf, isfinite
-from operator import itemgetter
 
 from .errors import (CapacityError, FREQ_CAP, UnsupportedTermError, ValidationError,
                      parse_float, parse_int)
-from .laurent import (ExteriorLaurent, complex_fsum, derivative_coefficients, radial_moment,
-                      radial_power)
+from .laurent import (ExteriorLaurent, cauchy_coefficients, complex_fsum,
+                      derivative_coefficients, radial_moment, radial_power, term_order)
 from .records import record
 
 
@@ -133,11 +133,6 @@ class MonomialTerm(record("MonomialTerm", "coeff p q gamma log_r_in log_r_out"))
             raise ValidationError(f"malformed term document: {exc}") from exc
 
 
-def _sort_key(p: int, q: int, gamma: float, log_r_in: float, log_r_out: float):
-    """Canonical order of terms: angular frequency, support, then conjugate power and gamma."""
-    return (q - p, log_r_in, log_r_out, p, gamma)
-
-
 class PiecewiseField(record("PiecewiseField", "terms")):
     """Finite sum of monomial terms; terms are canonically sorted at construction."""
 
@@ -145,7 +140,7 @@ class PiecewiseField(record("PiecewiseField", "terms")):
 
     def __new__(cls, terms) -> "PiecewiseField":
         return super().__new__(cls, tuple(sorted(
-            terms, key=lambda t: _sort_key(t.p, t.q, t.gamma, t.log_r_in, t.log_r_out))))
+            terms, key=lambda t: term_order(t.p, t.q, t.gamma, t.log_r_in, t.log_r_out))))
 
     @classmethod
     def of(cls, *terms: MonomialTerm) -> "PiecewiseField":
@@ -200,35 +195,9 @@ class PiecewiseField(record("PiecewiseField", "terms")):
 # transforms
 # ---------------------------------------------------------------------------
 
-def _cauchy_coefficients(pieces) -> dict[int, complex]:
-    """Exterior Cauchy coefficients of terms, each a MonomialTerm or a plain tuple
-    (coeff, p, q, gamma, log_r_in, log_r_out).
-
-    Each term with p >= q contributes its radial moment, e = 2p + gamma + 2, at
-    the single frequency k = p - q + 1; the moments of each frequency are summed
-    in the canonical term order, so the keys come largest first, the order in which
-    derivative_coefficients checks capacity.  An unbounded piece is rejected
-    before any moment is taken.
-    """
-    keyed = []
-    for c, p, q, gamma, lin, lout in pieces:
-        if not isfinite(lout):
-            raise ValidationError("cauchy_exterior requires bounded supports")
-        if p >= q:
-            keyed.append((_sort_key(p, q, gamma, lin, lout), c))
-    keyed.sort(key=itemgetter(0))
-    coeffs: dict[int, complex] = {}
-    for (m, lin, lout, p, gamma), c in keyed:
-        a = radial_moment(c, 2 * p + gamma + 2.0, lin, lout)
-        if a != 0:
-            k = 1 - m
-            coeffs[k] = coeffs.get(k, 0) + a
-    return coeffs
-
-
 def cauchy_exterior(field: PiecewiseField) -> ExteriorLaurent:
     """Laurent series of the Cauchy transform on |z| > max r_out."""
-    coeffs = _cauchy_coefficients(field.terms)
+    coeffs = cauchy_coefficients(field.terms)
     return ExteriorLaurent(coeffs, max(coeffs, default=1))
 
 
@@ -310,7 +279,7 @@ def beurling(field: PiecewiseField) -> PiecewiseField:
 
 def beurling_exterior(field: PiecewiseField) -> ExteriorLaurent:
     """Exterior Laurent series of the transform: a_k z^-k maps to -k a_k z^-(k+1)."""
-    coeffs = derivative_coefficients(_cauchy_coefficients(field.terms))
+    coeffs = derivative_coefficients(cauchy_coefficients(field.terms))
     return ExteriorLaurent(coeffs, max(coeffs, default=1))
 
 
@@ -369,7 +338,7 @@ def product_beurling_exterior(f: PiecewiseField, g: PiecewiseField) -> dict[int,
 
     The product terms go to the transform as tuples; they are never built.
     """
-    return derivative_coefficients(_cauchy_coefficients(_products(f, g)))
+    return derivative_coefficients(cauchy_coefficients(_products(f, g)))
 
 
 def pullback_power(field: PiecewiseField, d: int) -> PiecewiseField:

@@ -11,7 +11,6 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -20,9 +19,6 @@ from . import (__version__, annular, constructions, dynamics, formulas, laurent,
                selfcheck, variance)
 from .errors import FREQ_CAP, BVLabError, ValidationError, parse_float, parse_int
 from .manifest import csv_text, json_text, write_text
-
-_MAX_POINTS = 10**4  # 100x the default means-curve grid
-OUTPUT_ENV = "BVLAB_OUT"
 
 
 def _flag(key: str) -> str:
@@ -182,17 +178,13 @@ def cmd_dimension(opts: dict, emit) -> int:
 
 
 def cmd_means_curve(opts: dict, emit) -> int:
-    lo, hi, n = opts["r_min"], opts["r_max"], opts["points"]
-    if not (1.0 < 1.0 + lo and lo < hi < 1.0 and 2 <= n <= _MAX_POINTS):
-        raise ValidationError(f"need 1 + r_min > 1 (r_min above about 1.1e-16), r_min < r_max "
-                              f"< 1 and 2 <= points <= {_MAX_POINTS}")
     if opts["series"]:
         g = laurent.ExteriorLaurent.from_doc(_read_json(opts["series"], "series"))
         resolved = {}
     else:
         g = constructions.shell_beurling_series(_shell_params(opts))
         resolved = _series_resolved(opts, g)
-    curve = variance.means_curve(g, lo, hi, n)
+    curve = variance.means_curve(g, opts["r_min"], opts["r_max"], opts["points"])
     rows = [[1.0 + x, means, means / math.log(1.0 / x),
              "true" if g.max_freq >= variance.resolving_freq(x) else "false"]
             for x, means in curve]
@@ -220,16 +212,13 @@ def cmd_truncate(opts: dict, emit) -> int:
 
 
 def cmd_dynamics(opts: dict, emit) -> int:
-    seed = opts["seed"]
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     if opts["subcommand"] == "coboundary":
         n = 20 if opts["n"] is None else opts["n"]
-        payload = dynamics.coboundary_check(opts["d"], n)._asdict()
-        payload["seed"] = seed
-        emit("dynamics_coboundary", payload)
+        emit("dynamics_coboundary", dynamics.coboundary_check(opts["d"], n)._asdict())
         return 0
-    n, samples = 50 if opts["n"] is None else opts["n"], opts["samples"]
+    n, samples, seed = 50 if opts["n"] is None else opts["n"], opts["samples"], opts["seed"]
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
     if not 2 <= samples <= dynamics.MAX_SAMPLES:  # checked on every route
         raise ValidationError(f"need 2 <= samples <= {dynamics.MAX_SAMPLES}")
     phi = dynamics.CirclePotential.from_doc(_read_json(_need(opts, "phi"), "potential"))
@@ -314,7 +303,7 @@ _GLOBAL = {"output_dir": ("text", None)}
 _ECHOED = ("rho0", "method")  # defaults echoed in manifests, below the config
 _POSITIONAL = ("kind", "subcommand")
 _HELP = {"config": "JSON config file; flags override its values",
-         "output_dir": "output directory (the BVLAB_OUT environment variable overrides)",
+         "output_dir": "output directory (default ./bvlab_out)",
          "seed": "random seed for sampled paths",
          "series": "JSON Laurent series file instead of shell parameters",
          "mu": "JSON field file; otherwise shell parameters are used",
@@ -365,7 +354,7 @@ _SCOPES = {
                                (lambda o: bool(o["grid_d"]), "with --grid-d"))},
     "means-curve": dict.fromkeys(_SHELL, (lambda o: not o["series"], "without --series")),
     "truncate": dict.fromkeys(_SHELL, (lambda o: not o["mu"], "without --mu")),
-    "dynamics": {**dict.fromkeys(("blaschke", "phi", "method", "samples"), _IN_VAR),
+    "dynamics": {**dict.fromkeys(("blaschke", "phi", "method", "samples", "seed"), _IN_VAR),
                  "d": (lambda o: o["subcommand"] == "coboundary" or not o["blaschke"],
                        "in dynamics coboundary, or in dynamics var without a --blaschke zero")},
 }
@@ -438,8 +427,7 @@ def run(argv: list[str]) -> int:
         if key in given and not acts(opts):
             raise ValidationError(f"{_flag(key)} does not act in this run: it acts only {where}")
     manifest = {"tool": "bvlab", "version": __version__, "command": command, "config": values}
-    # the environment variable wins, then the flag or the config, then ./bvlab_out
-    out_dir = Path(os.environ.get(OUTPUT_ENV) or opts["output_dir"] or "bvlab_out")
+    out_dir = Path(opts["output_dir"] or "bvlab_out")  # the flag, then the config
     return handler(opts, partial(_emit, manifest, out_dir))
 
 

@@ -5,9 +5,10 @@ The shell coefficient places the unit-modulus block (conj(z)/|z|)^(n_j - 2)
 on the annulus r_j <= |z| < r_(j+1), with n_j = n0 * d^j and r_j = rho0^(1/n_j).
 Its Cauchy transform is, coefficient by coefficient, the d-lacunary series
 with moduli (2/n_j)(rho0^(1/d) - rho0), which is what makes every variance
-formula in this package explicit.  The shell series are built from the shells'
-radial moments (``laurent.radial_moment``, the rule the term algebra uses), so
-``annular`` loads only when a field is built.
+formula in this package explicit.  ``_shell_blocks`` spells the blocks once:
+``build_shell`` wraps them as terms, and the shell series read them by
+``laurent.cauchy_coefficients``, the term algebra's own rule, so ``annular``
+loads only when a field is built.
 
 Shell radii are handled in log form as log(rho0)/n_j; near the unit circle
 the plain radius differs from 1 by less than an ulp long before the 64-bit
@@ -22,7 +23,8 @@ from typing import TYPE_CHECKING
 from . import annular
 from .errors import CapacityError, FREQ_CAP, ValidationError
 from .formulas import check_degree, optimal_rho0
-from .laurent import ExteriorLaurent, SelfSimilarity, derivative_coefficients, radial_moment
+from .laurent import (ExteriorLaurent, SelfSimilarity, cauchy_coefficients,
+                      derivative_coefficients, radial_moment)
 from .records import record
 
 if TYPE_CHECKING:
@@ -108,36 +110,27 @@ class ShellParams(record("ShellParams", "d rho0 n0 shells")):
         return self if shells == self.shells else self._replace(shells=shells)
 
 
+def _shell_blocks(params: ShellParams) -> list[tuple]:
+    """The shell blocks (conj(z)/|z|)^(n_j - 2) on r_j <= |z| < r_(j+1), as the tuples
+    (coeff, p, q, gamma, log_r_in, log_r_out) of the term algebra; every frequency
+    is checked first."""
+    frequencies = [params.frequency(j) for j in range(params.shells)]
+    return [(1.0, n - 2, 0, float(2 - n), params.log_radius(j), params.log_radius(j + 1))
+            for j, n in enumerate(frequencies)]
+
+
 def build_shell(params: ShellParams) -> PiecewiseField:
     """The shell Beltrami coefficient as a piecewise field.
 
     Unit modulus on the union of shells, zero for |z| < r_0 and |z| >= r_J.
     """
-    terms = []
-    for j in range(params.shells):
-        n = params.frequency(j)
-        terms.append(annular.MonomialTerm(1.0, n - 2, 0, float(2 - n),
-                                          params.log_radius(j), params.log_radius(j + 1)))
-    return annular.PiecewiseField(tuple(terms))
-
-
-def _shell_cauchy_coefficients(params: ShellParams) -> dict[int, float]:
-    """``cauchy_exterior(build_shell(params)).coeffs`` bit for bit, largest frequency
-    first: shell j's one radial moment at n_j - 1."""
-    frequencies = [params.frequency(j) for j in range(params.shells)]  # raises as build_shell
-    coeffs = {}
-    for j in reversed(range(params.shells)):
-        n = frequencies[j]
-        p, gamma = n - 2, float(2 - n)  # the block of build_shell; float(n) differs past 2^53
-        coeffs[n - 1] = radial_moment(1.0, 2 * p + gamma + 2.0, params.log_radius(j),
-                                      params.log_radius(j + 1))
-    return coeffs
+    return annular.PiecewiseField(tuple(annular.MonomialTerm(*b) for b in _shell_blocks(params)))
 
 
 def shell_cauchy_series(params: ShellParams) -> ExteriorLaurent:
     """Exterior Cauchy series of the shell field, whole below its cutoff, with block
     metadata attached."""
-    return ExteriorLaurent(_shell_cauchy_coefficients(params), params.series_cutoff(),
+    return ExteriorLaurent(cauchy_coefficients(_shell_blocks(params)), params.series_cutoff(),
                            SelfSimilarity(params.d, params.n0))
 
 
@@ -148,7 +141,7 @@ def shell_beurling_series(params: ShellParams) -> ExteriorLaurent:
     frequencies n_j; the series is exact below the first missing shell.  It is the
     z-derivative of the shell Cauchy series, by ``laurent.derivative_coefficients``.
     """
-    return ExteriorLaurent(derivative_coefficients(_shell_cauchy_coefficients(params)),
+    return ExteriorLaurent(derivative_coefficients(cauchy_coefficients(_shell_blocks(params))),
                            params.series_cutoff(),
                            SelfSimilarity(params.d, params.n0))
 
@@ -165,8 +158,7 @@ def shell_cauchy_identity_check(params: ShellParams, samples) -> tuple[float, fl
     d = params.d
     if d < 3 or params.n0 != d - 1:
         raise ValidationError("identity check needs degree >= 3 with n0 = d - 1")
-    # by the term algebra, not the shell moments, so that two routes are compared
-    series = annular.cauchy_exterior(build_shell(params))
+    series = shell_cauchy_series(params)  # the independent side is the lacunary field
     lac = lacunary_vector_field(d, params.shells)
     scale = -(2.0 * d / (d - 1.0)) * params.delta
     worst = 0.0

@@ -8,10 +8,13 @@ lacunary block structure (base d, first block edge n0) used by the block-mass
 variance estimator; it is not part of the series document.  A block
 c conj(z)^p z^q |z|^gamma on r_in <= |z| < r_out adds one ``radial_moment``,
 with e set by the transform, to one coefficient; radii are given by their logs.
+``cauchy_coefficients`` is that rule for the Cauchy transform, the one route of
+the term algebra's exterior series and of the shell series alike.
 """
 from __future__ import annotations
 
 from math import exp, fsum, inf, isfinite, prod
+from operator import itemgetter
 
 from .errors import (FREQ_CAP, CapacityError, DivergentMomentError, ValidationError,
                      parse_coeffs, parse_int)
@@ -50,6 +53,37 @@ def radial_moment(coeff: complex, e: float, log_r_in: float, log_r_out: float) -
             raise DivergentMomentError("logarithmic moment with unbounded support")
         return 2.0 * coeff * (log_r_out - log_r_in)
     return 2.0 * coeff * (radial_power(e, log_r_out) - radial_power(e, log_r_in)) / e
+
+
+def term_order(p: int, q: int, gamma: float, log_r_in: float, log_r_out: float):
+    """Canonical order of blocks: angular frequency, support, then conjugate power and gamma."""
+    return (q - p, log_r_in, log_r_out, p, gamma)
+
+
+def cauchy_coefficients(blocks) -> dict[int, complex]:
+    """Exterior Cauchy coefficients of blocks (coeff, p, q, gamma, log_r_in, log_r_out),
+    plain tuples or ``annular.MonomialTerm``s.
+
+    Each block with p >= q contributes its radial moment, e = 2p + gamma + 2, at
+    the single frequency k = p - q + 1; the moments of each frequency are summed
+    in ``term_order``, so the keys come largest first, the order in which
+    derivative_coefficients checks capacity.  An unbounded block is rejected
+    before any moment is taken.
+    """
+    keyed = []
+    for c, p, q, gamma, lin, lout in blocks:
+        if not isfinite(lout):
+            raise ValidationError("cauchy_exterior requires bounded supports")
+        if p >= q:
+            keyed.append((term_order(p, q, gamma, lin, lout), c))
+    keyed.sort(key=itemgetter(0))
+    coeffs: dict[int, complex] = {}
+    for (m, lin, lout, p, gamma), c in keyed:
+        a = radial_moment(c, 2 * p + gamma + 2.0, lin, lout)
+        if a != 0:
+            k = 1 - m
+            coeffs[k] = coeffs.get(k, 0) + a
+    return coeffs
 
 
 def derivative_coefficients(coeffs: dict[int, complex], order: int = 1) -> dict[int, complex]:

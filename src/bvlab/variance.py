@@ -48,6 +48,7 @@ MAX_MEANS_WORK = 4 * 10**6
 # cesaro_sigma4 needs R0^2 - 1 to be a finite double (R0 below about 1.3e154);
 # the tests check the closed form against a quadrature at this edge
 CESARO_R0_MAX = 1e154
+MAX_POINTS = 10**4  # means_curve's grid: 100x the default of the means-curve command
 
 
 class VarianceEstimate(record("VarianceEstimate", "value error method diagnostics converged")):
@@ -284,9 +285,11 @@ def _beta_tail(m: int, log_u: float) -> float:
 
 def means_curve(g: ExteriorLaurent, r_lo: float, r_hi: float, n_pts: int) -> list:
     """(R - 1, I(R)) on the geometric grid of R - 1 from r_hi down to r_lo, given as R - 1
-    so that ends below the float step of 1 keep their value."""
-    if not 0.0 < r_lo < r_hi or n_pts < 2:
-        raise ValidationError("need 0 < r_lo < r_hi (R - 1) and at least two points")
+    so that ends below the float step of 1 keep their value.  The bounds are those of
+    the means-curve command, whose --r-min and --r-max are r_lo and r_hi."""
+    if not (1.0 < 1.0 + r_lo and r_lo < r_hi < 1.0 and 2 <= n_pts <= MAX_POINTS):
+        raise ValidationError(f"need 1 + r_min > 1 (r_min above about 1.1e-16), r_min < r_max "
+                              f"< 1 and 2 <= points <= {MAX_POINTS}")
     if n_pts * len(g.coeffs) > MAX_MEANS_WORK:
         raise ValidationError(f"points x coefficients of the series must be at most "
                               f"{MAX_MEANS_WORK}, got {n_pts} x {len(g.coeffs)}")

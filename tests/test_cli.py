@@ -610,10 +610,19 @@ class TestScopes:
         code, _, err = self._run(inert, key, None, "config", tmp_path / "null", capsys)
         assert code == 0, err
 
-    def test_seed_and_n_act_in_both_subcommands(self, tmp_path, capsys):
+    def test_n_acts_in_both_subcommands(self, tmp_path, capsys):
         for argv in (_COBOUNDARY, _VAR, [*_VAR, "--method", "mc", "--samples", "64"]):
-            code, _, err = self._run([*argv, "--seed", "3"], "n", 4, "config", tmp_path, capsys)
+            code, _, err = self._run(argv, "n", 4, "config", tmp_path, capsys)
             assert code == 0, err
+
+    def test_seed_acts_in_var_only(self, tmp_path, capsys):
+        # both var routes take --seed; coboundary samples nothing, so it names the flag
+        for argv in (_VAR, [*_VAR, "--method", "mc", "--samples", "64"]):
+            code, _, err = self._run(argv, "seed", 3, "flag", tmp_path, capsys)
+            assert code == 0, err
+        code, out, err = self._run(_COBOUNDARY, "seed", 3, "flag", tmp_path, capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["message"].startswith("--seed does not act in this run")
 
     def test_refine_false_in_the_config_is_given(self, tmp_path, capsys):
         code, _, err = self._run(_GRID, "refine", False, "config", tmp_path, capsys)
@@ -812,14 +821,14 @@ class TestConfigAndErrors:
         assert code == 2
         capsys.readouterr()
 
-    def test_output_env_override(self, tmp_path, capsys, monkeypatch):
-        env_dir = tmp_path / "env_dir"
-        monkeypatch.setenv("BVLAB_OUT", str(env_dir))
+    def test_out_decides_with_bvlab_out_set(self, tmp_path, capsys, monkeypatch):
+        # no environment variable names the output directory
+        monkeypatch.setenv("BVLAB_OUT", str(tmp_path / "env_dir"))
         code = main(["table2", "--out", str(tmp_path / "flag_dir")])
         capsys.readouterr()
         assert code == 0
-        assert (env_dir / "table2.csv").exists()
-        assert not (tmp_path / "flag_dir").exists()
+        assert (tmp_path / "flag_dir" / "table2.csv").exists()
+        assert not (tmp_path / "env_dir").exists()
 
     @pytest.mark.parametrize("via_config", [False, True])
     def test_output_dir_with_a_control_character(self, via_config, tmp_path, capsys):
@@ -1044,8 +1053,7 @@ assert "numpy" in sys.modules
 
 
 def test_closed_form_commands_keep_numpy_unloaded(tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "BVLAB_OUT"}
-    env["PYTHONPATH"] = str(Path(bvlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": str(Path(bvlab.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", _START_UP_PROBE, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -52,7 +52,7 @@ from bvlab.constructions import MAX_TERMS
 from bvlab.dynamics import MAX_EXACT_WORK, MAX_SAMPLES, MIN_ORDER
 from bvlab.order2 import MAX_GRID_WORK
 from bvlab.selfcheck import CheckResult
-from bvlab.variance import CESARO_R0_MAX
+from bvlab.variance import CESARO_R0_MAX, MAX_POINTS
 
 # the slowest run the drawn values admit (an order2 grid at its work bound) takes about
 # 0.07 s on a 2-core Xeon
@@ -88,7 +88,7 @@ SHELL_KEYS = {"d", "rho0", "n0", "shells"}
 SCOPED_KEYS = {"variance": {"terms", "shells", "r0", "blocks"},
                "order2": {"d", "rho0", "n0", "refine", "grid_rho0", "grid_n0"},
                "means-curve": SHELL_KEYS, "truncate": SHELL_KEYS,
-               "dynamics": {"blaschke", "phi", "method", "samples", "d"}}
+               "dynamics": {"blaschke", "phi", "method", "samples", "seed", "d"}}
 
 
 def _inert(command, given) -> set:
@@ -106,7 +106,7 @@ def _inert(command, given) -> set:
         inert = SHELL_KEYS if given.get("series" if command == "means-curve" else "mu") \
             else set()
     elif command == "dynamics" and given.get("subcommand") == "coboundary":
-        inert = {"blaschke", "phi", "method", "samples"}
+        inert = {"blaschke", "phi", "method", "samples", "seed"}
     elif command == "dynamics":  # var: the map is --d's power unless a zero is given
         inert = {"d"} if any(str(given.get("blaschke", "")).split(",")) else set()
     else:
@@ -351,7 +351,7 @@ _GRID_POINTS = MAX_GRID_WORK // (5 + 5) ** 2
 EDGES = {
     "terms": (["variance", "shell", "--d", "20", "--method", "exact", "--terms"],
               MAX_TERMS, MAX_TERMS + 1),
-    "points": (["means-curve", "--d", "2", "--points"], cli._MAX_POINTS, cli._MAX_POINTS + 1),
+    "points": (["means-curve", "--d", "2", "--points"], MAX_POINTS, MAX_POINTS + 1),
     "samples-low": (["dynamics", "var", "--phi", _POTENTIAL, "--n", "8", "--samples"], 2, 1),
     "samples-high": (["dynamics", "var", "--phi", _POTENTIAL, "--n", "8", "--samples"],
                      MAX_SAMPLES, MAX_SAMPLES + 1),
@@ -396,8 +396,7 @@ def _invalid_line(command: str) -> list[str]:
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_invalid_value_in_a_fresh_interpreter(command, tmp_path):
-    env = {k: v for k, v in os.environ.items() if k != "BVLAB_OUT"}
-    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     argv = _invalid_line(command)
     proc = subprocess.run([sys.executable, "-m", "bvlab.cli", *argv, "--out", str(tmp_path)],
                           env=env, capture_output=True, timeout=60)

@@ -35,8 +35,8 @@ HOMES = {
                 "julia_dim_t optimal_rho0 pointwise_sigma_bound sigma2_optimal "
                 "sigma2_second_order sigma2_shell "
                 "smirnov_dim_k smirnov_dim_t table2",
-    "laurent": "ExteriorLaurent SelfSimilarity complex_fsum derivative_coefficients "
-               "radial_moment radial_power",
+    "laurent": "ExteriorLaurent SelfSimilarity cauchy_coefficients complex_fsum "
+               "derivative_coefficients radial_moment radial_power term_order",
     "order2": "Order2Report order2_bound order2_field parameter_search",
     "records": "record",
     "variance": "VarianceEstimate block_masses cesaro_sigma4 curve_slope growth_slope "
@@ -83,9 +83,7 @@ EVERY_MODULE = sorted(["annular", "cli", "constructions", "dynamics", "errors", 
 
 
 def _env() -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "BVLAB_OUT"}
-    env["PYTHONPATH"] = str(SRC)
-    return env
+    return {**os.environ, "PYTHONPATH": str(SRC)}
 
 
 def _probe(out: Path, steps: list[list[str]]) -> dict:

@@ -45,7 +45,7 @@ def _row(name, target, mutate, why):
 
 
 MUTATIONS = [
-    _row("basic_cauchy_closed_form", "bvlab.annular.radial_moment", times(1 + 1e-9),
+    _row("basic_cauchy_closed_form", "bvlab.laurent.radial_moment", times(1 + 1e-9),
          "moment"),
     _row("dbar_identity_fd", "bvlab.annular._cauchy_term_pieces",
          lambda orig: lambda t: [p.scaled(1.001) for p in orig(t)], "pieces-scaled"),
@@ -60,7 +60,7 @@ MUTATIONS = [
          field_times(1.001), "reflection"),
     _row("lacunary_unit_variance", "bvlab.selfcheck.variance_lacunary",
          then(lambda est: est._replace(value=est.value * (1 + 1e-9))), "estimator"),
-    _row("shell_mass_vs_closed_form_d2", "bvlab.constructions._shell_cauchy_coefficients",
+    _row("shell_mass_vs_closed_form_d2", "bvlab.constructions.cauchy_coefficients",
          then(lambda coeffs: {k: 1.05 * c for k, c in coeffs.items()}), "shell-series"),
     _row("table_display_values", "bvlab.selfcheck.lambda_lemma_coeff", times(1.001),
          "coefficient"),
@@ -74,7 +74,7 @@ MUTATIONS = [
          "support-radius"),
     _row("lacunary_functional_equation", "bvlab.selfcheck.lacunary_vector_field",
          then(lambda lac: lac._replace(v=scaled(lac.v, 1.001))), "field"),
-    _row("shell_cauchy_identity", "bvlab.annular.cauchy_exterior", series_times(1.001),
+    _row("shell_cauchy_identity", "bvlab.constructions.shell_cauchy_series", series_times(1.001),
          "shell-series"),
     *(_row(f"coboundary_exact_d{d}", "bvlab.dynamics.birkhoff_variance",
            then(lambda var: var._replace(value=var.value * (1 + 1e-9))), "birkhoff-sum")

@@ -14,8 +14,8 @@ from bvlab.constructions import (ShellParams, random_unit_shell_field,
 from bvlab.errors import FREQ_CAP, UnresolvedScaleError, ValidationError
 from bvlab.formulas import optimal_rho0, sigma2_optimal, sigma2_shell
 from bvlab.laurent import ExteriorLaurent, SelfSimilarity
-from bvlab.variance import (CESARO_R0_MAX, MAX_MEANS_WORK, ROUNDING_FLOOR, TOLERANCE,
-                            _radial_fourth_order_integral, block_masses, block_need,
+from bvlab.variance import (CESARO_R0_MAX, MAX_MEANS_WORK, MAX_POINTS, ROUNDING_FLOOR,
+                            TOLERANCE, _radial_fourth_order_integral, block_masses, block_need,
                             cesaro_sigma4, curve_slope, growth_slope, integral_means,
                             integral_means_log, limit_estimate, means_curve,
                             resolving_freq, variance_block, variance_block_mass,
@@ -419,6 +419,18 @@ class TestGrowthSlope:
             means_curve(g, r_lo, r_hi, n_pts)
         with pytest.raises(ValidationError):
             growth_slope(g, 1.0 + r_lo, 1.0 + r_hi, n_pts)
+
+    @pytest.mark.parametrize("edge, past", [
+        ((2.0**-52, 0.5, 40), (2.0**-53, 0.5, 40)),  # 1 + 2^-53 rounds to 1
+        ((1e-6, math.nextafter(1.0, 0.0), 40), (1e-6, 1.0, 40)),
+        ((1e-6, 0.5, MAX_POINTS), (1e-6, 0.5, MAX_POINTS + 1)),
+    ], ids=["r_lo", "r_hi", "points"])
+    def test_grid_bound_at_its_edge(self, edge, past):
+        # the means-curve command's rule, worded with its flags
+        g = ExteriorLaurent({2: 1.0}, 10**9)
+        assert len(means_curve(g, *edge)) == edge[2]
+        with pytest.raises(ValidationError, match=r"need 1 \+ r_min > 1"):
+            means_curve(g, *past)
 
     @pytest.mark.parametrize("past", [False, True], ids=["edge", "past"])
     def test_work_bound_at_its_edge(self, past, monkeypatch):
